@@ -1,10 +1,19 @@
 """Kernel evaluation, dense block assembly, and Green quadrature factors.
 
-Galerkin blocks are assembled triangle pair by triangle pair: the triangle
-tables of the row and column index sets drive one quadrature task per pair,
-whose 3x3 (or 1x1) local values are scattered into the block. Tasks flow
-through the batch executor, which fixes the reduction order, so assembly is
-bitwise reproducible for any capacity and thread count.
+A Galerkin block is a batch of triangle-pair integrals: the triangle tables
+of the row and column index sets yield one quadrature task per pair, whose
+3x3 (or 1x1) local values are scattered into the block. Tasks flow through
+the batch executor, which groups them by singularity case and fixes the
+reduction order, so assembly is bitwise reproducible for any capacity and
+thread count.
+
+The pair evaluator takes a whole case-homogeneous batch at a time, in chunks
+of a fixed number of quadrature points. Disjoint pairs, the bulk of the
+work, read per-triangle tables of the regular rule (points, Gram-weighted
+weights, basis factors, normals) built once per evaluator; vertex, edge and
+identical pairs interpolate the two charts at the regularized rule's points
+in coordinate-major (b, M) arrays. Neither path calls BLAS, so the value of
+a pair does not depend on the rest of its chunk.
 
 The Green factors A_tau, B_sigma sample the kernel at points of the box
 boundary rule; all their integrands are regular, so plain triangle Gauss
@@ -23,30 +32,14 @@ from .geometry import chart_pack, shape_functions
 
 FOUR_PI = 4.0 * np.pi
 
-# chunk size (in quadrature points) for the batched evaluators; per-task
-# values must not depend on batch boundaries, so the chunk is a fixed
-# function of the rule, never of the capacity
-_POINT_BUDGET = 1 << 19
+# chunk size (in quadrature points) for the batched evaluators, small enough
+# for a chunk's temporaries to stay in cache; per-task values must not depend
+# on batch boundaries, so the chunk is a fixed function of the rule, never of
+# the capacity
+_POINT_BUDGET = 1 << 15
 
 DenseBlock = namedtuple("DenseBlock", "rows cols values")
 TriangleTable = namedtuple("TriangleTable", "rows")
-
-
-def kernel_eval(kind, x, y, n_y=None):
-    """Pointwise kernel: slp 1/(4 pi r), dlp <x-y, n_y> / (4 pi r^3)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    d = x - y
-    r = float(np.linalg.norm(d))
-    if r <= 1e-300:
-        raise GeometryError("kernel evaluated at x == y")
-    if kind == "slp":
-        return 1.0 / (FOUR_PI * r)
-    if kind == "dlp":
-        if n_y is None:
-            raise ConfigError("dlp kernel needs the unit normal at y")
-        return float(d @ np.asarray(n_y, dtype=np.float64)) / (FOUR_PI * r ** 3)
-    raise ConfigError("unknown kernel kind %r" % (kind,))
 
 
 def _bary(pts):
@@ -110,41 +103,79 @@ def _merge_runs(a, b):
     return out
 
 
-_RuleData = namedtuple("_RuleData", "w N6x N6y WB")
+def _norm3(v, axis=-1):
+    """Euclidean length of 3-vectors stored along ``axis``."""
+    x, y, z = np.moveaxis(v, axis, 0)
+    return np.sqrt(x ** 2 + y ** 2 + z ** 2)
+
+
+def _coordinate_major(a):
+    """(nt, 6, 3) chart node values as one (3, nt, 6) array."""
+    return np.ascontiguousarray(np.moveaxis(a, 2, 0))
+
+
+def _chart_points(coords, tris, perm, n6t):
+    """Quadratic interpolation of chart node values, coordinate-major.
+
+    coords is a (3, nt, 6) array, n6t the (6, M) shape functions of a rule;
+    the nodes of each listed triangle are read in the order ORDER6 of its
+    permutation id. Returns a (3, b, M) array. An einsum reduction over the
+    six nodes, not BLAS, so each point is independent of the batch.
+    """
+    nodes = coords[:, tris[:, None], quad.ORDER6[perm]].reshape(-1, 6)
+    return np.einsum("ba,am->bm", nodes, n6t).reshape(3, len(tris), -1)
+
+
+def _chunks(n, points):
+    """Slices of consecutive tasks holding at most _POINT_BUDGET points."""
+    step = max(1, _POINT_BUDGET // points)
+    return [slice(s, min(n, s + step)) for s in range(0, n, step)]
+
+
+_SingularRule = namedtuple("_SingularRule", "n6x n6y wb")
 
 
 @lru_cache(maxsize=None)
-def _pair_rule_data(case, q_reg, q_sing, basis):
-    if case == quad.DISJOINT:
-        pts, wts = quad.triangle_gauss(q_reg)
-        m = len(wts)
-        xhat = np.repeat(pts, m, axis=0)
-        yhat = np.tile(pts, (m, 1))
-        w = np.outer(wts, wts).ravel()
-    else:
-        rule = quad.sauter_rule(quad.KIND_NAMES[case], q_sing)
-        xhat, yhat, w = rule.x, rule.y, rule.w
-    n6x = shape_functions(xhat)
-    n6y = shape_functions(yhat)
+def _singular_rule(case, q_sing, basis):
+    """Shape functions (6, M) of both sides and the weights as a
+    (width, width, M) array, times the barycentric factors of the linear
+    basis."""
+    rule = quad.sauter_rule(quad.KIND_NAMES[case], q_sing)
     if basis == "constant":
-        wb = w
+        wb = rule.w[None, None, :]
     else:
-        n3x = _bary(xhat)
-        n3y = _bary(yhat)
-        wb = np.einsum("m,ma,mb->abm", w, n3x, n3y)
-    return _RuleData(w, n6x, n6y, wb)
+        wb = np.einsum("m,ma,mb->abm", rule.w, _bary(rule.x), _bary(rule.y))
+    return _SingularRule(shape_functions(rule.x).T.copy(),
+                         shape_functions(rule.y).T.copy(), wb)
 
 
-def _interp6(coeff, nodes6):
-    """Quadratic interpolation without BLAS: coeff (M,6), nodes6 (b,6,3)."""
-    out = np.zeros((nodes6.shape[0], coeff.shape[0], 3))
-    for a in range(6):
-        out += coeff[:, a][None, :, None] * nodes6[:, a][:, None, :]
-    return out
+_FarTables = namedtuple("_FarTables", "x wr wc n")
 
 
-def _norm3(v):
-    return np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2)
+def _far_tables(pack, nodes, normals, q_reg, linear, dlp):
+    """Per-triangle regular-rule data for disjoint pairs, built once.
+
+    x holds the M rule points of every triangle, coordinate-major (3, nt, M).
+    Row weights wr are the Gram-weighted weights times, for the linear
+    basis, the barycentric factors: (nt, width, M). The column weights wc
+    are the same for slp; dlp leaves out the column Gramian, which the
+    unnormalized interpolated normals n (3, nt, M) carry.
+    """
+    pts, wts = quad.triangle_gauss(q_reg)
+    n6t = shape_functions(pts).T.copy()
+    nt = len(pack.nodes)
+    tris, ident = np.arange(nt), np.zeros(nt, dtype=np.int64)
+    x = _chart_points(nodes, tris, ident, n6t)
+    nrm = _chart_points(normals, tris, ident, n6t)
+    if pack.curved:
+        gram = _norm3(nrm, axis=0)
+    else:
+        gram = pack.gram[:, None]
+    gw = gram * wts
+    cw = np.broadcast_to(wts, gw.shape) if dlp else gw
+    slots = _bary(pts).T if linear else np.ones((1, len(wts)))
+    return _FarTables(x, gw[:, None, :] * slots, cw[:, None, :] * slots,
+                      nrm if dlp else None)
 
 
 def galerkin_classify(mesh):
@@ -159,6 +190,11 @@ def galerkin_classify(mesh):
 def galerkin_pair_evaluator(kind, mesh, basis, q_reg, q_sing):
     """Batched pair-integral evaluator for the executor.
 
+    Disjoint pairs read the per-triangle tables of :func:`_far_tables`, so
+    no chart is interpolated per pair: the value is the sum over the M*M
+    point pairs of wr_a wc_b K(x_a, y_b). Singular pairs interpolate both
+    charts at the pair rule's points, coordinate-major.
+
     Returns values in the canonical (permuted) local ordering; the stored
     chart node and normal values are gathered through the same permutation,
     which reproduces the physical point and normal fields exactly, so no
@@ -171,47 +207,64 @@ def galerkin_pair_evaluator(kind, mesh, basis, q_reg, q_sing):
     pack = chart_pack(mesh)
     width = 1 if basis == "constant" else 3
     dlp = kind == "dlp"
+    nodes = _coordinate_major(pack.nodes)
+    normals = _coordinate_major(pack.normals)
+    far = _far_tables(pack, nodes, normals, q_reg, basis == "linear", dlp)
 
     def evaluate(case, rows, cols, px, py):
-        data = _pair_rule_data(int(case), q_reg, q_sing, basis)
-        m = len(data.w)
-        b = len(rows)
-        out = np.empty((b, width, width))
-        step = max(1, _POINT_BUDGET // m)
-        for s in range(0, b, step):
-            sl = slice(s, min(b, s + step))
-            _eval_chunk(out[sl], rows[sl], cols[sl], px[sl], py[sl], data)
+        out = np.empty((len(rows), width, width))
+        if case == quad.DISJOINT:
+            for sl in _chunks(len(rows), far.x.shape[-1] ** 2):
+                _disjoint_chunk(out[sl], rows[sl], cols[sl])
+        else:
+            rule = _singular_rule(int(case), q_sing, basis)
+            for sl in _chunks(len(rows), rule.n6x.shape[1]):
+                _singular_chunk(out[sl], rows[sl], cols[sl], px[sl], py[sl],
+                                rule)
         return out
 
-    def _eval_chunk(out, rows, cols, px, py, data):
-        gx_nodes = quad.ORDER6[px]
-        gy_nodes = quad.ORDER6[py]
-        X = _interp6(data.N6x, pack.nodes[rows[:, None], gx_nodes])
-        Y = _interp6(data.N6y, pack.nodes[cols[:, None], gy_nodes])
-        D = X - Y
-        r2 = D[..., 0] ** 2 + D[..., 1] ** 2 + D[..., 2] ** 2
+    def _disjoint_chunk(out, rows, cols):
+        # point pairs (a, b) of each triangle pair on the two trailing axes
+        d = (far.x.take(rows, axis=1)[..., :, None]
+             - far.x.take(cols, axis=1)[..., None, :])
+        r2 = np.sum(d * d, axis=0)
+        if dlp:
+            ny = far.n.take(cols, axis=1)[..., None, :]
+            kern = np.sum(d * ny, axis=0) / (r2 * np.sqrt(r2))
+        else:
+            kern = 1.0 / np.sqrt(r2)
+        wr = far.wr.take(rows, axis=0)[..., :, None]
+        wc = far.wc.take(cols, axis=0)[..., None, :]
+        b = len(rows)
+        for c in range(width):
+            kc = kern * wc[:, c]
+            for a in range(width):
+                # one contiguous M*M sum per pair
+                out[:, a, c] = np.sum((kc * wr[:, a]).reshape(b, -1),
+                                      axis=1) / FOUR_PI
+
+    def _singular_chunk(out, rows, cols, px, py, rule):
+        d = (_chart_points(nodes, rows, px, rule.n6x)
+             - _chart_points(nodes, cols, py, rule.n6y))
+        r2 = np.sum(d * d, axis=0)
         r = np.sqrt(r2)
         if pack.curved:
-            gx = _norm3(_interp6(data.N6x, pack.normals[rows[:, None], gx_nodes]))
+            gx = _norm3(_chart_points(normals, rows, px, rule.n6x), axis=0)
         else:
             gx = pack.gram[rows][:, None]
         if dlp:
-            ny = _interp6(data.N6y, pack.normals[cols[:, None], gy_nodes])
-            dot = D[..., 0] * ny[..., 0] + D[..., 1] * ny[..., 1] + D[..., 2] * ny[..., 2]
+            ny = _chart_points(normals, cols, py, rule.n6y)
             # |n_y| carries the column Gramian, so only gx multiplies here
-            kg = dot / (FOUR_PI * r2 * r) * gx
+            kg = np.sum(d * ny, axis=0) / (FOUR_PI * r2 * r) * gx
         else:
             if pack.curved:
-                gy = _norm3(_interp6(data.N6y, pack.normals[cols[:, None], gy_nodes]))
+                gy = _norm3(_chart_points(normals, cols, py, rule.n6y), axis=0)
             else:
                 gy = pack.gram[cols][:, None]
             kg = gx * gy / (FOUR_PI * r)
-        if out.shape[1] == 1:
-            out[:, 0, 0] = np.sum(kg * data.WB[None, :], axis=1)
-        else:
-            for a in range(3):
-                for c in range(3):
-                    out[:, a, c] = np.sum(kg * data.WB[a, c][None, :], axis=1)
+        for a in range(width):
+            for c in range(width):
+                out[:, a, c] = np.sum(kg * rule.wb[a, c], axis=1)
 
     return evaluate
 
@@ -235,38 +288,33 @@ def collocation_evaluator(kind, mesh, q_reg, q_sing):
     if kind not in ("slp", "dlp"):
         raise ConfigError("unknown kernel kind %r" % (kind,))
     pack = chart_pack(mesh)
-    verts = mesh.vertices
+    verts = np.ascontiguousarray(mesh.vertices.T)
+    nodes = _coordinate_major(pack.nodes)
+    normals = _coordinate_major(pack.normals)
     dlp = kind == "dlp"
     rules = []
     for pts, wts in (quad.triangle_gauss(q_reg), quad.duffy_rule(0, q_sing)):
-        n6 = shape_functions(pts)
+        n6t = shape_functions(pts).T.copy()
         wb = wts[None, :] * _bary(pts).T  # (3, M)
-        rules.append((wts, n6, wb))
+        rules.append((n6t, wb))
 
     def evaluate(case, rows, cols, px, py):
-        wts, n6, wb = rules[int(case)]
-        m = len(wts)
-        b = len(rows)
-        out = np.empty((b, 1, 3))
-        step = max(1, _POINT_BUDGET // m)
-        for s in range(0, b, step):
-            sl = slice(s, min(b, s + step))
-            _eval_chunk(out[sl], rows[sl], cols[sl], py[sl], n6, wb)
+        n6t, wb = rules[int(case)]
+        out = np.empty((len(rows), 1, 3))
+        for sl in _chunks(len(rows), n6t.shape[1]):
+            _eval_chunk(out[sl], rows[sl], cols[sl], py[sl], n6t, wb)
         return out
 
-    def _eval_chunk(out, rows, cols, py, n6, wb):
-        gy_nodes = quad.ORDER6[py]
-        Y = _interp6(n6, pack.nodes[cols[:, None], gy_nodes])
-        D = verts[rows][:, None, :] - Y
-        r2 = D[..., 0] ** 2 + D[..., 1] ** 2 + D[..., 2] ** 2
+    def _eval_chunk(out, rows, cols, py, n6t, wb):
+        d = verts[:, rows, None] - _chart_points(nodes, cols, py, n6t)
+        r2 = np.sum(d * d, axis=0)
         r = np.sqrt(r2)
         if dlp:
-            ny = _interp6(n6, pack.normals[cols[:, None], gy_nodes])
-            dot = D[..., 0] * ny[..., 0] + D[..., 1] * ny[..., 1] + D[..., 2] * ny[..., 2]
-            kg = dot / (FOUR_PI * r2 * r)
+            ny = _chart_points(normals, cols, py, n6t)
+            kg = np.sum(d * ny, axis=0) / (FOUR_PI * r2 * r)
         else:
             if pack.curved:
-                gy = _norm3(_interp6(n6, pack.normals[cols[:, None], gy_nodes]))
+                gy = _norm3(_chart_points(normals, cols, py, n6t), axis=0)
             else:
                 gy = pack.gram[cols][:, None]
             kg = gy / (FOUR_PI * r)
@@ -285,8 +333,12 @@ def _constant_rows(indices):
     return indices[order], order
 
 
-def enqueue_galerkin_tasks(ex, mesh, basis, rows, cols, block_id):
-    """All triangle pairs of the row/col tables, in table order."""
+def enqueue_galerkin_tasks(ex, mesh, basis, rows, cols, block_id, case=None):
+    """All triangle pairs of the row/col tables, in table order.
+
+    ``case`` is passed on to the executor: the singularity case every pair
+    is known to have, or None to classify each pair.
+    """
     if basis == "constant":
         tri_r, pos_r = _constant_rows(rows)
         tri_c, pos_c = _constant_rows(cols)
@@ -301,7 +353,8 @@ def enqueue_galerkin_tasks(ex, mesh, basis, rows, cols, block_id):
     if nr == 0 or nc == 0:
         return
     ex.enqueue_many(np.repeat(tri_r, nc), np.tile(tri_c, nr), block_id,
-                    np.repeat(rslots, nc, axis=0), np.tile(cslots, (nr, 1)))
+                    np.repeat(rslots, nc, axis=0), np.tile(cslots, (nr, 1)),
+                    case)
 
 
 def make_galerkin_executor(kind, mesh, basis, orders=(3, 5),
@@ -330,15 +383,17 @@ def make_collocation_executor(kind, mesh, orders=(3, 5),
 def assemble_galerkin_block(kind, mesh, basis, rows, cols, orders=(3, 5),
                             capacity=DEFAULT_CAPACITY, threads=None):
     """Dense Galerkin block of the slp/dlp operator on the given index lists."""
-    ex = make_galerkin_executor(kind, mesh, basis, orders, capacity, threads)
-    bid = ex.register_block(len(rows), len(cols))
-    enqueue_galerkin_tasks(ex, mesh, basis, rows, cols, bid)
-    values = ex.finalize()[bid]
+    with make_galerkin_executor(kind, mesh, basis, orders, capacity,
+                                threads) as ex:
+        bid = ex.register_block(len(rows), len(cols))
+        enqueue_galerkin_tasks(ex, mesh, basis, rows, cols, bid)
+        values = ex.finalize()[bid]
     return DenseBlock(np.asarray(rows), np.asarray(cols), values)
 
 
-def enqueue_collocation_tasks(ex, mesh, rows, cols, block_id):
-    """All (point, triangle) tasks for collocation rows, in table order."""
+def enqueue_collocation_tasks(ex, mesh, rows, cols, block_id, case=None):
+    """All (point, triangle) tasks for collocation rows, in table order;
+    ``case`` as for :func:`enqueue_galerkin_tasks`."""
     tc = triangle_table(cols, mesh).rows
     tri_c, cslots = tc[:, 0], tc[:, 1:] - 1
     rows = np.asarray(rows)
@@ -347,7 +402,7 @@ def enqueue_collocation_tasks(ex, mesh, rows, cols, block_id):
         return
     ex.enqueue_many(np.repeat(rows, nc), np.tile(tri_c, nr), block_id,
                     np.repeat(np.arange(nr), nc)[:, None],
-                    np.tile(cslots, (nr, 1)))
+                    np.tile(cslots, (nr, 1)), case)
 
 
 def assemble_collocation_block(kind, mesh, basis, rows, cols, orders=(3, 5),
@@ -355,10 +410,11 @@ def assemble_collocation_block(kind, mesh, basis, rows, cols, orders=(3, 5),
     """Collocation block: single surface integrals g(x_i, .) phi_j."""
     if basis != "linear":
         raise ConfigError("collocation rows pair with the linear basis")
-    ex = make_collocation_executor(kind, mesh, orders, capacity, threads)
-    bid = ex.register_block(len(rows), len(cols))
-    enqueue_collocation_tasks(ex, mesh, rows, cols, bid)
-    values = ex.finalize()[bid]
+    with make_collocation_executor(kind, mesh, orders, capacity,
+                                   threads) as ex:
+        bid = ex.register_block(len(rows), len(cols))
+        enqueue_collocation_tasks(ex, mesh, rows, cols, bid)
+        values = ex.finalize()[bid]
     return DenseBlock(np.asarray(rows), np.asarray(cols), values)
 
 

@@ -2,15 +2,22 @@
 
 Pair-quadrature work is enqueued as tiny tasks (row/col element indices plus
 scatter targets) into one list per singularity case, so every flushed batch
-runs a single rule with no branching inside. A list that reaches capacity is
+runs a single rule with no branching inside. The case comes from the
+classifier, or from the caller when it knows it for a whole enqueue (an
+admissible block holds only disjoint pairs). A list that reaches capacity is
 sealed and handed to a worker pool while the producer keeps enqueueing.
 
 Scatter-adds are applied at finalize time in a fixed order (block id, then
 enqueue order), which makes every assembled matrix bitwise independent of
 the list capacity, the number of workers, and flush timing. The evaluator
 must likewise produce per-task values independent of how tasks are batched;
-the ones in the assembly module chunk by a fixed point budget to guarantee
-this.
+the ones in the assembly module cut each batch into chunks of a fixed number
+of quadrature points, a function of the rule alone, and compute each task's
+value from its own data only.
+
+The worker pool is released by ``close`` (or by leaving a ``with`` block),
+on error paths too. An executor whose finalize failed, or that was closed
+before finalizing, refuses to hand out its incomplete blocks.
 """
 
 import os
@@ -98,6 +105,7 @@ class BatchExecutor:
         self._lock = threading.Lock()
         self._seq = 0
         self._open = True
+        self._failed = False
         self._pool = ThreadPoolExecutor(max_workers=threads)
         self._stats = [{"tasks": 0, "batches": 0, "wall_s": 0.0}
                        for _ in range(num_cases)]
@@ -107,20 +115,20 @@ class BatchExecutor:
         self._blocks.append(np.zeros((nrows, ncols)))
         return len(self._blocks) - 1
 
-    def block(self, block_id):
-        return self._blocks[block_id]
-
     def enqueue(self, task):
         rs = np.asarray(task.row_slots, dtype=np.int64).reshape(1, self.row_width)
         cs = np.asarray(task.col_slots, dtype=np.int64).reshape(1, self.col_width)
         self.enqueue_many(np.array([task.row]), np.array([task.col]),
                           task.block, rs, cs)
 
-    def enqueue_many(self, rows, cols, block, row_slots, col_slots):
+    def enqueue_many(self, rows, cols, block, row_slots, col_slots,
+                     case=None):
         """Vectorized enqueue of len(rows) tasks sharing nothing but shapes.
 
         block may be a scalar id or a per-task array; slot arrays have shape
-        (ntasks, row_width) and (ntasks, col_width).
+        (ntasks, row_width) and (ntasks, col_width). ``case``, when given, is
+        the singularity case of every task: classification is skipped and
+        the tasks keep their local order (identity permutations).
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -130,26 +138,31 @@ class BatchExecutor:
         block = np.broadcast_to(np.asarray(block, dtype=np.int64), (n,))
         row_slots = np.asarray(row_slots, dtype=np.int64).reshape(n, self.row_width)
         col_slots = np.asarray(col_slots, dtype=np.int64).reshape(n, self.col_width)
-        case, px, py = self._classify(rows, cols)
-        if self._permute_rows:
-            row_slots = np.take_along_axis(row_slots, PERMS3[px], axis=1)
-        if self._permute_cols:
-            col_slots = np.take_along_axis(col_slots, PERMS3[py], axis=1)
+        if case is None:
+            cases, px, py = self._classify(rows, cols)
+            if self._permute_rows:
+                row_slots = np.take_along_axis(row_slots, PERMS3[px], axis=1)
+            if self._permute_cols:
+                col_slots = np.take_along_axis(col_slots, PERMS3[py], axis=1)
+            groups = [(int(c), cases == c) for c in np.unique(cases)]
+        else:
+            if not 0 <= case < len(self._lists):
+                raise ConfigError("unknown case %r" % (case,))
+            px = py = np.zeros(n, dtype=np.int64)
+            groups = [(int(case), slice(None))]
         sealed = []
         with self._lock:
             if not self._open:
-                raise StateError("enqueue after finalize")
+                raise StateError("enqueue after finalize or close")
             seq = np.arange(self._seq, self._seq + n, dtype=np.int64)
             self._seq += n
-            for c in np.unique(case):
-                m = case == c
-                st = self._stats[c]
-                st["tasks"] += int(m.sum())
+            for c, m in groups:
                 chunk = (seq[m], rows[m], cols[m], px[m], py[m],
                          block[m], row_slots[m], col_slots[m])
+                self._stats[c]["tasks"] += len(chunk[0])
                 sealed.extend((c, b) for b in self._lists[c].push(chunk))
         for c, batch in sealed:
-            self._submit(int(c), batch)
+            self._submit(c, batch)
 
     def _submit(self, case, batch):
         self._stats[case]["batches"] += 1
@@ -168,21 +181,36 @@ class BatchExecutor:
     def finalize(self):
         """Flush all lists, wait for workers, scatter in deterministic order.
 
-        Returns the list of target blocks. Idempotent; a second call is a
-        no-op returning the same blocks.
+        Returns the list of target blocks and releases the worker pool.
+        Idempotent; a second call is a no-op returning the same blocks. If
+        finalize fails (an evaluator raised) or the executor was closed
+        first, the blocks are incomplete and this and every later call
+        raise StateError instead.
         """
         with self._lock:
+            if self._failed:
+                raise StateError("executor failed or was closed before "
+                                 "finalize; its blocks are incomplete")
             if not self._open:
                 return self._blocks
             self._open = False
             tails = [(tl.case, tl.seal()) for tl in self._lists if tl.count]
-        for c, batch in tails:
-            self._submit(int(c), batch)
-        results = [f.result() for f in self._futures]
-        self._futures = []
-        self._pool.shutdown(wait=True)
+        try:
+            for c, batch in tails:
+                self._submit(int(c), batch)
+            results = [f.result() for f in self._futures]
+            self._scatter(results)
+        except BaseException:
+            self._failed = True
+            raise
+        finally:
+            self._futures = []
+            self.close()
+        return self._blocks
+
+    def _scatter(self, results):
         if not results:
-            return self._blocks
+            return
         seq = np.concatenate([r[0] for r in results])
         block = np.concatenate([r[1] for r in results])
         rs = np.concatenate([r[2] for r in results])
@@ -206,7 +234,24 @@ class BatchExecutor:
                     ok = (ra >= 0) & (cb >= 0)
                     if ok.any():
                         np.add.at(mat, (ra[ok], cb[ok]), values[s:e, a, b][ok])
-        return self._blocks
+
+    def close(self):
+        """Release the worker pool; pending batches are cancelled.
+
+        Safe to call more than once. Closing an executor that was not
+        finalized makes its blocks unavailable (finalize raises StateError).
+        """
+        with self._lock:
+            if self._open:
+                self._open = False
+                self._failed = True
+        self._pool.shutdown(wait=True, cancel_futures=True)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
     def stats(self):
         """Per-case task/batch counts and evaluator wall time."""

@@ -24,8 +24,8 @@ import numpy as np
 from . import assembly
 from .batchexec import DEFAULT_CAPACITY
 from .clustering import ADMISSIBLE
-from .errors import ConfigError
-from .quadrature import green_box_rule
+from .errors import ConfigError, StateError
+from .quadrature import DISJOINT, green_box_rule
 
 __all__ = [
     "Interpolation", "aca_interpolation", "BasisNode", "ClusterBasis",
@@ -264,19 +264,36 @@ def _make_executor(kind, mesh, basis, disc, orders, capacity, threads):
         ex = assembly.make_galerkin_executor(kind, mesh, basis, orders,
                                              capacity, threads)
 
-        def enqueue(rows, cols, bid):
-            assembly.enqueue_galerkin_tasks(ex, mesh, basis, rows, cols, bid)
+        def enqueue(rows, cols, bid, case=None):
+            assembly.enqueue_galerkin_tasks(ex, mesh, basis, rows, cols, bid,
+                                            case)
     elif disc == "collocation":
         if basis != "linear":
             raise ConfigError("collocation rows pair with the linear basis")
         ex = assembly.make_collocation_executor(kind, mesh, orders, capacity,
                                                 threads)
 
-        def enqueue(rows, cols, bid):
-            assembly.enqueue_collocation_tasks(ex, mesh, rows, cols, bid)
+        def enqueue(rows, cols, bid, case=None):
+            assembly.enqueue_collocation_tasks(ex, mesh, rows, cols, bid,
+                                               case)
     else:
         raise ConfigError("unknown discretization %r" % (disc,))
     return ex, enqueue
+
+
+def _far_case(leaf):
+    """Singularity case of every entry pair of an admissible leaf.
+
+    Cluster boxes contain the supports of their basis functions, so boxes at
+    positive distance share no vertex and every triangle pair (or point and
+    triangle) of the block is disjoint, the regular case 0 of both
+    discretizations. The executor trusts this and skips classification, so
+    the invariant is checked here.
+    """
+    if not leaf.row.box.distance(leaf.col.box) > 0.0:
+        raise StateError("admissible block #%d x #%d: cluster boxes touch"
+                         % (leaf.row.index, leaf.col.index))
+    return DISJOINT
 
 
 def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
@@ -284,26 +301,29 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
              threads=None):
     """Assemble the H2-matrix over a block tree and two nested bases.
 
-    Admissible leaves get exact entries at pivot rows x pivot columns
-    (singular quadrature applies automatically if pivot supports touch);
-    inadmissible leaves get dense blocks.  Every entry request is routed
+    Admissible leaves get exact entries at pivot rows x pivot columns, all
+    from disjoint pairs (see :func:`_far_case`); inadmissible leaves get
+    dense blocks, classified pair by pair.  Every entry request is routed
     through one batch executor, so results do not depend on capacity or
     thread count.
     """
     ex, enqueue = _make_executor(kind, mesh, basis, disc, orders, capacity,
                                  threads)
     plan = []
-    for leaf in btree.leaves():
-        if leaf.state == ADMISSIBLE:
-            rows = row_basis.node(leaf.row).pivots
-            cols = col_basis.node(leaf.col).pivots
-        else:
-            rows = leaf.row.indices
-            cols = leaf.col.indices
-        bid = ex.register_block(len(rows), len(cols))
-        enqueue(rows, cols, bid)
-        plan.append((leaf, bid))
-    mats = ex.finalize()
+    with ex:
+        for leaf in btree.leaves():
+            if leaf.state == ADMISSIBLE:
+                rows = row_basis.node(leaf.row).pivots
+                cols = col_basis.node(leaf.col).pivots
+                case = _far_case(leaf)
+            else:
+                rows = leaf.row.indices
+                cols = leaf.col.indices
+                case = None
+            bid = ex.register_block(len(rows), len(cols))
+            enqueue(rows, cols, bid, case)
+            plan.append((leaf, bid))
+        mats = ex.finalize()
     coupling = [CouplingBlock(leaf.row, leaf.col, mats[bid])
                 for leaf, bid in plan if leaf.state == ADMISSIBLE]
     nearfield = [NearfieldBlock(leaf.row, leaf.col, mats[bid])
@@ -385,23 +405,24 @@ def build_green(btree, mesh, kind="slp", basis="constant", disc="galerkin",
     rules = {}
     blocks = []
     plan = []
-    for leaf in btree.leaves():
-        if leaf.state == ADMISSIBLE:
-            tau, sigma = leaf.row, leaf.col
-            if tau.index not in factors:
-                rule = green_box_rule(tau.box,
-                                      delta_factor * tau.box.diameter(), m)
-                rules[tau.index] = rule
-                factors[tau.index] = assembly.green_row_factor(
-                    tau, rule, mesh, row_basis, orders)
-            b = assembly.green_col_factor((tau, sigma), rules[tau.index],
-                                          mesh, basis, orders)
-            blocks.append((tau, sigma, b))
-        else:
-            bid = ex.register_block(leaf.row.size, leaf.col.size)
-            enqueue(leaf.row.indices, leaf.col.indices, bid)
-            plan.append((leaf, bid))
-    mats = ex.finalize()
+    with ex:
+        for leaf in btree.leaves():
+            if leaf.state == ADMISSIBLE:
+                tau, sigma = leaf.row, leaf.col
+                if tau.index not in factors:
+                    rule = green_box_rule(tau.box,
+                                          delta_factor * tau.box.diameter(), m)
+                    rules[tau.index] = rule
+                    factors[tau.index] = assembly.green_row_factor(
+                        tau, rule, mesh, row_basis, orders)
+                b = assembly.green_col_factor((tau, sigma), rules[tau.index],
+                                              mesh, basis, orders)
+                blocks.append((tau, sigma, b))
+            else:
+                bid = ex.register_block(leaf.row.size, leaf.col.size)
+                enqueue(leaf.row.indices, leaf.col.indices, bid)
+                plan.append((leaf, bid))
+        mats = ex.finalize()
     nearfield = [NearfieldBlock(leaf.row, leaf.col, mats[bid])
                  for leaf, bid in plan]
     row_root = btree.row
@@ -471,26 +492,29 @@ def build_flat_gca(btree, mesh, kind="slp", basis="constant",
                                  threads)
     bases = {}
     plan = []
-    for leaf in btree.leaves():
-        if leaf.state == ADMISSIBLE:
-            tau = leaf.row
-            if tau.index not in bases:
-                rule = green_box_rule(tau.box,
-                                      delta_factor * tau.box.diameter(), m)
-                a = assembly.green_row_factor(tau, rule, mesh, row_basis,
-                                              orders)
-                interp = aca_interpolation(a, eps)
-                bases[tau.index] = (np.asarray(tau.indices)[interp.pivots],
-                                    interp.v)
-            rows = bases[tau.index][0]
-            cols = leaf.col.indices
-        else:
-            rows = leaf.row.indices
-            cols = leaf.col.indices
-        bid = ex.register_block(len(rows), len(cols))
-        enqueue(rows, cols, bid)
-        plan.append((leaf, bid))
-    mats = ex.finalize()
+    with ex:
+        for leaf in btree.leaves():
+            if leaf.state == ADMISSIBLE:
+                tau = leaf.row
+                if tau.index not in bases:
+                    rule = green_box_rule(tau.box,
+                                          delta_factor * tau.box.diameter(), m)
+                    a = assembly.green_row_factor(tau, rule, mesh, row_basis,
+                                                  orders)
+                    interp = aca_interpolation(a, eps)
+                    bases[tau.index] = (
+                        np.asarray(tau.indices)[interp.pivots], interp.v)
+                rows = bases[tau.index][0]
+                cols = leaf.col.indices
+                case = _far_case(leaf)
+            else:
+                rows = leaf.row.indices
+                cols = leaf.col.indices
+                case = None
+            bid = ex.register_block(len(rows), len(cols))
+            enqueue(rows, cols, bid, case)
+            plan.append((leaf, bid))
+        mats = ex.finalize()
     blocks = [(leaf.row, leaf.col, mats[bid])
               for leaf, bid in plan if leaf.state == ADMISSIBLE]
     nearfield = [NearfieldBlock(leaf.row, leaf.col, mats[bid])

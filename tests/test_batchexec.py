@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,79 @@ def test_slot_permutation_routing():
     out = ex.finalize()[bid]
     # canonical value 10+a lands in original slot PERMS3[1][a] = (1,2,0)[a]
     assert np.array_equal(out[:, 0], [12.0, 10.0, 11.0])
+
+
+def _eval_raises(case, rows, cols, px, py):
+    raise RuntimeError("evaluator failure")
+
+
+def test_failed_finalize_releases_pool_and_refuses_blocks():
+    baseline = threading.active_count()
+    ex = BatchExecutor(_classify_all_zero, _eval_raises, capacity=4,
+                       threads=2)
+    bid, _, _ = _fill_block(ex, 5, 5)
+    with pytest.raises(RuntimeError):
+        ex.finalize()
+    assert threading.active_count() == baseline
+    with pytest.raises(StateError):
+        ex.finalize()
+
+
+def test_with_block_closes_pool_on_error():
+    baseline = threading.active_count()
+    with pytest.raises(ValueError):
+        with _make(capacity=4, threads=2) as ex:
+            _fill_block(ex, 5, 5)
+            raise ValueError("caller failure mid-enqueue")
+    assert threading.active_count() == baseline
+    with pytest.raises(StateError):
+        ex.finalize()
+    with pytest.raises(StateError):
+        ex.enqueue(QuadTask(0, 0, 0, [0], [0]))
+
+
+def test_close_after_finalize_keeps_blocks():
+    with _make(capacity=4, threads=2) as ex:
+        bid, _, _ = _fill_block(ex, 3, 4)
+        first = ex.finalize()
+    assert ex.finalize() is first
+    expected = np.sin(1.3 * np.arange(3)[:, None] + 0.7 * np.arange(4)[None, :])
+    assert np.array_equal(first[bid], expected)
+
+
+def test_known_case_skips_classification():
+    def classify(rows, cols):
+        raise AssertionError("classified a task of known case")
+
+    ex = BatchExecutor(classify, _eval_pairfn, num_cases=4, capacity=5,
+                       threads=1)
+    bid = ex.register_block(3, 4)
+    i, j = np.meshgrid(np.arange(3), np.arange(4), indexing="ij")
+    ex.enqueue_many(i.ravel(), j.ravel(), bid, i.ravel()[:, None],
+                    j.ravel()[:, None], case=2)
+    out = ex.finalize()[bid]
+    expected = np.sin(1.3 * i + 0.7 * j + 2)
+    assert np.array_equal(out, expected)
+    st = ex.stats()
+    assert st[2]["tasks"] == 12 and st[2]["batches"] == 3
+    assert all(s["tasks"] == 0 for c, s in enumerate(st) if c != 2)
+
+
+def test_known_case_matches_classified():
+    """A known case gives the same blocks, bitwise, as classification."""
+    def run(case):
+        ex = _make(capacity=7, threads=2)
+        bid = ex.register_block(9, 6)
+        i, j = np.meshgrid(np.arange(9), np.arange(6), indexing="ij")
+        i, j = i.ravel(), j.ravel()
+        ex.enqueue_many(i, j, bid, i[:, None], j[:, None], case=case)
+        return ex.finalize()[bid]
+
+    assert np.array_equal(run(None), run(0))
+
+
+def test_unknown_case_rejected():
+    with _make(threads=1) as ex:
+        bid = ex.register_block(1, 1)
+        with pytest.raises(ConfigError):
+            ex.enqueue_many([0], [0], bid, [[0]], [[0]], case=4)

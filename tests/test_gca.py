@@ -1,9 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 
 from greencross import assembly, gca, h2
-from greencross.clustering import build_block_tree, build_cluster_tree
-from greencross.errors import ConfigError
+from greencross.clustering import (ADMISSIBLE, BlockTree, build_block_tree,
+                                   build_cluster_tree)
+from greencross.errors import ConfigError, StateError
 from greencross.gca import (aca_interpolation, build_cluster_basis,
                             build_flat_gca, build_green, build_h2,
                             coupling_marks, expand_basis)
@@ -241,3 +244,20 @@ def test_collocation_h2(sphere3):
     assert len(hm.coupling) > 0
     err = h2.spectral_error_estimate(dop, h2.as_operator(hm), sphere3.nv)[1]
     assert err <= 1e-4
+
+
+def test_admissible_leaf_over_touching_clusters_refused(sphere2):
+    """Coupling blocks skip pair classification, so an admissible leaf whose
+    cluster boxes touch (here: two sibling clusters) must be refused."""
+    tree = build_cluster_tree(sphere2, "constant", leaf_size=16)
+    left, right = tree.children
+    assert left.box.distance(right.box) == 0.0
+    btree = BlockTree(left, right, ADMISSIBLE, ())
+    rb = build_cluster_basis(tree, sphere2, "constant", 2, side="row")
+    cb = build_cluster_basis(tree, sphere2, "constant", 2, side="col")
+    baseline = threading.active_count()
+    with pytest.raises(StateError):
+        build_h2(btree, rb, cb, sphere2, threads=2)
+    with pytest.raises(StateError):
+        build_flat_gca(btree, sphere2, m=2, threads=2)
+    assert threading.active_count() == baseline
