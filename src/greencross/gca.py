@@ -21,7 +21,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import assembly
+from . import assembly, h2
 from .batchexec import DEFAULT_CAPACITY
 from .clustering import ADMISSIBLE
 from .errors import ConfigError, StateError
@@ -237,7 +237,9 @@ class H2Matrix:
     ``coupling`` holds exact matrix entries at pivot rows x pivot columns for
     every admissible block-tree leaf, ``nearfield`` the dense inadmissible
     leaves.  Block row/col fields reference cluster tree nodes; vectors in
-    tree ordering address them through start/stop slices.
+    tree ordering address them through start/stop slices.  The constructor
+    packs blocks and bases for the matvec (``h2.pack``); block values and
+    basis matrices become views into the packed arrays.
     """
 
     def __init__(self, row_tree, col_tree, row_basis, col_basis, coupling,
@@ -249,6 +251,7 @@ class H2Matrix:
         self.coupling = coupling
         self.nearfield = nearfield
         self.exec_stats = exec_stats
+        self.packed = h2.pack(self)
 
     @property
     def shape(self):
@@ -355,7 +358,7 @@ class GreenLowRank:
         self.col_root = col_root
         self.factors = factors          # row cluster index -> A
         self.blocks = blocks            # (row, col, b) triples
-        self.nearfield = nearfield
+        self._near, self.nearfield = h2.nearfield_rows(nearfield)
 
     @property
     def shape(self):
@@ -366,9 +369,7 @@ class GreenLowRank:
         for row, col, b in self.blocks:
             a = self.factors[row.index]
             yt[row.start:row.stop] += a @ (b.T @ xt[col.start:col.stop])
-        for blk in self.nearfield:
-            yt[blk.row.start:blk.row.stop] += (
-                blk.values @ xt[blk.col.start:blk.col.stop])
+        self._near.add_mvm(xt, yt)
         return _unpermute(self.row_root.perm, yt)
 
     def rmatvec(self, y):
@@ -376,9 +377,7 @@ class GreenLowRank:
         for row, col, b in self.blocks:
             a = self.factors[row.index]
             xt[col.start:col.stop] += b @ (a.T @ yt[row.start:row.stop])
-        for blk in self.nearfield:
-            xt[blk.col.start:blk.col.stop] += (
-                blk.values.T @ yt[blk.row.start:blk.row.stop])
+        self._near.add_mvm_t(yt, xt)
         return _unpermute(self.col_root.perm, xt)
 
     def apply(self, x, trans=False):
@@ -439,7 +438,7 @@ class FlatGCA:
         self.col_root = col_root
         self.bases = bases              # row cluster index -> (pivots, v)
         self.blocks = blocks            # (row, col, s) with s pivots x cols
-        self.nearfield = nearfield
+        self._near, self.nearfield = h2.nearfield_rows(nearfield)
 
     @property
     def shape(self):
@@ -450,9 +449,7 @@ class FlatGCA:
         for row, col, s in self.blocks:
             v = self.bases[row.index][1]
             yt[row.start:row.stop] += v @ (s @ xt[col.start:col.stop])
-        for blk in self.nearfield:
-            yt[blk.row.start:blk.row.stop] += (
-                blk.values @ xt[blk.col.start:blk.col.stop])
+        self._near.add_mvm(xt, yt)
         return _unpermute(self.row_root.perm, yt)
 
     def rmatvec(self, y):
@@ -460,9 +457,7 @@ class FlatGCA:
         for row, col, s in self.blocks:
             v = self.bases[row.index][1]
             xt[col.start:col.stop] += s.T @ (v.T @ yt[row.start:row.stop])
-        for blk in self.nearfield:
-            xt[blk.col.start:blk.col.stop] += (
-                blk.values.T @ yt[blk.row.start:blk.row.stop])
+        self._near.add_mvm_t(yt, xt)
         return _unpermute(self.col_root.perm, xt)
 
     def apply(self, x, trans=False):

@@ -4,6 +4,27 @@ Vectors cross the API boundary in external dof ordering; the permutation
 into cluster-tree ordering happens once per product.  The matvec follows
 the usual four phases: forward transform up the column basis, coupling,
 backward transform down the row basis, then the dense nearfield blocks.
+
+Every phase runs on a packed layout that :func:`pack` builds once per
+operator, when ``gca.build_h2`` constructs it:
+
+* A basis keeps the coefficients of all its nodes in one flat vector,
+  level by level from the roots.  Leaf interpolation matrices are stacked
+  by shape, transfers by level and shape, and each stack is applied with
+  one batched ``np.matmul``.  The children's contributions to their parents
+  are summed by one ``np.bincount`` per level, in a fixed order: stack by
+  stack, tree order within a stack.
+* Couplings and nearfield blocks are grouped by block row.  The blocks of
+  one row cluster sit side by side in one contiguous matrix, with a gather
+  index into the input vector, so H x costs one gemv per block row.  H^T y
+  concatenates the transposed products of all block rows and sums them
+  into the output with one ``np.bincount``, in block-row order.
+
+The operator's block values and basis matrices are views into these arrays,
+so nothing is stored twice.  A product depends only on the operator and the
+vector, never on earlier calls.  Against a block-by-block evaluation it
+differs at rounding level, since the coupling sums and the transposed sums
+add in another order.
 """
 
 from collections import namedtuple
@@ -12,44 +33,195 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["mvm", "mvm_t", "as_operator", "storage_report",
-           "spectral_error_estimate", "cg_solve", "cgnr_solve", "CGResult"]
+__all__ = ["mvm", "mvm_t", "as_operator", "pack", "Packed", "nearfield_rows",
+           "storage_report", "spectral_error_estimate", "cg_solve",
+           "cgnr_solve", "CGResult"]
 
 
-def _forward(basis, xt):
-    """Coefficients v^T x per cluster index, computed upward."""
-    hat = {}
-
-    def rec(bn):
-        cl = bn.cluster
-        if not bn.children:
-            hat[cl.index] = bn.v.T @ xt[cl.start:cl.stop]
-            return
-        acc = np.zeros(bn.rank)
-        for c in bn.children:
-            rec(c)
-            acc += c.transfer.T @ hat[c.cluster.index]
-        hat[cl.index] = acc
-
-    for root in basis.roots:
-        rec(root)
-    return hat
+def _grouped(items, key):
+    """Items grouped by ``key(item)``, groups and members in order of first
+    appearance."""
+    groups = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return list(groups.values())
 
 
-def _backward(basis, hat, yt):
-    """Scatter coefficient contributions downward and into yt (in place)."""
+def _slot_matrix(offsets, width):
+    return np.asarray(offsets, dtype=np.intp)[:, None] + np.arange(width)
 
-    def rec(bn):
-        cl = bn.cluster
-        if not bn.children:
-            yt[cl.start:cl.stop] += bn.v @ hat[cl.index]
-            return
-        for c in bn.children:
-            hat[c.cluster.index] += c.transfer @ hat[cl.index]
-            rec(c)
 
-    for root in basis.roots:
-        rec(root)
+class _BasisPack:
+    """Coefficient layout and stacked matrices of one nested basis.
+
+    Node coefficients sit in one vector of length ``size``: the forest roots
+    form level 0, and each level is contiguous, in tree order.  ``offset``
+    maps a cluster index to the first coefficient of its node.  Building the
+    pack rebinds every node's ``v`` and ``transfer`` to a view into its
+    stack.
+    """
+
+    def __init__(self, basis):
+        levels = []
+        frontier = [(bn, None) for bn in basis.roots]
+        while frontier:
+            levels.append(frontier)
+            frontier = [(c, bn) for bn, _ in frontier for c in bn.children]
+        self.offset = {}
+        bounds = []
+        size = 0
+        for level in levels:
+            lo = size
+            for bn, _ in level:
+                self.offset[bn.cluster.index] = size
+                size += bn.rank
+            bounds.append((lo, size))
+        self.size = size
+
+        self.leaves = []
+        leaves = [bn for level in levels for bn, _ in level if not bn.children]
+        for group in _grouped(leaves, lambda bn: bn.v.shape):
+            stack = np.stack([bn.v for bn in group])
+            for bn, v in zip(group, stack):
+                bn.v = v
+            rows = _slot_matrix([bn.cluster.start for bn in group],
+                                stack.shape[1])
+            slots = _slot_matrix([self.offset[bn.cluster.index]
+                                  for bn in group], stack.shape[2])
+            self.leaves.append((rows, slots, stack))
+
+        # (parent range lo, hi, bincount targets, [(kids, parents, stack)])
+        self.levels = []
+        for d in range(1, len(levels)):
+            groups = []
+            for group in _grouped(levels[d], lambda e: e[0].transfer.shape):
+                stack = np.stack([bn.transfer for bn, _ in group])
+                for (bn, _), t in zip(group, stack):
+                    bn.transfer = t
+                kids = _slot_matrix([self.offset[bn.cluster.index]
+                                     for bn, _ in group], stack.shape[1])
+                parents = _slot_matrix([self.offset[p.cluster.index]
+                                        for _, p in group], stack.shape[2])
+                groups.append((kids, parents, stack))
+            lo, hi = bounds[d - 1]
+            targets = np.concatenate([p.ravel() for _, p, _ in groups]) - lo
+            self.levels.append((lo, hi, targets, groups))
+
+    def slots(self, bn):
+        """Coefficient range (start, stop) of basis node ``bn``."""
+        start = self.offset[bn.cluster.index]
+        return start, start + bn.rank
+
+    def forward(self, xt):
+        """Coefficients V^T x of every node, x in tree ordering."""
+        c = np.zeros(self.size)
+        for rows, slots, v in self.leaves:
+            c[slots] = np.matmul(xt[rows][:, None, :], v)[:, 0, :]
+        for lo, hi, targets, groups in reversed(self.levels):
+            parts = [np.matmul(c[kids][:, None, :], t).ravel()
+                     for kids, _, t in groups]
+            c[lo:hi] += np.bincount(targets, np.concatenate(parts),
+                                    minlength=hi - lo)
+        return c
+
+    def add_backward(self, c, yt):
+        """yt += V c, yt in tree ordering; overwrites c on the way down."""
+        for _, _, _, groups in self.levels:
+            for kids, parents, t in groups:
+                c[kids] += np.matmul(t, c[parents][:, :, None])[:, :, 0]
+        for rows, slots, v in self.leaves:
+            yt[rows] += np.matmul(v, c[slots][:, :, None])[:, :, 0]
+
+
+class _BlockRows:
+    """A block-sparse matrix laid out by block row; see :func:`_pack_blocks`.
+
+    ``rows`` lists (start, stop, matrix, lo, hi): the block row ``matrix``
+    maps the inputs ``gather[lo:hi]`` to the outputs start:stop.  ``data``
+    holds all the matrices back to back.
+    """
+
+    def __init__(self, rows, gather, data):
+        self.rows = rows
+        self.gather = gather
+        self.data = data
+
+    def add_mvm(self, x, y):
+        """y += M x."""
+        xg = x[self.gather]
+        for start, stop, mat, lo, hi in self.rows:
+            y[start:stop] += mat @ xg[lo:hi]
+
+    def add_mvm_t(self, y, x):
+        """x += M^T y."""
+        parts = np.empty(len(self.gather))
+        for start, stop, mat, lo, hi in self.rows:
+            parts[lo:hi] = mat.T @ y[start:stop]
+        x += np.bincount(self.gather, parts, minlength=len(x))
+
+
+def _pack_blocks(blocks):
+    """Lay out blocks given as (start, stop, cols, values) by block row.
+
+    ``values`` covers outputs start:stop and the inputs listed in ``cols``.
+    Blocks with the same output range form one block row (in order of first
+    appearance) and sit side by side in it, in the order given.  Returns the
+    :class:`_BlockRows` and the blocks' values as views into it, in input
+    order.
+    """
+    by_row = _grouped(range(len(blocks)), lambda i: blocks[i][:2])
+    data = np.empty(sum(b[3].size for b in blocks))
+    views = [None] * len(blocks)
+    rows = []
+    gather = []
+    used = width = 0
+    for members in by_row:
+        start, stop = blocks[members[0]][:2]
+        w = sum(blocks[i][3].shape[1] for i in members)
+        mat = data[used:used + (stop - start) * w].reshape(stop - start, w)
+        col = 0
+        for i in members:
+            values = blocks[i][3]
+            mat[:, col:col + values.shape[1]] = values
+            views[i] = mat[:, col:col + values.shape[1]]
+            gather.append(blocks[i][2])
+            col += values.shape[1]
+        rows.append((start, stop, mat, width, width + w))
+        used += mat.size
+        width += w
+    gather = (np.concatenate(gather) if gather
+              else np.zeros(0, dtype=np.intp))
+    return _BlockRows(rows, gather, data), views
+
+
+def nearfield_rows(blocks):
+    """:func:`_pack_blocks` over dense blocks addressed in tree ordering;
+    returns the _BlockRows and the blocks rebuilt around the views."""
+    near, views = _pack_blocks(
+        [(b.row.start, b.row.stop, np.arange(b.col.start, b.col.stop),
+          b.values) for b in blocks])
+    return near, [b._replace(values=v) for b, v in zip(blocks, views)]
+
+
+Packed = namedtuple("Packed", "row col coupling nearfield")
+
+
+def pack(h):
+    """Packed layout of H2-matrix ``h`` for :func:`mvm` and :func:`mvm_t`.
+
+    Rebinds ``h.coupling`` and ``h.nearfield`` to blocks whose values are
+    views into the packed arrays, and the bases' matrices likewise (a basis
+    shared by both sides is packed once).
+    """
+    row = _BasisPack(h.row_basis)
+    col = row if h.col_basis is h.row_basis else _BasisPack(h.col_basis)
+    coupling, views = _pack_blocks(
+        [row.slots(h.row_basis.node(b.row))
+         + (np.arange(*col.slots(h.col_basis.node(b.col))), b.values)
+         for b in h.coupling])
+    h.coupling = [b._replace(values=v) for b, v in zip(h.coupling, views)]
+    nearfield, h.nearfield = nearfield_rows(h.nearfield)
+    return Packed(row, col, coupling, nearfield)
 
 
 def _check_dim(x, n):
@@ -62,19 +234,15 @@ def _check_dim(x, n):
 
 def mvm(h, x):
     """y = H x with H an H2-matrix, external ordering in and out."""
-    rb, cb = h.row_basis, h.col_basis
+    p = h.packed
     nr, nc = h.shape
     x = _check_dim(x, nc)
     xt = x[h.col_tree.perm]
-    xhat = _forward(cb, xt)
-    yhat = {bn.cluster.index: np.zeros(bn.rank) for bn in rb.nodes()}
-    for blk in h.coupling:
-        yhat[blk.row.index] += blk.values @ xhat[blk.col.index]
+    yhat = np.zeros(p.row.size)
+    p.coupling.add_mvm(p.col.forward(xt), yhat)
     yt = np.zeros(nr)
-    _backward(rb, yhat, yt)
-    for blk in h.nearfield:
-        yt[blk.row.start:blk.row.stop] += (
-            blk.values @ xt[blk.col.start:blk.col.stop])
+    p.row.add_backward(yhat, yt)
+    p.nearfield.add_mvm(xt, yt)
     y = np.empty(nr)
     y[h.row_tree.perm] = yt
     return y
@@ -82,19 +250,15 @@ def mvm(h, x):
 
 def mvm_t(h, x):
     """y = H^T x: the mirror image of :func:`mvm`."""
-    rb, cb = h.row_basis, h.col_basis
+    p = h.packed
     nr, nc = h.shape
     x = _check_dim(x, nr)
     xt = x[h.row_tree.perm]
-    xhat = _forward(rb, xt)
-    yhat = {bn.cluster.index: np.zeros(bn.rank) for bn in cb.nodes()}
-    for blk in h.coupling:
-        yhat[blk.col.index] += blk.values.T @ xhat[blk.row.index]
+    yhat = np.zeros(p.col.size)
+    p.coupling.add_mvm_t(p.row.forward(xt), yhat)
     yt = np.zeros(nc)
-    _backward(cb, yhat, yt)
-    for blk in h.nearfield:
-        yt[blk.col.start:blk.col.stop] += (
-            blk.values.T @ xt[blk.row.start:blk.row.stop])
+    p.col.add_backward(yhat, yt)
+    p.nearfield.add_mvm_t(xt, yt)
     y = np.empty(nc)
     y[h.col_tree.perm] = yt
     return y
@@ -132,13 +296,6 @@ def storage_report(h):
             "couplings": couplings, "nearfield": nearfield,
             "total": leaf_bases + transfers + couplings + nearfield,
             "index_bytes": index_bytes, "dense": 8 * nr * nc}
-
-
-def storage_csv_rows(report):
-    """category,bytes rows in a fixed order."""
-    order = ("leaf_bases", "transfers", "couplings", "nearfield", "total",
-             "index_bytes", "dense")
-    return [(key, report[key]) for key in order if key in report]
 
 
 def spectral_error_estimate(apply_ref, apply_approx, n, iters=100, seed=0):

@@ -4,6 +4,7 @@ import pytest
 from greencross import gca, h2
 from greencross.clustering import build_block_tree, build_cluster_tree
 from greencross.errors import ConfigError
+from greencross.geometry import build_sphere_mesh, to_curved
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +18,160 @@ def h2_l3(sphere3):
                                  "col", (3, 5), cm)
     return gca.build_h2(btree, rb, cb, sphere3, "slp", "constant",
                         "galerkin", (3, 5))
+
+
+def _linear_h2(mesh, leaf_size, eta, disc, marks):
+    """Linear-basis operator at orders (2, 4); ``marks`` builds basis
+    forests (coupling_marks), otherwise single trees."""
+    tree = build_cluster_tree(mesh, "linear", leaf_size=leaf_size)
+    btree = build_block_tree(tree, eta=eta)
+    rm, cm = gca.coupling_marks(btree) if marks else (None, None)
+    row_kind = "collocation" if disc == "collocation" else "linear"
+    rb = gca.build_cluster_basis(tree, mesh, row_kind, 2, 0.5, 1e-3, "row",
+                                 (2, 4), rm)
+    cb = gca.build_cluster_basis(tree, mesh, "linear", 2, 0.5, 1e-3, "col",
+                                 (2, 4), cm)
+    return gca.build_h2(btree, rb, cb, mesh, "slp", "linear", disc, (2, 4))
+
+
+@pytest.fixture(scope="module",
+                params=["constant-l3-forest", "curved-linear-l2",
+                        "curved-linear-l3", "collocation-l3"])
+def operator(request, h2_l3, sphere3):
+    """Basis forests and single trees, Galerkin and collocation (row basis
+    unlike the column basis)."""
+    if request.param == "constant-l3-forest":
+        return h2_l3
+    if request.param == "curved-linear-l2":
+        return _linear_h2(to_curved(build_sphere_mesh(2)), 4, 2.0,
+                          "galerkin", False)
+    if request.param == "curved-linear-l3":
+        return _linear_h2(to_curved(build_sphere_mesh(3)), 8, 2.0,
+                          "galerkin", True)
+    return _linear_h2(sphere3, 8, 2.0, "collocation", False)
+
+
+# Block-by-block products, the matvec as it was before the packed layout:
+# the reference for mvm/mvm_t.
+
+def _ref_forward(basis, xt):
+    hat = {}
+
+    def rec(bn):
+        cl = bn.cluster
+        if not bn.children:
+            hat[cl.index] = bn.v.T @ xt[cl.start:cl.stop]
+            return
+        acc = np.zeros(bn.rank)
+        for c in bn.children:
+            rec(c)
+            acc += c.transfer.T @ hat[c.cluster.index]
+        hat[cl.index] = acc
+
+    for root in basis.roots:
+        rec(root)
+    return hat
+
+
+def _ref_backward(basis, hat, yt):
+    def rec(bn):
+        cl = bn.cluster
+        if not bn.children:
+            yt[cl.start:cl.stop] += bn.v @ hat[cl.index]
+            return
+        for c in bn.children:
+            hat[c.cluster.index] += c.transfer @ hat[cl.index]
+            rec(c)
+
+    for root in basis.roots:
+        rec(root)
+
+
+def _ref_mvm(h, x, trans=False):
+    """y = H x (H^T x if ``trans``), one block at a time."""
+    out_tree, in_tree = h.row_tree, h.col_tree
+    out_basis, in_basis = h.row_basis, h.col_basis
+    if trans:
+        out_tree, in_tree = in_tree, out_tree
+        out_basis, in_basis = in_basis, out_basis
+    xt = x[in_tree.perm]
+    xhat = _ref_forward(in_basis, xt)
+    yhat = {bn.cluster.index: np.zeros(bn.rank) for bn in out_basis.nodes()}
+    for blk in h.coupling:
+        if trans:
+            yhat[blk.col.index] += blk.values.T @ xhat[blk.row.index]
+        else:
+            yhat[blk.row.index] += blk.values @ xhat[blk.col.index]
+    yt = np.zeros(out_tree.size)
+    _ref_backward(out_basis, yhat, yt)
+    for blk in h.nearfield:
+        if trans:
+            yt[blk.col.start:blk.col.stop] += (
+                blk.values.T @ xt[blk.row.start:blk.row.stop])
+        else:
+            yt[blk.row.start:blk.row.stop] += (
+                blk.values @ xt[blk.col.start:blk.col.stop])
+    y = np.empty(out_tree.size)
+    y[out_tree.perm] = yt
+    return y
+
+
+def test_packed_mvm_matches_blockwise_reference(operator):
+    assert len(operator.coupling) > 0 and len(operator.nearfield) > 0
+    # the packed sums add in another order; 1e-14 relative is about 50 ulps
+    # of float64, well above the rounding of sums of a few hundred terms
+    rng = np.random.default_rng(12)
+    n_rows, n_cols = operator.shape
+    for _ in range(3):
+        x = rng.standard_normal(n_cols)
+        y = rng.standard_normal(n_rows)
+        ref = _ref_mvm(operator, x)
+        ref_t = _ref_mvm(operator, y, trans=True)
+        assert np.linalg.norm(h2.mvm(operator, x) - ref) \
+            <= 1e-14 * np.linalg.norm(ref)
+        assert np.linalg.norm(h2.mvm_t(operator, y) - ref_t) \
+            <= 1e-14 * np.linalg.norm(ref_t)
+
+
+def test_mvm_bits_independent_of_call_order(operator):
+    rng = np.random.default_rng(13)
+    n_rows, n_cols = operator.shape
+    x = rng.standard_normal(n_cols)
+    y = rng.standard_normal(n_rows)
+    x0, y0 = x.copy(), y.copy()
+    first = h2.mvm(operator, x)
+    first_t = h2.mvm_t(operator, y)
+    for _ in range(2):
+        assert np.array_equal(h2.mvm_t(operator, y), first_t)
+        assert np.array_equal(h2.mvm(operator, x), first)
+    assert np.array_equal(x, x0) and np.array_equal(y, y0)
+
+
+def test_blocks_and_bases_are_views_into_the_packed_arrays(operator):
+    p = operator.packed
+    assert all(np.shares_memory(blk.values, p.coupling.data)
+               for blk in operator.coupling)
+    assert all(np.shares_memory(blk.values, p.nearfield.data)
+               for blk in operator.nearfield)
+    leaf_stacks = [v for side in (p.row, p.col) for _, _, v in side.leaves]
+    transfer_stacks = [t for side in (p.row, p.col)
+                       for _, _, _, groups in side.levels
+                       for _, _, t in groups]
+    for basis in (operator.row_basis, operator.col_basis):
+        for bn in basis.nodes():
+            if not bn.children:
+                assert any(np.shares_memory(bn.v, s) for s in leaf_stacks)
+            if bn.transfer is not None:
+                assert any(np.shares_memory(bn.transfer, s)
+                           for s in transfer_stacks)
+    # the packed arrays hold exactly what storage_report counts
+    rep = h2.storage_report(operator)
+    assert rep["couplings"] == 8 * p.coupling.data.size \
+        == sum(8 * blk.values.size for blk in operator.coupling)
+    assert rep["nearfield"] == 8 * p.nearfield.data.size \
+        == sum(8 * blk.values.size for blk in operator.nearfield)
+    assert rep["leaf_bases"] == sum(8 * s.size for s in leaf_stacks)
+    assert rep["transfers"] == sum(8 * s.size for s in transfer_stacks)
 
 
 def test_mvm_linearity(h2_l3):
@@ -80,17 +235,6 @@ def test_storage_report_categories(h2_l3):
     assert rep["index_bytes"] > 0
     direct = sum(8 * blk.values.size for blk in h2_l3.nearfield)
     assert rep["nearfield"] == direct
-
-
-def test_storage_csv_rows(h2_l3):
-    rep = h2.storage_report(h2_l3)
-    rows = h2.storage_csv_rows(rep)
-    assert [r[0] for r in rows] == ["leaf_bases", "transfers", "couplings",
-                                    "nearfield", "total", "index_bytes",
-                                    "dense"]
-    assert dict(rows) == rep
-    short = h2.storage_csv_rows(h2.storage_report(64))
-    assert [r[0] for r in short] == ["total", "dense"]
 
 
 def test_spectral_error_estimate_diagonal():
