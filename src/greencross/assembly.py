@@ -3,9 +3,9 @@
 A Galerkin block is a batch of triangle-pair integrals: the triangle tables
 of the row and column index sets yield one quadrature task per pair, whose
 3x3 (or 1x1) local values are scattered into the block. Tasks flow through
-the batch executor, which groups them by singularity case and fixes the
-reduction order, so assembly is bitwise reproducible for any capacity and
-thread count.
+the batch executor, which evaluates them window by window in batches of one
+singularity case and scatters them in a fixed order, so assembly is bitwise
+reproducible for any capacity and thread count.
 
 The pair evaluator takes a whole case-homogeneous batch at a time, in chunks
 of a fixed number of quadrature points. Disjoint pairs, the bulk of the
@@ -47,60 +47,33 @@ def _bary(pts):
 
 
 def triangle_table(indices, mesh, basis="linear"):
-    """Merge the per-vertex triangle rows of the requested indices.
+    """Triangle rows of the requested vertex indices.
 
     Each output row is (triangle, slot0, slot1, slot2); slot p holds the
     1-based position of vertex p of the triangle inside ``indices``, or 0
     when that vertex was not requested. Rows are sorted by triangle index,
-    each triangle appearing exactly once. Built by merging one presorted
-    run per index, combining rows with equal triangle keys slotwise.
+    each triangle appearing exactly once. Built from the concatenated
+    vertex stars: every (triangle, slot) pair is written at most once, as
+    the indices are distinct.
     """
     if basis != "linear":
         raise ConfigError("triangle tables index vertex DOFs (linear basis)")
-    indices = np.asarray(indices)
+    indices = np.asarray(indices, dtype=np.int64)
     if len(np.unique(indices)) != len(indices):
         raise ConfigError("duplicate indices in triangle_table")
-    stars = mesh.vertex_stars()
-    tris = mesh.triangles
-    runs = []
-    for pos, v in enumerate(indices, start=1):
-        run = []
-        for t in stars[v]:
-            row = [int(t), 0, 0, 0]
-            row[1 + int(np.argmax(tris[t] == v))] = pos
-            run.append(row)
-        runs.append(run)
-    if not runs:
+    if len(indices) == 0:
         return TriangleTable(np.zeros((0, 4), dtype=np.int64))
-    while len(runs) > 1:
-        merged = []
-        for i in range(0, len(runs) - 1, 2):
-            merged.append(_merge_runs(runs[i], runs[i + 1]))
-        if len(runs) % 2:
-            merged.append(runs[-1])
-        runs = merged
-    return TriangleTable(np.array(runs[0], dtype=np.int64))
-
-
-def _merge_runs(a, b):
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i][0] < b[j][0]:
-            out.append(a[i])
-            i += 1
-        elif b[j][0] < a[i][0]:
-            out.append(b[j])
-            j += 1
-        else:
-            ra, rb = a[i], b[j]
-            out.append([ra[0], max(ra[1], rb[1]), max(ra[2], rb[2]),
-                        max(ra[3], rb[3])])
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
+    stars = mesh.vertex_stars()
+    stars = [stars[v] for v in indices]
+    counts = [len(st) for st in stars]
+    tris = np.concatenate(stars)
+    verts = np.repeat(indices, counts)
+    slot = np.argmax(mesh.triangles[tris] == verts[:, None], axis=1)
+    uniq, inv = np.unique(tris, return_inverse=True)
+    rows = np.zeros((len(uniq), 4), dtype=np.int64)
+    rows[:, 0] = uniq
+    rows[inv, 1 + slot] = np.repeat(np.arange(1, len(indices) + 1), counts)
+    return TriangleTable(rows)
 
 
 def _norm3(v, axis=-1):
@@ -327,10 +300,11 @@ def collocation_evaluator(kind, mesh, q_reg, q_sing):
 def _constant_rows(indices):
     """Sorted (triangle, 0-based position) arrays for a constant-basis list."""
     indices = np.asarray(indices)
-    if len(np.unique(indices)) != len(indices):
-        raise ConfigError("duplicate indices")
     order = np.argsort(indices, kind="stable")
-    return indices[order], order
+    tris = indices[order]
+    if np.any(tris[1:] == tris[:-1]):
+        raise ConfigError("duplicate indices")
+    return tris, order
 
 
 def enqueue_galerkin_tasks(ex, mesh, basis, rows, cols, block_id, case=None):

@@ -1,29 +1,37 @@
 """Batched execution of quadrature tasks.
 
-Pair-quadrature work is enqueued as tiny tasks (row/col element indices plus
-scatter targets) into one list per singularity case, so every flushed batch
-runs a single rule with no branching inside. The case comes from the
-classifier, or from the caller when it knows it for a whole enqueue (an
-admissible block holds only disjoint pairs). A list that reaches capacity is
-sealed and handed to a worker pool while the producer keeps enqueueing.
+Pair-quadrature work is enqueued as tiny tasks: row/col element indices plus
+scatter targets. ``enqueue_many`` only checks and records its arrays. Once
+the recorded tasks reach ``_WINDOW``, and once more in ``finalize``, the
+window is flushed:
 
-Scatter-adds are applied at finalize time in a fixed order (block id, then
-enqueue order), which makes every assembled matrix bitwise independent of
-the list capacity, the number of workers, and flush timing. The evaluator
-must likewise produce per-task values independent of how tasks are batched;
-the ones in the assembly module cut each batch into chunks of a fixed number
-of quadrature points, a function of the rule alone, and compute each task's
-value from its own data only.
+1. the tasks of unknown singularity case are classified in one call (a
+   caller that knows the case of a whole enqueue passes it instead: an
+   admissible block holds only disjoint pairs);
+2. the tasks are stable-sorted by case;
+3. each case is evaluated in ``capacity``-sized batches, every batch one rule
+   with no branching inside, over a pool of ``threads`` workers that lives
+   only for the flush;
+4. the values are scatter-added into the registered blocks, per block and
+   per local slot pair (a, b), in enqueue order.
 
-The worker pool is released by ``close`` (or by leaving a ``with`` block),
-on error paths too. An executor whose finalize failed, or that was closed
-before finalizing, refuses to hand out its incomplete blocks.
+Windows end at enqueue calls and their cuts depend only on the stream of
+calls, so every block is bitwise independent of the capacity and the number
+of workers; a block enqueued in one call sums each entry in (a, b, enqueue)
+order. The evaluator must likewise produce per-task values independent of
+how tasks are batched; the ones in the assembly module cut each batch into
+chunks of a fixed number of quadrature points, a function of the rule
+alone, and compute each task's value from its own data only.
+
+An evaluator error surfaces from the call that flushed its window, so from
+``enqueue_many`` as well as from ``finalize``; no worker outlives a flush.
+An executor whose flush failed, or that was closed before finalizing,
+refuses further work and its incomplete blocks: ``enqueue_many`` and
+``finalize`` raise StateError.
 """
 
 import os
-import threading
 import time
-from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -33,53 +41,20 @@ from .quadrature import PERMS3
 
 DEFAULT_CAPACITY = 4096
 
-QuadTask = namedtuple("QuadTask", "row col block row_slots col_slots")
-
-# batch columns: seq, row, col, px, py, block, row_slots, col_slots
-_NCOLS = 8
-
-
-class TaskList:
-    """Pending tasks of one singularity case, sealed in capacity-sized runs."""
-
-    __slots__ = ("case", "capacity", "chunks", "count")
-
-    def __init__(self, case, capacity):
-        self.case = case
-        self.capacity = capacity
-        self.chunks = []
-        self.count = 0
-
-    def push(self, chunk):
-        """Append a column chunk; returns the list of sealed batches."""
-        sealed = []
-        n = len(chunk[0])
-        pos = 0
-        while pos < n:
-            take = min(n - pos, self.capacity - self.count)
-            self.chunks.append(tuple(a[pos:pos + take] for a in chunk))
-            self.count += take
-            pos += take
-            if self.count == self.capacity:
-                sealed.append(self.seal())
-        return sealed
-
-    def seal(self):
-        batch = tuple(np.concatenate([c[i] for c in self.chunks])
-                      for i in range(_NCOLS))
-        self.chunks = []
-        self.count = 0
-        return batch
+# recorded tasks that trigger a flush: bounds the memory a build holds in
+# flight, independent of capacity and threads
+_WINDOW = 1 << 18
 
 
 class BatchExecutor:
-    """Capacity-sealed task batching with a deterministic reduction.
+    """Windowed, case-sorted task batching with a deterministic scatter.
 
     classify(rows, cols) -> (case, row_perm, col_perm) arrays routes each
-    task to its list; evaluator(case, rows, cols, row_perm, col_perm) returns
-    values of shape (ntasks, row_width, col_width) laid out in the canonical
-    (permuted) local order. Slot arrays give the target position inside the
-    block for each canonical local index, -1 marking an unused slot.
+    task to its case; evaluator(case, rows, cols, row_perm, col_perm)
+    returns values of shape (ntasks, row_width, col_width) laid out in the
+    canonical (permuted) local order. Slot arrays give the target position
+    inside the block for each canonical local index, -1 marking an unused
+    slot.
     """
 
     def __init__(self, classify, evaluator, num_cases=4,
@@ -93,20 +68,19 @@ class BatchExecutor:
         if threads < 1:
             raise ConfigError("threads must be >= 1")
         self.capacity = capacity
+        self.threads = threads
         self.row_width = row_width
         self.col_width = col_width
         self._classify = classify
         self._evaluator = evaluator
         self._permute_rows = permute_rows
         self._permute_cols = permute_cols
-        self._lists = [TaskList(c, capacity) for c in range(num_cases)]
+        self._num_cases = num_cases
         self._blocks = []
-        self._futures = []
-        self._lock = threading.Lock()
-        self._seq = 0
+        self._pending = []
+        self._npending = 0
         self._open = True
         self._failed = False
-        self._pool = ThreadPoolExecutor(max_workers=threads)
         self._stats = [{"tasks": 0, "batches": 0, "wall_s": 0.0}
                        for _ in range(num_cases)]
 
@@ -115,137 +89,125 @@ class BatchExecutor:
         self._blocks.append(np.zeros((nrows, ncols)))
         return len(self._blocks) - 1
 
-    def enqueue(self, task):
-        rs = np.asarray(task.row_slots, dtype=np.int64).reshape(1, self.row_width)
-        cs = np.asarray(task.col_slots, dtype=np.int64).reshape(1, self.col_width)
-        self.enqueue_many(np.array([task.row]), np.array([task.col]),
-                          task.block, rs, cs)
-
     def enqueue_many(self, rows, cols, block, row_slots, col_slots,
                      case=None):
-        """Vectorized enqueue of len(rows) tasks sharing nothing but shapes.
+        """Record len(rows) tasks sharing nothing but shapes.
 
         block may be a scalar id or a per-task array; slot arrays have shape
         (ntasks, row_width) and (ntasks, col_width). ``case``, when given, is
         the singularity case of every task: classification is skipped and
-        the tasks keep their local order (identity permutations).
+        the tasks keep their local order (identity permutations). Flushes
+        the window once it is full.
         """
+        if not self._open:
+            raise StateError("enqueue after finalize or close")
+        if case is not None and not 0 <= case < self._num_cases:
+            raise ConfigError("unknown case %r" % (case,))
         rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
         n = len(rows)
         if n == 0:
             return
-        block = np.broadcast_to(np.asarray(block, dtype=np.int64), (n,))
-        row_slots = np.asarray(row_slots, dtype=np.int64).reshape(n, self.row_width)
-        col_slots = np.asarray(col_slots, dtype=np.int64).reshape(n, self.col_width)
-        if case is None:
-            cases, px, py = self._classify(rows, cols)
+        self._pending.append((
+            rows, np.asarray(cols, dtype=np.int64),
+            np.broadcast_to(np.asarray(block, dtype=np.int64), (n,)),
+            np.asarray(row_slots, dtype=np.int64).reshape(n, self.row_width),
+            np.asarray(col_slots, dtype=np.int64).reshape(n, self.col_width),
+            np.full(n, -1 if case is None else case, dtype=np.int64)))
+        self._npending += n
+        if self._npending >= _WINDOW:
+            self._flush()
+
+    def _flush(self):
+        """Classify, sort, evaluate and scatter the recorded tasks."""
+        pending, self._pending, self._npending = self._pending, [], 0
+        if not pending:
+            return
+        try:
+            self._run_window(*(np.concatenate(col) for col in zip(*pending)))
+        except BaseException:
+            self._open = False
+            self._failed = True
+            raise
+
+    def _run_window(self, rows, cols, block, rs, cs, case):
+        n = len(rows)
+        px = np.zeros(n, dtype=np.int64)
+        py = np.zeros(n, dtype=np.int64)
+        unknown = np.flatnonzero(case < 0)
+        if len(unknown):
+            case[unknown], px[unknown], py[unknown] = self._classify(
+                rows[unknown], cols[unknown])
             if self._permute_rows:
-                row_slots = np.take_along_axis(row_slots, PERMS3[px], axis=1)
+                rs[unknown] = np.take_along_axis(rs[unknown],
+                                                 PERMS3[px[unknown]], axis=1)
             if self._permute_cols:
-                col_slots = np.take_along_axis(col_slots, PERMS3[py], axis=1)
-            groups = [(int(c), cases == c) for c in np.unique(cases)]
-        else:
-            if not 0 <= case < len(self._lists):
-                raise ConfigError("unknown case %r" % (case,))
-            px = py = np.zeros(n, dtype=np.int64)
-            groups = [(int(case), slice(None))]
-        sealed = []
-        with self._lock:
-            if not self._open:
-                raise StateError("enqueue after finalize or close")
-            seq = np.arange(self._seq, self._seq + n, dtype=np.int64)
-            self._seq += n
-            for c, m in groups:
-                chunk = (seq[m], rows[m], cols[m], px[m], py[m],
-                         block[m], row_slots[m], col_slots[m])
-                self._stats[c]["tasks"] += len(chunk[0])
-                sealed.extend((c, b) for b in self._lists[c].push(chunk))
-        for c, batch in sealed:
-            self._submit(c, batch)
+                cs[unknown] = np.take_along_axis(cs[unknown],
+                                                 PERMS3[py[unknown]], axis=1)
 
-    def _submit(self, case, batch):
-        self._stats[case]["batches"] += 1
-        self._futures.append(self._pool.submit(self._run, case, batch))
+        by_case = np.argsort(case, kind="stable")
+        rows, cols = rows[by_case], cols[by_case]
+        px, py = px[by_case], py[by_case]
+        bounds = np.searchsorted(case[by_case], np.arange(self._num_cases + 1))
+        batches = []
+        for c in range(self._num_cases):
+            s, e = bounds[c], bounds[c + 1]
+            self._stats[c]["tasks"] += int(e - s)
+            batches += [(c, b, min(e, b + self.capacity))
+                        for b in range(s, e, self.capacity)]
+        # values in enqueue order; batches write disjoint rows
+        values = np.empty((n, self.row_width, self.col_width))
 
-    def _run(self, case, batch):
-        t0 = time.perf_counter()
-        seq, rows, cols, px, py, block, rs, cs = batch
-        values = self._evaluator(case, rows, cols, px, py)
-        values = np.asarray(values, dtype=np.float64).reshape(
-            len(rows), self.row_width, self.col_width)
-        with self._lock:
-            self._stats[case]["wall_s"] += time.perf_counter() - t0
-        return seq, block, rs, cs, values
+        def evaluate(batch):
+            c, s, e = batch
+            t0 = time.perf_counter()
+            values[by_case[s:e]] = np.reshape(
+                self._evaluator(c, rows[s:e], cols[s:e], px[s:e], py[s:e]),
+                (e - s, self.row_width, self.col_width))
+            return c, time.perf_counter() - t0
+
+        with ThreadPoolExecutor(max_workers=self.threads) as pool:
+            for c, dt in pool.map(evaluate, batches):
+                self._stats[c]["batches"] += 1
+                self._stats[c]["wall_s"] += dt
+
+        by_block = np.argsort(block, kind="stable")
+        block = block[by_block]
+        rs, cs, values = rs[by_block], cs[by_block], values[by_block]
+        cuts = np.flatnonzero(block[1:] != block[:-1]) + 1
+        for s, e in zip(np.r_[0, cuts], np.r_[cuts, n]):
+            mat = self._blocks[block[s]]
+            for a in range(self.row_width):
+                for b in range(self.col_width):
+                    ra, cb = rs[s:e, a], cs[s:e, b]
+                    ok = (ra >= 0) & (cb >= 0)
+                    np.add.at(mat, (ra[ok], cb[ok]), values[s:e, a, b][ok])
 
     def finalize(self):
-        """Flush all lists, wait for workers, scatter in deterministic order.
+        """Flush the last window and return the list of target blocks.
 
-        Returns the list of target blocks and releases the worker pool.
         Idempotent; a second call is a no-op returning the same blocks. If
-        finalize fails (an evaluator raised) or the executor was closed
+        a flush failed (an evaluator raised) or the executor was closed
         first, the blocks are incomplete and this and every later call
         raise StateError instead.
         """
-        with self._lock:
-            if self._failed:
-                raise StateError("executor failed or was closed before "
-                                 "finalize; its blocks are incomplete")
-            if not self._open:
-                return self._blocks
+        if self._failed:
+            raise StateError("executor failed or was closed before "
+                             "finalize; its blocks are incomplete")
+        if self._open:
+            self._flush()
             self._open = False
-            tails = [(tl.case, tl.seal()) for tl in self._lists if tl.count]
-        try:
-            for c, batch in tails:
-                self._submit(int(c), batch)
-            results = [f.result() for f in self._futures]
-            self._scatter(results)
-        except BaseException:
-            self._failed = True
-            raise
-        finally:
-            self._futures = []
-            self.close()
         return self._blocks
 
-    def _scatter(self, results):
-        if not results:
-            return
-        seq = np.concatenate([r[0] for r in results])
-        block = np.concatenate([r[1] for r in results])
-        rs = np.concatenate([r[2] for r in results])
-        cs = np.concatenate([r[3] for r in results])
-        values = np.concatenate([r[4] for r in results])
-        order = np.lexsort((seq, block))
-        block = block[order]
-        rs = rs[order]
-        cs = cs[order]
-        values = values[order]
-        bounds = np.searchsorted(block, np.arange(len(self._blocks) + 1))
-        for bid in range(len(self._blocks)):
-            s, e = bounds[bid], bounds[bid + 1]
-            if s == e:
-                continue
-            mat = self._blocks[bid]
-            for a in range(self.row_width):
-                for b in range(self.col_width):
-                    ra = rs[s:e, a]
-                    cb = cs[s:e, b]
-                    ok = (ra >= 0) & (cb >= 0)
-                    if ok.any():
-                        np.add.at(mat, (ra[ok], cb[ok]), values[s:e, a, b][ok])
-
     def close(self):
-        """Release the worker pool; pending batches are cancelled.
+        """Mark the executor closed; safe to call more than once.
 
-        Safe to call more than once. Closing an executor that was not
-        finalized makes its blocks unavailable (finalize raises StateError).
+        Closing an executor that was not finalized drops its recorded tasks
+        and makes its blocks unavailable (finalize raises StateError).
         """
-        with self._lock:
-            if self._open:
-                self._open = False
-                self._failed = True
-        self._pool.shutdown(wait=True, cancel_futures=True)
+        if self._open:
+            self._open = False
+            self._failed = True
+            self._pending, self._npending = [], 0
 
     def __enter__(self):
         return self

@@ -443,7 +443,7 @@ def _add_config_flags(p):
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the spectral error estimate (default 0)")
     p.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY,
-                   help="batch executor list capacity (default %d)"
+                   help="tasks per evaluation batch (default %d)"
                         % DEFAULT_CAPACITY)
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (default: hardware count)")

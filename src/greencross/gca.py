@@ -15,6 +15,8 @@ Three compressed representations are built here:
 * ``build_flat_gca`` - per-cluster interpolation, coupling rows x full
                        column sets (non-nested),
 * ``build_h2``       - nested bases, pivot x pivot couplings.
+
+The two non-nested ones are both :class:`BlockLowRank` operators.
 """
 
 from collections import namedtuple
@@ -30,8 +32,7 @@ from .quadrature import DISJOINT, green_box_rule
 __all__ = [
     "Interpolation", "aca_interpolation", "BasisNode", "ClusterBasis",
     "build_cluster_basis", "expand_basis", "CouplingBlock", "NearfieldBlock",
-    "H2Matrix", "build_h2", "GreenLowRank", "build_green", "FlatGCA",
-    "build_flat_gca",
+    "H2Matrix", "build_h2", "BlockLowRank", "build_green", "build_flat_gca",
 ]
 
 
@@ -346,18 +347,21 @@ def _unpermute(perm, yt):
     return y
 
 
-class GreenLowRank:
-    """Per-block Green quadrature factorization A B^T, dense nearfield.
+class BlockLowRank:
+    """Block low-rank operator with a dense nearfield, for the baselines.
 
-    The row factor A belongs to the row cluster and is shared between all
-    blocks with that row; the column factor B carries the block's columns.
+    Every admissible block is a product L R: the left factor L belongs to
+    the row cluster and is shared by all blocks of that row, the right
+    factor R is the block's own. The Green-only baseline has L = A and
+    R = B^T, flat GCA the interpolation matrix L = V and the exact entries
+    R = S at the pivot rows and all block columns.
     """
 
-    def __init__(self, row_root, col_root, factors, blocks, nearfield):
+    def __init__(self, row_root, col_root, left, blocks, nearfield):
         self.row_root = row_root
         self.col_root = col_root
-        self.factors = factors          # row cluster index -> A
-        self.blocks = blocks            # (row, col, b) triples
+        self.left = left                # row cluster index -> L
+        self.blocks = blocks            # (row, col, R) triples
         self._near, self.nearfield = h2.nearfield_rows(nearfield)
 
     @property
@@ -366,17 +370,17 @@ class GreenLowRank:
 
     def matvec(self, x):
         xt, yt = _tree_split(self.col_root.perm, x, self.shape[0])
-        for row, col, b in self.blocks:
-            a = self.factors[row.index]
-            yt[row.start:row.stop] += a @ (b.T @ xt[col.start:col.stop])
+        for row, col, r in self.blocks:
+            yt[row.start:row.stop] += self.left[row.index] @ (
+                r @ xt[col.start:col.stop])
         self._near.add_mvm(xt, yt)
         return _unpermute(self.row_root.perm, yt)
 
     def rmatvec(self, y):
         yt, xt = _tree_split(self.row_root.perm, y, self.shape[1])
-        for row, col, b in self.blocks:
-            a = self.factors[row.index]
-            xt[col.start:col.stop] += b @ (a.T @ yt[row.start:row.stop])
+        for row, col, r in self.blocks:
+            xt[col.start:col.stop] += r.T @ (
+                self.left[row.index].T @ yt[row.start:row.stop])
         self._near.add_mvm_t(yt, xt)
         return _unpermute(self.col_root.perm, xt)
 
@@ -385,11 +389,11 @@ class GreenLowRank:
 
     def storage(self):
         """Byte counts at 8 bytes per real."""
-        factors = sum(8 * a.size for a in self.factors.values())
-        factors += sum(8 * b.size for _, _, b in self.blocks)
+        left = sum(8 * a.size for a in self.left.values())
+        right = sum(8 * r.size for _, _, r in self.blocks)
         nearfield = sum(8 * blk.values.size for blk in self.nearfield)
-        return {"factors": factors, "nearfield": nearfield,
-                "total": factors + nearfield}
+        return {"left": left, "right": right, "nearfield": nearfield,
+                "total": left + right + nearfield}
 
 
 def build_green(btree, mesh, kind="slp", basis="constant", disc="galerkin",
@@ -416,7 +420,7 @@ def build_green(btree, mesh, kind="slp", basis="constant", disc="galerkin",
                         tau, rule, mesh, row_basis, orders)
                 b = assembly.green_col_factor((tau, sigma), rules[tau.index],
                                               mesh, basis, orders)
-                blocks.append((tau, sigma, b))
+                blocks.append((tau, sigma, b.T))
             else:
                 bid = ex.register_block(leaf.row.size, leaf.col.size)
                 enqueue(leaf.row.indices, leaf.col.indices, bid)
@@ -424,53 +428,7 @@ def build_green(btree, mesh, kind="slp", basis="constant", disc="galerkin",
         mats = ex.finalize()
     nearfield = [NearfieldBlock(leaf.row, leaf.col, mats[bid])
                  for leaf, bid in plan]
-    row_root = btree.row
-    col_root = btree.col
-    return GreenLowRank(row_root, col_root, factors, blocks, nearfield)
-
-
-class FlatGCA:
-    """Non-nested cross approximation: per-cluster interpolation matrices
-    and coupling blocks of exact entries at pivot rows x all block columns."""
-
-    def __init__(self, row_root, col_root, bases, blocks, nearfield):
-        self.row_root = row_root
-        self.col_root = col_root
-        self.bases = bases              # row cluster index -> (pivots, v)
-        self.blocks = blocks            # (row, col, s) with s pivots x cols
-        self._near, self.nearfield = h2.nearfield_rows(nearfield)
-
-    @property
-    def shape(self):
-        return (self.row_root.size, self.col_root.size)
-
-    def matvec(self, x):
-        xt, yt = _tree_split(self.col_root.perm, x, self.shape[0])
-        for row, col, s in self.blocks:
-            v = self.bases[row.index][1]
-            yt[row.start:row.stop] += v @ (s @ xt[col.start:col.stop])
-        self._near.add_mvm(xt, yt)
-        return _unpermute(self.row_root.perm, yt)
-
-    def rmatvec(self, y):
-        yt, xt = _tree_split(self.row_root.perm, y, self.shape[1])
-        for row, col, s in self.blocks:
-            v = self.bases[row.index][1]
-            xt[col.start:col.stop] += s.T @ (v.T @ yt[row.start:row.stop])
-        self._near.add_mvm_t(yt, xt)
-        return _unpermute(self.col_root.perm, xt)
-
-    def apply(self, x, trans=False):
-        return self.rmatvec(x) if trans else self.matvec(x)
-
-    def storage(self):
-        """Byte counts at 8 bytes per real."""
-        bases = sum(8 * v.size for _, v in self.bases.values())
-        couplings = sum(8 * s.size for _, _, s in self.blocks)
-        nearfield = sum(8 * blk.values.size for blk in self.nearfield)
-        return {"bases": bases, "couplings": couplings,
-                "nearfield": nearfield,
-                "total": bases + couplings + nearfield}
+    return BlockLowRank(btree.row, btree.col, factors, blocks, nearfield)
 
 
 def build_flat_gca(btree, mesh, kind="slp", basis="constant",
@@ -485,6 +443,7 @@ def build_flat_gca(btree, mesh, kind="slp", basis="constant",
     row_basis = "collocation" if disc == "collocation" else basis
     ex, enqueue = _make_executor(kind, mesh, basis, disc, orders, capacity,
                                  threads)
+    pivots = {}
     bases = {}
     plan = []
     with ex:
@@ -497,9 +456,9 @@ def build_flat_gca(btree, mesh, kind="slp", basis="constant",
                     a = assembly.green_row_factor(tau, rule, mesh, row_basis,
                                                   orders)
                     interp = aca_interpolation(a, eps)
-                    bases[tau.index] = (
-                        np.asarray(tau.indices)[interp.pivots], interp.v)
-                rows = bases[tau.index][0]
+                    pivots[tau.index] = np.asarray(tau.indices)[interp.pivots]
+                    bases[tau.index] = interp.v
+                rows = pivots[tau.index]
                 cols = leaf.col.indices
                 case = _far_case(leaf)
             else:
@@ -514,4 +473,4 @@ def build_flat_gca(btree, mesh, kind="slp", basis="constant",
               for leaf, bid in plan if leaf.state == ADMISSIBLE]
     nearfield = [NearfieldBlock(leaf.row, leaf.col, mats[bid])
                  for leaf, bid in plan if leaf.state != ADMISSIBLE]
-    return FlatGCA(btree.row, btree.col, bases, blocks, nearfield)
+    return BlockLowRank(btree.row, btree.col, bases, blocks, nearfield)

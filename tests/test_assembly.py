@@ -64,6 +64,15 @@ def test_triangle_table_rejects_bad_input(sphere2):
         assembly.triangle_table([0, 1], sphere2, basis="constant")
 
 
+def test_constant_block_rejects_duplicate_indices(sphere2):
+    with pytest.raises(ConfigError):
+        assembly.assemble_galerkin_block("slp", sphere2, "constant",
+                                         [4, 0, 7, 0], [1, 2], (2, 4))
+    with pytest.raises(ConfigError):
+        assembly.assemble_galerkin_block("slp", sphere2, "constant",
+                                         [1, 2], [3, 5, 3], (2, 4))
+
+
 def test_slp_galerkin_symmetric(dense_slp3):
     asym = np.linalg.norm(dense_slp3 - dense_slp3.T)
     assert asym / np.linalg.norm(dense_slp3) < 1e-13

@@ -1,9 +1,11 @@
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from greencross.batchexec import BatchExecutor, QuadTask
+from greencross import batchexec
+from greencross.batchexec import BatchExecutor
 from greencross.errors import ConfigError, StateError
 
 
@@ -51,7 +53,7 @@ def test_capacity_seals_batches():
 def test_single_task_single_batch():
     ex = _make(capacity=1000, threads=1)
     bid = ex.register_block(1, 1)
-    ex.enqueue(QuadTask(3, 4, bid, [0], [0]))
+    ex.enqueue_many([3], [4], bid, [[0]], [[0]])
     out = ex.finalize()[bid]
     assert out.shape == (1, 1)
     assert out[0, 0] == np.sin(1.3 * 3 + 0.7 * 4)
@@ -80,8 +82,8 @@ def test_scatter_exactly_once():
 def test_negative_slots_are_masked():
     ex = _make(capacity=4, threads=1)
     bid = ex.register_block(2, 2)
-    ex.enqueue(QuadTask(2, 3, bid, [0], [0]))
-    ex.enqueue(QuadTask(1, 1, bid, [-1], [1]))  # dropped: no row target
+    ex.enqueue_many([2], [3], bid, [[0]], [[0]])
+    ex.enqueue_many([1], [1], bid, [[-1]], [[1]])  # dropped: no row target
     out = ex.finalize()[bid]
     assert out[0, 0] == np.sin(1.3 * 2 + 0.7 * 3)
     assert np.all(out.ravel()[1:] == 0.0)
@@ -92,7 +94,7 @@ def test_enqueue_after_finalize_raises():
     bid = ex.register_block(1, 1)
     ex.finalize()
     with pytest.raises(StateError):
-        ex.enqueue(QuadTask(0, 0, bid, [0], [0]))
+        ex.enqueue_many([0], [0], bid, [[0]], [[0]])
 
 
 def test_finalize_idempotent_and_empty():
@@ -157,7 +159,7 @@ def test_slot_permutation_routing():
     ex = BatchExecutor(classify, evaluator, row_width=3, col_width=1,
                        permute_rows=True, capacity=8, threads=1)
     bid = ex.register_block(3, 1)
-    ex.enqueue(QuadTask(0, 0, bid, [0, 1, 2], [0]))
+    ex.enqueue_many([0], [0], bid, [[0, 1, 2]], [[0]])
     out = ex.finalize()[bid]
     # canonical value 10+a lands in original slot PERMS3[1][a] = (1,2,0)[a]
     assert np.array_equal(out[:, 0], [12.0, 10.0, 11.0])
@@ -189,7 +191,7 @@ def test_with_block_closes_pool_on_error():
     with pytest.raises(StateError):
         ex.finalize()
     with pytest.raises(StateError):
-        ex.enqueue(QuadTask(0, 0, 0, [0], [0]))
+        ex.enqueue_many([0], [0], 0, [[0]], [[0]])
 
 
 def test_close_after_finalize_keeps_blocks():
@@ -237,3 +239,102 @@ def test_unknown_case_rejected():
         bid = ex.register_block(1, 1)
         with pytest.raises(ConfigError):
             ex.enqueue_many([0], [0], bid, [[0]], [[0]], case=4)
+
+
+def _classify_rotating(rows, cols):
+    case = (rows + cols) % 4
+    return case, rows % 6, cols % 6
+
+
+def _eval_slots(case, rows, cols, px, py):
+    # per-task 3x3 values that depend on the canonical permutations
+    a = np.arange(3.0)
+    return np.sin(1.3 * rows + 0.7 * cols + case + 0.1 * px + 0.01 * py)[
+        :, None, None] * (1.0 + a[None, :, None] + 0.5 * a[None, None, :])
+
+
+def _run_blocks(capacity=16, threads=2, seed=31):
+    """Eight blocks of width-3 tasks, each enqueued in one call."""
+    rng = np.random.default_rng(seed)
+    ex = BatchExecutor(_classify_rotating, _eval_slots, row_width=3,
+                       col_width=3, permute_rows=True, permute_cols=True,
+                       capacity=capacity, threads=threads)
+    for k in range(8):
+        bid = ex.register_block(6, 5)
+        n = int(rng.integers(1, 90))
+        rs = rng.integers(-1, 6, size=(n, 3))
+        cs = rng.integers(-1, 5, size=(n, 3))
+        ex.enqueue_many(rng.integers(0, 40, size=n),
+                        rng.integers(0, 40, size=n), bid, rs, cs,
+                        case=0 if k % 3 == 2 else None)
+    return [b.copy() for b in ex.finalize()], ex.stats()
+
+
+def test_windows_match_single_window(monkeypatch):
+    ref, ref_stats = _run_blocks()
+    monkeypatch.setattr(batchexec, "_WINDOW", 60)
+    got, stats = _run_blocks()
+    for a, b in zip(ref, got):
+        assert np.array_equal(a, b)
+    assert any(np.any(b != 0.0) for b in got)
+    assert [s["tasks"] for s in stats] == [s["tasks"] for s in ref_stats]
+
+
+def test_block_across_windows_invariant(monkeypatch):
+    """Blocks fed by several enqueues that span windows; more workers than
+    cores and a short switch interval stress the shared value array."""
+    monkeypatch.setattr(batchexec, "_WINDOW", 64)
+    ref = _run_stream(4096, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for capacity in (1, 7, 10 ** 6):
+            for threads in (1, 4):
+                got = _run_stream(capacity, threads)
+                assert np.array_equal(ref[0], got[0])
+                assert np.array_equal(ref[1], got[1])
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_failed_flush_in_enqueue_releases_pool_and_refuses(monkeypatch):
+    monkeypatch.setattr(batchexec, "_WINDOW", 10)
+    baseline = threading.active_count()
+    ex = BatchExecutor(_classify_all_zero, _eval_raises, capacity=4,
+                       threads=2)
+    bid = ex.register_block(5, 5)
+    i, j = np.meshgrid(np.arange(5), np.arange(5), indexing="ij")
+    i, j = i.ravel(), j.ravel()
+    with pytest.raises(RuntimeError):
+        ex.enqueue_many(i, j, bid, i[:, None], j[:, None])
+    assert threading.active_count() == baseline
+    with pytest.raises(StateError):
+        ex.finalize()
+    with pytest.raises(StateError):
+        ex.enqueue_many(i, j, bid, i[:, None], j[:, None])
+    with pytest.raises(StateError):
+        ex.finalize()
+
+
+def test_classify_once_per_flush(monkeypatch):
+    monkeypatch.setattr(batchexec, "_WINDOW", 100)
+    calls = []
+
+    def classify(rows, cols):
+        calls.append(len(rows))
+        return _classify_parity(rows, cols)
+
+    ex = BatchExecutor(classify, _eval_pairfn, capacity=8, threads=1)
+    bid = ex.register_block(1, 30)
+    j = np.arange(30)
+    for _ in range(10):
+        ex.enqueue_many(np.zeros(30, dtype=np.int64), j, bid,
+                        np.zeros((30, 1), dtype=np.int64), j[:, None])
+    # flushes after the 4th and 8th enqueue, then in finalize
+    assert calls == [120, 120]
+    ex.enqueue_many([0], [0], bid, [[0]], [[0]], case=1)
+    out = ex.finalize()[bid]
+    assert calls == [120, 120, 60]
+    expected = 10 * np.sin(0.7 * j + j % 2)
+    expected[0] += np.sin(1.0)
+    assert np.allclose(out[0], expected, rtol=1e-14, atol=0)

@@ -211,9 +211,9 @@ def test_green_and_flat_gca(sphere3, l3_setup, dense_op3):
     assert green_err >= 10 * flat_err
 
     gs = gr.storage()
-    assert gs["total"] == gs["factors"] + gs["nearfield"]
+    assert gs["total"] == gs["left"] + gs["right"] + gs["nearfield"]
     fs = fl.storage()
-    assert fs["total"] == fs["bases"] + fs["couplings"] + fs["nearfield"]
+    assert fs["total"] == fs["left"] + fs["right"] + fs["nearfield"]
     assert fs["total"] < gs["total"]
 
     rng = np.random.default_rng(3)
