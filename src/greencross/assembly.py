@@ -1,19 +1,28 @@
 """Kernel evaluation, dense block assembly, and Green quadrature factors.
 
-A Galerkin block is a batch of triangle-pair integrals: the triangle tables
-of the row and column index sets yield one quadrature task per pair, whose
-3x3 (or 1x1) local values are scattered into the block. Tasks flow through
-the batch executor, which evaluates them window by window in batches of one
-singularity case and scatters them in a fixed order, so assembly is bitwise
-reproducible for any capacity and thread count.
+A Galerkin block is the product of two triangle tables: every triangle
+touching a row DOF paired with every triangle touching a column DOF, each
+pair's 3x3 (or 1x1) local matrix scattered to the block positions of the
+pair's DOFs. Blocks record these products with the batch executor, which
+integrates a triangle pair shared by several blocks once and scatters it to
+all of them (a constant-basis pair is one entry of one block, so that path
+skips the dedupe). Each entry sums in a fixed order: ascending row
+triangle, then canonical column slot, then column triangle. So assembly is
+bitwise reproducible for any capacity and thread count, and a block equals
+the same rows and columns of any larger block. A collocation block is the
+product of its row points and its column triangle table, with the same
+order per entry.
 
 The pair evaluator takes a whole case-homogeneous batch at a time, in chunks
 of a fixed number of quadrature points. Disjoint pairs, the bulk of the
 work, read per-triangle tables of the regular rule (points, Gram-weighted
 weights, basis factors, normals) built once per evaluator; vertex, edge and
 identical pairs interpolate the two charts at the regularized rule's points
-in coordinate-major (b, M) arrays. Neither path calls BLAS, so the value of
-a pair does not depend on the rest of its chunk.
+in coordinate-major (b, M) arrays. The linear basis's disjoint pairs
+contract their M x M kernel matrix with the row and column slot weights by
+a stacked matmul, two small products per pair; the other paths sum with
+numpy reductions and call no BLAS. Either way the value of a pair depends
+on its own data only, never on the rest of its chunk.
 
 The Green factors A_tau, B_sigma sample the kernel at points of the box
 boundary rule; all their integrands are regular, so plain triangle Gauss
@@ -206,15 +215,17 @@ def galerkin_pair_evaluator(kind, mesh, basis, q_reg, q_sing):
             kern = np.sum(d * ny, axis=0) / (r2 * np.sqrt(r2))
         else:
             kern = 1.0 / np.sqrt(r2)
-        wr = far.wr.take(rows, axis=0)[..., :, None]
-        wc = far.wc.take(cols, axis=0)[..., None, :]
-        b = len(rows)
-        for c in range(width):
-            kc = kern * wc[:, c]
-            for a in range(width):
-                # one contiguous M*M sum per pair
-                out[:, a, c] = np.sum((kc * wr[:, a]).reshape(b, -1),
-                                      axis=1) / FOUR_PI
+        wr = far.wr.take(rows, axis=0)
+        wc = far.wc.take(cols, axis=0)
+        if width > 1:
+            # the slots of a pair: its kernel matrix between the row and
+            # the column weights, two small products per pair
+            out[:] = wr @ kern @ wc.transpose(0, 2, 1) / FOUR_PI
+        else:
+            # one contiguous M*M sum per pair
+            out[:, 0, 0] = np.sum((kern * wc[:, 0, None, :]
+                                   * wr[:, 0, :, None]).reshape(len(rows), -1),
+                                  axis=1) / FOUR_PI
 
     def _singular_chunk(out, rows, cols, px, py, rule):
         d = (_chart_points(nodes, rows, px, rule.n6x)
@@ -308,7 +319,8 @@ def _constant_rows(indices):
 
 
 def enqueue_galerkin_tasks(ex, mesh, basis, rows, cols, block_id, case=None):
-    """All triangle pairs of the row/col tables, in table order.
+    """Record the block's triangle pairs: its row table times its column
+    table, each triangle with the block positions of its local DOFs.
 
     ``case`` is passed on to the executor: the singularity case every pair
     is known to have, or None to classify each pair.
@@ -323,12 +335,7 @@ def enqueue_galerkin_tasks(ex, mesh, basis, rows, cols, block_id, case=None):
         tc = triangle_table(cols, mesh).rows
         tri_r, rslots = tr[:, 0], tr[:, 1:] - 1
         tri_c, cslots = tc[:, 0], tc[:, 1:] - 1
-    nr, nc = len(tri_r), len(tri_c)
-    if nr == 0 or nc == 0:
-        return
-    ex.enqueue_many(np.repeat(tri_r, nc), np.tile(tri_c, nr), block_id,
-                    np.repeat(rslots, nc, axis=0), np.tile(cslots, (nr, 1)),
-                    case)
+    ex.enqueue_many(tri_r, tri_c, block_id, rslots, cslots, case)
 
 
 def make_galerkin_executor(kind, mesh, basis, orders=(3, 5),
@@ -340,7 +347,7 @@ def make_galerkin_executor(kind, mesh, basis, orders=(3, 5),
         galerkin_pair_evaluator(kind, mesh, basis, q_reg, q_sing),
         num_cases=4, row_width=width, col_width=width,
         permute_rows=(basis == "linear"), permute_cols=(basis == "linear"),
-        capacity=capacity, threads=threads)
+        dedupe=(basis == "linear"), capacity=capacity, threads=threads)
 
 
 def make_collocation_executor(kind, mesh, orders=(3, 5),
@@ -366,17 +373,11 @@ def assemble_galerkin_block(kind, mesh, basis, rows, cols, orders=(3, 5),
 
 
 def enqueue_collocation_tasks(ex, mesh, rows, cols, block_id, case=None):
-    """All (point, triangle) tasks for collocation rows, in table order;
-    ``case`` as for :func:`enqueue_galerkin_tasks`."""
+    """Record the block's (point, triangle) pairs: its row points times its
+    column table; ``case`` as for :func:`enqueue_galerkin_tasks`."""
     tc = triangle_table(cols, mesh).rows
-    tri_c, cslots = tc[:, 0], tc[:, 1:] - 1
-    rows = np.asarray(rows)
-    nr, nc = len(rows), len(tri_c)
-    if nr == 0 or nc == 0:
-        return
-    ex.enqueue_many(np.repeat(rows, nc), np.tile(tri_c, nr), block_id,
-                    np.repeat(np.arange(nr), nc)[:, None],
-                    np.tile(cslots, (nr, 1)), case)
+    ex.enqueue_many(rows, tc[:, 0], block_id, np.arange(len(rows)),
+                    tc[:, 1:] - 1, case)
 
 
 def assemble_collocation_block(kind, mesh, basis, rows, cols, orders=(3, 5),

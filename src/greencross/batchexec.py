@@ -1,37 +1,51 @@
-"""Batched execution of quadrature tasks.
+"""Pair-major batched execution of quadrature tasks.
 
-Pair-quadrature work is enqueued as tiny tasks: row/col element indices plus
-scatter targets. ``enqueue_many`` only checks and records its arrays. Once
-the recorded tasks reach ``_WINDOW``, and once more in ``finalize``, the
-window is flushed:
+Work is described block by block. ``register_block`` reserves a zeroed
+target block; ``enqueue_many`` records one product of tasks for it: every
+element of a row list paired with every element of a column list, each
+element carrying the local slots its values scatter to. Nothing is
+evaluated before ``finalize``, which sorts the recorded row elements of all
+blocks and walks them in ascending order, window by window:
 
-1. the tasks of unknown singularity case are classified in one call (a
-   caller that knows the case of a whole enqueue passes it instead: an
-   admissible block holds only disjoint pairs);
-2. the tasks are stable-sorted by case;
-3. each case is evaluated in ``capacity``-sized batches, every batch one rule
-   with no branching inside, over a pool of ``threads`` workers that lives
-   only for the flush;
-4. the values are scatter-added into the registered blocks, per block and
-   per local slot pair (a, b), in enqueue order.
+1. a window holds whole row elements (all the records that list them), so
+   every (row, col) element pair of the build lives in exactly one window;
+   it closes once its tasks reach ``_WINDOW``, so the memory in flight is
+   bounded, independent of the build's size, the capacity and the number
+   of workers;
+2. the window's tasks are reduced to distinct pairs, so a pair shared by
+   several blocks is classified and evaluated once (an executor made with
+   ``dedupe=False`` skips this when no pair can repeat, as for the constant
+   basis, where a pair is one entry of one block);
+3. the pairs of unknown singularity case are classified in one call (a
+   record may carry the known case of all its pairs instead: an admissible
+   block holds only disjoint pairs; a pair known in one record takes that
+   case in all of them);
+4. the pairs are stable-sorted by case and evaluated in ``capacity``-sized
+   batches, every batch one rule with no branching inside, the singular
+   cases first, over a pool of ``threads`` workers that lives only for the
+   call to ``finalize``;
+5. while the workers evaluate, the main thread maps every contribution of
+   the window's tasks to a flat target in the one buffer all blocks share
+   and to its pair's value; one ``np.add.at`` then scatters the window.
 
-Windows end at enqueue calls and their cuts depend only on the stream of
-calls, so every block is bitwise independent of the capacity and the number
-of workers; a block enqueued in one call sums each entry in (a, b, enqueue)
-order. The evaluator must likewise produce per-task values independent of
-how tasks are batched; the ones in the assembly module cut each batch into
+Order contract: a block entry sums its contributions by ascending row
+element, then enqueue call, then canonical column slot b, then position in
+the column list, then canonical row slot a. Windows split only between row
+elements, so every entry is bitwise independent of the capacity, the number
+of workers and the window size, and of which other blocks the build holds.
+The evaluator must likewise produce per-pair values independent of how
+pairs are batched; the ones in the assembly module cut each batch into
 chunks of a fixed number of quadrature points, a function of the rule
-alone, and compute each task's value from its own data only.
+alone, and compute each pair's value from its own data only.
 
-An evaluator error surfaces from the call that flushed its window, so from
-``enqueue_many`` as well as from ``finalize``; no worker outlives a flush.
-An executor whose flush failed, or that was closed before finalizing,
-refuses further work and its incomplete blocks: ``enqueue_many`` and
-``finalize`` raise StateError.
+An executor whose ``finalize`` failed (an evaluator raised), or that was
+closed before finalizing, refuses further work and its incomplete blocks:
+``enqueue_many`` and ``finalize`` raise StateError.
 """
 
 import os
 import time
+from collections import deque, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -41,25 +55,57 @@ from .quadrature import PERMS3
 
 DEFAULT_CAPACITY = 4096
 
-# recorded tasks that trigger a flush: bounds the memory a build holds in
-# flight, independent of capacity and threads
-_WINDOW = 1 << 18
+# tasks that close a window; a window always holds at least one whole row
+# element. Smaller windows cost the linear basis time (more small singular
+# batches, more waits on the slowest worker); 2^17 keeps the peak RSS of the
+# L4 constant build near 100 MiB (117 MiB at 2^18).
+_WINDOW = 1 << 17
+
+# scatter target of an unused slot: a target plus one or two of these is
+# negative, and the sum cannot overflow
+_UNUSED = -(1 << 61)
+
+
+# the recorded tasks of a build: row entries (element, record, slots) sorted
+# by element; per record its column entries' offset and count, known case,
+# block offset in the shared buffer and block row stride
+_Layout = namedtuple("_Layout", "rows rec rs cols cs coff ncol case offset "
+                                "stride span")
+
+
+def _windows(elems, cost):
+    """(start, stop) ranges of the sorted row entries, cut between
+    elements once the summed cost (tasks) reaches _WINDOW, or after one
+    element if that alone costs more."""
+    cum = np.cumsum(cost)
+    bounds = np.r_[np.flatnonzero(np.r_[True, elems[1:] != elems[:-1]]),
+                   len(elems)]
+    out = []
+    start = 0
+    while start < len(elems):
+        reach = (cum[start - 1] if start else 0) + _WINDOW
+        i = np.searchsorted(bounds, np.searchsorted(cum, reach, "right"),
+                            "right") - 1
+        if bounds[i] <= start:
+            i += 1
+        out.append((start, bounds[i]))
+        start = bounds[i]
+    return out
 
 
 class BatchExecutor:
-    """Windowed, case-sorted task batching with a deterministic scatter.
+    """Pair-major, case-sorted task batching with a deterministic scatter.
 
     classify(rows, cols) -> (case, row_perm, col_perm) arrays routes each
-    task to its case; evaluator(case, rows, cols, row_perm, col_perm)
-    returns values of shape (ntasks, row_width, col_width) laid out in the
+    pair to its case; evaluator(case, rows, cols, row_perm, col_perm)
+    returns values of shape (npairs, row_width, col_width) laid out in the
     canonical (permuted) local order. Slot arrays give the target position
-    inside the block for each canonical local index, -1 marking an unused
-    slot.
+    inside the block for each local index, -1 marking an unused slot.
     """
 
     def __init__(self, classify, evaluator, num_cases=4,
                  row_width=1, col_width=1,
-                 permute_rows=False, permute_cols=False,
+                 permute_rows=False, permute_cols=False, dedupe=True,
                  capacity=DEFAULT_CAPACITY, threads=None):
         if capacity < 1:
             raise ConfigError("capacity must be >= 1")
@@ -75,128 +121,203 @@ class BatchExecutor:
         self._evaluator = evaluator
         self._permute_rows = permute_rows
         self._permute_cols = permute_cols
+        self._dedupe = dedupe
         self._num_cases = num_cases
-        self._blocks = []
-        self._pending = []
-        self._npending = 0
+        self._shapes = []
+        self._records = []
+        self._blocks = None
         self._open = True
         self._failed = False
         self._stats = [{"tasks": 0, "batches": 0, "wall_s": 0.0}
                        for _ in range(num_cases)]
 
     def register_block(self, nrows, ncols):
-        """Allocate a zeroed target block; returns its id."""
-        self._blocks.append(np.zeros((nrows, ncols)))
-        return len(self._blocks) - 1
+        """Reserve a target block, zeroed at finalize; returns its id."""
+        self._shapes.append((int(nrows), int(ncols)))
+        return len(self._shapes) - 1
 
     def enqueue_many(self, rows, cols, block, row_slots, col_slots,
                      case=None):
-        """Record len(rows) tasks sharing nothing but shapes.
+        """Record the len(rows) x len(cols) tasks (rows[i], cols[j]).
 
-        block may be a scalar id or a per-task array; slot arrays have shape
-        (ntasks, row_width) and (ntasks, col_width). ``case``, when given, is
-        the singularity case of every task: classification is skipped and
-        the tasks keep their local order (identity permutations). Flushes
-        the window once it is full.
+        row_slots (len(rows), row_width) and col_slots (len(cols),
+        col_width) hold each element's target rows and columns in the
+        block. ``case``, when given, is the singularity case of every pair:
+        classification is skipped and the pairs keep their local order
+        (identity permutations).
         """
         if not self._open:
             raise StateError("enqueue after finalize or close")
         if case is not None and not 0 <= case < self._num_cases:
             raise ConfigError("unknown case %r" % (case,))
-        rows = np.asarray(rows, dtype=np.int64)
-        n = len(rows)
-        if n == 0:
-            return
-        self._pending.append((
-            rows, np.asarray(cols, dtype=np.int64),
-            np.broadcast_to(np.asarray(block, dtype=np.int64), (n,)),
-            np.asarray(row_slots, dtype=np.int64).reshape(n, self.row_width),
-            np.asarray(col_slots, dtype=np.int64).reshape(n, self.col_width),
-            np.full(n, -1 if case is None else case, dtype=np.int64)))
-        self._npending += n
-        if self._npending >= _WINDOW:
-            self._flush()
-
-    def _flush(self):
-        """Classify, sort, evaluate and scatter the recorded tasks."""
-        pending, self._pending, self._npending = self._pending, [], 0
-        if not pending:
-            return
-        try:
-            self._run_window(*(np.concatenate(col) for col in zip(*pending)))
-        except BaseException:
-            self._open = False
-            self._failed = True
-            raise
-
-    def _run_window(self, rows, cols, block, rs, cs, case):
-        n = len(rows)
-        px = np.zeros(n, dtype=np.int64)
-        py = np.zeros(n, dtype=np.int64)
-        unknown = np.flatnonzero(case < 0)
-        if len(unknown):
-            case[unknown], px[unknown], py[unknown] = self._classify(
-                rows[unknown], cols[unknown])
-            if self._permute_rows:
-                rs[unknown] = np.take_along_axis(rs[unknown],
-                                                 PERMS3[px[unknown]], axis=1)
-            if self._permute_cols:
-                cs[unknown] = np.take_along_axis(cs[unknown],
-                                                 PERMS3[py[unknown]], axis=1)
-
-        by_case = np.argsort(case, kind="stable")
-        rows, cols = rows[by_case], cols[by_case]
-        px, py = px[by_case], py[by_case]
-        bounds = np.searchsorted(case[by_case], np.arange(self._num_cases + 1))
-        batches = []
-        for c in range(self._num_cases):
-            s, e = bounds[c], bounds[c + 1]
-            self._stats[c]["tasks"] += int(e - s)
-            batches += [(c, b, min(e, b + self.capacity))
-                        for b in range(s, e, self.capacity)]
-        # values in enqueue order; batches write disjoint rows
-        values = np.empty((n, self.row_width, self.col_width))
-
-        def evaluate(batch):
-            c, s, e = batch
-            t0 = time.perf_counter()
-            values[by_case[s:e]] = np.reshape(
-                self._evaluator(c, rows[s:e], cols[s:e], px[s:e], py[s:e]),
-                (e - s, self.row_width, self.col_width))
-            return c, time.perf_counter() - t0
-
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            for c, dt in pool.map(evaluate, batches):
-                self._stats[c]["batches"] += 1
-                self._stats[c]["wall_s"] += dt
-
-        by_block = np.argsort(block, kind="stable")
-        block = block[by_block]
-        rs, cs, values = rs[by_block], cs[by_block], values[by_block]
-        cuts = np.flatnonzero(block[1:] != block[:-1]) + 1
-        for s, e in zip(np.r_[0, cuts], np.r_[cuts, n]):
-            mat = self._blocks[block[s]]
-            for a in range(self.row_width):
-                for b in range(self.col_width):
-                    ra, cb = rs[s:e, a], cs[s:e, b]
-                    ok = (ra >= 0) & (cb >= 0)
-                    np.add.at(mat, (ra[ok], cb[ok]), values[s:e, a, b][ok])
+        if not 0 <= block < len(self._shapes):
+            raise ConfigError("unknown block %r" % (block,))
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        cols = np.asarray(cols, dtype=np.int64).reshape(-1)
+        rs = np.asarray(row_slots, dtype=np.int64).reshape(len(rows),
+                                                           self.row_width)
+        cs = np.asarray(col_slots, dtype=np.int64).reshape(len(cols),
+                                                           self.col_width)
+        nrows, ncols = self._shapes[block]
+        if (rs.size and rs.max() >= nrows) or (cs.size and cs.max() >= ncols):
+            raise ConfigError("slot outside block %d" % block)
+        if len(rows) and len(cols):
+            self._records.append((block, -1 if case is None else int(case),
+                                  rows, rs, cols, cs))
 
     def finalize(self):
-        """Flush the last window and return the list of target blocks.
+        """Evaluate the recorded tasks and return the list of blocks.
 
         Idempotent; a second call is a no-op returning the same blocks. If
-        a flush failed (an evaluator raised) or the executor was closed
-        first, the blocks are incomplete and this and every later call
-        raise StateError instead.
+        an evaluator raised or the executor was closed first, the blocks
+        are incomplete and this and every later call raise StateError.
         """
         if self._failed:
             raise StateError("executor failed or was closed before "
                              "finalize; its blocks are incomplete")
         if self._open:
-            self._flush()
             self._open = False
+            try:
+                self._blocks = self._run()
+            except BaseException:
+                self._failed = True
+                raise
+            finally:
+                self._records = []
         return self._blocks
+
+    def _run(self):
+        shapes = np.array(self._shapes, dtype=np.int64).reshape(-1, 2)
+        offset = np.concatenate([[0], np.cumsum(shapes[:, 0] * shapes[:, 1])])
+        buf = np.zeros(offset[-1])
+        blocks = [buf[offset[b]:offset[b + 1]].reshape(shape)
+                  for b, shape in enumerate(shapes)]
+        if not self._records:
+            return blocks
+        block, case, rows, rs, cols, cs = zip(*self._records)
+        nrow = np.array([len(r) for r in rows])
+        ncol = np.array([len(c) for c in cols])
+        rec = np.repeat(np.arange(len(nrow)), nrow)
+        rows, rs = np.concatenate(rows), np.concatenate(rs)
+        order = np.argsort(rows, kind="stable")
+        rows, rec, rs = rows[order], rec[order], rs[order]
+        block = np.array(block)
+        cols = np.concatenate(cols)
+        layout = _Layout(rows, rec, rs, cols, np.concatenate(cs),
+                         np.cumsum(ncol) - ncol, ncol, np.array(case),
+                         offset[block], shapes[block, 1], cols.max() + 1)
+        with ThreadPoolExecutor(max_workers=self.threads) as pool:
+            for start, stop in _windows(rows, ncol[rec]):
+                self._run_window(pool, buf, layout, start, stop)
+        return blocks
+
+    def _run_window(self, pool, buf, lay, start, stop):
+        rec = lay.rec[start:stop]
+        length = lay.ncol[rec]
+        first = np.cumsum(length) - length
+        n = int(first[-1] + length[-1])
+        run = np.repeat(np.arange(stop - start), length)
+        pos = np.arange(n) - first[run]  # position in the record's columns
+        col = lay.coff[rec][run] + pos
+        rec = rec[run]
+        rows, cols = lay.rows[start:stop][run], lay.cols[col]
+        case = lay.case[rec]
+        if self._dedupe:
+            _, pick, pair = np.unique(rows * lay.span + cols,
+                                      return_index=True, return_inverse=True)
+            known = case >= 0
+            case, rows, cols = case[pick], rows[pick], cols[pick]
+            case[pair[known]] = lay.case[rec[known]]
+        else:
+            pair = np.arange(n)
+        px = np.zeros(len(rows), dtype=np.int64)
+        py = np.zeros(len(rows), dtype=np.int64)
+        unknown = np.flatnonzero(case < 0)
+        if len(unknown):
+            case[unknown], px[unknown], py[unknown] = self._classify(
+                rows[unknown], cols[unknown])
+        values = self._evaluate(pool, case, rows, cols, px, py)
+
+        # scatter map, built while the workers evaluate: flat target and
+        # flat value index per contribution, slots in canonical order
+        rs, cs = lay.rs[start:stop][run], lay.cs[col]
+        moved = np.flatnonzero((px | py)[pair])
+        if self._permute_rows and len(moved):
+            rs[moved] = np.take_along_axis(rs[moved], PERMS3[px[pair[moved]]],
+                                           axis=1)
+        if self._permute_cols and len(moved):
+            cs[moved] = np.take_along_axis(cs[moved], PERMS3[py[pair[moved]]],
+                                           axis=1)
+        # an unused slot sends the sum of both parts below zero
+        rowt = np.where(rs >= 0, lay.offset[rec][:, None]
+                        + rs * lay.stride[rec][:, None], _UNUSED)
+        cs = np.where(cs >= 0, cs, _UNUSED)
+        rw, cw = self.row_width, self.col_width
+        src = pair[:, None] * (rw * cw) + np.arange(rw) * cw
+        if cw == 1:
+            # task order already is the contract's order; no reordering
+            # copies in the constant basis's large windows
+            tgt = (rowt + cs).reshape(-1)
+            src = src.reshape(-1)
+        else:
+            # within a record, column slot b before column position
+            at = (rw * cw * first[run] + rw * pos)[:, None] + np.arange(rw)
+            step = (rw * length[run])[:, None]
+            tgt = np.empty(n * rw * cw, dtype=np.int64)
+            out = np.empty(n * rw * cw, dtype=np.int64)
+            for b in range(cw):
+                tgt[at + b * step] = rowt + cs[:, b:b + 1]
+                out[at + b * step] = src + b
+            src = out
+        keep = tgt >= 0
+        np.add.at(buf, tgt[keep], values().reshape(-1)[src[keep]])
+
+    def _evaluate(self, pool, case, rows, cols, px, py):
+        """Start evaluating the listed pairs, by case in capacity-sized
+        batches; returns a function that waits for and returns the values.
+        """
+        by_case = np.argsort(case, kind="stable")
+        bounds = np.searchsorted(case[by_case], np.arange(self._num_cases + 1))
+        batches = deque()
+        # singular cases first: their pairs cost the most, so the cheap
+        # disjoint batches even out the workers at the end of the window
+        for c in reversed(range(self._num_cases)):
+            s, e = bounds[c], bounds[c + 1]
+            self._stats[c]["tasks"] += int(e - s)
+            batches += [(c, by_case[b:min(e, b + self.capacity)])
+                        for b in range(s, e, self.capacity)]
+        # batches write disjoint rows
+        values = np.empty((len(rows), self.row_width, self.col_width))
+
+        def work():
+            # each worker pulls batches until none is left
+            walls = []
+            while True:
+                try:
+                    c, idx = batches.popleft()
+                except IndexError:
+                    return walls
+                t0 = time.perf_counter()
+                try:
+                    values[idx] = np.reshape(
+                        self._evaluator(c, rows[idx], cols[idx], px[idx],
+                                        py[idx]),
+                        (len(idx), self.row_width, self.col_width))
+                except BaseException:
+                    batches.clear()  # the other workers stop soon
+                    raise
+                walls.append((c, time.perf_counter() - t0))
+
+        futures = [pool.submit(work) for _ in range(self.threads)]
+
+        def wait():
+            for fut in futures:
+                for c, dt in fut.result():
+                    self._stats[c]["batches"] += 1
+                    self._stats[c]["wall_s"] += dt
+            return values
+
+        return wait
 
     def close(self):
         """Mark the executor closed; safe to call more than once.
@@ -207,7 +328,7 @@ class BatchExecutor:
         if self._open:
             self._open = False
             self._failed = True
-            self._pending, self._npending = [], 0
+            self._records = []
 
     def __enter__(self):
         return self
@@ -216,5 +337,5 @@ class BatchExecutor:
         self.close()
 
     def stats(self):
-        """Per-case task/batch counts and evaluator wall time."""
+        """Per-case evaluated pairs ("tasks"), batches and evaluator wall."""
         return [dict(st, case=c) for c, st in enumerate(self._stats)]

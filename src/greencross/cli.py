@@ -7,7 +7,10 @@ compress  build Green / flat GCA / GCA-H2 approximations, report per-method
           storage, setup time and spectral error against the dense oracle
 solve     assemble and solve the single-layer Dirichlet system with the
           compressed operator, report the surface L2 error
-stats     batch-executor case statistics for one compressed build
+stats     batch-executor statistics for one compressed build, per
+          singularity case: batches, tasks (pair integrals evaluated;
+          a pair shared by several blocks is evaluated and counted
+          once) and evaluator wall time
 
 All reports are RFC 4180 CSV with one fixed column set, so rows from
 different runs concatenate cleanly.  Every row echoes the full experiment
@@ -156,12 +159,21 @@ def write_report(path, rows, columns=REPORT_COLUMNS):
 # operator construction shared by compress/solve/stats
 
 
-def build_h2_operator(mesh, cfg, kind="slp", capacity=DEFAULT_CAPACITY,
-                      threads=None):
-    """Cluster tree, block tree and GCA-H2 matrix for one config."""
+def build_trees(mesh, cfg):
+    """Cluster tree and block tree for one config."""
     tree = build_cluster_tree(mesh, basis_kind=cfg.basis,
                               leaf_size=cfg.leaf_size)
-    btree = build_block_tree(tree, eta=cfg.eta)
+    return tree, build_block_tree(tree, eta=cfg.eta)
+
+
+def build_h2_operator(mesh, cfg, kind="slp", capacity=DEFAULT_CAPACITY,
+                      threads=None, btree=None):
+    """Cluster tree, block tree and GCA-H2 matrix for one config; a block
+    tree built before (by :func:`build_trees`) is reused."""
+    if btree is None:
+        tree, btree = build_trees(mesh, cfg)
+    else:
+        tree = btree.row
     orders = (cfg.q_reg, cfg.q_sing)
     row_kind = "collocation" if cfg.disc == "collocation" else cfg.basis
     rmarks, cmarks = gca.coupling_marks(btree)
@@ -241,9 +253,7 @@ def cmd_compress(args):
                                           seed=cfg.seed)[1]
 
     t0 = time.perf_counter()
-    tree = build_cluster_tree(mesh, basis_kind=cfg.basis,
-                              leaf_size=cfg.leaf_size)
-    btree = build_block_tree(tree, eta=cfg.eta)
+    _, btree = build_trees(mesh, cfg)
     t_tree = time.perf_counter() - t0
     orders = (cfg.q_reg, cfg.q_sing)
 
@@ -270,7 +280,7 @@ def cmd_compress(args):
 
     t0 = time.perf_counter()
     hm, _, _ = build_h2_operator(mesh, cfg, capacity=args.capacity,
-                                 threads=args.threads)
+                                 threads=args.threads, btree=btree)
     dt = t_tree + time.perf_counter() - t0
     rows.append(report_row(cfg, "h2", n,
                            storage_bytes=h2.storage_report(hm)["total"],
@@ -486,7 +496,11 @@ def build_parser():
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("stats",
-                       help="batch executor statistics for one H2 build")
+                       help="batch executor statistics for one H2 build: "
+                            "per singularity case, the batches, the pair "
+                            "integrals evaluated (tasks; a pair shared by "
+                            "several blocks counts once) and the "
+                            "evaluator wall time")
     p.add_argument("--mesh", required=True)
     p.add_argument("--out", required=True)
     _add_config_flags(p)

@@ -469,7 +469,9 @@ def build_flat_gca(btree, mesh, kind="slp", basis="constant",
             enqueue(rows, cols, bid, case)
             plan.append((leaf, bid))
         mats = ex.finalize()
-    blocks = [(leaf.row, leaf.col, mats[bid])
+    # copies: views would keep the executor's buffer, and with it the
+    # nearfield values already packed, alive
+    blocks = [(leaf.row, leaf.col, mats[bid].copy())
               for leaf, bid in plan if leaf.state == ADMISSIBLE]
     nearfield = [NearfieldBlock(leaf.row, leaf.col, mats[bid])
                  for leaf, bid in plan if leaf.state != ADMISSIBLE]

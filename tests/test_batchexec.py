@@ -29,19 +29,17 @@ def _make(classify=_classify_all_zero, **kw):
     return BatchExecutor(classify, _eval_pairfn, **kw)
 
 
-def _fill_block(ex, nrows, ncols, order=None):
+def _fill_block(ex, nrows, ncols):
+    """Every (i, j) of an nrows x ncols block as one product of tasks."""
     bid = ex.register_block(nrows, ncols)
-    i, j = np.meshgrid(np.arange(nrows), np.arange(ncols), indexing="ij")
-    i, j = i.ravel(), j.ravel()
-    if order is not None:
-        i, j = i[order], j[order]
+    i, j = np.arange(nrows), np.arange(ncols)
     ex.enqueue_many(i, j, bid, i[:, None], j[:, None])
-    return bid, i, j
+    return bid
 
 
 def test_capacity_seals_batches():
     ex = _make(capacity=1000, threads=1)
-    bid, i, j = _fill_block(ex, 50, 50)
+    bid = _fill_block(ex, 50, 50)
     ex.finalize()
     st = ex.stats()[0]
     assert st["tasks"] == 2500
@@ -62,7 +60,7 @@ def test_single_task_single_batch():
 
 def test_batches_are_case_homogeneous():
     ex = _make(classify=_classify_parity, capacity=10, threads=1)
-    bid, i, j = _fill_block(ex, 8, 8)
+    bid = _fill_block(ex, 8, 8)
     ex.finalize()
     st = ex.stats()
     assert st[0]["tasks"] == 32 and st[1]["tasks"] == 32
@@ -73,7 +71,7 @@ def test_batches_are_case_homogeneous():
 
 def test_scatter_exactly_once():
     ex = _make(capacity=17, threads=2)
-    bid, i, j = _fill_block(ex, 13, 9)
+    bid = _fill_block(ex, 13, 9)
     out = ex.finalize()[bid]
     expected = np.sin(1.3 * np.arange(13)[:, None] + 0.7 * np.arange(9)[None, :])
     assert np.array_equal(out, expected)
@@ -114,14 +112,15 @@ def test_invalid_configuration():
 
 
 def _run_stream(capacity, threads, seed=23):
+    """Two blocks fed by five products with repeated elements, so entries
+    sum several contributions and pairs repeat across records."""
     rng = np.random.default_rng(seed)
     ex = _make(classify=_classify_parity, capacity=capacity, threads=threads)
     a = ex.register_block(20, 20)
     b = ex.register_block(20, 20)
     for _ in range(5):
-        n = int(rng.integers(1, 200))
-        i = rng.integers(0, 20, size=n)
-        j = rng.integers(0, 20, size=n)
+        i = rng.integers(0, 20, size=int(rng.integers(1, 15)))
+        j = rng.integers(0, 20, size=int(rng.integers(1, 15)))
         bid = int(rng.integers(0, 2))
         ex.enqueue_many(i, j, bid, i[:, None], j[:, None])
     out = ex.finalize()
@@ -173,7 +172,7 @@ def test_failed_finalize_releases_pool_and_refuses_blocks():
     baseline = threading.active_count()
     ex = BatchExecutor(_classify_all_zero, _eval_raises, capacity=4,
                        threads=2)
-    bid, _, _ = _fill_block(ex, 5, 5)
+    bid = _fill_block(ex, 5, 5)
     with pytest.raises(RuntimeError):
         ex.finalize()
     assert threading.active_count() == baseline
@@ -196,7 +195,7 @@ def test_with_block_closes_pool_on_error():
 
 def test_close_after_finalize_keeps_blocks():
     with _make(capacity=4, threads=2) as ex:
-        bid, _, _ = _fill_block(ex, 3, 4)
+        bid = _fill_block(ex, 3, 4)
         first = ex.finalize()
     assert ex.finalize() is first
     expected = np.sin(1.3 * np.arange(3)[:, None] + 0.7 * np.arange(4)[None, :])
@@ -210,11 +209,10 @@ def test_known_case_skips_classification():
     ex = BatchExecutor(classify, _eval_pairfn, num_cases=4, capacity=5,
                        threads=1)
     bid = ex.register_block(3, 4)
-    i, j = np.meshgrid(np.arange(3), np.arange(4), indexing="ij")
-    ex.enqueue_many(i.ravel(), j.ravel(), bid, i.ravel()[:, None],
-                    j.ravel()[:, None], case=2)
+    i, j = np.arange(3), np.arange(4)
+    ex.enqueue_many(i, j, bid, i[:, None], j[:, None], case=2)
     out = ex.finalize()[bid]
-    expected = np.sin(1.3 * i + 0.7 * j + 2)
+    expected = np.sin(1.3 * i[:, None] + 0.7 * j[None, :] + 2)
     assert np.array_equal(out, expected)
     st = ex.stats()
     assert st[2]["tasks"] == 12 and st[2]["batches"] == 3
@@ -226,8 +224,7 @@ def test_known_case_matches_classified():
     def run(case):
         ex = _make(capacity=7, threads=2)
         bid = ex.register_block(9, 6)
-        i, j = np.meshgrid(np.arange(9), np.arange(6), indexing="ij")
-        i, j = i.ravel(), j.ravel()
+        i, j = np.arange(9), np.arange(6)
         ex.enqueue_many(i, j, bid, i[:, None], j[:, None], case=case)
         return ex.finalize()[bid]
 
@@ -254,18 +251,18 @@ def _eval_slots(case, rows, cols, px, py):
 
 
 def _run_blocks(capacity=16, threads=2, seed=31):
-    """Eight blocks of width-3 tasks, each enqueued in one call."""
+    """Eight blocks of width-3 tasks, each one product of tasks."""
     rng = np.random.default_rng(seed)
     ex = BatchExecutor(_classify_rotating, _eval_slots, row_width=3,
                        col_width=3, permute_rows=True, permute_cols=True,
                        capacity=capacity, threads=threads)
     for k in range(8):
         bid = ex.register_block(6, 5)
-        n = int(rng.integers(1, 90))
-        rs = rng.integers(-1, 6, size=(n, 3))
-        cs = rng.integers(-1, 5, size=(n, 3))
-        ex.enqueue_many(rng.integers(0, 40, size=n),
-                        rng.integers(0, 40, size=n), bid, rs, cs,
+        nr, nc = (int(x) for x in rng.integers(1, 12, size=2))
+        rs = rng.integers(-1, 6, size=(nr, 3))
+        cs = rng.integers(-1, 5, size=(nc, 3))
+        ex.enqueue_many(rng.integers(0, 40, size=nr),
+                        rng.integers(0, 40, size=nc), bid, rs, cs,
                         case=0 if k % 3 == 2 else None)
     return [b.copy() for b in ex.finalize()], ex.stats()
 
@@ -297,26 +294,31 @@ def test_block_across_windows_invariant(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_failed_flush_in_enqueue_releases_pool_and_refuses(monkeypatch):
+def test_failed_window_releases_pool_and_refuses(monkeypatch):
+    """An evaluator error in a later window ends finalize with the pool
+    released; the executor then refuses work and its blocks."""
     monkeypatch.setattr(batchexec, "_WINDOW", 10)
+
+    def evaluator(case, rows, cols, px, py):
+        if np.any(rows == 3):
+            raise RuntimeError("evaluator failure")
+        return _eval_pairfn(case, rows, cols, px, py)
+
     baseline = threading.active_count()
-    ex = BatchExecutor(_classify_all_zero, _eval_raises, capacity=4,
-                       threads=2)
-    bid = ex.register_block(5, 5)
-    i, j = np.meshgrid(np.arange(5), np.arange(5), indexing="ij")
-    i, j = i.ravel(), j.ravel()
+    ex = BatchExecutor(_classify_all_zero, evaluator, capacity=4, threads=2)
+    bid = _fill_block(ex, 5, 5)
     with pytest.raises(RuntimeError):
-        ex.enqueue_many(i, j, bid, i[:, None], j[:, None])
+        ex.finalize()
     assert threading.active_count() == baseline
     with pytest.raises(StateError):
         ex.finalize()
     with pytest.raises(StateError):
-        ex.enqueue_many(i, j, bid, i[:, None], j[:, None])
-    with pytest.raises(StateError):
-        ex.finalize()
+        ex.enqueue_many([0], [0], bid, [[0]], [[0]])
 
 
 def test_classify_once_per_flush(monkeypatch):
+    """One classify call per window, over its distinct pairs of unknown
+    case; a pair known in one record takes that case in all of them."""
     monkeypatch.setattr(batchexec, "_WINDOW", 100)
     calls = []
 
@@ -325,16 +327,57 @@ def test_classify_once_per_flush(monkeypatch):
         return _classify_parity(rows, cols)
 
     ex = BatchExecutor(classify, _eval_pairfn, capacity=8, threads=1)
-    bid = ex.register_block(1, 30)
-    j = np.arange(30)
-    for _ in range(10):
-        ex.enqueue_many(np.zeros(30, dtype=np.int64), j, bid,
-                        np.zeros((30, 1), dtype=np.int64), j[:, None])
-    # flushes after the 4th and 8th enqueue, then in finalize
-    assert calls == [120, 120]
-    ex.enqueue_many([0], [0], bid, [[0]], [[0]], case=1)
+    bid = ex.register_block(10, 30)
+    i, j = np.arange(10), np.arange(30)
+    for _ in range(2):  # the same 300 pairs twice
+        ex.enqueue_many(i, j, bid, i[:, None], j[:, None])
+    ex.enqueue_many([0], j[:5], bid, [[0]], j[:5, None], case=1)
     out = ex.finalize()[bid]
-    assert calls == [120, 120, 60]
-    expected = 10 * np.sin(0.7 * j + j % 2)
-    expected[0] += np.sin(1.0)
-    assert np.allclose(out[0], expected, rtol=1e-14, atol=0)
+    # row element 0 costs 65 tasks, the others 60: one element per window
+    assert calls == [25] + [30] * 9
+    assert sum(st["tasks"] for st in ex.stats()) == 300
+    expected = 2 * np.sin(1.3 * i[:, None] + 0.7 * j[None, :]
+                          + (i[:, None] + j[None, :]) % 2)
+    expected[0, :5] = 3 * np.sin(0.7 * j[:5] + 1)
+    assert np.allclose(out, expected, rtol=1e-14, atol=0)
+
+
+def test_pairs_shared_by_blocks_evaluated_once():
+    """A pair listed by several blocks is evaluated once and scattered to
+    each of them; skipping the dedupe changes no bit."""
+    def run(dedupe):
+        seen = []
+
+        def evaluator(case, rows, cols, px, py):
+            seen.extend(zip(rows.tolist(), cols.tolist()))
+            return _eval_slots(case, rows, cols, px, py)
+
+        ex = BatchExecutor(_classify_rotating, evaluator, row_width=3,
+                           col_width=3, permute_rows=True, permute_cols=True,
+                           dedupe=dedupe, capacity=5, threads=2)
+        rows, cols = np.arange(4), np.arange(6)
+        for r in range(3):
+            bid = ex.register_block(4, 6)
+            slots = np.full((4, 3), -1)
+            slots[:, r] = np.arange(4)
+            ex.enqueue_many(rows, cols, bid, slots,
+                            np.arange(18).reshape(6, 3) % 6)
+        return [b.copy() for b in ex.finalize()], seen
+
+    blocks, seen = run(True)
+    assert sorted(seen) == [(t, s) for t in range(4) for s in range(6)]
+    ref, seen = run(False)
+    assert len(seen) == 3 * 24
+    for a, b in zip(blocks, ref):
+        assert np.array_equal(a, b)
+
+
+def test_slots_outside_block_rejected():
+    with _make(threads=1) as ex:
+        bid = ex.register_block(2, 3)
+        with pytest.raises(ConfigError):
+            ex.enqueue_many([0], [0], bid, [[2]], [[0]])
+        with pytest.raises(ConfigError):
+            ex.enqueue_many([0], [0], bid, [[0]], [[3]])
+        with pytest.raises(ConfigError):
+            ex.enqueue_many([0], [0], bid + 1, [[0]], [[0]])

@@ -92,6 +92,23 @@ def test_compress_no_dense(mesh2_file, tmp_path):
     assert all(r["rel_spec_err"] == "" for r in rows)
 
 
+def test_compress_builds_trees_once(mesh2_file, tmp_path, monkeypatch):
+    """The h2 row reuses the block tree compress built for the baselines,
+    so its setup time counts the tree build once."""
+    calls = []
+    real = cli.build_cluster_tree
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_cluster_tree", counting)
+    out = str(tmp_path / "once.csv")
+    assert cli.main(["compress", "--mesh", mesh2_file, "--out", out,
+                     "--no-dense"]) == 0
+    assert len(calls) == 1
+
+
 def test_compress_dense_guard(tmp_path):
     mesh6 = str(tmp_path / "sphere6.txt")
     assert cli.main(["mesh", "--level", "6", "--out", mesh6]) == 0

@@ -10,7 +10,7 @@ from greencross.errors import ConfigError, StateError
 from greencross.gca import (aca_interpolation, build_cluster_basis,
                             build_flat_gca, build_green, build_h2,
                             coupling_marks, expand_basis)
-from greencross.geometry import build_sphere_mesh
+from greencross.geometry import build_sphere_mesh, to_curved
 
 
 def _dense_op(a):
@@ -261,3 +261,91 @@ def test_admissible_leaf_over_touching_clusters_refused(sphere2):
     with pytest.raises(StateError):
         build_flat_gca(btree, sphere2, m=2, threads=2)
     assert threading.active_count() == baseline
+
+
+@pytest.fixture(scope="module")
+def linear_l3():
+    """Plane L3 linear Galerkin with couplings: orders (2, 4), m = 2."""
+    mesh = build_sphere_mesh(3)
+    tree = build_cluster_tree(mesh, "linear", leaf_size=16)
+    btree = build_block_tree(tree, eta=1.0)
+    rm, cm = coupling_marks(btree)
+    rb = build_cluster_basis(tree, mesh, "linear", 2, 0.5, 1e-4, "row",
+                             (2, 4), rm)
+    cb = build_cluster_basis(tree, mesh, "linear", 2, 0.5, 1e-4, "col",
+                             (2, 4), cm)
+
+    def build(capacity=4096, threads=None):
+        return build_h2(btree, rb, cb, mesh, "slp", "linear", "galerkin",
+                        (2, 4), capacity=capacity, threads=threads)
+
+    return mesh, rb, cb, build, build()
+
+
+def test_linear_h2_blocks_independent_of_capacity_and_threads(linear_l3):
+    *_, build, ref = linear_l3
+    assert len(ref.coupling) > 0
+    for capacity in (1, 7, 10 ** 6):
+        for threads in (1, 4):
+            hm = build(capacity, threads)
+            for blocks, got in ((ref.coupling, hm.coupling),
+                                (ref.nearfield, hm.nearfield)):
+                assert [(b.row.index, b.col.index) for b in blocks] == \
+                    [(b.row.index, b.col.index) for b in got]
+                assert all(np.array_equal(a.values, b.values)
+                           for a, b in zip(blocks, got))
+
+
+def test_linear_h2_blocks_match_dense_assembly(linear_l3):
+    """Every coupling and nearfield block holds, bitwise, the Galerkin
+    block of its rows and columns assembled on its own."""
+    mesh, rb, cb, _, hm = linear_l3
+    assert len(hm.coupling) > 0
+    for blk in hm.coupling:
+        rows, cols = rb.node(blk.row).pivots, cb.node(blk.col).pivots
+        ref = assembly.assemble_galerkin_block("slp", mesh, "linear", rows,
+                                               cols, (2, 4)).values
+        assert np.array_equal(blk.values, ref)
+    for blk in hm.nearfield:
+        ref = assembly.assemble_galerkin_block(
+            "slp", mesh, "linear", blk.row.indices, blk.col.indices,
+            (2, 4)).values
+        assert np.array_equal(blk.values, ref)
+
+
+def test_linear_build_evaluates_each_pair_once(monkeypatch):
+    """Triangle pairs shared by several blocks are integrated once."""
+    mesh = to_curved(build_sphere_mesh(3), project_to_unit_sphere=True)
+    seen = []
+    real = assembly.galerkin_pair_evaluator
+
+    def spy(*args):
+        evaluate = real(*args)
+
+        def spied(case, rows, cols, px, py):
+            seen.append(rows * mesh.nt + cols)
+            return evaluate(case, rows, cols, px, py)
+
+        return spied
+
+    monkeypatch.setattr(assembly, "galerkin_pair_evaluator", spy)
+    tree = build_cluster_tree(mesh, "linear", leaf_size=16)
+    btree = build_block_tree(tree, eta=1.0)
+    hm = _build_h2(mesh, tree, btree, 3, 1e-4, (2, 4), basis="linear")
+    evaluated = np.concatenate(seen)
+    assert len(np.unique(evaluated)) == len(evaluated)
+
+    needed = []
+    for leaf in btree.leaves():
+        if leaf.state == ADMISSIBLE:
+            rows = hm.row_basis.node(leaf.row).pivots
+            cols = hm.col_basis.node(leaf.col).pivots
+        else:
+            rows, cols = leaf.row.indices, leaf.col.indices
+        t = assembly.triangle_table(rows, mesh).rows[:, 0]
+        s = assembly.triangle_table(cols, mesh).rows[:, 0]
+        needed.append((t[:, None] * mesh.nt + s[None, :]).ravel())
+    needed = np.unique(np.concatenate(needed))
+    assert np.array_equal(np.sort(evaluated), needed)
+    tasks = sum(st["tasks"] for st in hm.exec_stats)
+    assert tasks == len(evaluated) <= 1.1 * len(needed)
