@@ -347,7 +347,7 @@ def make_galerkin_executor(kind, mesh, basis, orders=(3, 5),
         galerkin_pair_evaluator(kind, mesh, basis, q_reg, q_sing),
         num_cases=4, row_width=width, col_width=width,
         permute_rows=(basis == "linear"), permute_cols=(basis == "linear"),
-        dedupe=(basis == "linear"), capacity=capacity, threads=threads)
+        capacity=capacity, threads=threads)
 
 
 def make_collocation_executor(kind, mesh, orders=(3, 5),

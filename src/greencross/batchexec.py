@@ -13,9 +13,9 @@ blocks and walks them in ascending order, window by window:
    bounded, independent of the build's size, the capacity and the number
    of workers;
 2. the window's tasks are reduced to distinct pairs, so a pair shared by
-   several blocks is classified and evaluated once (an executor made with
-   ``dedupe=False`` skips this when no pair can repeat, as for the constant
-   basis, where a pair is one entry of one block);
+   several blocks is classified and evaluated once (skipped when both
+   widths are 1, as for the constant basis, where a pair is one entry of
+   one block);
 3. the pairs of unknown singularity case are classified in one call (a
    record may carry the known case of all its pairs instead: an admissible
    block holds only disjoint pairs; a pair known in one record takes that
@@ -105,7 +105,7 @@ class BatchExecutor:
 
     def __init__(self, classify, evaluator, num_cases=4,
                  row_width=1, col_width=1,
-                 permute_rows=False, permute_cols=False, dedupe=True,
+                 permute_rows=False, permute_cols=False,
                  capacity=DEFAULT_CAPACITY, threads=None):
         if capacity < 1:
             raise ConfigError("capacity must be >= 1")
@@ -121,7 +121,7 @@ class BatchExecutor:
         self._evaluator = evaluator
         self._permute_rows = permute_rows
         self._permute_cols = permute_cols
-        self._dedupe = dedupe
+        self._dedupe = row_width * col_width > 1
         self._num_cases = num_cases
         self._shapes = []
         self._records = []
@@ -254,23 +254,16 @@ class BatchExecutor:
         cs = np.where(cs >= 0, cs, _UNUSED)
         rw, cw = self.row_width, self.col_width
         src = pair[:, None] * (rw * cw) + np.arange(rw) * cw
-        if cw == 1:
-            # task order already is the contract's order; no reordering
-            # copies in the constant basis's large windows
-            tgt = (rowt + cs).reshape(-1)
-            src = src.reshape(-1)
-        else:
-            # within a record, column slot b before column position
-            at = (rw * cw * first[run] + rw * pos)[:, None] + np.arange(rw)
-            step = (rw * length[run])[:, None]
-            tgt = np.empty(n * rw * cw, dtype=np.int64)
-            out = np.empty(n * rw * cw, dtype=np.int64)
-            for b in range(cw):
-                tgt[at + b * step] = rowt + cs[:, b:b + 1]
-                out[at + b * step] = src + b
-            src = out
+        # within a record, column slot b before column position
+        at = (rw * cw * first[run] + rw * pos)[:, None] + np.arange(rw)
+        step = (rw * length[run])[:, None]
+        tgt = np.empty(n * rw * cw, dtype=np.int64)
+        out = np.empty(n * rw * cw, dtype=np.int64)
+        for b in range(cw):
+            tgt[at + b * step] = rowt + cs[:, b:b + 1]
+            out[at + b * step] = src + b
         keep = tgt >= 0
-        np.add.at(buf, tgt[keep], values().reshape(-1)[src[keep]])
+        np.add.at(buf, tgt[keep], values().reshape(-1)[out[keep]])
 
     def _evaluate(self, pool, case, rows, cols, px, py):
         """Start evaluating the listed pairs, by case in capacity-sized

@@ -316,6 +316,12 @@ def test_failed_window_releases_pool_and_refuses(monkeypatch):
         ex.enqueue_many([0], [0], bid, [[0]], [[0]])
 
 
+def _eval_pairfn3(case, rows, cols, px, py):
+    # _eval_pairfn in every slot of a width-3 pair
+    return np.broadcast_to(_eval_pairfn(case, rows, cols, px, py),
+                           (len(rows), 3, 3))
+
+
 def test_classify_once_per_flush(monkeypatch):
     """One classify call per window, over its distinct pairs of unknown
     case; a pair known in one record takes that case in all of them."""
@@ -326,12 +332,16 @@ def test_classify_once_per_flush(monkeypatch):
         calls.append(len(rows))
         return _classify_parity(rows, cols)
 
-    ex = BatchExecutor(classify, _eval_pairfn, capacity=8, threads=1)
+    ex = BatchExecutor(classify, _eval_pairfn3, row_width=3, col_width=3,
+                       capacity=8, threads=1)
     bid = ex.register_block(10, 30)
     i, j = np.arange(10), np.arange(30)
+    # slot 0 only, so each pair adds one value to one entry
+    rs = np.c_[i, np.full((10, 2), -1)]
+    cs = np.c_[j, np.full((30, 2), -1)]
     for _ in range(2):  # the same 300 pairs twice
-        ex.enqueue_many(i, j, bid, i[:, None], j[:, None])
-    ex.enqueue_many([0], j[:5], bid, [[0]], j[:5, None], case=1)
+        ex.enqueue_many(i, j, bid, rs, cs)
+    ex.enqueue_many([0], j[:5], bid, rs[:1], cs[:5], case=1)
     out = ex.finalize()[bid]
     # row element 0 costs 65 tasks, the others 60: one element per window
     assert calls == [25] + [30] * 9
@@ -343,9 +353,9 @@ def test_classify_once_per_flush(monkeypatch):
 
 
 def test_pairs_shared_by_blocks_evaluated_once():
-    """A pair listed by several blocks is evaluated once and scattered to
-    each of them; skipping the dedupe changes no bit."""
-    def run(dedupe):
+    """A pair listed by several width-3 blocks is evaluated once and
+    scattered to each of them, bitwise as if each block were built alone."""
+    def run(parts):
         seen = []
 
         def evaluator(case, rows, cols, px, py):
@@ -354,22 +364,23 @@ def test_pairs_shared_by_blocks_evaluated_once():
 
         ex = BatchExecutor(_classify_rotating, evaluator, row_width=3,
                            col_width=3, permute_rows=True, permute_cols=True,
-                           dedupe=dedupe, capacity=5, threads=2)
+                           capacity=5, threads=2)
         rows, cols = np.arange(4), np.arange(6)
-        for r in range(3):
+        for r in parts:
             bid = ex.register_block(4, 6)
             slots = np.full((4, 3), -1)
             slots[:, r] = np.arange(4)
             ex.enqueue_many(rows, cols, bid, slots,
                             np.arange(18).reshape(6, 3) % 6)
-        return [b.copy() for b in ex.finalize()], seen
+        blocks = [b.copy() for b in ex.finalize()]
+        assert sum(st["tasks"] for st in ex.stats()) == len(seen)
+        return blocks, seen
 
-    blocks, seen = run(True)
+    blocks, seen = run(range(3))
     assert sorted(seen) == [(t, s) for t in range(4) for s in range(6)]
-    ref, seen = run(False)
-    assert len(seen) == 3 * 24
-    for a, b in zip(blocks, ref):
-        assert np.array_equal(a, b)
+    for r in range(3):
+        alone, _ = run([r])
+        assert np.array_equal(blocks[r], alone[0])
 
 
 def test_slots_outside_block_rejected():
