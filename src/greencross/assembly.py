@@ -44,8 +44,11 @@ FOUR_PI = 4.0 * np.pi
 # chunk size (in quadrature points) for the batched evaluators, small enough
 # for a chunk's temporaries to stay in cache; per-task values must not depend
 # on batch boundaries, so the chunk is a fixed function of the rule, never of
-# the capacity
-_POINT_BUDGET = 1 << 15
+# the capacity. At 2^15 a worker's chunk temporaries (about 3 MB for the
+# constant far field) outgrew glibc's trim threshold, so its heap was handed
+# back and faulted in again every chunk: 650k minor faults in the plane L4
+# constant build_h2, against 1k at 2^14.
+_POINT_BUDGET = 1 << 14
 
 DenseBlock = namedtuple("DenseBlock", "rows cols values")
 TriangleTable = namedtuple("TriangleTable", "rows")
