@@ -321,12 +321,13 @@ def _constant_rows(indices):
     return tris, order
 
 
-def enqueue_galerkin_tasks(ex, mesh, basis, rows, cols, block_id, case=None):
+def enqueue_galerkin_tasks(ex, mesh, basis, rows, cols, target, case=None):
     """Record the block's triangle pairs: its row table times its column
     table, each triangle with the block positions of its local DOFs.
 
-    ``case`` is passed on to the executor: the singularity case every pair
-    is known to have, or None to classify each pair.
+    ``target`` is the block's view into the executor's buffer. ``case`` is
+    passed on to the executor: the singularity case every pair is known to
+    have, or None to classify each pair.
     """
     if basis == "constant":
         tri_r, pos_r = _constant_rows(rows)
@@ -338,27 +339,27 @@ def enqueue_galerkin_tasks(ex, mesh, basis, rows, cols, block_id, case=None):
         tc = triangle_table(cols, mesh).rows
         tri_r, rslots = tr[:, 0], tr[:, 1:] - 1
         tri_c, cslots = tc[:, 0], tc[:, 1:] - 1
-    ex.enqueue_many(tri_r, tri_c, block_id, rslots, cslots, case)
+    ex.enqueue_many(tri_r, tri_c, target, rslots, cslots, case)
 
 
-def make_galerkin_executor(kind, mesh, basis, orders=(3, 5),
+def make_galerkin_executor(kind, mesh, basis, out, orders=(3, 5),
                            capacity=DEFAULT_CAPACITY, threads=None):
     q_reg, q_sing = orders
     width = 1 if basis == "constant" else 3
     return BatchExecutor(
         galerkin_classify(mesh),
-        galerkin_pair_evaluator(kind, mesh, basis, q_reg, q_sing),
+        galerkin_pair_evaluator(kind, mesh, basis, q_reg, q_sing), out,
         num_cases=4, row_width=width, col_width=width,
         permute_rows=(basis == "linear"), permute_cols=(basis == "linear"),
         capacity=capacity, threads=threads)
 
 
-def make_collocation_executor(kind, mesh, orders=(3, 5),
+def make_collocation_executor(kind, mesh, out, orders=(3, 5),
                               capacity=DEFAULT_CAPACITY, threads=None):
     q_reg, q_sing = orders
     return BatchExecutor(
         collocation_classify(mesh),
-        collocation_evaluator(kind, mesh, q_reg, q_sing),
+        collocation_evaluator(kind, mesh, q_reg, q_sing), out,
         num_cases=2, row_width=1, col_width=3,
         permute_rows=False, permute_cols=True,
         capacity=capacity, threads=threads)
@@ -367,19 +368,20 @@ def make_collocation_executor(kind, mesh, orders=(3, 5),
 def assemble_galerkin_block(kind, mesh, basis, rows, cols, orders=(3, 5),
                             capacity=DEFAULT_CAPACITY, threads=None):
     """Dense Galerkin block of the slp/dlp operator on the given index lists."""
-    with make_galerkin_executor(kind, mesh, basis, orders, capacity,
+    values = np.zeros((len(rows), len(cols)))
+    with make_galerkin_executor(kind, mesh, basis, values, orders, capacity,
                                 threads) as ex:
-        bid = ex.register_block(len(rows), len(cols))
-        enqueue_galerkin_tasks(ex, mesh, basis, rows, cols, bid)
-        values = ex.finalize()[bid]
+        enqueue_galerkin_tasks(ex, mesh, basis, rows, cols, values)
+        ex.finalize()
     return DenseBlock(np.asarray(rows), np.asarray(cols), values)
 
 
-def enqueue_collocation_tasks(ex, mesh, rows, cols, block_id, case=None):
+def enqueue_collocation_tasks(ex, mesh, rows, cols, target, case=None):
     """Record the block's (point, triangle) pairs: its row points times its
-    column table; ``case`` as for :func:`enqueue_galerkin_tasks`."""
+    column table; ``target`` and ``case`` as for
+    :func:`enqueue_galerkin_tasks`."""
     tc = triangle_table(cols, mesh).rows
-    ex.enqueue_many(rows, tc[:, 0], block_id, np.arange(len(rows)),
+    ex.enqueue_many(rows, tc[:, 0], target, np.arange(len(rows)),
                     tc[:, 1:] - 1, case)
 
 
@@ -388,11 +390,11 @@ def assemble_collocation_block(kind, mesh, basis, rows, cols, orders=(3, 5),
     """Collocation block: single surface integrals g(x_i, .) phi_j."""
     if basis != "linear":
         raise ConfigError("collocation rows pair with the linear basis")
-    with make_collocation_executor(kind, mesh, orders, capacity,
+    values = np.zeros((len(rows), len(cols)))
+    with make_collocation_executor(kind, mesh, values, orders, capacity,
                                    threads) as ex:
-        bid = ex.register_block(len(rows), len(cols))
-        enqueue_collocation_tasks(ex, mesh, rows, cols, bid)
-        values = ex.finalize()[bid]
+        enqueue_collocation_tasks(ex, mesh, rows, cols, values)
+        ex.finalize()
     return DenseBlock(np.asarray(rows), np.asarray(cols), values)
 
 

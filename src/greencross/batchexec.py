@@ -1,11 +1,12 @@
 """Pair-major batched execution of quadrature tasks.
 
-Work is described block by block. ``register_block`` reserves a zeroed
-target block; ``enqueue_many`` records one product of tasks for it: every
-element of a row list paired with every element of a column list, each
-element carrying the local slots its values scatter to. Nothing is
-evaluated before ``finalize``, which sorts the recorded row elements of all
-blocks and walks them in ascending order, window by window:
+Work is described block by block, in a buffer laid out by the caller.
+``enqueue_many`` names a block as a 2-D row-major view into it and records
+one product of tasks for it: every element of a row list paired with every
+element of a column list, each element carrying the local slots its values
+scatter to. Nothing is evaluated before ``finalize``, which sorts the
+recorded row elements of all blocks and walks them in ascending order,
+window by window:
 
 1. a window holds whole row elements (all the records that list them), so
    every (row, col) element pair of the build lives in exactly one window;
@@ -25,8 +26,8 @@ blocks and walks them in ascending order, window by window:
    cases first, over a pool of ``threads`` workers that lives only for the
    call to ``finalize``;
 5. while the workers evaluate, the main thread maps every contribution of
-   the window's tasks to a flat target in the one buffer all blocks share
-   and to its pair's value; one ``np.add.at`` then scatters the window.
+   the window's tasks to its flat target in the buffer and to its pair's
+   value; one ``np.add.at`` then scatters the window.
 
 Order contract: a block entry sums its contributions by ascending row
 element, then enqueue call, then canonical column slot b, then position in
@@ -39,8 +40,8 @@ chunks of a fixed number of quadrature points, a function of the rule
 alone, and compute each pair's value from its own data only.
 
 An executor whose ``finalize`` failed (an evaluator raised), or that was
-closed before finalizing, refuses further work and its incomplete blocks:
-``enqueue_many`` and ``finalize`` raise StateError.
+closed before finalizing, refuses further work: ``enqueue_many`` and
+``finalize`` raise StateError, and the buffer holds incomplete sums.
 """
 
 import os
@@ -49,6 +50,7 @@ from collections import deque, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from numpy.lib.array_utils import byte_bounds
 
 from .errors import ConfigError, StateError
 from .quadrature import PERMS3
@@ -68,7 +70,7 @@ _UNUSED = -(1 << 61)
 
 # the recorded tasks of a build: row entries (element, record, slots) sorted
 # by element; per record its column entries' offset and count, known case,
-# block offset in the shared buffer and block row stride
+# target offset in the buffer and target row stride
 _Layout = namedtuple("_Layout", "rows rec rs cols cs coff ncol case offset "
                                 "stride span")
 
@@ -99,11 +101,13 @@ class BatchExecutor:
     classify(rows, cols) -> (case, row_perm, col_perm) arrays routes each
     pair to its case; evaluator(case, rows, cols, row_perm, col_perm)
     returns values of shape (npairs, row_width, col_width) laid out in the
-    canonical (permuted) local order. Slot arrays give the target position
-    inside the block for each local index, -1 marking an unused slot.
+    canonical (permuted) local order. ``out`` is the C-contiguous float64
+    buffer the values are added into; blocks are 2-D views into it. Slot
+    arrays give the target position inside the block for each local index,
+    -1 marking an unused slot.
     """
 
-    def __init__(self, classify, evaluator, num_cases=4,
+    def __init__(self, classify, evaluator, out, num_cases=4,
                  row_width=1, col_width=1,
                  permute_rows=False, permute_cols=False,
                  capacity=DEFAULT_CAPACITY, threads=None):
@@ -113,103 +117,105 @@ class BatchExecutor:
             threads = os.cpu_count() or 1
         if threads < 1:
             raise ConfigError("threads must be >= 1")
+        if out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ConfigError("the buffer must be C-contiguous float64")
         self.capacity = capacity
         self.threads = threads
         self.row_width = row_width
         self.col_width = col_width
         self._classify = classify
         self._evaluator = evaluator
+        self._out = out.reshape(-1)
         self._permute_rows = permute_rows
         self._permute_cols = permute_cols
         self._dedupe = row_width * col_width > 1
         self._num_cases = num_cases
-        self._shapes = []
         self._records = []
-        self._blocks = None
         self._open = True
         self._failed = False
         self._stats = [{"tasks": 0, "batches": 0, "wall_s": 0.0}
                        for _ in range(num_cases)]
 
-    def register_block(self, nrows, ncols):
-        """Reserve a target block, zeroed at finalize; returns its id."""
-        self._shapes.append((int(nrows), int(ncols)))
-        return len(self._shapes) - 1
+    def _place(self, target):
+        """Flat offset and row stride of the view ``target`` in the buffer."""
+        size = self._out.itemsize
+        if target.shape[1] > 1 and target.strides[1] != size:
+            raise ConfigError("target columns are not unit-stride")
+        lo, hi = byte_bounds(target)
+        base, end = byte_bounds(self._out)
+        if not base <= lo <= hi <= end:
+            raise ConfigError("target is not a view into the executor's "
+                              "buffer")
+        return (lo - base) // size, target.strides[0] // size
 
-    def enqueue_many(self, rows, cols, block, row_slots, col_slots,
+    def enqueue_many(self, rows, cols, target, row_slots, col_slots,
                      case=None):
         """Record the len(rows) x len(cols) tasks (rows[i], cols[j]).
 
-        row_slots (len(rows), row_width) and col_slots (len(cols),
-        col_width) hold each element's target rows and columns in the
-        block. ``case``, when given, is the singularity case of every pair:
-        classification is skipped and the pairs keep their local order
-        (identity permutations).
+        ``target`` is the block, a 2-D view into the buffer. row_slots
+        (len(rows), row_width) and col_slots (len(cols), col_width) hold
+        each element's target rows and columns in it. ``case``, when given,
+        is the singularity case of every pair: classification is skipped
+        and the pairs keep their local order (identity permutations).
         """
         if not self._open:
             raise StateError("enqueue after finalize or close")
         if case is not None and not 0 <= case < self._num_cases:
             raise ConfigError("unknown case %r" % (case,))
-        if not 0 <= block < len(self._shapes):
-            raise ConfigError("unknown block %r" % (block,))
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         cols = np.asarray(cols, dtype=np.int64).reshape(-1)
         rs = np.asarray(row_slots, dtype=np.int64).reshape(len(rows),
                                                            self.row_width)
         cs = np.asarray(col_slots, dtype=np.int64).reshape(len(cols),
                                                            self.col_width)
-        nrows, ncols = self._shapes[block]
+        offset, stride = self._place(target)
+        nrows, ncols = target.shape
         if (rs.size and rs.max() >= nrows) or (cs.size and cs.max() >= ncols):
-            raise ConfigError("slot outside block %d" % block)
+            raise ConfigError("slot outside the target's shape %r"
+                              % (target.shape,))
         if len(rows) and len(cols):
-            self._records.append((block, -1 if case is None else int(case),
+            self._records.append((offset, stride,
+                                  -1 if case is None else int(case),
                                   rows, rs, cols, cs))
 
     def finalize(self):
-        """Evaluate the recorded tasks and return the list of blocks.
+        """Evaluate the recorded tasks and add their values into the buffer.
 
-        Idempotent; a second call is a no-op returning the same blocks. If
-        an evaluator raised or the executor was closed first, the blocks
-        are incomplete and this and every later call raise StateError.
+        Idempotent; a second call is a no-op. If an evaluator raised or the
+        executor was closed first, the buffer is incomplete and this and
+        every later call raise StateError.
         """
         if self._failed:
             raise StateError("executor failed or was closed before "
-                             "finalize; its blocks are incomplete")
+                             "finalize; its buffer is incomplete")
         if self._open:
             self._open = False
             try:
-                self._blocks = self._run()
+                self._run()
             except BaseException:
                 self._failed = True
                 raise
             finally:
                 self._records = []
-        return self._blocks
 
     def _run(self):
-        shapes = np.array(self._shapes, dtype=np.int64).reshape(-1, 2)
-        offset = np.concatenate([[0], np.cumsum(shapes[:, 0] * shapes[:, 1])])
-        buf = np.zeros(offset[-1])
-        blocks = [buf[offset[b]:offset[b + 1]].reshape(shape)
-                  for b, shape in enumerate(shapes)]
         if not self._records:
-            return blocks
-        block, case, rows, rs, cols, cs = zip(*self._records)
+            return
+        offset, stride, case, rows, rs, cols, cs = zip(*self._records)
+        self._records = []  # the concatenated copies below replace them
         nrow = np.array([len(r) for r in rows])
         ncol = np.array([len(c) for c in cols])
         rec = np.repeat(np.arange(len(nrow)), nrow)
         rows, rs = np.concatenate(rows), np.concatenate(rs)
         order = np.argsort(rows, kind="stable")
         rows, rec, rs = rows[order], rec[order], rs[order]
-        block = np.array(block)
-        cols = np.concatenate(cols)
-        layout = _Layout(rows, rec, rs, cols, np.concatenate(cs),
+        cols, cs = np.concatenate(cols), np.concatenate(cs)
+        layout = _Layout(rows, rec, rs, cols, cs,
                          np.cumsum(ncol) - ncol, ncol, np.array(case),
-                         offset[block], shapes[block, 1], cols.max() + 1)
+                         np.array(offset), np.array(stride), cols.max() + 1)
         with ThreadPoolExecutor(max_workers=self.threads) as pool:
             for start, stop in _windows(rows, ncol[rec]):
-                self._run_window(pool, buf, layout, start, stop)
-        return blocks
+                self._run_window(pool, self._out, layout, start, stop)
 
     def _run_window(self, pool, buf, lay, start, stop):
         rec = lay.rec[start:stop]
@@ -316,7 +322,7 @@ class BatchExecutor:
         """Mark the executor closed; safe to call more than once.
 
         Closing an executor that was not finalized drops its recorded tasks
-        and makes its blocks unavailable (finalize raises StateError).
+        and leaves its buffer incomplete (finalize raises StateError).
         """
         if self._open:
             self._open = False

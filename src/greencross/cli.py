@@ -33,8 +33,6 @@ from .batchexec import DEFAULT_CAPACITY
 from .clustering import build_block_tree, build_cluster_tree
 from .quadrature import triangle_gauss
 
-FOUR_PI = 4.0 * np.pi
-
 # dense matrices (oracle comparison, dlp right-hand sides) refuse above this
 DENSE_GUARD = 8192
 
@@ -302,18 +300,14 @@ def cmd_compress(args):
 
 
 def point_source(points, source):
-    return 1.0 / (FOUR_PI * np.linalg.norm(points - source, axis=-1))
+    return 1.0 / (assembly.FOUR_PI
+                  * np.linalg.norm(points - source, axis=-1))
 
 
 def point_source_gradient(points, source):
     d = points - source
     r = np.linalg.norm(d, axis=-1, keepdims=True)
-    return -d / (FOUR_PI * r ** 3)
-
-
-def _bary(pts):
-    return np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]],
-                    axis=1)
+    return -d / (assembly.FOUR_PI * r ** 3)
 
 
 def solution_l2_error(mesh, basis, u_dofs, source, q=4):
@@ -323,28 +317,27 @@ def solution_l2_error(mesh, basis, u_dofs, source, q=4):
     discrete surface by radial projection, so plane meshes pay their
     geometry error.
     """
-    pts, wts = triangle_gauss(q)
-    pack = geometry.chart_pack(mesh)
-    n6 = geometry.shape_functions(pts)
-    xq = np.einsum("ma,tac->tmc", n6, pack.nodes)
-    if pack.curved:
-        g = np.linalg.norm(np.einsum("ma,tac->tmc", n6, pack.normals),
-                           axis=-1)
-    else:
-        g = np.repeat(pack.gram[:, None], len(wts), axis=1)
+    xq, w = assembly._surface_quadrature(mesh, np.arange(mesh.nt), q)
     proj = xq / np.linalg.norm(xq, axis=-1, keepdims=True)
     u_ex = np.einsum("tmc,tmc->tm", point_source_gradient(proj, source),
                      proj)
     if basis == "constant":
         u_h = u_dofs[:, None]
     else:
-        u_h = np.einsum("ma,ta->tm", _bary(pts), u_dofs[mesh.triangles])
-    return np.sqrt(np.einsum("tm,tm->", g * wts[None, :],
-                             (u_h - u_ex) ** 2))
+        pts, _ = triangle_gauss(q)
+        u_h = np.einsum("ma,ta->tm", assembly._bary(pts),
+                        u_dofs[mesh.triangles])
+    return np.sqrt(np.einsum("tm,tm->", w, (u_h - u_ex) ** 2))
 
 
 def cmd_solve(args):
     cfg = config_from_args(args)
+    if not (np.isfinite(args.cg_tol) and args.cg_tol > 0.0):
+        raise ConfigError("cg tolerance must be finite and positive, got %g"
+                          % args.cg_tol)
+    if args.cg_max_iter is not None and args.cg_max_iter < 1:
+        raise ConfigError("cg iteration cap must be at least 1, got %d"
+                          % args.cg_max_iter)
     mesh = load_mesh(args.mesh, cfg)
     if cfg.level < 0:
         cfg = cfg._replace(level=infer_level(mesh))
@@ -372,7 +365,8 @@ def cmd_solve(args):
     op = h2.as_operator(hm)
     solver = h2.cgnr_solve if cfg.disc == "collocation" else h2.cg_solve
     t0 = time.perf_counter()
-    result = solver(op, b, tol=args.cg_tol, max_iter=args.cg_max_iter or n)
+    max_iter = n if args.cg_max_iter is None else args.cg_max_iter
+    result = solver(op, b, tol=args.cg_tol, max_iter=max_iter)
     solve_s = time.perf_counter() - t0
     iters = len(result.residuals) - 1
     if not result.converged:

@@ -16,7 +16,8 @@ Three compressed representations are built here:
                        column sets (non-nested),
 * ``build_h2``       - nested bases, pivot x pivot couplings.
 
-The two non-nested ones are both :class:`BlockLowRank` operators.
+The two non-nested ones are both :class:`BlockLowRank` operators.  Every
+builder lays its operator out first and assembles each block in place.
 """
 
 from collections import namedtuple
@@ -25,7 +26,6 @@ import numpy as np
 
 from . import assembly, h2
 from .batchexec import DEFAULT_CAPACITY
-from .clustering import ADMISSIBLE
 from .errors import ConfigError, StateError
 from .quadrature import DISJOINT, green_box_rule
 
@@ -238,13 +238,13 @@ class H2Matrix:
     ``coupling`` holds exact matrix entries at pivot rows x pivot columns for
     every admissible block-tree leaf, ``nearfield`` the dense inadmissible
     leaves.  Block row/col fields reference cluster tree nodes; vectors in
-    tree ordering address them through start/stop slices.  The constructor
-    packs blocks and bases for the matvec (``h2.pack``); block values and
-    basis matrices become views into the packed arrays.
+    tree ordering address them through start/stop slices.  ``packed`` is
+    the layout of ``h2.pack``, made before assembly: block values and basis
+    matrices are views into its arrays.
     """
 
     def __init__(self, row_tree, col_tree, row_basis, col_basis, coupling,
-                 nearfield, exec_stats=None):
+                 nearfield, packed, exec_stats=None):
         self.row_tree = row_tree
         self.col_tree = col_tree
         self.row_basis = row_basis
@@ -252,7 +252,7 @@ class H2Matrix:
         self.coupling = coupling
         self.nearfield = nearfield
         self.exec_stats = exec_stats
-        self.packed = h2.pack(self)
+        self.packed = packed
 
     @property
     def shape(self):
@@ -263,30 +263,30 @@ class H2Matrix:
             self.shape + (len(self.coupling), len(self.nearfield)))
 
 
-def _make_executor(kind, mesh, basis, disc, orders, capacity, threads):
+def _make_executor(kind, mesh, basis, disc, out, orders, capacity, threads):
     if disc == "galerkin":
-        ex = assembly.make_galerkin_executor(kind, mesh, basis, orders,
+        ex = assembly.make_galerkin_executor(kind, mesh, basis, out, orders,
                                              capacity, threads)
 
-        def enqueue(rows, cols, bid, case=None):
-            assembly.enqueue_galerkin_tasks(ex, mesh, basis, rows, cols, bid,
-                                            case)
+        def enqueue(rows, cols, target, case=None):
+            assembly.enqueue_galerkin_tasks(ex, mesh, basis, rows, cols,
+                                            target, case)
     elif disc == "collocation":
         if basis != "linear":
             raise ConfigError("collocation rows pair with the linear basis")
-        ex = assembly.make_collocation_executor(kind, mesh, orders, capacity,
-                                                threads)
+        ex = assembly.make_collocation_executor(kind, mesh, out, orders,
+                                                capacity, threads)
 
-        def enqueue(rows, cols, bid, case=None):
-            assembly.enqueue_collocation_tasks(ex, mesh, rows, cols, bid,
+        def enqueue(rows, cols, target, case=None):
+            assembly.enqueue_collocation_tasks(ex, mesh, rows, cols, target,
                                                case)
     else:
         raise ConfigError("unknown discretization %r" % (disc,))
     return ex, enqueue
 
 
-def _far_case(leaf):
-    """Singularity case of every entry pair of an admissible leaf.
+def _far_case(row, col):
+    """Singularity case of every entry pair of an admissible block.
 
     Cluster boxes contain the supports of their basis functions, so boxes at
     positive distance share no vertex and every triangle pair (or point and
@@ -294,9 +294,9 @@ def _far_case(leaf):
     discretizations. The executor trusts this and skips classification, so
     the invariant is checked here.
     """
-    if not leaf.row.box.distance(leaf.col.box) > 0.0:
+    if not row.box.distance(col.box) > 0.0:
         raise StateError("admissible block #%d x #%d: cluster boxes touch"
-                         % (leaf.row.index, leaf.col.index))
+                         % (row.index, col.index))
     return DISJOINT
 
 
@@ -305,35 +305,30 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
              threads=None):
     """Assemble the H2-matrix over a block tree and two nested bases.
 
-    Admissible leaves get exact entries at pivot rows x pivot columns, all
-    from disjoint pairs (see :func:`_far_case`); inadmissible leaves get
-    dense blocks, classified pair by pair.  Every entry request is routed
-    through one batch executor, so results do not depend on capacity or
-    thread count.
+    Laid out first (``h2.pack``), admissible leaves get exact entries at
+    pivot rows x pivot columns in place, all from disjoint pairs (see
+    :func:`_far_case`), inadmissible leaves dense blocks, classified pair
+    by pair.  Every entry request is routed through one batch executor, so
+    results do not depend on capacity or thread count.
     """
-    ex, enqueue = _make_executor(kind, mesh, basis, disc, orders, capacity,
-                                 threads)
-    plan = []
+    far, near = btree.admissible_leaves(), btree.inadmissible_leaves()
+    packed, far_views, near_views = h2.pack(row_basis, col_basis, far, near)
+    ex, enqueue = _make_executor(kind, mesh, basis, disc, packed.data, orders,
+                                 capacity, threads)
     with ex:
-        for leaf in btree.leaves():
-            if leaf.state == ADMISSIBLE:
-                rows = row_basis.node(leaf.row).pivots
-                cols = col_basis.node(leaf.col).pivots
-                case = _far_case(leaf)
-            else:
-                rows = leaf.row.indices
-                cols = leaf.col.indices
-                case = None
-            bid = ex.register_block(len(rows), len(cols))
-            enqueue(rows, cols, bid, case)
-            plan.append((leaf, bid))
-        mats = ex.finalize()
-    coupling = [CouplingBlock(leaf.row, leaf.col, mats[bid])
-                for leaf, bid in plan if leaf.state == ADMISSIBLE]
-    nearfield = [NearfieldBlock(leaf.row, leaf.col, mats[bid])
-                 for leaf, bid in plan if leaf.state != ADMISSIBLE]
-    return H2Matrix(btree.row, btree.col, row_basis, col_basis, coupling,
-                    nearfield, ex.stats())
+        for leaf, view in zip(far, far_views):
+            enqueue(row_basis.node(leaf.row).pivots,
+                    col_basis.node(leaf.col).pivots, view,
+                    _far_case(leaf.row, leaf.col))
+        for leaf, view in zip(near, near_views):
+            enqueue(leaf.row.indices, leaf.col.indices, view)
+        ex.finalize()
+    return H2Matrix(btree.row, btree.col, row_basis, col_basis,
+                    [CouplingBlock(leaf.row, leaf.col, view)
+                     for leaf, view in zip(far, far_views)],
+                    [NearfieldBlock(leaf.row, leaf.col, view)
+                     for leaf, view in zip(near, near_views)],
+                    packed, ex.stats())
 
 
 def _tree_split(perm, x, n_out):
@@ -355,14 +350,39 @@ class BlockLowRank:
     factor R is the block's own. The Green-only baseline has L = A and
     R = B^T, flat GCA the interpolation matrix L = V and the exact entries
     R = S at the pivot rows and all block columns.
+
+    The constructor lays the operator out, for the builder to fill: right
+    factors by row cluster in block rows that map x to its coefficient
+    slots, and nearfield blocks, both over one zeroed buffer ``data``.
     """
 
-    def __init__(self, row_root, col_root, left, blocks, nearfield):
-        self.row_root = row_root
-        self.col_root = col_root
+    def __init__(self, btree, left):
+        self.row_root = btree.row
+        self.col_root = btree.col
         self.left = left                # row cluster index -> L
-        self.blocks = blocks            # (row, col, R) triples
-        self._near, self.nearfield = h2.nearfield_rows(nearfield)
+        far, near = btree.admissible_leaves(), btree.inadmissible_leaves()
+        slots = {}
+        rows = []
+        size = 0
+        for leaf in far:
+            tau = leaf.row
+            if tau.index not in slots:
+                a = left[tau.index]
+                slots[tau.index] = (size, size + a.shape[1])
+                rows.append((tau.start, tau.stop, a) + slots[tau.index])
+                size += a.shape[1]
+        self._left = h2._BlockRows(rows, np.arange(size), None)
+        self.data, ((self._right, right), (self._near, values)) = \
+            h2.block_rows(
+                [slots[leaf.row.index]
+                 + (np.arange(leaf.col.start, leaf.col.stop),)
+                 for leaf in far],
+                [(leaf.row.start, leaf.row.stop,
+                  np.arange(leaf.col.start, leaf.col.stop)) for leaf in near])
+        self.blocks = [(leaf.row, leaf.col, r)   # (row, col, R) triples
+                       for leaf, r in zip(far, right)]
+        self.nearfield = [NearfieldBlock(leaf.row, leaf.col, v)
+                          for leaf, v in zip(near, values)]
 
     @property
     def shape(self):
@@ -370,17 +390,17 @@ class BlockLowRank:
 
     def matvec(self, x):
         xt, yt = _tree_split(self.col_root.perm, x, self.shape[0])
-        for row, col, r in self.blocks:
-            yt[row.start:row.stop] += self.left[row.index] @ (
-                r @ xt[col.start:col.stop])
+        c = np.zeros(len(self._left.gather))
+        self._right.add_mvm(xt, c)
+        self._left.add_mvm(c, yt)
         self._near.add_mvm(xt, yt)
         return _unpermute(self.row_root.perm, yt)
 
     def rmatvec(self, y):
         yt, xt = _tree_split(self.row_root.perm, y, self.shape[1])
-        for row, col, r in self.blocks:
-            xt[col.start:col.stop] += r.T @ (
-                self.left[row.index].T @ yt[row.start:row.stop])
+        c = np.zeros(len(self._left.gather))
+        self._left.add_mvm_t(yt, c)
+        self._right.add_mvm_t(c, xt)
         self._near.add_mvm_t(yt, xt)
         return _unpermute(self.col_root.perm, xt)
 
@@ -390,8 +410,8 @@ class BlockLowRank:
     def storage(self):
         """Byte counts at 8 bytes per real."""
         left = sum(8 * a.size for a in self.left.values())
-        right = sum(8 * r.size for _, _, r in self.blocks)
-        nearfield = sum(8 * blk.values.size for blk in self.nearfield)
+        right = 8 * self._right.data.size
+        nearfield = 8 * self._near.data.size
         return {"left": left, "right": right, "nearfield": nearfield,
                 "total": left + right + nearfield}
 
@@ -402,33 +422,26 @@ def build_green(btree, mesh, kind="slp", basis="constant", disc="galerkin",
     """Green-only compression: rank-2k quadrature factors per admissible
     block, dense nearfield."""
     row_basis = "collocation" if disc == "collocation" else basis
-    ex, enqueue = _make_executor(kind, mesh, basis, disc, orders, capacity,
-                                 threads)
-    factors = {}
     rules = {}
-    blocks = []
-    plan = []
+    factors = {}
+    for leaf in btree.admissible_leaves():
+        tau = leaf.row
+        if tau.index not in factors:
+            rules[tau.index] = green_box_rule(
+                tau.box, delta_factor * tau.box.diameter(), m)
+            factors[tau.index] = assembly.green_row_factor(
+                tau, rules[tau.index], mesh, row_basis, orders)
+    op = BlockLowRank(btree, factors)
+    for tau, sigma, r in op.blocks:
+        r[...] = assembly.green_col_factor((tau, sigma), rules[tau.index],
+                                           mesh, basis, orders).T
+    ex, enqueue = _make_executor(kind, mesh, basis, disc, op.data, orders,
+                                 capacity, threads)
     with ex:
-        for leaf in btree.leaves():
-            if leaf.state == ADMISSIBLE:
-                tau, sigma = leaf.row, leaf.col
-                if tau.index not in factors:
-                    rule = green_box_rule(tau.box,
-                                          delta_factor * tau.box.diameter(), m)
-                    rules[tau.index] = rule
-                    factors[tau.index] = assembly.green_row_factor(
-                        tau, rule, mesh, row_basis, orders)
-                b = assembly.green_col_factor((tau, sigma), rules[tau.index],
-                                              mesh, basis, orders)
-                blocks.append((tau, sigma, b.T))
-            else:
-                bid = ex.register_block(leaf.row.size, leaf.col.size)
-                enqueue(leaf.row.indices, leaf.col.indices, bid)
-                plan.append((leaf, bid))
-        mats = ex.finalize()
-    nearfield = [NearfieldBlock(leaf.row, leaf.col, mats[bid])
-                 for leaf, bid in plan]
-    return BlockLowRank(btree.row, btree.col, factors, blocks, nearfield)
+        for blk in op.nearfield:
+            enqueue(blk.row.indices, blk.col.indices, blk.values)
+        ex.finalize()
+    return op
 
 
 def build_flat_gca(btree, mesh, kind="slp", basis="constant",
@@ -441,38 +454,25 @@ def build_flat_gca(btree, mesh, kind="slp", basis="constant",
     pivot rows and all of the block's columns.
     """
     row_basis = "collocation" if disc == "collocation" else basis
-    ex, enqueue = _make_executor(kind, mesh, basis, disc, orders, capacity,
-                                 threads)
     pivots = {}
     bases = {}
-    plan = []
+    for leaf in btree.admissible_leaves():
+        tau = leaf.row
+        if tau.index not in bases:
+            rule = green_box_rule(tau.box, delta_factor * tau.box.diameter(),
+                                  m)
+            a = assembly.green_row_factor(tau, rule, mesh, row_basis, orders)
+            interp = aca_interpolation(a, eps)
+            pivots[tau.index] = np.asarray(tau.indices)[interp.pivots]
+            bases[tau.index] = interp.v
+    op = BlockLowRank(btree, bases)
+    ex, enqueue = _make_executor(kind, mesh, basis, disc, op.data, orders,
+                                 capacity, threads)
     with ex:
-        for leaf in btree.leaves():
-            if leaf.state == ADMISSIBLE:
-                tau = leaf.row
-                if tau.index not in bases:
-                    rule = green_box_rule(tau.box,
-                                          delta_factor * tau.box.diameter(), m)
-                    a = assembly.green_row_factor(tau, rule, mesh, row_basis,
-                                                  orders)
-                    interp = aca_interpolation(a, eps)
-                    pivots[tau.index] = np.asarray(tau.indices)[interp.pivots]
-                    bases[tau.index] = interp.v
-                rows = pivots[tau.index]
-                cols = leaf.col.indices
-                case = _far_case(leaf)
-            else:
-                rows = leaf.row.indices
-                cols = leaf.col.indices
-                case = None
-            bid = ex.register_block(len(rows), len(cols))
-            enqueue(rows, cols, bid, case)
-            plan.append((leaf, bid))
-        mats = ex.finalize()
-    # copies: views would keep the executor's buffer, and with it the
-    # nearfield values already packed, alive
-    blocks = [(leaf.row, leaf.col, mats[bid].copy())
-              for leaf, bid in plan if leaf.state == ADMISSIBLE]
-    nearfield = [NearfieldBlock(leaf.row, leaf.col, mats[bid])
-                 for leaf, bid in plan if leaf.state != ADMISSIBLE]
-    return BlockLowRank(btree.row, btree.col, bases, blocks, nearfield)
+        for tau, sigma, r in op.blocks:
+            enqueue(pivots[tau.index], sigma.indices, r,
+                    _far_case(tau, sigma))
+        for blk in op.nearfield:
+            enqueue(blk.row.indices, blk.col.indices, blk.values)
+        ex.finalize()
+    return op

@@ -6,7 +6,7 @@ the usual four phases: forward transform up the column basis, coupling,
 backward transform down the row basis, then the dense nearfield blocks.
 
 Every phase runs on a packed layout that :func:`pack` builds once per
-operator, when ``gca.build_h2`` constructs it:
+operator, before ``gca.build_h2`` assembles each block in place in it:
 
 * A basis keeps the coefficients of all its nodes in one flat vector,
   level by level from the roots.  Leaf interpolation matrices are stacked
@@ -21,10 +21,10 @@ operator, when ``gca.build_h2`` constructs it:
   into the output with one ``np.bincount``, in block-row order.
 
 The operator's block values and basis matrices are views into these arrays,
-so nothing is stored twice.  A product depends only on the operator and the
-vector, never on earlier calls.  Against a block-by-block evaluation it
-differs at rounding level, since the coupling sums and the transposed sums
-add in another order.
+so nothing is stored or copied twice.  A product depends only on the
+operator and the vector, never on earlier calls.  Against a block-by-block
+evaluation it differs at rounding level, since the coupling sums and the
+transposed sums add in another order.
 """
 
 from collections import namedtuple
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["mvm", "mvm_t", "as_operator", "pack", "Packed", "nearfield_rows",
+__all__ = ["mvm", "mvm_t", "as_operator", "pack", "Packed", "block_rows",
            "storage_report", "spectral_error_estimate", "cg_solve",
            "cgnr_solve", "CGResult"]
 
@@ -134,11 +134,11 @@ class _BasisPack:
 
 
 class _BlockRows:
-    """A block-sparse matrix laid out by block row; see :func:`_pack_blocks`.
+    """A block-sparse matrix laid out by block row; see :func:`block_rows`.
 
     ``rows`` lists (start, stop, matrix, lo, hi): the block row ``matrix``
     maps the inputs ``gather[lo:hi]`` to the outputs start:stop.  ``data``
-    holds all the matrices back to back.
+    holds all the matrices back to back, or is None when they live apart.
     """
 
     def __init__(self, rows, gather, data):
@@ -160,68 +160,63 @@ class _BlockRows:
         x += np.bincount(self.gather, parts, minlength=len(x))
 
 
-def _pack_blocks(blocks):
-    """Lay out blocks given as (start, stop, cols, values) by block row.
+def block_rows(*groups):
+    """Lay out groups of blocks by block row over one zeroed buffer.
 
-    ``values`` covers outputs start:stop and the inputs listed in ``cols``.
-    Blocks with the same output range form one block row (in order of first
-    appearance) and sit side by side in it, in the order given.  Returns the
-    :class:`_BlockRows` and the blocks' values as views into it, in input
-    order.
+    A group lists blocks as (start, stop, cols), covering outputs start:stop
+    and the inputs listed in ``cols``.  In a group, blocks with the same
+    output range form one block row (in order of first appearance), side by
+    side in the order given; block rows fill the buffer back to back.
+    Returns the buffer and, per group, its :class:`_BlockRows` and the
+    blocks' values as views into the buffer, in input order.
     """
-    by_row = _grouped(range(len(blocks)), lambda i: blocks[i][:2])
-    data = np.empty(sum(b[3].size for b in blocks))
-    views = [None] * len(blocks)
-    rows = []
-    gather = []
-    used = width = 0
-    for members in by_row:
-        start, stop = blocks[members[0]][:2]
-        w = sum(blocks[i][3].shape[1] for i in members)
-        mat = data[used:used + (stop - start) * w].reshape(stop - start, w)
-        col = 0
-        for i in members:
-            values = blocks[i][3]
-            mat[:, col:col + values.shape[1]] = values
-            views[i] = mat[:, col:col + values.shape[1]]
-            gather.append(blocks[i][2])
-            col += values.shape[1]
-        rows.append((start, stop, mat, width, width + w))
-        used += mat.size
-        width += w
-    gather = (np.concatenate(gather) if gather
-              else np.zeros(0, dtype=np.intp))
-    return _BlockRows(rows, gather, data), views
+    data = np.zeros(sum((stop - start) * len(cols)
+                        for group in groups for start, stop, cols in group))
+    out = []
+    used = 0
+    for blocks in groups:
+        views = [None] * len(blocks)
+        rows = []
+        gather = []
+        first = used
+        width = 0
+        for members in _grouped(range(len(blocks)), lambda i: blocks[i][:2]):
+            start, stop = blocks[members[0]][:2]
+            w = sum(len(blocks[i][2]) for i in members)
+            mat = data[used:used + (stop - start) * w].reshape(stop - start, w)
+            col = 0
+            for i in members:
+                cols = blocks[i][2]
+                views[i] = mat[:, col:col + len(cols)]
+                gather.append(cols)
+                col += len(cols)
+            rows.append((start, stop, mat, width, width + w))
+            used += mat.size
+            width += w
+        gather = np.concatenate([np.zeros(0, dtype=np.intp)] + gather)
+        out.append((_BlockRows(rows, gather, data[first:used]), views))
+    return data, out
 
 
-def nearfield_rows(blocks):
-    """:func:`_pack_blocks` over dense blocks addressed in tree ordering;
-    returns the _BlockRows and the blocks rebuilt around the views."""
-    near, views = _pack_blocks(
-        [(b.row.start, b.row.stop, np.arange(b.col.start, b.col.stop),
-          b.values) for b in blocks])
-    return near, [b._replace(values=v) for b, v in zip(blocks, views)]
+Packed = namedtuple("Packed", "row col coupling nearfield data")
 
 
-Packed = namedtuple("Packed", "row col coupling nearfield")
+def pack(row_basis, col_basis, coupling, nearfield):
+    """Packed layout of an H2-matrix for :func:`mvm` and :func:`mvm_t`.
 
-
-def pack(h):
-    """Packed layout of H2-matrix ``h`` for :func:`mvm` and :func:`mvm_t`.
-
-    Rebinds ``h.coupling`` and ``h.nearfield`` to blocks whose values are
-    views into the packed arrays, and the bases' matrices likewise (a basis
-    shared by both sides is packed once).
+    ``coupling`` and ``nearfield`` list blocks with (row, col) clusters,
+    as block-tree leaves do.  Stacks both bases, rebinding their nodes'
+    matrices to views into the stacks, and lays the blocks out over one
+    zeroed buffer ``data``.  Returns the :class:`Packed` layout and the
+    coupling and nearfield values as views into ``data``, in input order.
     """
-    row = _BasisPack(h.row_basis)
-    col = row if h.col_basis is h.row_basis else _BasisPack(h.col_basis)
-    coupling, views = _pack_blocks(
-        [row.slots(h.row_basis.node(b.row))
-         + (np.arange(*col.slots(h.col_basis.node(b.col))), b.values)
-         for b in h.coupling])
-    h.coupling = [b._replace(values=v) for b, v in zip(h.coupling, views)]
-    nearfield, h.nearfield = nearfield_rows(h.nearfield)
-    return Packed(row, col, coupling, nearfield)
+    row, col = _BasisPack(row_basis), _BasisPack(col_basis)
+    data, ((cp, cviews), (near, nviews)) = block_rows(
+        [row.slots(row_basis.node(b.row))
+         + (np.arange(*col.slots(col_basis.node(b.col))),) for b in coupling],
+        [(b.row.start, b.row.stop, np.arange(b.col.start, b.col.stop))
+         for b in nearfield])
+    return Packed(row, col, cp, near, data), cviews, nviews
 
 
 def _check_dim(x, n):

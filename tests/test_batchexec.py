@@ -25,21 +25,20 @@ def _eval_pairfn(case, rows, cols, px, py):
     return np.sin(1.3 * rows + 0.7 * cols + case)[:, None, None]
 
 
-def _make(classify=_classify_all_zero, **kw):
-    return BatchExecutor(classify, _eval_pairfn, **kw)
+def _make(out, classify=_classify_all_zero, **kw):
+    return BatchExecutor(classify, _eval_pairfn, out, **kw)
 
 
-def _fill_block(ex, nrows, ncols):
-    """Every (i, j) of an nrows x ncols block as one product of tasks."""
-    bid = ex.register_block(nrows, ncols)
-    i, j = np.arange(nrows), np.arange(ncols)
-    ex.enqueue_many(i, j, bid, i[:, None], j[:, None])
-    return bid
+def _fill_block(ex, block):
+    """Every (i, j) of the view ``block`` as one product of tasks."""
+    i, j = np.arange(block.shape[0]), np.arange(block.shape[1])
+    ex.enqueue_many(i, j, block, i[:, None], j[:, None])
 
 
 def test_capacity_seals_batches():
-    ex = _make(capacity=1000, threads=1)
-    bid = _fill_block(ex, 50, 50)
+    out = np.zeros((50, 50))
+    ex = _make(out, capacity=1000, threads=1)
+    _fill_block(ex, out)
     ex.finalize()
     st = ex.stats()[0]
     assert st["tasks"] == 2500
@@ -49,18 +48,18 @@ def test_capacity_seals_batches():
 
 
 def test_single_task_single_batch():
-    ex = _make(capacity=1000, threads=1)
-    bid = ex.register_block(1, 1)
-    ex.enqueue_many([3], [4], bid, [[0]], [[0]])
-    out = ex.finalize()[bid]
-    assert out.shape == (1, 1)
+    out = np.zeros((1, 1))
+    ex = _make(out, capacity=1000, threads=1)
+    ex.enqueue_many([3], [4], out, [[0]], [[0]])
+    assert ex.finalize() is None
     assert out[0, 0] == np.sin(1.3 * 3 + 0.7 * 4)
     assert ex.stats()[0]["batches"] == 1
 
 
 def test_batches_are_case_homogeneous():
-    ex = _make(classify=_classify_parity, capacity=10, threads=1)
-    bid = _fill_block(ex, 8, 8)
+    out = np.zeros((8, 8))
+    ex = _make(out, classify=_classify_parity, capacity=10, threads=1)
+    _fill_block(ex, out)
     ex.finalize()
     st = ex.stats()
     assert st[0]["tasks"] == 32 and st[1]["tasks"] == 32
@@ -70,61 +69,83 @@ def test_batches_are_case_homogeneous():
 
 
 def test_scatter_exactly_once():
-    ex = _make(capacity=17, threads=2)
-    bid = _fill_block(ex, 13, 9)
-    out = ex.finalize()[bid]
+    out = np.zeros((13, 9))
+    ex = _make(out, capacity=17, threads=2)
+    _fill_block(ex, out)
+    ex.finalize()
     expected = np.sin(1.3 * np.arange(13)[:, None] + 0.7 * np.arange(9)[None, :])
     assert np.array_equal(out, expected)
 
 
+def test_blocks_side_by_side_in_a_block_row():
+    """Column slices of one row-major matrix: each view's row stride is the
+    matrix width, and no entry outside the two views is written."""
+    buf = np.zeros(4 + 13 * 14)
+    row = buf[2:-2].reshape(13, 14)
+    left, right = row[:, :9], row[:, 10:]
+    ex = _make(buf, capacity=17, threads=2)
+    _fill_block(ex, left)
+    _fill_block(ex, right)
+    ex.finalize()
+    i = np.arange(13)[:, None]
+    assert np.array_equal(left, np.sin(1.3 * i + 0.7 * np.arange(9)))
+    assert np.array_equal(right, np.sin(1.3 * i + 0.7 * np.arange(4)))
+    assert np.all(row[:, 9] == 0.0)
+    assert np.all(buf[:2] == 0.0) and np.all(buf[-2:] == 0.0)
+
+
 def test_negative_slots_are_masked():
-    ex = _make(capacity=4, threads=1)
-    bid = ex.register_block(2, 2)
-    ex.enqueue_many([2], [3], bid, [[0]], [[0]])
-    ex.enqueue_many([1], [1], bid, [[-1]], [[1]])  # dropped: no row target
-    out = ex.finalize()[bid]
+    out = np.zeros((2, 2))
+    ex = _make(out, capacity=4, threads=1)
+    ex.enqueue_many([2], [3], out, [[0]], [[0]])
+    ex.enqueue_many([1], [1], out, [[-1]], [[1]])  # dropped: no row target
+    ex.finalize()
     assert out[0, 0] == np.sin(1.3 * 2 + 0.7 * 3)
     assert np.all(out.ravel()[1:] == 0.0)
 
 
 def test_enqueue_after_finalize_raises():
-    ex = _make()
-    bid = ex.register_block(1, 1)
+    out = np.zeros((1, 1))
+    ex = _make(out)
     ex.finalize()
     with pytest.raises(StateError):
-        ex.enqueue_many([0], [0], bid, [[0]], [[0]])
+        ex.enqueue_many([0], [0], out, [[0]], [[0]])
 
 
 def test_finalize_idempotent_and_empty():
-    ex = _make()
-    bid = ex.register_block(3, 3)
-    first = ex.finalize()
-    assert np.all(first[bid] == 0.0)
-    assert first is ex.finalize()
+    out = np.zeros((3, 3))
+    ex = _make(out)
+    assert ex.finalize() is None
+    assert np.all(out == 0.0)
+    assert ex.finalize() is None
+    assert np.all(out == 0.0)
     assert all(s["tasks"] == 0 and s["batches"] == 0 for s in ex.stats())
 
 
 def test_invalid_configuration():
     with pytest.raises(ConfigError):
-        _make(capacity=0)
+        _make(np.zeros(1), capacity=0)
     with pytest.raises(ConfigError):
-        _make(threads=0)
+        _make(np.zeros(1), threads=0)
+    with pytest.raises(ConfigError):
+        _make(np.zeros((2, 2))[:, :1])  # not contiguous
 
 
 def _run_stream(capacity, threads, seed=23):
     """Two blocks fed by five products with repeated elements, so entries
     sum several contributions and pairs repeat across records."""
     rng = np.random.default_rng(seed)
-    ex = _make(classify=_classify_parity, capacity=capacity, threads=threads)
-    a = ex.register_block(20, 20)
-    b = ex.register_block(20, 20)
+    buf = np.zeros(800)
+    blocks = buf[:400].reshape(20, 20), buf[400:].reshape(20, 20)
+    ex = _make(buf, classify=_classify_parity, capacity=capacity,
+               threads=threads)
     for _ in range(5):
         i = rng.integers(0, 20, size=int(rng.integers(1, 15)))
         j = rng.integers(0, 20, size=int(rng.integers(1, 15)))
         bid = int(rng.integers(0, 2))
-        ex.enqueue_many(i, j, bid, i[:, None], j[:, None])
-    out = ex.finalize()
-    return out[a].copy(), out[b].copy()
+        ex.enqueue_many(i, j, blocks[bid], i[:, None], j[:, None])
+    ex.finalize()
+    return blocks
 
 
 def test_capacity_invariance_bitwise():
@@ -155,11 +176,11 @@ def test_slot_permutation_routing():
     def evaluator(case, rows, cols, px, py):
         return np.arange(10.0, 13.0).reshape(1, 3, 1).repeat(len(rows), 0)
 
-    ex = BatchExecutor(classify, evaluator, row_width=3, col_width=1,
+    out = np.zeros((3, 1))
+    ex = BatchExecutor(classify, evaluator, out, row_width=3, col_width=1,
                        permute_rows=True, capacity=8, threads=1)
-    bid = ex.register_block(3, 1)
-    ex.enqueue_many([0], [0], bid, [[0, 1, 2]], [[0]])
-    out = ex.finalize()[bid]
+    ex.enqueue_many([0], [0], out, [[0, 1, 2]], [[0]])
+    ex.finalize()
     # canonical value 10+a lands in original slot PERMS3[1][a] = (1,2,0)[a]
     assert np.array_equal(out[:, 0], [12.0, 10.0, 11.0])
 
@@ -170,9 +191,10 @@ def _eval_raises(case, rows, cols, px, py):
 
 def test_failed_finalize_releases_pool_and_refuses_blocks():
     baseline = threading.active_count()
-    ex = BatchExecutor(_classify_all_zero, _eval_raises, capacity=4,
+    out = np.zeros((5, 5))
+    ex = BatchExecutor(_classify_all_zero, _eval_raises, out, capacity=4,
                        threads=2)
-    bid = _fill_block(ex, 5, 5)
+    _fill_block(ex, out)
     with pytest.raises(RuntimeError):
         ex.finalize()
     assert threading.active_count() == baseline
@@ -182,36 +204,40 @@ def test_failed_finalize_releases_pool_and_refuses_blocks():
 
 def test_with_block_closes_pool_on_error():
     baseline = threading.active_count()
+    out = np.zeros((5, 5))
     with pytest.raises(ValueError):
-        with _make(capacity=4, threads=2) as ex:
-            _fill_block(ex, 5, 5)
+        with _make(out, capacity=4, threads=2) as ex:
+            _fill_block(ex, out)
             raise ValueError("caller failure mid-enqueue")
     assert threading.active_count() == baseline
     with pytest.raises(StateError):
         ex.finalize()
     with pytest.raises(StateError):
-        ex.enqueue_many([0], [0], 0, [[0]], [[0]])
+        ex.enqueue_many([0], [0], out, [[0]], [[0]])
 
 
 def test_close_after_finalize_keeps_blocks():
-    with _make(capacity=4, threads=2) as ex:
-        bid = _fill_block(ex, 3, 4)
-        first = ex.finalize()
-    assert ex.finalize() is first
+    out = np.zeros((3, 4))
+    with _make(out, capacity=4, threads=2) as ex:
+        _fill_block(ex, out)
+        ex.finalize()
+        first = out.copy()
+    assert ex.finalize() is None
+    assert np.array_equal(out, first)
     expected = np.sin(1.3 * np.arange(3)[:, None] + 0.7 * np.arange(4)[None, :])
-    assert np.array_equal(first[bid], expected)
+    assert np.array_equal(out, expected)
 
 
 def test_known_case_skips_classification():
     def classify(rows, cols):
         raise AssertionError("classified a task of known case")
 
-    ex = BatchExecutor(classify, _eval_pairfn, num_cases=4, capacity=5,
+    out = np.zeros((3, 4))
+    ex = BatchExecutor(classify, _eval_pairfn, out, num_cases=4, capacity=5,
                        threads=1)
-    bid = ex.register_block(3, 4)
     i, j = np.arange(3), np.arange(4)
-    ex.enqueue_many(i, j, bid, i[:, None], j[:, None], case=2)
-    out = ex.finalize()[bid]
+    ex.enqueue_many(i, j, out, i[:, None], j[:, None], case=2)
+    ex.finalize()
     expected = np.sin(1.3 * i[:, None] + 0.7 * j[None, :] + 2)
     assert np.array_equal(out, expected)
     st = ex.stats()
@@ -222,20 +248,21 @@ def test_known_case_skips_classification():
 def test_known_case_matches_classified():
     """A known case gives the same blocks, bitwise, as classification."""
     def run(case):
-        ex = _make(capacity=7, threads=2)
-        bid = ex.register_block(9, 6)
+        out = np.zeros((9, 6))
+        ex = _make(out, capacity=7, threads=2)
         i, j = np.arange(9), np.arange(6)
-        ex.enqueue_many(i, j, bid, i[:, None], j[:, None], case=case)
-        return ex.finalize()[bid]
+        ex.enqueue_many(i, j, out, i[:, None], j[:, None], case=case)
+        ex.finalize()
+        return out
 
     assert np.array_equal(run(None), run(0))
 
 
 def test_unknown_case_rejected():
-    with _make(threads=1) as ex:
-        bid = ex.register_block(1, 1)
+    out = np.zeros((1, 1))
+    with _make(out, threads=1) as ex:
         with pytest.raises(ConfigError):
-            ex.enqueue_many([0], [0], bid, [[0]], [[0]], case=4)
+            ex.enqueue_many([0], [0], out, [[0]], [[0]], case=4)
 
 
 def _classify_rotating(rows, cols):
@@ -251,20 +278,24 @@ def _eval_slots(case, rows, cols, px, py):
 
 
 def _run_blocks(capacity=16, threads=2, seed=31):
-    """Eight blocks of width-3 tasks, each one product of tasks."""
+    """Eight 6 x 5 blocks of width-3 tasks, each one product of tasks; the
+    blocks sit four side by side in each of two block rows."""
     rng = np.random.default_rng(seed)
-    ex = BatchExecutor(_classify_rotating, _eval_slots, row_width=3,
+    buf = np.zeros(2 * 6 * 20)
+    mats = buf.reshape(2, 6, 20)
+    blocks = [mats[k // 4][:, 5 * (k % 4):5 * (k % 4) + 5] for k in range(8)]
+    ex = BatchExecutor(_classify_rotating, _eval_slots, buf, row_width=3,
                        col_width=3, permute_rows=True, permute_cols=True,
                        capacity=capacity, threads=threads)
     for k in range(8):
-        bid = ex.register_block(6, 5)
         nr, nc = (int(x) for x in rng.integers(1, 12, size=2))
         rs = rng.integers(-1, 6, size=(nr, 3))
         cs = rng.integers(-1, 5, size=(nc, 3))
         ex.enqueue_many(rng.integers(0, 40, size=nr),
-                        rng.integers(0, 40, size=nc), bid, rs, cs,
+                        rng.integers(0, 40, size=nc), blocks[k], rs, cs,
                         case=0 if k % 3 == 2 else None)
-    return [b.copy() for b in ex.finalize()], ex.stats()
+    ex.finalize()
+    return blocks, ex.stats()
 
 
 def test_windows_match_single_window(monkeypatch):
@@ -305,15 +336,17 @@ def test_failed_window_releases_pool_and_refuses(monkeypatch):
         return _eval_pairfn(case, rows, cols, px, py)
 
     baseline = threading.active_count()
-    ex = BatchExecutor(_classify_all_zero, evaluator, capacity=4, threads=2)
-    bid = _fill_block(ex, 5, 5)
+    out = np.zeros((5, 5))
+    ex = BatchExecutor(_classify_all_zero, evaluator, out, capacity=4,
+                       threads=2)
+    _fill_block(ex, out)
     with pytest.raises(RuntimeError):
         ex.finalize()
     assert threading.active_count() == baseline
     with pytest.raises(StateError):
         ex.finalize()
     with pytest.raises(StateError):
-        ex.enqueue_many([0], [0], bid, [[0]], [[0]])
+        ex.enqueue_many([0], [0], out, [[0]], [[0]])
 
 
 def _eval_pairfn3(case, rows, cols, px, py):
@@ -332,17 +365,17 @@ def test_classify_once_per_flush(monkeypatch):
         calls.append(len(rows))
         return _classify_parity(rows, cols)
 
-    ex = BatchExecutor(classify, _eval_pairfn3, row_width=3, col_width=3,
+    out = np.zeros((10, 30))
+    ex = BatchExecutor(classify, _eval_pairfn3, out, row_width=3, col_width=3,
                        capacity=8, threads=1)
-    bid = ex.register_block(10, 30)
     i, j = np.arange(10), np.arange(30)
     # slot 0 only, so each pair adds one value to one entry
     rs = np.c_[i, np.full((10, 2), -1)]
     cs = np.c_[j, np.full((30, 2), -1)]
     for _ in range(2):  # the same 300 pairs twice
-        ex.enqueue_many(i, j, bid, rs, cs)
-    ex.enqueue_many([0], j[:5], bid, rs[:1], cs[:5], case=1)
-    out = ex.finalize()[bid]
+        ex.enqueue_many(i, j, out, rs, cs)
+    ex.enqueue_many([0], j[:5], out, rs[:1], cs[:5], case=1)
+    ex.finalize()
     # row element 0 costs 65 tasks, the others 60: one element per window
     assert calls == [25] + [30] * 9
     assert sum(st["tasks"] for st in ex.stats()) == 300
@@ -362,17 +395,19 @@ def test_pairs_shared_by_blocks_evaluated_once():
             seen.extend(zip(rows.tolist(), cols.tolist()))
             return _eval_slots(case, rows, cols, px, py)
 
-        ex = BatchExecutor(_classify_rotating, evaluator, row_width=3,
+        # the blocks side by side in one block row
+        mat = np.zeros((4, 6 * len(parts)))
+        blocks = [mat[:, 6 * k:6 * k + 6] for k in range(len(parts))]
+        ex = BatchExecutor(_classify_rotating, evaluator, mat, row_width=3,
                            col_width=3, permute_rows=True, permute_cols=True,
                            capacity=5, threads=2)
         rows, cols = np.arange(4), np.arange(6)
-        for r in parts:
-            bid = ex.register_block(4, 6)
+        for r, block in zip(parts, blocks):
             slots = np.full((4, 3), -1)
             slots[:, r] = np.arange(4)
-            ex.enqueue_many(rows, cols, bid, slots,
+            ex.enqueue_many(rows, cols, block, slots,
                             np.arange(18).reshape(6, 3) % 6)
-        blocks = [b.copy() for b in ex.finalize()]
+        ex.finalize()
         assert sum(st["tasks"] for st in ex.stats()) == len(seen)
         return blocks, seen
 
@@ -384,11 +419,27 @@ def test_pairs_shared_by_blocks_evaluated_once():
 
 
 def test_slots_outside_block_rejected():
-    with _make(threads=1) as ex:
-        bid = ex.register_block(2, 3)
+    buf = np.zeros(12)
+    with _make(buf, threads=1) as ex:
+        block = buf[:6].reshape(2, 3)
         with pytest.raises(ConfigError):
-            ex.enqueue_many([0], [0], bid, [[2]], [[0]])
+            ex.enqueue_many([0], [0], block, [[2]], [[0]])
         with pytest.raises(ConfigError):
-            ex.enqueue_many([0], [0], bid, [[0]], [[3]])
+            ex.enqueue_many([0], [0], block, [[0]], [[3]])
+        # slots outside the view's shape, though inside the buffer
         with pytest.raises(ConfigError):
-            ex.enqueue_many([0], [0], bid + 1, [[0]], [[0]])
+            ex.enqueue_many([0], [0], block[:, :2], [[0]], [[2]])
+        # a view that is not inside the executor's buffer
+        with pytest.raises(ConfigError):
+            ex.enqueue_many([0], [0], np.zeros((2, 3)), [[0]], [[0]])
+        with pytest.raises(ConfigError):
+            ex.enqueue_many([0], [0], np.zeros(14)[1:13].reshape(2, 6),
+                            [[0]], [[0]])
+        # a view whose columns are not unit-stride
+        with pytest.raises(ConfigError):
+            ex.enqueue_many([0], [0], buf.reshape(2, 6)[:, ::2], [[0]],
+                            [[0]])
+        with pytest.raises(ConfigError):
+            ex.enqueue_many([0], [0], block.T, [[0]], [[0]])
+        assert ex.finalize() is None
+    assert np.all(buf == 0.0)

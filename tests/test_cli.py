@@ -152,6 +152,10 @@ def test_solve_collocation(mesh2_curved_file, tmp_path):
     ["--disc", "collocation"],        # collocation needs the linear basis
     ["--eta", "0"],
     ["--aca-eps", "-1"],
+    ["--cg-max-iter", "-3"],          # CG iteration cap below 1
+    ["--cg-max-iter", "0"],
+    ["--cg-tol", "-1"],               # CG tolerance not positive
+    ["--cg-tol", "nan"],
 ])
 def test_config_errors_exit_2(mesh2_file, tmp_path, extra):
     out = str(tmp_path / "bad.csv")

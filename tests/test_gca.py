@@ -223,6 +223,81 @@ def test_green_and_flat_gca(sphere3, l3_setup, dense_op3):
         <= 1e-12 * abs(y @ gr.matvec(x))
 
 
+# Block-by-block products, BlockLowRank's matvec as it was before the packed
+# layout: the reference for matvec/rmatvec.
+
+def _ref_low_rank(op, x, trans=False):
+    """y = A x (A^T x if ``trans``), one block at a time."""
+    out_root, in_root = op.row_root, op.col_root
+    if trans:
+        out_root, in_root = in_root, out_root
+    xt = x[in_root.perm]
+    yt = np.zeros(out_root.size)
+    for row, col, r in op.blocks:
+        left = op.left[row.index]
+        if trans:
+            yt[col.start:col.stop] += r.T @ (left.T @ xt[row.start:row.stop])
+        else:
+            yt[row.start:row.stop] += left @ (r @ xt[col.start:col.stop])
+    for blk in op.nearfield:
+        if trans:
+            yt[blk.col.start:blk.col.stop] += (
+                blk.values.T @ xt[blk.row.start:blk.row.stop])
+        else:
+            yt[blk.row.start:blk.row.stop] += (
+                blk.values @ xt[blk.col.start:blk.col.stop])
+    y = np.empty(out_root.size)
+    y[out_root.perm] = yt
+    return y
+
+
+@pytest.fixture(scope="module",
+                params=["constant-galerkin-l3", "curved-collocation-l3"])
+def low_rank_ops(request, sphere3):
+    """Green and flat GCA operators, with couplings on both sides."""
+    if request.param == "constant-galerkin-l3":
+        mesh, basis, disc = sphere3, "constant", "galerkin"
+        tree = build_cluster_tree(mesh, basis, leaf_size=16)
+        btree = build_block_tree(tree, eta=1.0)
+    else:
+        mesh = to_curved(build_sphere_mesh(3))
+        basis, disc = "linear", "collocation"
+        tree = build_cluster_tree(mesh, basis, leaf_size=8)
+        btree = build_block_tree(tree, eta=2.0)
+    return [build(btree, mesh, "slp", basis, disc, m=2, orders=(3, 5))
+            for build in (build_green, build_flat_gca)]
+
+
+def test_low_rank_products_match_blockwise_reference(low_rank_ops):
+    # the packed sums add in another order; 1e-14 relative as for h2.mvm
+    rng = np.random.default_rng(14)
+    for op in low_rank_ops:
+        assert len(op.blocks) > 0 and len(op.nearfield) > 0
+        n_rows, n_cols = op.shape
+        for _ in range(3):
+            x = rng.standard_normal(n_cols)
+            y = rng.standard_normal(n_rows)
+            ref = _ref_low_rank(op, x)
+            ref_t = _ref_low_rank(op, y, trans=True)
+            assert np.linalg.norm(op.matvec(x) - ref) \
+                <= 1e-14 * np.linalg.norm(ref)
+            assert np.linalg.norm(op.rmatvec(y) - ref_t) \
+                <= 1e-14 * np.linalg.norm(ref_t)
+
+
+def test_low_rank_blocks_are_views_into_the_packed_arrays(low_rank_ops):
+    for op in low_rank_ops:
+        right, near = op._right.data, op._near.data
+        assert all(np.shares_memory(r, right) for _, _, r in op.blocks)
+        assert all(np.shares_memory(blk.values, near)
+                   for blk in op.nearfield)
+        st = op.storage()
+        assert st["right"] == 8 * right.size \
+            == sum(8 * r.size for _, _, r in op.blocks)
+        assert st["nearfield"] == 8 * near.size \
+            == sum(8 * blk.values.size for blk in op.nearfield)
+
+
 def test_h2_beats_flat_gca_storage(sphere3, l3_setup):
     tree, btree = l3_setup
     hm = _build_h2(sphere3, tree, btree, 2, 1e-3, (3, 5))
