@@ -50,7 +50,6 @@ from collections import deque, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from numpy.lib.array_utils import byte_bounds
 
 from .errors import ConfigError, StateError
 from .quadrature import PERMS3
@@ -141,12 +140,14 @@ class BatchExecutor:
         size = self._out.itemsize
         if target.shape[1] > 1 and target.strides[1] != size:
             raise ConfigError("target columns are not unit-stride")
-        lo, hi = byte_bounds(target)
-        base, end = byte_bounds(self._out)
-        if not base <= lo <= hi <= end:
+        offset = (target.ctypes.data - self._out.ctypes.data) // size
+        stride = target.strides[0] // size
+        last = offset + (target.shape[0] - 1) * stride + target.shape[1] - 1
+        if target.size and not (offset >= 0 and stride >= 0
+                                and last < self._out.size):
             raise ConfigError("target is not a view into the executor's "
                               "buffer")
-        return (lo - base) // size, target.strides[0] // size
+        return offset, stride
 
     def enqueue_many(self, rows, cols, target, row_slots, col_slots,
                      case=None):

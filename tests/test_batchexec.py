@@ -419,7 +419,8 @@ def test_pairs_shared_by_blocks_evaluated_once():
 
 
 def test_slots_outside_block_rejected():
-    buf = np.zeros(12)
+    base = np.zeros(18)
+    buf = base[6:]
     with _make(buf, threads=1) as ex:
         block = buf[:6].reshape(2, 3)
         with pytest.raises(ConfigError):
@@ -433,8 +434,10 @@ def test_slots_outside_block_rejected():
         with pytest.raises(ConfigError):
             ex.enqueue_many([0], [0], np.zeros((2, 3)), [[0]], [[0]])
         with pytest.raises(ConfigError):
-            ex.enqueue_many([0], [0], np.zeros(14)[1:13].reshape(2, 6),
-                            [[0]], [[0]])
+            ex.enqueue_many([0], [0], base[:6].reshape(2, 3), [[0]], [[0]])
+        with pytest.raises(ConfigError):
+            ex.enqueue_many([0], [0], base[4:10].reshape(2, 3), [[0]],
+                            [[0]])
         # a view whose columns are not unit-stride
         with pytest.raises(ConfigError):
             ex.enqueue_many([0], [0], buf.reshape(2, 6)[:, ::2], [[0]],
@@ -442,4 +445,4 @@ def test_slots_outside_block_rejected():
         with pytest.raises(ConfigError):
             ex.enqueue_many([0], [0], block.T, [[0]], [[0]])
         assert ex.finalize() is None
-    assert np.all(buf == 0.0)
+    assert np.all(base == 0.0)
