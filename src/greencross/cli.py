@@ -365,8 +365,7 @@ def cmd_solve(args):
     op = h2.as_operator(hm)
     solver = h2.cgnr_solve if cfg.disc == "collocation" else h2.cg_solve
     t0 = time.perf_counter()
-    max_iter = n if args.cg_max_iter is None else args.cg_max_iter
-    result = solver(op, b, tol=args.cg_tol, max_iter=max_iter)
+    result = solver(op, b, tol=args.cg_tol, max_iter=args.cg_max_iter or n)
     solve_s = time.perf_counter() - t0
     iters = len(result.residuals) - 1
     if not result.converged:
