@@ -52,17 +52,19 @@ ExperimentConfig = namedtuple("ExperimentConfig", [
 def validate_config(cfg):
     if not 0.0 < cfg.lam < 1.0:
         raise ConfigError("lambda must lie in (0, 1), got %g" % cfg.lam)
+    if not np.all(np.isfinite(cfg.source)):
+        raise ConfigError("source point must be finite, got %s"
+                          % (list(cfg.source),))
     if np.linalg.norm(cfg.source) <= 1.0:
         raise ConfigError("source point must lie strictly outside the "
                           "closed unit ball, got %s" % (list(cfg.source),))
-    if cfg.eta <= 0.0:
-        raise ConfigError("eta must be positive")
+    for name, value in (("eta", cfg.eta), ("aca eps", cfg.eps),
+                        ("delta factor", cfg.delta_factor)):
+        if not 0.0 < value < np.inf:
+            raise ConfigError("%s must be positive and finite, got %g"
+                              % (name, value))
     if cfg.m < 1:
         raise ConfigError("green order m must be at least 1")
-    if cfg.eps <= 0.0:
-        raise ConfigError("aca eps must be positive")
-    if cfg.delta_factor <= 0.0:
-        raise ConfigError("delta factor must be positive")
     if cfg.leaf_size < 1:
         raise ConfigError("leaf size must be at least 1")
     if min(cfg.q_reg, cfg.q_sing) < 1:

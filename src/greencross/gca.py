@@ -170,6 +170,16 @@ def build_cluster_basis(tree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
     pivot rows, with the node's own box; splitting the resulting
     interpolation matrix along the children gives the transfer matrices.
 
+    A leaf whose cross approximation takes every row is full rank: its
+    interpolation matrix is a permutation.  Such a leaf keeps its rows in
+    tree order instead, ``pivots = cluster.indices``, so that ``v`` is the
+    identity; the full-rank leaves of one size share one read-only identity
+    and store no matrix of their own.  ``h2.pack`` then reads and writes
+    their coefficients straight in the tree-ordered vector.  The parent's
+    factor still takes the leaf's rows in the order the cross approximation
+    chose them, so every node's pivots are those of that selection and the
+    leaf's transfer is only reordered to match.
+
     ``side`` picks the row or column role of the factorization.  The
     collocation basis (point evaluation rows) exists only on the row side.
 
@@ -192,27 +202,44 @@ def build_cluster_basis(tree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
 
     by_index = {}
     roots = []
+    identities = {}
+
+    def identity(n):
+        if n not in identities:
+            identities[n] = np.eye(n)
+            identities[n].flags.writeable = False
+        return identities[n]
 
     def build(node):
+        """Basis node of ``node``, its pivots in the order the cross
+        approximation chose them (the rows of its parent's factor), and,
+        for a full-rank leaf, the permutation from that order to
+        ``pivots``."""
         if node.is_leaf():
             rows = np.asarray(node.indices)
             interp = aca_interpolation(factor(node, rows), eps)
-            bn = BasisNode(node, rows[interp.pivots], interp.v, ())
-        else:
-            kids = tuple(build(c) for c in node.children)
-            rows = np.concatenate([k.pivots for k in kids])
-            interp = aca_interpolation(factor(node, rows), eps)
-            split = np.cumsum([k.rank for k in kids])[:-1]
-            for k, e in zip(kids, np.split(interp.v, split, axis=0)):
-                k.transfer = e
-            bn = BasisNode(node, rows[interp.pivots], None, kids)
-        by_index[node.index] = bn
-        return bn
+            chosen = rows[interp.pivots]
+            if len(chosen) < len(rows):
+                return BasisNode(node, chosen, interp.v, ()), chosen, None
+            bn = BasisNode(node, rows.copy(), identity(len(rows)), ())
+            return bn, chosen, np.argsort(interp.pivots)
+        built = [build(c) for c in node.children]
+        rows = np.concatenate([chosen for _, chosen, _ in built])
+        interp = aca_interpolation(factor(node, rows), eps)
+        split = np.cumsum([len(chosen) for _, chosen, _ in built])[:-1]
+        for (k, _, order), e in zip(built,
+                                    np.split(interp.v, split, axis=0)):
+            k.transfer = e if order is None else e[order]
+        chosen = rows[interp.pivots]
+        kids = tuple(k for k, _, _ in built)
+        return BasisNode(node, chosen, None, kids), chosen, None
 
     def walk(node):
         # descend past unmarked territory; build wherever a mark covers us
         if marks is None or node.index in marks:
-            roots.append(build(node))
+            roots.append(build(node)[0])
+            by_index.update((bn.cluster.index, bn)
+                            for bn in roots[-1].nodes())
             return
         for c in node.children:
             walk(c)
@@ -312,9 +339,10 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     results do not depend on capacity or thread count.
     """
     far, near = btree.admissible_leaves(), btree.inadmissible_leaves()
-    packed, far_views, near_views = h2.pack(row_basis, col_basis, far, near)
-    ex, enqueue = _make_executor(kind, mesh, basis, disc, packed.data, orders,
-                                 capacity, threads)
+    packed, far_views, near_views = h2.pack(
+        row_basis, col_basis, far, near, (btree.row.size, btree.col.size))
+    ex, enqueue = _make_executor(kind, mesh, basis, disc, packed.blocks.data,
+                                 orders, capacity, threads)
     with ex:
         for leaf, view in zip(far, far_views):
             enqueue(row_basis.node(leaf.row).pivots,
@@ -329,11 +357,6 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
                     [NearfieldBlock(leaf.row, leaf.col, view)
                      for leaf, view in zip(near, near_views)],
                     packed, ex.stats())
-
-
-def _tree_split(perm, x, n_out):
-    xt = np.asarray(x, dtype=np.float64)[perm]
-    return xt, np.zeros(n_out)
 
 
 def _unpermute(perm, yt):
@@ -361,17 +384,26 @@ class BlockLowRank:
         self.col_root = btree.col
         self.left = left                # row cluster index -> L
         far, near = btree.admissible_leaves(), btree.inadmissible_leaves()
+        # Row clusters nest, so the left factors are kept as the block rows
+        # of L^T, which map disjoint coefficient slots: L c is their
+        # transposed product, summed over nested rows by one bincount.
         slots = {}
         rows = []
-        size = 0
+        gather = []
+        size = width = 0
         for leaf in far:
             tau = leaf.row
             if tau.index not in slots:
                 a = left[tau.index]
                 slots[tau.index] = (size, size + a.shape[1])
-                rows.append((tau.start, tau.stop, a) + slots[tau.index])
+                rows.append(slots[tau.index] + (a.T, width, width + tau.size))
+                gather.append(np.arange(tau.start, tau.stop))
                 size += a.shape[1]
-        self._left = h2._BlockRows(rows, np.arange(size), None)
+                width += tau.size
+        self._size = size
+        self._left = h2._BlockRows(
+            rows, np.concatenate([np.zeros(0, dtype=np.intp)] + gather),
+            None)
         self.data, ((self._right, right), (self._near, values)) = \
             h2.block_rows(
                 [slots[leaf.row.index]
@@ -389,19 +421,17 @@ class BlockLowRank:
         return (self.row_root.size, self.col_root.size)
 
     def matvec(self, x):
-        xt, yt = _tree_split(self.col_root.perm, x, self.shape[0])
-        c = np.zeros(len(self._left.gather))
-        self._right.add_mvm(xt, c)
-        self._left.add_mvm(c, yt)
-        self._near.add_mvm(xt, yt)
+        nr, nc = self.shape
+        xt = np.asarray(x, dtype=np.float64)[self.col_root.perm]
+        yt = (self._left.mvm_t(self._right.mvm(xt, self._size), nr)
+              + self._near.mvm(xt, nr))
         return _unpermute(self.row_root.perm, yt)
 
     def rmatvec(self, y):
-        yt, xt = _tree_split(self.row_root.perm, y, self.shape[1])
-        c = np.zeros(len(self._left.gather))
-        self._left.add_mvm_t(yt, c)
-        self._right.add_mvm_t(c, xt)
-        self._near.add_mvm_t(yt, xt)
+        nr, nc = self.shape
+        yt = np.asarray(y, dtype=np.float64)[self.row_root.perm]
+        xt = (self._right.mvm_t(self._left.mvm(yt, self._size), nc)
+              + self._near.mvm_t(yt, nc))
         return _unpermute(self.col_root.perm, xt)
 
     def apply(self, x, trans=False):

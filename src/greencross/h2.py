@@ -2,36 +2,44 @@
 
 Vectors cross the API boundary in external dof ordering; the permutation
 into cluster-tree ordering happens once per product.  The matvec follows
-the usual four phases: forward transform up the column basis, coupling,
-backward transform down the row basis, then the dense nearfield blocks.
+the usual phases: forward transform up the column basis, couplings and
+dense nearfield blocks, backward transform down the row basis.
 
 Every phase runs on a packed layout that :func:`pack` builds once per
 operator, before ``gca.build_h2`` assembles each block in place in it:
 
-* A basis keeps the coefficients of all its nodes in one flat vector,
-  level by level from the roots.  Leaf interpolation matrices are stacked
+* Each side numbers the coefficients of all its basis nodes in one vector
+  z = [x_tree; c].  Its first n entries are the tree-ordered vector; the
+  other nodes follow level by level from the roots.  A full-rank leaf has
+  V = I (see ``gca.build_cluster_basis``), so its slots are its own tree
+  range: the transforms skip it, and its parent's transfer reads and
+  writes the tree part directly.  The other leaves' matrices are stacked
   by shape, transfers by level and shape, and each stack is applied with
-  one batched ``np.matmul``.  The children's contributions to their parents
-  are summed by one ``np.bincount`` per level, in a fixed order: stack by
-  stack, tree order within a stack.
-* Couplings and nearfield blocks are grouped by block row.  The blocks of
-  one row cluster sit side by side in one contiguous matrix, with a gather
-  index into the input vector, so H x costs one gemv per block row.  H^T y
-  concatenates the transposed products of all block rows and sums them
+  one batched ``np.matmul``.  The children's contributions to their
+  parents are summed by one ``np.bincount`` per level, in a fixed order:
+  stack by stack, tree order within a stack.
+* Couplings and nearfield blocks share one set of block rows, keyed by
+  output slots in the row side's z: a coupling between two full-rank
+  leaves is laid out like a nearfield block.  The blocks of one block row
+  sit side by side in one contiguous matrix, with a gather index into the
+  column side's z.  Block rows cover disjoint outputs, so H x writes each
+  block row's gemv straight into its slice of a fresh vector.  H^T y writes
+  the transposed products of all block rows back to back and sums them
   into the output with one ``np.bincount``, in block-row order.
 
 The operator's block values and basis matrices are views into these arrays,
 so nothing is stored or copied twice.  A product depends only on the
-operator and the vector, never on earlier calls.  Against a block-by-block
-evaluation it differs at rounding level, since the coupling sums and the
-transposed sums add in another order.
+operator and the vector, never on earlier calls, and keeps no state on the
+operator.  Against a block-by-block evaluation it differs at rounding
+level, since the coupling, nearfield and transposed sums add in another
+order.
 """
 
 from collections import namedtuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, StateError
 
 __all__ = ["mvm", "mvm_t", "as_operator", "pack", "Packed", "block_rows",
            "storage_report", "spectral_error_estimate", "cg_solve",
@@ -51,35 +59,49 @@ def _slot_matrix(offsets, width):
     return np.asarray(offsets, dtype=np.intp)[:, None] + np.arange(width)
 
 
+def _identity_leaf(bn):
+    """Whether basis node ``bn`` is a full-rank leaf, whose V is I."""
+    return not bn.children and bn.rank == bn.cluster.size
+
+
 class _BasisPack:
     """Coefficient layout and stacked matrices of one nested basis.
 
-    Node coefficients sit in one vector of length ``size``: the forest roots
-    form level 0, and each level is contiguous, in tree order.  ``offset``
-    maps a cluster index to the first coefficient of its node.  Building the
-    pack rebinds every node's ``v`` and ``transfer`` to a view into its
-    stack.
+    The vector z = [x_tree; c] has length ``size``: ``n`` tree entries, then
+    the coefficients of every node but the full-rank leaves, the forest
+    roots first, each level contiguous, in tree order.  ``offset`` maps a
+    cluster index to the first slot of its node in z; a full-rank leaf's
+    slots are its tree range.  Building the pack rebinds every other leaf's
+    ``v`` and every ``transfer`` to a view into its stack.
     """
 
-    def __init__(self, basis):
+    def __init__(self, basis, n):
         levels = []
         frontier = [(bn, None) for bn in basis.roots]
         while frontier:
             levels.append(frontier)
             frontier = [(c, bn) for bn, _ in frontier for c in bn.children]
+        self.n = n
         self.offset = {}
         bounds = []
-        size = 0
+        size = n
         for level in levels:
             lo = size
             for bn, _ in level:
-                self.offset[bn.cluster.index] = size
-                size += bn.rank
+                if _identity_leaf(bn):
+                    if not np.array_equal(bn.pivots, bn.cluster.indices):
+                        raise StateError("full-rank leaf #%d: pivots not in "
+                                         "tree order" % bn.cluster.index)
+                    self.offset[bn.cluster.index] = bn.cluster.start
+                else:
+                    self.offset[bn.cluster.index] = size
+                    size += bn.rank
             bounds.append((lo, size))
         self.size = size
 
         self.leaves = []
-        leaves = [bn for level in levels for bn, _ in level if not bn.children]
+        leaves = [bn for level in levels for bn, _ in level
+                  if not bn.children and not _identity_leaf(bn)]
         for group in _grouped(leaves, lambda bn: bn.v.shape):
             stack = np.stack([bn.v for bn in group])
             for bn, v in zip(group, stack):
@@ -108,56 +130,67 @@ class _BasisPack:
             self.levels.append((lo, hi, targets, groups))
 
     def slots(self, bn):
-        """Coefficient range (start, stop) of basis node ``bn``."""
+        """Slot range (start, stop) of basis node ``bn`` in z."""
         start = self.offset[bn.cluster.index]
         return start, start + bn.rank
 
     def forward(self, xt):
-        """Coefficients V^T x of every node, x in tree ordering."""
-        c = np.zeros(self.size)
+        """z = [xt; V^T xt of every node], xt in tree ordering."""
+        z = np.zeros(self.size)
+        z[:self.n] = xt
         for rows, slots, v in self.leaves:
-            c[slots] = np.matmul(xt[rows][:, None, :], v)[:, 0, :]
+            z[slots] = np.matmul(xt[rows][:, None, :], v)[:, 0, :]
         for lo, hi, targets, groups in reversed(self.levels):
-            parts = [np.matmul(c[kids][:, None, :], t).ravel()
+            parts = [np.matmul(z[kids][:, None, :], t).ravel()
                      for kids, _, t in groups]
-            c[lo:hi] += np.bincount(targets, np.concatenate(parts),
+            z[lo:hi] += np.bincount(targets, np.concatenate(parts),
                                     minlength=hi - lo)
-        return c
+        return z
 
-    def add_backward(self, c, yt):
-        """yt += V c, yt in tree ordering; overwrites c on the way down."""
+    def backward(self, z):
+        """z[:n] += V z[n:], the tree part in tree ordering; overwrites the
+        coefficients on the way down."""
         for _, _, _, groups in self.levels:
             for kids, parents, t in groups:
-                c[kids] += np.matmul(t, c[parents][:, :, None])[:, :, 0]
+                z[kids] += np.matmul(t, z[parents][:, :, None])[:, :, 0]
         for rows, slots, v in self.leaves:
-            yt[rows] += np.matmul(v, c[slots][:, :, None])[:, :, 0]
+            z[rows] += np.matmul(v, z[slots][:, :, None])[:, :, 0]
 
 
 class _BlockRows:
     """A block-sparse matrix laid out by block row; see :func:`block_rows`.
 
     ``rows`` lists (start, stop, matrix, lo, hi): the block row ``matrix``
-    maps the inputs ``gather[lo:hi]`` to the outputs start:stop.  ``data``
-    holds all the matrices back to back, or is None when they live apart.
+    maps the inputs ``gather[lo:hi]`` to the outputs start:stop.  Output
+    ranges must be pairwise disjoint (checked here), since M x writes each
+    block row's product straight into its slice.  ``data`` holds all the
+    matrices back to back, or is None when they live apart.
     """
 
     def __init__(self, rows, gather, data):
+        spans = sorted((start, stop) for start, stop, *_ in rows
+                       if stop > start)
+        for (_, stop), (start, _) in zip(spans, spans[1:]):
+            if start < stop:
+                raise StateError("block rows overlap at output %d" % start)
         self.rows = rows
         self.gather = gather
         self.data = data
 
-    def add_mvm(self, x, y):
-        """y += M x."""
+    def mvm(self, x, n):
+        """M x, a vector of length ``n``."""
+        y = np.zeros(n)
         xg = x[self.gather]
         for start, stop, mat, lo, hi in self.rows:
-            y[start:stop] += mat @ xg[lo:hi]
+            np.dot(mat, xg[lo:hi], out=y[start:stop])
+        return y
 
-    def add_mvm_t(self, y, x):
-        """x += M^T y."""
+    def mvm_t(self, y, n):
+        """M^T y, a vector of length ``n``."""
         parts = np.empty(len(self.gather))
         for start, stop, mat, lo, hi in self.rows:
-            parts[lo:hi] = mat.T @ y[start:stop]
-        x += np.bincount(self.gather, parts, minlength=len(x))
+            np.dot(mat.T, y[start:stop], out=parts[lo:hi])
+        return np.bincount(self.gather, parts, minlength=n)
 
 
 def block_rows(*groups):
@@ -198,25 +231,27 @@ def block_rows(*groups):
     return data, out
 
 
-Packed = namedtuple("Packed", "row col coupling nearfield data")
+Packed = namedtuple("Packed", "row col blocks")
 
 
-def pack(row_basis, col_basis, coupling, nearfield):
+def pack(row_basis, col_basis, coupling, nearfield, shape):
     """Packed layout of an H2-matrix for :func:`mvm` and :func:`mvm_t`.
 
     ``coupling`` and ``nearfield`` list blocks with (row, col) clusters,
-    as block-tree leaves do.  Stacks both bases, rebinding their nodes'
-    matrices to views into the stacks, and lays the blocks out over one
-    zeroed buffer ``data``.  Returns the :class:`Packed` layout and the
-    coupling and nearfield values as views into ``data``, in input order.
+    as block-tree leaves do; ``shape`` is the operator's (rows, cols).
+    Stacks both bases, rebinding their nodes' matrices to views into the
+    stacks, and lays all blocks out by output slots over one zeroed buffer
+    ``blocks.data``.  Returns the :class:`Packed` layout and the coupling
+    and nearfield values as views into that buffer, in input order.
     """
-    row, col = _BasisPack(row_basis), _BasisPack(col_basis)
-    data, ((cp, cviews), (near, nviews)) = block_rows(
+    row, col = _BasisPack(row_basis, shape[0]), _BasisPack(col_basis, shape[1])
+    _, ((blocks, views),) = block_rows(
         [row.slots(row_basis.node(b.row))
-         + (np.arange(*col.slots(col_basis.node(b.col))),) for b in coupling],
-        [(b.row.start, b.row.stop, np.arange(b.col.start, b.col.stop))
-         for b in nearfield])
-    return Packed(row, col, cp, near, data), cviews, nviews
+         + (np.arange(*col.slots(col_basis.node(b.col))),) for b in coupling]
+        + [(b.row.start, b.row.stop, np.arange(b.col.start, b.col.stop))
+           for b in nearfield])
+    return (Packed(row, col, blocks), views[:len(coupling)],
+            views[len(coupling):])
 
 
 def _check_dim(x, n):
@@ -232,14 +267,10 @@ def mvm(h, x):
     p = h.packed
     nr, nc = h.shape
     x = _check_dim(x, nc)
-    xt = x[h.col_tree.perm]
-    yhat = np.zeros(p.row.size)
-    p.coupling.add_mvm(p.col.forward(xt), yhat)
-    yt = np.zeros(nr)
-    p.row.add_backward(yhat, yt)
-    p.nearfield.add_mvm(xt, yt)
+    z = p.blocks.mvm(p.col.forward(x[h.col_tree.perm]), p.row.size)
+    p.row.backward(z)
     y = np.empty(nr)
-    y[h.row_tree.perm] = yt
+    y[h.row_tree.perm] = z[:nr]
     return y
 
 
@@ -248,14 +279,10 @@ def mvm_t(h, x):
     p = h.packed
     nr, nc = h.shape
     x = _check_dim(x, nr)
-    xt = x[h.row_tree.perm]
-    yhat = np.zeros(p.col.size)
-    p.coupling.add_mvm_t(p.row.forward(xt), yhat)
-    yt = np.zeros(nc)
-    p.col.add_backward(yhat, yt)
-    p.nearfield.add_mvm_t(xt, yt)
+    z = p.blocks.mvm_t(p.row.forward(x[h.row_tree.perm]), p.col.size)
+    p.col.backward(z)
     y = np.empty(nc)
-    y[h.col_tree.perm] = yt
+    y[h.col_tree.perm] = z[:nc]
     return y
 
 
@@ -271,7 +298,9 @@ def storage_report(h):
 
     Accepts an H2-matrix or a plain dimension; a dimension reports just the
     dense reference 8 n^2.  Matrix reports exclude index/tree overhead from
-    the total and list the pivot index bytes separately.
+    the total and list the pivot index bytes separately.  Full-rank leaves
+    store no matrix (their V is the shared identity), so ``leaf_bases``
+    leaves them out.
     """
     if isinstance(h, (int, np.integer)):
         n = int(h)
@@ -280,7 +309,7 @@ def storage_report(h):
     for basis in (h.row_basis, h.col_basis):
         for bn in basis.nodes():
             index_bytes += 8 * bn.rank
-            if not bn.children:
+            if not bn.children and not _identity_leaf(bn):
                 leaf_bases += 8 * bn.v.size
             if bn.transfer is not None:
                 transfers += 8 * bn.transfer.size

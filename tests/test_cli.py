@@ -156,6 +156,15 @@ def test_solve_collocation(mesh2_curved_file, tmp_path):
     ["--cg-max-iter", "0"],
     ["--cg-tol", "-1"],               # CG tolerance not positive
     ["--cg-tol", "nan"],
+    ["--eta", "nan"],                 # non-finite GCA parameters
+    ["--eta", "inf"],
+    ["--aca-eps", "nan"],
+    ["--aca-eps", "inf"],
+    ["--delta-factor", "nan"],
+    ["--delta-factor", "inf"],
+    ["--source", "nan,0,0"],
+    ["--source", "inf,0,0"],
+    ["--source", "2,-inf,nan"],
 ])
 def test_config_errors_exit_2(mesh2_file, tmp_path, extra):
     out = str(tmp_path / "bad.csv")

@@ -1,9 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from greencross import gca, h2
 from greencross.clustering import build_block_tree, build_cluster_tree
-from greencross.errors import ConfigError
+from greencross.errors import ConfigError, StateError
 from greencross.geometry import build_sphere_mesh, to_curved
 
 
@@ -34,21 +37,29 @@ def _linear_h2(mesh, leaf_size, eta, disc, marks):
     return gca.build_h2(btree, rb, cb, mesh, "slp", "linear", disc, (2, 4))
 
 
+@pytest.fixture(scope="module")
+def operators(h2_l3, sphere3):
+    """Basis forests and single trees, Galerkin and collocation (row basis
+    unlike the column basis); the linear ones have full-rank leaves."""
+    return {
+        "constant-l3-forest": h2_l3,
+        "curved-linear-l2": _linear_h2(to_curved(build_sphere_mesh(2)), 4,
+                                       2.0, "galerkin", False),
+        "curved-linear-l3": _linear_h2(to_curved(build_sphere_mesh(3)), 8,
+                                       2.0, "galerkin", True),
+        "collocation-l3": _linear_h2(sphere3, 8, 2.0, "collocation", False),
+    }
+
+
 @pytest.fixture(scope="module",
                 params=["constant-l3-forest", "curved-linear-l2",
                         "curved-linear-l3", "collocation-l3"])
-def operator(request, h2_l3, sphere3):
-    """Basis forests and single trees, Galerkin and collocation (row basis
-    unlike the column basis)."""
-    if request.param == "constant-l3-forest":
-        return h2_l3
-    if request.param == "curved-linear-l2":
-        return _linear_h2(to_curved(build_sphere_mesh(2)), 4, 2.0,
-                          "galerkin", False)
-    if request.param == "curved-linear-l3":
-        return _linear_h2(to_curved(build_sphere_mesh(3)), 8, 2.0,
-                          "galerkin", True)
-    return _linear_h2(sphere3, 8, 2.0, "collocation", False)
+def operator(request, operators):
+    return operators[request.param]
+
+
+def _full_rank_leaf(bn):
+    return not bn.children and bn.rank == bn.cluster.size
 
 
 # Block-by-block products, the matvec as it was before the packed layout:
@@ -147,12 +158,34 @@ def test_mvm_bits_independent_of_call_order(operator):
     assert np.array_equal(x, x0) and np.array_equal(y, y0)
 
 
+def _flat_positions(view, base):
+    """Positions in the 1-D array ``base`` of the entries of 2-D ``view``."""
+    item = base.itemsize
+    first = (view.__array_interface__["data"][0]
+             - base.__array_interface__["data"][0]) // item
+    rows = np.arange(view.shape[0])[:, None] * (view.strides[0] // item)
+    cols = np.arange(view.shape[1]) * (view.strides[1] // item)
+    return (first + rows + cols).ravel()
+
+
 def test_blocks_and_bases_are_views_into_the_packed_arrays(operator):
     p = operator.packed
-    assert all(np.shares_memory(blk.values, p.coupling.data)
-               for blk in operator.coupling)
-    assert all(np.shares_memory(blk.values, p.nearfield.data)
-               for blk in operator.nearfield)
+    # the block rows the apply reads tile the buffer, back to back
+    data = p.blocks.data
+    mats = [mat for _, _, mat, _, _ in p.blocks.rows]
+    assert data.size == sum(m.size for m in mats)
+    assert np.array_equal(
+        np.sort(np.concatenate([_flat_positions(m, data) for m in mats])),
+        np.arange(data.size))
+    # every buffer entry belongs to exactly one coupling or nearfield block
+    owner = np.zeros(data.size, dtype=int)
+    for kind, blocks in ((1, operator.coupling), (2, operator.nearfield)):
+        for blk in blocks:
+            pos = _flat_positions(blk.values, data)
+            assert np.shares_memory(blk.values, data)
+            assert np.all(owner[pos] == 0)
+            owner[pos] = kind
+    assert np.all(owner > 0)
     leaf_stacks = [v for side in (p.row, p.col) for _, _, v in side.leaves]
     transfer_stacks = [t for side in (p.row, p.col)
                        for _, _, _, groups in side.levels
@@ -160,18 +193,96 @@ def test_blocks_and_bases_are_views_into_the_packed_arrays(operator):
     for basis in (operator.row_basis, operator.col_basis):
         for bn in basis.nodes():
             if not bn.children:
-                assert any(np.shares_memory(bn.v, s) for s in leaf_stacks)
+                # full-rank leaves keep the shared identity, outside stacks
+                assert any(np.shares_memory(bn.v, s) for s in leaf_stacks) \
+                    != _full_rank_leaf(bn)
             if bn.transfer is not None:
                 assert any(np.shares_memory(bn.transfer, s)
                            for s in transfer_stacks)
     # the packed arrays hold exactly what storage_report counts
     rep = h2.storage_report(operator)
-    assert rep["couplings"] == 8 * p.coupling.data.size \
+    assert rep["couplings"] == 8 * np.count_nonzero(owner == 1) \
         == sum(8 * blk.values.size for blk in operator.coupling)
-    assert rep["nearfield"] == 8 * p.nearfield.data.size \
+    assert rep["nearfield"] == 8 * np.count_nonzero(owner == 2) \
         == sum(8 * blk.values.size for blk in operator.nearfield)
     assert rep["leaf_bases"] == sum(8 * s.size for s in leaf_stacks)
     assert rep["transfers"] == sum(8 * s.size for s in transfer_stacks)
+
+
+def test_full_rank_leaves_are_shared_identities(operators):
+    found = 0
+    for op in operators.values():
+        p = op.packed
+        stacks = [v for side in (p.row, p.col) for _, _, v in side.leaves]
+        for basis in (op.row_basis, op.col_basis):
+            eyes = {}
+            for bn in filter(_full_rank_leaf, basis.nodes()):
+                found += 1
+                assert np.array_equal(bn.pivots, bn.cluster.indices)
+                assert np.array_equal(bn.v, np.eye(bn.rank))
+                assert not bn.v.flags.writeable
+                assert eyes.setdefault(bn.rank, bn.v) is bn.v
+                assert not any(np.shares_memory(bn.v, s) for s in stacks)
+    assert found > 0
+
+
+def test_fixture_operators_cover_every_coupling_kind(operators):
+    """Couplings between full-rank leaves (read and written in the tree
+    vector) and coefficient nodes occur in all four combinations."""
+    kinds = set()
+    for op in operators.values():
+        kinds.update((_full_rank_leaf(op.row_basis.node(blk.row)),
+                      _full_rank_leaf(op.col_basis.node(blk.col)))
+                     for blk in op.coupling)
+    assert kinds == {(True, True), (True, False), (False, True),
+                     (False, False)}
+
+
+def test_overlapping_block_rows_refused():
+    mat = np.zeros((2, 1))
+    gather = np.zeros(2, dtype=np.intp)
+    with pytest.raises(StateError):
+        h2._BlockRows([(0, 2, mat, 0, 1), (1, 3, mat, 1, 2)], gather, None)
+    h2._BlockRows([(0, 2, mat, 0, 1), (2, 4, mat, 1, 2)], gather, None)
+
+
+def test_concurrent_products_equal_serial_bits(operator):
+    """Two threads applying one operator at once get the serial bits: a
+    product keeps no scratch state on the operator."""
+    rng = np.random.default_rng(16)
+    n_rows, n_cols = operator.shape
+    xs = rng.standard_normal((4, n_cols))
+    ys = rng.standard_normal((4, n_rows))
+
+    def products():
+        return ([h2.mvm(operator, x) for x in xs]
+                + [h2.mvm_t(operator, y) for y in ys])
+
+    want = products()
+    start = threading.Barrier(2)
+    got = [[], []]
+
+    def work(k):
+        start.wait()
+        for _ in range(25):
+            got[k].append(products())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # switch threads inside every product
+    try:
+        workers = [threading.Thread(target=work, args=(k,))
+                   for k in range(2)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for runs in got:
+        assert len(runs) == 25
+        for run in runs:
+            assert all(np.array_equal(a, b) for a, b in zip(run, want))
 
 
 def test_mvm_linearity(h2_l3):
