@@ -248,7 +248,7 @@ def test_overlapping_block_rows_refused():
 
 def test_concurrent_products_equal_serial_bits(operator):
     """Two threads applying one operator at once get the serial bits: a
-    product keeps no scratch state on the operator."""
+    product keeps no per-call state on the operator."""
     rng = np.random.default_rng(16)
     n_rows, n_cols = operator.shape
     xs = rng.standard_normal((4, n_cols))
