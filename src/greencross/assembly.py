@@ -164,10 +164,39 @@ def _far_tables(pack, nodes, normals, q_reg, linear, dlp):
 
 
 def galerkin_classify(mesh):
+    """Pair classifier for the executor.
+
+    Only pairs that share a vertex go to :func:`quadrature.classify_pairs`;
+    every other pair is disjoint, with identity permutations. The
+    vertex-sharing pairs are kept as one sorted array of keys
+    row * nt + col, every ordered pair of triangles in a vertex star: O(n)
+    keys for a mesh of bounded valence, against which a batch of pairs is
+    tested with one ``searchsorted``.
+    """
     tris = mesh.triangles
+    nt = len(tris)
+    stars = mesh.vertex_stars()
+    size = np.array([len(st) for st in stars])
+    flat = np.concatenate(stars)
+    first = np.repeat(np.cumsum(size) - size, size)  # star start per entry
+    # each entry paired with every entry of its star
+    reps = size[np.repeat(np.arange(len(stars)), size)]
+    left = np.repeat(np.arange(len(flat)), reps)
+    right = first[left] + np.arange(len(left)) - np.repeat(
+        np.cumsum(reps) - reps, reps)
+    shared = np.unique(flat[left] * nt + flat[right])
 
     def classify(rows, cols):
-        return quad.classify_pairs(tris[rows], tris[cols])
+        key = rows * nt + cols
+        at = np.minimum(np.searchsorted(shared, key), len(shared) - 1)
+        hit = np.flatnonzero(shared[at] == key)
+        case = np.full(len(rows), quad.DISJOINT, dtype=np.int64)
+        px = np.zeros(len(rows), dtype=np.int64)
+        py = np.zeros(len(rows), dtype=np.int64)
+        if len(hit):
+            case[hit], px[hit], py[hit] = quad.classify_pairs(
+                tris[rows[hit]], tris[cols[hit]])
+        return case, px, py
 
     return classify
 
@@ -311,35 +340,26 @@ def collocation_evaluator(kind, mesh, q_reg, q_sing):
     return evaluate
 
 
-def _constant_rows(indices):
-    """Sorted (triangle, 0-based position) arrays for a constant-basis list."""
-    indices = np.asarray(indices)
-    order = np.argsort(indices, kind="stable")
-    tris = indices[order]
-    if np.any(tris[1:] == tris[:-1]):
-        raise ConfigError("duplicate indices")
-    return tris, order
+def element_table(mesh, basis, indices):
+    """Element table of an index list for the executor: (elements, slots).
 
-
-def enqueue_galerkin_tasks(ex, mesh, basis, rows, cols, target, case=None):
-    """Record the block's triangle pairs: its row table times its column
-    table, each triangle with the block positions of its local DOFs.
-
-    ``target`` is the block's view into the executor's buffer. ``case`` is
-    passed on to the executor: the singularity case every pair is known to
-    have, or None to classify each pair.
+    ``basis`` "constant": the listed triangles in ascending order, each with
+    its 0-based position in ``indices``. "linear": the triangles of
+    :func:`triangle_table`, each with the 0-based positions of its three
+    vertices, -1 for a vertex not listed. "collocation" (rows of a
+    collocation block): the listed points in order, each with its position.
     """
+    indices = np.asarray(indices, dtype=np.int64)
+    if basis == "collocation":
+        return indices, np.arange(len(indices))[:, None]
     if basis == "constant":
-        tri_r, pos_r = _constant_rows(rows)
-        tri_c, pos_c = _constant_rows(cols)
-        rslots = pos_r[:, None]
-        cslots = pos_c[:, None]
-    else:
-        tr = triangle_table(rows, mesh).rows
-        tc = triangle_table(cols, mesh).rows
-        tri_r, rslots = tr[:, 0], tr[:, 1:] - 1
-        tri_c, cslots = tc[:, 0], tc[:, 1:] - 1
-    ex.enqueue_many(tri_r, tri_c, target, rslots, cslots, case)
+        order = np.argsort(indices, kind="stable")
+        tris = indices[order]
+        if np.any(tris[1:] == tris[:-1]):
+            raise ConfigError("duplicate indices")
+        return tris, order[:, None]
+    table = triangle_table(indices, mesh).rows
+    return table[:, 0], table[:, 1:] - 1
 
 
 def make_galerkin_executor(kind, mesh, basis, out, orders=(3, 5),
@@ -365,24 +385,24 @@ def make_collocation_executor(kind, mesh, out, orders=(3, 5),
         capacity=capacity, threads=threads)
 
 
-def assemble_galerkin_block(kind, mesh, basis, rows, cols, orders=(3, 5),
-                            capacity=DEFAULT_CAPACITY, threads=None):
-    """Dense Galerkin block of the slp/dlp operator on the given index lists."""
-    values = np.zeros((len(rows), len(cols)))
-    with make_galerkin_executor(kind, mesh, basis, values, orders, capacity,
-                                threads) as ex:
-        enqueue_galerkin_tasks(ex, mesh, basis, rows, cols, values)
+def _assemble(ex, values, mesh, kinds, rows, cols):
+    """Fill ``values``, the executor's rows x cols buffer; ``kinds`` are the
+    row and column kinds of :func:`element_table`."""
+    with ex:
+        (tri_r, rslots), (tri_c, cslots) = (
+            element_table(mesh, k, idx) for k, idx in zip(kinds, (rows, cols)))
+        ex.enqueue_many(tri_r, tri_c, values, rslots, cslots)
         ex.finalize()
     return DenseBlock(np.asarray(rows), np.asarray(cols), values)
 
 
-def enqueue_collocation_tasks(ex, mesh, rows, cols, target, case=None):
-    """Record the block's (point, triangle) pairs: its row points times its
-    column table; ``target`` and ``case`` as for
-    :func:`enqueue_galerkin_tasks`."""
-    tc = triangle_table(cols, mesh).rows
-    ex.enqueue_many(rows, tc[:, 0], target, np.arange(len(rows)),
-                    tc[:, 1:] - 1, case)
+def assemble_galerkin_block(kind, mesh, basis, rows, cols, orders=(3, 5),
+                            capacity=DEFAULT_CAPACITY, threads=None):
+    """Dense Galerkin block of the slp/dlp operator on the given index lists."""
+    values = np.zeros((len(rows), len(cols)))
+    ex = make_galerkin_executor(kind, mesh, basis, values, orders, capacity,
+                                threads)
+    return _assemble(ex, values, mesh, (basis, basis), rows, cols)
 
 
 def assemble_collocation_block(kind, mesh, basis, rows, cols, orders=(3, 5),
@@ -391,11 +411,9 @@ def assemble_collocation_block(kind, mesh, basis, rows, cols, orders=(3, 5),
     if basis != "linear":
         raise ConfigError("collocation rows pair with the linear basis")
     values = np.zeros((len(rows), len(cols)))
-    with make_collocation_executor(kind, mesh, values, orders, capacity,
-                                   threads) as ex:
-        enqueue_collocation_tasks(ex, mesh, rows, cols, values)
-        ex.finalize()
-    return DenseBlock(np.asarray(rows), np.asarray(cols), values)
+    ex = make_collocation_executor(kind, mesh, values, orders, capacity,
+                                   threads)
+    return _assemble(ex, values, mesh, ("collocation", "linear"), rows, cols)
 
 
 def _touch_guard(r):

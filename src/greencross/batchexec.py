@@ -74,6 +74,38 @@ _Layout = namedtuple("_Layout", "rows rec rs cols cs coff ncol case offset "
                                 "stride span")
 
 
+def _tables(tables, width):
+    """Element tables (elements, slots) back to back: the elements, the
+    slots (n, width) and every table's start, then the end."""
+    elems = [np.asarray(e, dtype=np.int64).reshape(-1) for e, _ in tables]
+    slots = [np.asarray(s, dtype=np.int64).reshape(len(e), width)
+             for e, (_, s) in zip(elems, tables)]
+    return (np.concatenate([np.zeros(0, dtype=np.int64)] + elems),
+            np.concatenate([np.zeros((0, width), dtype=np.int64)] + slots),
+            np.cumsum([0] + [len(e) for e in elems]))
+
+
+def _top(slots, start):
+    """Largest slot of each table; -1 for an empty one."""
+    top = np.full(len(start) - 1, -1, dtype=np.int64)
+    full = np.flatnonzero(np.diff(start))
+    if len(full):
+        top[full] = np.maximum.reduceat(slots.max(axis=1), start[full])
+    return top
+
+
+def _join(tables, ids):
+    """The tables of several enqueue calls as one set, and each call's
+    table ids in it."""
+    first = np.cumsum([0] + [len(start) - 1 for _, _, start in tables])
+    base = np.cumsum([0] + [len(e) for e, _, _ in tables])
+    start = np.concatenate([s[:-1] + b for (_, _, s), b in zip(tables, base)]
+                           + [base[-1:]])
+    return (np.concatenate([e for e, _, _ in tables]),
+            np.concatenate([s for _, s, _ in tables]), start,
+            np.concatenate([i + f for i, f in zip(ids, first)]))
+
+
 def _windows(elems, cost):
     """(start, stop) ranges of the sorted row entries, cut between
     elements once the summed cost (tasks) reaches _WINDOW, or after one
@@ -101,7 +133,7 @@ class BatchExecutor:
     pair to its case; evaluator(case, rows, cols, row_perm, col_perm)
     returns values of shape (npairs, row_width, col_width) laid out in the
     canonical (permuted) local order. ``out`` is the C-contiguous float64
-    buffer the values are added into; blocks are 2-D views into it. Slot
+    buffer the values are added into; blocks are 2-D regions of it. Slot
     arrays give the target position inside the block for each local index,
     -1 marking an unused slot.
     """
@@ -142,42 +174,65 @@ class BatchExecutor:
             raise ConfigError("target columns are not unit-stride")
         offset = (target.ctypes.data - self._out.ctypes.data) // size
         stride = target.strides[0] // size
-        last = offset + (target.shape[0] - 1) * stride + target.shape[1] - 1
-        if target.size and not (offset >= 0 and stride >= 0
-                                and last < self._out.size):
-            raise ConfigError("target is not a view into the executor's "
-                              "buffer")
         return offset, stride
+
+    def enqueue_blocks(self, row_tables, col_tables, row_ids, col_ids,
+                       places, cases):
+        """Record one product of tasks per block.
+
+        row_tables and col_tables list element tables (elements, slots):
+        slots has one row of row_width (col_width) entries per element, the
+        element's target rows (columns) in a block, -1 marking an unused
+        slot. Block k pairs every element of row table row_ids[k] with
+        every element of column table col_ids[k]. places[k] = (offset, row
+        stride, rows, columns) locates the block in the buffer; cases[k] is
+        the singularity case of all its pairs, or -1 to classify each pair.
+        A known case skips classification, and its pairs keep their local
+        order (identity permutations).
+        """
+        if not self._open:
+            raise StateError("enqueue after finalize or close")
+        rows = _tables(row_tables, self.row_width)
+        cols = _tables(col_tables, self.col_width)
+        row_ids = np.asarray(row_ids, dtype=np.int64).reshape(-1)
+        col_ids = np.asarray(col_ids, dtype=np.int64).reshape(-1)
+        places = np.asarray(places, dtype=np.int64).reshape(-1, 4)
+        cases = np.asarray(cases, dtype=np.int64).reshape(-1)
+        if not len(row_ids) == len(col_ids) == len(places) == len(cases):
+            raise ConfigError("one row table, column table, place and case "
+                              "per block")
+        bad = (cases < -1) | (cases >= self._num_cases)
+        if bad.any():
+            raise ConfigError("unknown case %r" % (cases[bad][0],))
+        offset, stride, nrows, ncols = places.T
+        if np.any((_top(*rows[1:])[row_ids] >= nrows)
+                  | (_top(*cols[1:])[col_ids] >= ncols)):
+            raise ConfigError("slot outside the block's shape")
+        last = offset + (nrows - 1) * stride + ncols - 1
+        if np.any((nrows > 0) & (ncols > 0) & ((offset < 0) | (stride < 0)
+                                                | (last >= self._out.size))):
+            raise ConfigError("block is not inside the executor's buffer")
+        keep = ((np.diff(rows[2])[row_ids] > 0)
+                & (np.diff(cols[2])[col_ids] > 0))
+        if keep.any():
+            self._records.append((rows, cols, row_ids[keep], col_ids[keep],
+                                  places[keep, :2], cases[keep]))
 
     def enqueue_many(self, rows, cols, target, row_slots, col_slots,
                      case=None):
         """Record the len(rows) x len(cols) tasks (rows[i], cols[j]).
 
-        ``target`` is the block, a 2-D view into the buffer. row_slots
-        (len(rows), row_width) and col_slots (len(cols), col_width) hold
-        each element's target rows and columns in it. ``case``, when given,
-        is the singularity case of every pair: classification is skipped
-        and the pairs keep their local order (identity permutations).
+        The one-block case of :meth:`enqueue_blocks`: ``target`` is the
+        block, a 2-D view into the buffer. row_slots (len(rows), row_width)
+        and col_slots (len(cols), col_width) hold each element's target
+        rows and columns in it. ``case``, when given, is the singularity
+        case of every pair.
         """
         if not self._open:
             raise StateError("enqueue after finalize or close")
-        if case is not None and not 0 <= case < self._num_cases:
-            raise ConfigError("unknown case %r" % (case,))
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        cols = np.asarray(cols, dtype=np.int64).reshape(-1)
-        rs = np.asarray(row_slots, dtype=np.int64).reshape(len(rows),
-                                                           self.row_width)
-        cs = np.asarray(col_slots, dtype=np.int64).reshape(len(cols),
-                                                           self.col_width)
-        offset, stride = self._place(target)
-        nrows, ncols = target.shape
-        if (rs.size and rs.max() >= nrows) or (cs.size and cs.max() >= ncols):
-            raise ConfigError("slot outside the target's shape %r"
-                              % (target.shape,))
-        if len(rows) and len(cols):
-            self._records.append((offset, stride,
-                                  -1 if case is None else int(case),
-                                  rows, rs, cols, cs))
+        self.enqueue_blocks([(rows, row_slots)], [(cols, col_slots)], [0],
+                            [0], [self._place(target) + target.shape],
+                            [-1 if case is None else case])
 
     def finalize(self):
         """Evaluate the recorded tasks and add their values into the buffer.
@@ -202,39 +257,43 @@ class BatchExecutor:
     def _run(self):
         if not self._records:
             return
-        offset, stride, case, rows, rs, cols, cs = zip(*self._records)
-        self._records = []  # the concatenated copies below replace them
-        nrow = np.array([len(r) for r in rows])
-        ncol = np.array([len(c) for c in cols])
+        rows, cols, row_ids, col_ids, places, case = zip(*self._records)
+        self._records = []  # the joined copies below replace them
+        relems, rslots, rstart, row_ids = _join(rows, row_ids)
+        celems, cslots, cstart, col_ids = _join(cols, col_ids)
+        places = np.concatenate(places)
+        # row entries: every record's row table, sorted by element
+        nrow = np.diff(rstart)[row_ids]
         rec = np.repeat(np.arange(len(nrow)), nrow)
-        rows, rs = np.concatenate(rows), np.concatenate(rs)
-        order = np.argsort(rows, kind="stable")
-        rows, rec, rs = rows[order], rec[order], rs[order]
-        cols, cs = np.concatenate(cols), np.concatenate(cs)
-        layout = _Layout(rows, rec, rs, cols, cs,
-                         np.cumsum(ncol) - ncol, ncol, np.array(case),
-                         np.array(offset), np.array(stride), cols.max() + 1)
+        ent = np.arange(len(rec)) + np.repeat(
+            rstart[row_ids] - (np.cumsum(nrow) - nrow), nrow)
+        order = np.argsort(relems[ent], kind="stable")
+        rec, ent = rec[order], ent[order]
+        ncol = np.diff(cstart)[col_ids]
+        layout = _Layout(relems[ent], rec, rslots[ent], celems, cslots,
+                         cstart[col_ids], ncol, np.concatenate(case),
+                         places[:, 0], places[:, 1], celems.max() + 1)
         with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            for start, stop in _windows(rows, ncol[rec]):
-                self._run_window(pool, self._out, layout, start, stop)
+            for start, stop in _windows(layout.rows, ncol[rec]):
+                self._run_window(pool, layout, start, stop)
 
-    def _run_window(self, pool, buf, lay, start, stop):
+    def _run_window(self, pool, lay, start, stop):
         rec = lay.rec[start:stop]
         length = lay.ncol[rec]
         first = np.cumsum(length) - length
         n = int(first[-1] + length[-1])
-        run = np.repeat(np.arange(stop - start), length)
+        run = np.repeat(np.arange(stop - start), length)  # task -> row entry
         pos = np.arange(n) - first[run]  # position in the record's columns
         col = lay.coff[rec][run] + pos
-        rec = rec[run]
         rows, cols = lay.rows[start:stop][run], lay.cols[col]
-        case = lay.case[rec]
+        case = lay.case[rec][run]
         if self._dedupe:
             _, pick, pair = np.unique(rows * lay.span + cols,
                                       return_index=True, return_inverse=True)
-            known = case >= 0
-            case, rows, cols = case[pick], rows[pick], cols[pick]
-            case[pair[known]] = lay.case[rec[known]]
+            known = np.flatnonzero(case >= 0)
+            task_case, case = case, case[pick]
+            case[pair[known]] = task_case[known]
+            rows, cols = rows[pick], cols[pick]
         else:
             pair = np.arange(n)
         px = np.zeros(len(rows), dtype=np.int64)
@@ -245,32 +304,38 @@ class BatchExecutor:
                 rows[unknown], cols[unknown])
         values = self._evaluate(pool, case, rows, cols, px, py)
 
-        # scatter map, built while the workers evaluate: flat target and
-        # flat value index per contribution, slots in canonical order
-        rs, cs = lay.rs[start:stop][run], lay.cs[col]
+        # scatter map, built while the workers evaluate: per task its
+        # target rows in the buffer (an unused slot far below zero) and
+        # target columns (-1 unused), in canonical slot order
+        rs = lay.rs[start:stop]
+        rowt = np.where(rs >= 0, lay.offset[rec][:, None]
+                        + rs * lay.stride[rec][:, None], _UNUSED)[run]
+        colt = lay.cs[col]
         moved = np.flatnonzero((px | py)[pair])
         if self._permute_rows and len(moved):
-            rs[moved] = np.take_along_axis(rs[moved], PERMS3[px[pair[moved]]],
-                                           axis=1)
+            rowt[moved] = np.take_along_axis(
+                rowt[moved], PERMS3[px[pair[moved]]], axis=1)
         if self._permute_cols and len(moved):
-            cs[moved] = np.take_along_axis(cs[moved], PERMS3[py[pair[moved]]],
-                                           axis=1)
-        # an unused slot sends the sum of both parts below zero
-        rowt = np.where(rs >= 0, lay.offset[rec][:, None]
-                        + rs * lay.stride[rec][:, None], _UNUSED)
-        cs = np.where(cs >= 0, cs, _UNUSED)
+            colt[moved] = np.take_along_axis(
+                colt[moved], PERMS3[py[pair[moved]]], axis=1)
+        # the used (task, column slot b) segments in scatter order: row
+        # entry, then b, then position; each holds its used row slots a
         rw, cw = self.row_width, self.col_width
-        src = pair[:, None] * (rw * cw) + np.arange(rw) * cw
-        # within a record, column slot b before column position
-        at = (rw * cw * first[run] + rw * pos)[:, None] + np.arange(rw)
-        step = (rw * length[run])[:, None]
-        tgt = np.empty(n * rw * cw, dtype=np.int64)
-        out = np.empty(n * rw * cw, dtype=np.int64)
-        for b in range(cw):
-            tgt[at + b * step] = rowt + cs[:, b:b + 1]
-            out[at + b * step] = src + b
+        if cw == 1:
+            seg = np.arange(n)
+        else:
+            seg = np.empty(n * cw, dtype=np.int64)
+            seg[((cw * first)[run] + pos)[:, None]
+                + length[run][:, None] * np.arange(cw)] = \
+                np.arange(n * cw).reshape(n, cw)
+        c = colt.reshape(-1)[seg]
+        seg, c = seg[c >= 0], c[c >= 0]
+        task = seg // cw
+        tgt = rowt[task] + c[:, None]
         keep = tgt >= 0
-        np.add.at(buf, tgt[keep], values().reshape(-1)[out[keep]])
+        src = ((pair[task] * (rw * cw) + seg - task * cw)[:, None]
+               + np.arange(rw) * cw)
+        np.add.at(self._out, tgt[keep], values().reshape(-1)[src[keep]])
 
     def _evaluate(self, pool, case, rows, cols, px, py):
         """Start evaluating the listed pairs, by case in capacity-sized

@@ -13,9 +13,13 @@ from .geometry import control_points
 
 
 class BoundingBox:
-    """Axis-parallel box given by componentwise lower/upper corners."""
+    """Axis-parallel box given by componentwise lower/upper corners.
 
-    __slots__ = ("lower", "upper")
+    The diameter is computed once, here: block tree construction asks for
+    it twice per admissibility test.
+    """
+
+    __slots__ = ("lower", "upper", "_diameter")
 
     def __init__(self, lower, upper):
         self.lower = np.asarray(lower, dtype=float)
@@ -24,6 +28,7 @@ class BoundingBox:
             raise ConfigError("bounding box corners must be 3-vectors")
         if np.any(self.lower > self.upper):
             raise ConfigError("bounding box has lower > upper")
+        self._diameter = float(np.linalg.norm(self.upper - self.lower))
 
     @classmethod
     def of_points(cls, points):
@@ -31,7 +36,7 @@ class BoundingBox:
         return cls(points.min(axis=0), points.max(axis=0))
 
     def diameter(self):
-        return float(np.linalg.norm(self.upper - self.lower))
+        return self._diameter
 
     def distance(self, other):
         # componentwise gap; zero for overlapping or touching boxes

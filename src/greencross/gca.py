@@ -291,40 +291,62 @@ class H2Matrix:
 
 
 def _make_executor(kind, mesh, basis, disc, out, orders, capacity, threads):
+    """The executor of a build and the row and column kinds of its element
+    tables (see ``assembly.element_table``)."""
     if disc == "galerkin":
-        ex = assembly.make_galerkin_executor(kind, mesh, basis, out, orders,
-                                             capacity, threads)
-
-        def enqueue(rows, cols, target, case=None):
-            assembly.enqueue_galerkin_tasks(ex, mesh, basis, rows, cols,
-                                            target, case)
-    elif disc == "collocation":
+        return (assembly.make_galerkin_executor(kind, mesh, basis, out,
+                                                orders, capacity, threads),
+                (basis, basis))
+    if disc == "collocation":
         if basis != "linear":
             raise ConfigError("collocation rows pair with the linear basis")
-        ex = assembly.make_collocation_executor(kind, mesh, out, orders,
-                                                capacity, threads)
-
-        def enqueue(rows, cols, target, case=None):
-            assembly.enqueue_collocation_tasks(ex, mesh, rows, cols, target,
-                                               case)
-    else:
-        raise ConfigError("unknown discretization %r" % (disc,))
-    return ex, enqueue
+        return (assembly.make_collocation_executor(kind, mesh, out, orders,
+                                                   capacity, threads),
+                ("collocation", "linear"))
+    raise ConfigError("unknown discretization %r" % (disc,))
 
 
-def _far_case(row, col):
-    """Singularity case of every entry pair of an admissible block.
+def _enqueue(ex, mesh, kinds, rows, cols, places, cases):
+    """Record every block of a build with one executor call.
+
+    ``rows`` and ``cols`` name each block's index lists as (key, indices);
+    the element table of each distinct key is built once and serves every
+    block that names it.  ``places`` and ``cases`` are passed on per block.
+    """
+    tables = []
+    for kind, side in zip(kinds, (rows, cols)):
+        ids, lists = {}, []
+        for key, indices in side:
+            if key not in ids:
+                ids[key] = len(lists)
+                lists.append(assembly.element_table(mesh, kind, indices))
+        tables += [lists, [ids[key] for key, _ in side]]
+    row_tables, row_ids, col_tables, col_ids = tables
+    ex.enqueue_blocks(row_tables, col_tables, row_ids, col_ids, places, cases)
+
+
+def _far_cases(rows, cols):
+    """Singularity case of every entry pair of the admissible blocks
+    rows[k] x cols[k], one per block.
 
     Cluster boxes contain the supports of their basis functions, so boxes at
     positive distance share no vertex and every triangle pair (or point and
     triangle) of the block is disjoint, the regular case 0 of both
     discretizations. The executor trusts this and skips classification, so
-    the invariant is checked here.
+    the invariant is checked here, for all blocks in one array operation.
     """
-    if not row.box.distance(col.box) > 0.0:
+    def corners(clusters):
+        return (np.array([c.box.lower for c in clusters]).reshape(-1, 3),
+                np.array([c.box.upper for c in clusters]).reshape(-1, 3))
+
+    (rlo, rhi), (clo, chi) = corners(rows), corners(cols)
+    gap = np.maximum(0.0, np.maximum(rlo - chi, clo - rhi))
+    touch = np.flatnonzero(~(np.linalg.norm(gap, axis=1) > 0.0))
+    if len(touch):
+        k = touch[0]
         raise StateError("admissible block #%d x #%d: cluster boxes touch"
-                         % (row.index, col.index))
-    return DISJOINT
+                         % (rows[k].index, cols[k].index))
+    return np.full(len(rows), DISJOINT)
 
 
 def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
@@ -334,22 +356,26 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
 
     Laid out first (``h2.pack``), admissible leaves get exact entries at
     pivot rows x pivot columns in place, all from disjoint pairs (see
-    :func:`_far_case`), inadmissible leaves dense blocks, classified pair
+    :func:`_far_cases`), inadmissible leaves dense blocks, classified pair
     by pair.  Every entry request is routed through one batch executor, so
     results do not depend on capacity or thread count.
     """
     far, near = btree.admissible_leaves(), btree.inadmissible_leaves()
-    packed, far_views, near_views = h2.pack(
+    packed, far_views, near_views, places = h2.pack(
         row_basis, col_basis, far, near, (btree.row.size, btree.col.size))
-    ex, enqueue = _make_executor(kind, mesh, basis, disc, packed.blocks.data,
-                                 orders, capacity, threads)
+    ex, kinds = _make_executor(kind, mesh, basis, disc, packed.blocks.data,
+                               orders, capacity, threads)
     with ex:
-        for leaf, view in zip(far, far_views):
-            enqueue(row_basis.node(leaf.row).pivots,
-                    col_basis.node(leaf.col).pivots, view,
-                    _far_case(leaf.row, leaf.col))
-        for leaf, view in zip(near, near_views):
-            enqueue(leaf.row.indices, leaf.col.indices, view)
+        _enqueue(ex, mesh, kinds,
+                 [(("p", b.row.index), row_basis.node(b.row).pivots)
+                  for b in far]
+                 + [(("c", b.row.index), b.row.indices) for b in near],
+                 [(("p", b.col.index), col_basis.node(b.col).pivots)
+                  for b in far]
+                 + [(("c", b.col.index), b.col.indices) for b in near],
+                 places,
+                 np.r_[_far_cases([b.row for b in far], [b.col for b in far]),
+                       np.full(len(near), -1)])
         ex.finalize()
     return H2Matrix(btree.row, btree.col, row_basis, col_basis,
                     [CouplingBlock(leaf.row, leaf.col, view)
@@ -404,13 +430,12 @@ class BlockLowRank:
         self._left = h2._BlockRows(
             rows, np.concatenate([np.zeros(0, dtype=np.intp)] + gather),
             None)
-        self.data, ((self._right, right), (self._near, values)) = \
-            h2.block_rows(
-                [slots[leaf.row.index]
-                 + (np.arange(leaf.col.start, leaf.col.stop),)
-                 for leaf in far],
-                [(leaf.row.start, leaf.row.stop,
-                  np.arange(leaf.col.start, leaf.col.stop)) for leaf in near])
+        self.data, ((self._right, right, self._right_places),
+                    (self._near, values, self._near_places)) = h2.block_rows(
+            [slots[leaf.row.index]
+             + (np.arange(leaf.col.start, leaf.col.stop),) for leaf in far],
+            [(leaf.row.start, leaf.row.stop,
+              np.arange(leaf.col.start, leaf.col.stop)) for leaf in near])
         self.blocks = [(leaf.row, leaf.col, r)   # (row, col, R) triples
                        for leaf, r in zip(far, right)]
         self.nearfield = [NearfieldBlock(leaf.row, leaf.col, v)
@@ -465,11 +490,13 @@ def build_green(btree, mesh, kind="slp", basis="constant", disc="galerkin",
     for tau, sigma, r in op.blocks:
         r[...] = assembly.green_col_factor((tau, sigma), rules[tau.index],
                                            mesh, basis, orders).T
-    ex, enqueue = _make_executor(kind, mesh, basis, disc, op.data, orders,
-                                 capacity, threads)
+    ex, kinds = _make_executor(kind, mesh, basis, disc, op.data, orders,
+                               capacity, threads)
     with ex:
-        for blk in op.nearfield:
-            enqueue(blk.row.indices, blk.col.indices, blk.values)
+        _enqueue(ex, mesh, kinds,
+                 [(("c", b.row.index), b.row.indices) for b in op.nearfield],
+                 [(("c", b.col.index), b.col.indices) for b in op.nearfield],
+                 op._near_places, np.full(len(op.nearfield), -1))
         ex.finalize()
     return op
 
@@ -496,13 +523,19 @@ def build_flat_gca(btree, mesh, kind="slp", basis="constant",
             pivots[tau.index] = np.asarray(tau.indices)[interp.pivots]
             bases[tau.index] = interp.v
     op = BlockLowRank(btree, bases)
-    ex, enqueue = _make_executor(kind, mesh, basis, disc, op.data, orders,
-                                 capacity, threads)
+    ex, kinds = _make_executor(kind, mesh, basis, disc, op.data, orders,
+                               capacity, threads)
     with ex:
-        for tau, sigma, r in op.blocks:
-            enqueue(pivots[tau.index], sigma.indices, r,
-                    _far_case(tau, sigma))
-        for blk in op.nearfield:
-            enqueue(blk.row.indices, blk.col.indices, blk.values)
+        _enqueue(ex, mesh, kinds,
+                 [(("p", tau.index), pivots[tau.index])
+                  for tau, _, _ in op.blocks]
+                 + [(("c", b.row.index), b.row.indices) for b in op.nearfield],
+                 [(("c", sigma.index), sigma.indices)
+                  for _, sigma, _ in op.blocks]
+                 + [(("c", b.col.index), b.col.indices) for b in op.nearfield],
+                 np.r_[op._right_places, op._near_places],
+                 np.r_[_far_cases([tau for tau, _, _ in op.blocks],
+                                  [sigma for _, sigma, _ in op.blocks]),
+                       np.full(len(op.nearfield), -1)])
         ex.finalize()
     return op

@@ -200,8 +200,9 @@ def block_rows(*groups):
     and the inputs listed in ``cols``.  In a group, blocks with the same
     output range form one block row (in order of first appearance), side by
     side in the order given; block rows fill the buffer back to back.
-    Returns the buffer and, per group, its :class:`_BlockRows` and the
-    blocks' values as views into the buffer, in input order.
+    Returns the buffer and, per group, its :class:`_BlockRows`, the
+    blocks' values as views into the buffer, in input order, and their
+    places in it: one row (offset, row stride, rows, columns) per block.
     """
     data = np.zeros(sum((stop - start) * len(cols)
                         for group in groups for start, stop, cols in group))
@@ -209,6 +210,7 @@ def block_rows(*groups):
     used = 0
     for blocks in groups:
         views = [None] * len(blocks)
+        places = np.zeros((len(blocks), 4), dtype=np.int64)
         rows = []
         gather = []
         first = used
@@ -221,13 +223,15 @@ def block_rows(*groups):
             for i in members:
                 cols = blocks[i][2]
                 views[i] = mat[:, col:col + len(cols)]
+                places[i] = used + col, w, stop - start, len(cols)
                 gather.append(cols)
                 col += len(cols)
             rows.append((start, stop, mat, width, width + w))
             used += mat.size
             width += w
         gather = np.concatenate([np.zeros(0, dtype=np.intp)] + gather)
-        out.append((_BlockRows(rows, gather, data[first:used]), views))
+        out.append((_BlockRows(rows, gather, data[first:used]), views,
+                    places))
     return data, out
 
 
@@ -241,17 +245,19 @@ def pack(row_basis, col_basis, coupling, nearfield, shape):
     as block-tree leaves do; ``shape`` is the operator's (rows, cols).
     Stacks both bases, rebinding their nodes' matrices to views into the
     stacks, and lays all blocks out by output slots over one zeroed buffer
-    ``blocks.data``.  Returns the :class:`Packed` layout and the coupling
-    and nearfield values as views into that buffer, in input order.
+    ``blocks.data``.  Returns the :class:`Packed` layout, the coupling and
+    the nearfield values as views into that buffer, in input order, and
+    the places in it of all blocks (see :func:`block_rows`), couplings
+    first.
     """
     row, col = _BasisPack(row_basis, shape[0]), _BasisPack(col_basis, shape[1])
-    _, ((blocks, views),) = block_rows(
+    _, ((blocks, views, places),) = block_rows(
         [row.slots(row_basis.node(b.row))
          + (np.arange(*col.slots(col_basis.node(b.col))),) for b in coupling]
         + [(b.row.start, b.row.stop, np.arange(b.col.start, b.col.stop))
            for b in nearfield])
     return (Packed(row, col, blocks), views[:len(coupling)],
-            views[len(coupling):])
+            views[len(coupling):], places)
 
 
 def _check_dim(x, n):

@@ -64,6 +64,26 @@ def test_triangle_table_rejects_bad_input(sphere2):
         assembly.triangle_table([0, 1], sphere2, basis="constant")
 
 
+@pytest.mark.parametrize("level, curved, count", [
+    (2, False, None), (2, True, None), (4, False, 10 ** 5)])
+def test_galerkin_classify_matches_classify_pairs(level, curved, count):
+    """The vertex-star prefilter returns, bitwise, what classify_pairs
+    returns on every pair: all pairs of an L2 mesh, random pairs at L4."""
+    mesh = build_sphere_mesh(level)
+    if curved:
+        mesh = to_curved(mesh, project_to_unit_sphere=True)
+    nt = mesh.nt
+    if count is None:
+        rows, cols = np.divmod(np.arange(nt * nt), nt)
+    else:
+        rows, cols = np.random.default_rng(5).integers(0, nt, size=(2, count))
+    got = assembly.galerkin_classify(mesh)(rows, cols)
+    ref = quad.classify_pairs(mesh.triangles[rows], mesh.triangles[cols])
+    assert np.count_nonzero(ref[0] != quad.DISJOINT) > 0
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_constant_block_rejects_duplicate_indices(sphere2):
     with pytest.raises(ConfigError):
         assembly.assemble_galerkin_block("slp", sphere2, "constant",

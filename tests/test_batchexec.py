@@ -446,3 +446,63 @@ def test_slots_outside_block_rejected():
             ex.enqueue_many([0], [0], block.T, [[0]], [[0]])
         assert ex.finalize() is None
     assert np.all(base == 0.0)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_whole_build_enqueue_matches_block_by_block(width):
+    """One enqueue_blocks call over shared element tables gives, bitwise,
+    the blocks of one enqueue_many call per block."""
+    rng = np.random.default_rng(41 + width)
+    tables = []
+    for _ in range(5):
+        size = int(rng.integers(1, 9))
+        elems = rng.choice(30, size=size, replace=False)
+        if width == 1:
+            slots = rng.permutation(size)[:, None]
+        else:
+            slots = rng.integers(-1, 6, size=(size, 3))
+            slots[:, 0] = np.arange(size) % 6
+        tables.append((elems, slots))
+    # ten 9 x 10 blocks, two block rows of five side by side
+    def block(buf, k):
+        return buf.reshape(2, 9, 50)[k // 5][:, 10 * (k % 5):][:, :10]
+
+    row_ids = rng.integers(0, 5, size=10)
+    col_ids = rng.integers(0, 5, size=10)
+    cases = np.where(np.arange(10) % 4 == 3, 0, -1)
+    places = [(450 * (k // 5) + 10 * (k % 5), 50, 9, 10) for k in range(10)]
+
+    def make(out):
+        if width == 1:
+            return BatchExecutor(_classify_parity, _eval_pairfn, out,
+                                 capacity=7, threads=2)
+        return BatchExecutor(_classify_rotating, _eval_slots, out,
+                             row_width=3, col_width=3, permute_rows=True,
+                             permute_cols=True, capacity=7, threads=2)
+
+    got = np.zeros(900)
+    ex = make(got)
+    ex.enqueue_blocks(tables, tables, row_ids, col_ids, places, cases)
+    ex.finalize()
+    ref = np.zeros(900)
+    ex = make(ref)
+    for k in range(10):
+        (r, rs), (c, cs) = tables[row_ids[k]], tables[col_ids[k]]
+        ex.enqueue_many(r, c, block(ref, k), rs, cs,
+                        None if cases[k] < 0 else cases[k])
+    ex.finalize()
+    assert np.array_equal(got, ref)
+    assert all(np.any(block(got, k) != 0.0) for k in range(10))
+
+
+def test_enqueue_blocks_rejects_mismatched_blocks():
+    out = np.zeros((2, 2))
+    with _make(out, threads=1) as ex:
+        table = [([0, 1], [[0], [1]])]
+        with pytest.raises(ConfigError):
+            ex.enqueue_blocks(table, table, [0, 0], [0], [(0, 2, 2, 2)],
+                              [-1])
+        with pytest.raises(ConfigError):  # a block past the buffer's end
+            ex.enqueue_blocks(table, table, [0], [0], [(1, 2, 2, 2)], [-1])
+        with pytest.raises(ConfigError):
+            ex.enqueue_blocks(table, table, [0], [0], [(0, 2, 2, 2)], [4])

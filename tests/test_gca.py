@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from greencross import assembly, gca, h2
+from greencross import quadrature as quad
 from greencross.clustering import (ADMISSIBLE, BlockTree, build_block_tree,
                                    build_cluster_tree)
 from greencross.errors import ConfigError, StateError
@@ -389,10 +390,17 @@ def test_linear_h2_blocks_match_dense_assembly(linear_l3):
 
 
 def test_linear_build_evaluates_each_pair_once(monkeypatch):
-    """Triangle pairs shared by several blocks are integrated once."""
+    """Triangle pairs shared by several blocks are integrated once, and
+    exactly the vertex-sharing ones among them are classified."""
     mesh = to_curved(build_sphere_mesh(3), project_to_unit_sphere=True)
     seen = []
+    classified = []
     real = assembly.galerkin_pair_evaluator
+    real_classify = quad.classify_pairs
+
+    def classify_spy(row_tris, col_tris):
+        classified.append((row_tris, col_tris))
+        return real_classify(row_tris, col_tris)
 
     def spy(*args):
         evaluate = real(*args)
@@ -404,6 +412,7 @@ def test_linear_build_evaluates_each_pair_once(monkeypatch):
         return spied
 
     monkeypatch.setattr(assembly, "galerkin_pair_evaluator", spy)
+    monkeypatch.setattr(quad, "classify_pairs", classify_spy)
     tree = build_cluster_tree(mesh, "linear", leaf_size=16)
     btree = build_block_tree(tree, eta=1.0)
     hm = _build_h2(mesh, tree, btree, 3, 1e-4, (2, 4), basis="linear")
@@ -424,3 +433,20 @@ def test_linear_build_evaluates_each_pair_once(monkeypatch):
     assert np.array_equal(np.sort(evaluated), needed)
     tasks = sum(st["tasks"] for st in hm.exec_stats)
     assert tasks == len(evaluated) <= 1.1 * len(needed)
+
+    # classified pairs, as triangle indices: every vertex-sharing pair of
+    # the build, once each, and no other pair
+    tris = mesh.triangles
+    code = (tris[:, 0] * mesh.nv + tris[:, 1]) * mesh.nv + tris[:, 2]
+    order = np.argsort(code)
+
+    def index(rows):
+        c = (rows[:, 0] * mesh.nv + rows[:, 1]) * mesh.nv + rows[:, 2]
+        return order[np.searchsorted(code[order], c)]
+
+    got = np.concatenate([index(r) * mesh.nt + index(c)
+                          for r, c in classified])
+    t, s = np.divmod(needed, mesh.nt)
+    sharing = (tris[t][:, :, None] == tris[s][:, None, :]).any(axis=(1, 2))
+    assert len(np.unique(got)) == len(got)
+    assert np.array_equal(np.sort(got), needed[sharing])
