@@ -1,37 +1,46 @@
 """Pair-major batched execution of quadrature tasks.
 
-Work is described block by block, in a buffer laid out by the caller.
-``enqueue_many`` names a block as a 2-D row-major view into it and records
-one product of tasks for it: every element of a row list paired with every
-element of a column list, each element carrying the local slots its values
-scatter to. Nothing is evaluated before ``finalize``, which sorts the
-recorded row elements of all blocks and walks them in ascending order,
-window by window:
+Work is described block by block, in a buffer laid out by the caller. A
+block is a row-major region of the buffer, given by its place (offset, row
+stride, rows, columns), and one product of tasks: every element of a row
+table paired with every element of a column table. A table lists elements,
+each carrying the local slots its values scatter to (-1: unused), and one
+table serves every block that names it, so a caller builds it once per
+distinct index list. ``enqueue_blocks`` records any number of blocks in one
+call, as a few arrays; ``enqueue_many`` is its one-block case, the block
+given as a 2-D view into the buffer. Nothing is evaluated before
+``finalize``, which sorts the row entries of all blocks (the entries of
+their row tables) by element and walks them in ascending order, window by
+window:
 
-1. a window holds whole row elements (all the records that list them), so
+1. a window holds whole row elements (all the blocks that list them), so
    every (row, col) element pair of the build lives in exactly one window;
    it closes once its tasks reach ``_WINDOW``, so the memory in flight is
    bounded, independent of the build's size, the capacity and the number
-   of workers;
+   of workers; the window's tasks are expanded from its row entries and
+   their blocks' column tables, and nothing larger is ever expanded;
 2. the window's tasks are reduced to distinct pairs, so a pair shared by
    several blocks is classified and evaluated once (skipped when both
    widths are 1, as for the constant basis, where a pair is one entry of
    one block);
 3. the pairs of unknown singularity case are classified in one call (a
-   record may carry the known case of all its pairs instead: an admissible
-   block holds only disjoint pairs; a pair known in one record takes that
+   block may carry the known case of all its pairs instead: an admissible
+   block holds only disjoint pairs; a pair known in one block takes that
    case in all of them);
 4. the pairs are stable-sorted by case and evaluated in ``capacity``-sized
    batches, every batch one rule with no branching inside, the singular
    cases first, over a pool of ``threads`` workers that lives only for the
-   call to ``finalize``;
-5. while the workers evaluate, the main thread maps every contribution of
-   the window's tasks to its flat target in the buffer and to its pair's
-   value; one ``np.add.at`` then scatters the window.
+   call to ``finalize``; the pair arrays they read and the values they
+   write sit in buffers kept from window to window;
+5. while the workers evaluate, the main thread maps every used (row slot,
+   column slot) of every task to its flat target in the buffer and to its
+   pair's value, in the order below; an unused slot takes no entry. One
+   ``np.add.at`` then scatters the window.
 
 Order contract: a block entry sums its contributions by ascending row
-element, then enqueue call, then canonical column slot b, then position in
-the column list, then canonical row slot a. Windows split only between row
+element, then block, in the order the blocks were recorded, then canonical
+column slot b, then position in the column table, then canonical row slot
+a. Recording blocks in one call or one call each gives the same sums. Windows split only between row
 elements, so every entry is bitwise independent of the capacity, the number
 of workers and the window size, and of which other blocks the build holds.
 The evaluator must likewise produce per-pair values independent of how
@@ -40,7 +49,7 @@ chunks of a fixed number of quadrature points, a function of the rule
 alone, and compute each pair's value from its own data only.
 
 An executor whose ``finalize`` failed (an evaluator raised), or that was
-closed before finalizing, refuses further work: ``enqueue_many`` and
+closed before finalizing, refuses further work: the enqueue methods and
 ``finalize`` raise StateError, and the buffer holds incomplete sums.
 """
 
@@ -104,6 +113,21 @@ def _join(tables, ids):
     return (np.concatenate([e for e, _, _ in tables]),
             np.concatenate([s for _, s, _ in tables]), start,
             np.concatenate([i + f for i, f in zip(ids, first)]))
+
+
+class _Scratch:
+    """Buffers kept from window to window: ``scratch(name, n, dtype)`` is
+    the first n entries of the named buffer, which grows to the largest n
+    asked for."""
+
+    def __init__(self):
+        self._bufs = {}
+
+    def __call__(self, name, n, dtype=np.int64):
+        buf = self._bufs.get(name)
+        if buf is None or len(buf) < n:
+            buf = self._bufs[name] = np.empty(n, dtype=dtype)
+        return buf[:n]
 
 
 def _windows(elems, cost):
@@ -273,11 +297,13 @@ class BatchExecutor:
         layout = _Layout(relems[ent], rec, rslots[ent], celems, cslots,
                          cstart[col_ids], ncol, np.concatenate(case),
                          places[:, 0], places[:, 1], celems.max() + 1)
+        scratch = _Scratch()
         with ThreadPoolExecutor(max_workers=self.threads) as pool:
             for start, stop in _windows(layout.rows, ncol[rec]):
-                self._run_window(pool, layout, start, stop)
+                self._run_window(pool, layout, start, stop, scratch)
 
-    def _run_window(self, pool, lay, start, stop):
+    def _run_window(self, pool, lay, start, stop, buf):
+        rw, cw = self.row_width, self.col_width
         rec = lay.rec[start:stop]
         length = lay.ncol[rec]
         first = np.cumsum(length) - length
@@ -285,24 +311,30 @@ class BatchExecutor:
         run = np.repeat(np.arange(stop - start), length)  # task -> row entry
         pos = np.arange(n) - first[run]  # position in the record's columns
         col = lay.coff[rec][run] + pos
-        rows, cols = lay.rows[start:stop][run], lay.cols[col]
-        case = lay.case[rec][run]
+        # the pairs' arrays, read by the workers through the window
+        rows = np.take(lay.rows[start:stop], run, out=buf("rows", n))
+        cols = np.take(lay.cols, col, out=buf("cols", n))
+        case = np.take(lay.case[rec], run, out=buf("case", n))
         if self._dedupe:
             _, pick, pair = np.unique(rows * lay.span + cols,
                                       return_index=True, return_inverse=True)
             known = np.flatnonzero(case >= 0)
-            task_case, case = case, case[pick]
+            task_case = case
+            case = np.take(task_case, pick, out=buf("pair_case", len(pick)))
             case[pair[known]] = task_case[known]
-            rows, cols = rows[pick], cols[pick]
+            rows = np.take(rows, pick, out=buf("pair_rows", len(pick)))
+            cols = np.take(cols, pick, out=buf("pair_cols", len(pick)))
         else:
             pair = np.arange(n)
-        px = np.zeros(len(rows), dtype=np.int64)
-        py = np.zeros(len(rows), dtype=np.int64)
+        px, py = buf("px", len(rows)), buf("py", len(rows))
+        px.fill(0)
+        py.fill(0)
         unknown = np.flatnonzero(case < 0)
         if len(unknown):
             case[unknown], px[unknown], py[unknown] = self._classify(
                 rows[unknown], cols[unknown])
-        values = self._evaluate(pool, case, rows, cols, px, py)
+        values = self._evaluate(pool, case, rows, cols, px, py,
+                                buf("values", len(rows) * rw * cw, np.float64))
 
         # scatter map, built while the workers evaluate: per task its
         # target rows in the buffer (an unused slot far below zero) and
@@ -311,35 +343,37 @@ class BatchExecutor:
         rowt = np.where(rs >= 0, lay.offset[rec][:, None]
                         + rs * lay.stride[rec][:, None], _UNUSED)[run]
         colt = lay.cs[col]
-        moved = np.flatnonzero((px | py)[pair])
-        if self._permute_rows and len(moved):
-            rowt[moved] = np.take_along_axis(
-                rowt[moved], PERMS3[px[pair[moved]]], axis=1)
-        if self._permute_cols and len(moved):
-            colt[moved] = np.take_along_axis(
-                colt[moved], PERMS3[py[pair[moved]]], axis=1)
-        # the used (task, column slot b) segments in scatter order: row
-        # entry, then b, then position; each holds its used row slots a
-        rw, cw = self.row_width, self.col_width
-        if cw == 1:
-            seg = np.arange(n)
-        else:
-            seg = np.empty(n * cw, dtype=np.int64)
-            seg[((cw * first)[run] + pos)[:, None]
-                + length[run][:, None] * np.arange(cw)] = \
-                np.arange(n * cw).reshape(n, cw)
+        if self._permute_rows or self._permute_cols:
+            moved = np.flatnonzero((px | py)[pair])
+            if self._permute_rows:
+                rowt[moved] = np.take_along_axis(
+                    rowt[moved], PERMS3[px[pair[moved]]], axis=1)
+            if self._permute_cols:
+                colt[moved] = np.take_along_axis(
+                    colt[moved], PERMS3[py[pair[moved]]], axis=1)
+        # segments seg = task * cw + b in scatter order: row entry, then
+        # column slot b, then position; run (row entry, b) lists the row
+        # entry's tasks in order
+        rl = np.repeat(length, cw)
+        rstart = ((cw * first)[:, None] + np.arange(cw)).reshape(-1)
+        seg = cw * np.arange(n * cw) + np.repeat(
+            rstart - cw * (np.cumsum(rl) - rl), rl)
+        # the used segments, each with its used row slots a
         c = colt.reshape(-1)[seg]
-        seg, c = seg[c >= 0], c[c >= 0]
+        used = c >= 0
+        seg, c = seg[used], c[used]
         task = seg // cw
         tgt = rowt[task] + c[:, None]
         keep = tgt >= 0
+        tgt = tgt[keep]
         src = ((pair[task] * (rw * cw) + seg - task * cw)[:, None]
-               + np.arange(rw) * cw)
-        np.add.at(self._out, tgt[keep], values().reshape(-1)[src[keep]])
+               + np.arange(rw) * cw)[keep]
+        np.add.at(self._out, tgt, values().reshape(-1)[src])
 
-    def _evaluate(self, pool, case, rows, cols, px, py):
+    def _evaluate(self, pool, case, rows, cols, px, py, values):
         """Start evaluating the listed pairs, by case in capacity-sized
-        batches; returns a function that waits for and returns the values.
+        batches, into ``values`` (one row of row_width * col_width per
+        pair); returns a function that waits for and returns the values.
         """
         by_case = np.argsort(case, kind="stable")
         bounds = np.searchsorted(case[by_case], np.arange(self._num_cases + 1))
@@ -352,7 +386,7 @@ class BatchExecutor:
             batches += [(c, by_case[b:min(e, b + self.capacity)])
                         for b in range(s, e, self.capacity)]
         # batches write disjoint rows
-        values = np.empty((len(rows), self.row_width, self.col_width))
+        values = values.reshape(len(rows), self.row_width, self.col_width)
 
         def work():
             # each worker pulls batches until none is left
