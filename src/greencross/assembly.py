@@ -3,10 +3,16 @@
 A Galerkin block is the product of two triangle tables: every triangle
 touching a row DOF paired with every triangle touching a column DOF, each
 pair's 3x3 (or 1x1) local matrix scattered to the block positions of the
-pair's DOFs. Blocks record these products with the batch executor, which
-integrates a triangle pair shared by several blocks once and scatters it to
-all of them (a constant-basis pair is one entry of one block, so that path
-skips the dedupe). Each entry sums in a fixed order: ascending row
+pair's DOFs. :func:`element_table` gives the executor's form of an index
+list's table, which a build makes once per distinct list (a basis node's
+pivots, a cluster's indices) and shares among all blocks that list it.
+Blocks record these products with the batch executor, which integrates a
+triangle pair shared by several blocks once and scatters it to all of them
+(a constant-basis pair is one entry of one block, so that path skips the
+dedupe). Pairs of unknown case are classified by :func:`galerkin_classify`,
+which looks each pair up among the mesh's vertex-sharing pairs (a sorted
+key array from the vertex stars) and passes only those to
+``quadrature.classify_pairs``; every other pair is disjoint. Each entry sums in a fixed order: ascending row
 triangle, then canonical column slot, then column triangle. So assembly is
 bitwise reproducible for any capacity and thread count, and a block equals
 the same rows and columns of any larger block. A collocation block is the

@@ -294,9 +294,10 @@ class BatchExecutor:
         order = np.argsort(relems[ent], kind="stable")
         rec, ent = rec[order], ent[order]
         ncol = np.diff(cstart)[col_ids]
-        layout = _Layout(relems[ent], rec, rslots[ent], celems, cslots,
-                         cstart[col_ids], ncol, np.concatenate(case),
-                         places[:, 0], places[:, 1], celems.max() + 1)
+        layout = _Layout(relems[ent], rec, np.take(rslots, ent, axis=0),
+                         celems, cslots, cstart[col_ids], ncol,
+                         np.concatenate(case), places[:, 0], places[:, 1],
+                         celems.max() + 1)
         scratch = _Scratch()
         with ThreadPoolExecutor(max_workers=self.threads) as pool:
             for start, stop in _windows(layout.rows, ncol[rec]):
@@ -340,9 +341,10 @@ class BatchExecutor:
         # target rows in the buffer (an unused slot far below zero) and
         # target columns (-1 unused), in canonical slot order
         rs = lay.rs[start:stop]
-        rowt = np.where(rs >= 0, lay.offset[rec][:, None]
-                        + rs * lay.stride[rec][:, None], _UNUSED)[run]
-        colt = lay.cs[col]
+        rowt = np.take(np.where(rs >= 0, lay.offset[rec][:, None]
+                                + rs * lay.stride[rec][:, None], _UNUSED),
+                       run, axis=0)
+        colt = np.take(lay.cs, col, axis=0)
         if self._permute_rows or self._permute_cols:
             moved = np.flatnonzero((px | py)[pair])
             if self._permute_rows:
@@ -356,18 +358,19 @@ class BatchExecutor:
         # entry's tasks in order
         rl = np.repeat(length, cw)
         rstart = ((cw * first)[:, None] + np.arange(cw)).reshape(-1)
-        seg = cw * np.arange(n * cw) + np.repeat(
+        seg = np.arange(0, cw * cw * n, cw) + np.repeat(
             rstart - cw * (np.cumsum(rl) - rl), rl)
         # the used segments, each with its used row slots a
         c = colt.reshape(-1)[seg]
         used = c >= 0
-        seg, c = seg[used], c[used]
+        seg, c = np.compress(used, seg), np.compress(used, c)
         task = seg // cw
-        tgt = rowt[task] + c[:, None]
-        keep = tgt >= 0
-        tgt = tgt[keep]
-        src = ((pair[task] * (rw * cw) + seg - task * cw)[:, None]
-               + np.arange(rw) * cw)[keep]
+        tgt = np.take(rowt, task, axis=0)
+        tgt += c[:, None]
+        keep = (tgt >= 0).reshape(-1)
+        tgt = np.compress(keep, tgt)
+        src = np.compress(keep, (pair[task] * (rw * cw) + seg
+                                 - task * cw)[:, None] + np.arange(rw) * cw)
         np.add.at(self._out, tgt, values().reshape(-1)[src])
 
     def _evaluate(self, pool, case, rows, cols, px, py, values):

@@ -306,22 +306,24 @@ def _make_executor(kind, mesh, basis, disc, out, orders, capacity, threads):
     raise ConfigError("unknown discretization %r" % (disc,))
 
 
-def _enqueue(ex, mesh, kinds, rows, cols, places, cases):
-    """Record every block of a build with one executor call.
+def _tables(mesh, kind, side):
+    """Element tables of one side of a build's blocks, which ``side`` names
+    as (key, indices) each: the table of each distinct key, built once, and
+    each block's table id."""
+    ids, tables = {}, []
+    for key, indices in side:
+        if key not in ids:
+            ids[key] = len(tables)
+            tables.append(assembly.element_table(mesh, kind, indices))
+    return tables, [ids[key] for key, _ in side]
 
-    ``rows`` and ``cols`` name each block's index lists as (key, indices);
-    the element table of each distinct key is built once and serves every
-    block that names it.  ``places`` and ``cases`` are passed on per block.
-    """
-    tables = []
-    for kind, side in zip(kinds, (rows, cols)):
-        ids, lists = {}, []
-        for key, indices in side:
-            if key not in ids:
-                ids[key] = len(lists)
-                lists.append(assembly.element_table(mesh, kind, indices))
-        tables += [lists, [ids[key] for key, _ in side]]
-    row_tables, row_ids, col_tables, col_ids = tables
+
+def _enqueue(ex, mesh, kinds, rows, cols, places, cases):
+    """Record every block of a build with one executor call; ``rows`` and
+    ``cols`` name each block's index lists (see :func:`_tables`),
+    ``places`` and ``cases`` are passed on per block."""
+    row_tables, row_ids = _tables(mesh, kinds[0], rows)
+    col_tables, col_ids = _tables(mesh, kinds[1], cols)
     ex.enqueue_blocks(row_tables, col_tables, row_ids, col_ids, places, cases)
 
 
@@ -366,6 +368,8 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     ex, kinds = _make_executor(kind, mesh, basis, disc, packed.blocks.data,
                                orders, capacity, threads)
     with ex:
+        # index lists keyed ("p", cluster) for a basis node's pivots and
+        # ("c", cluster) for a cluster's indices
         _enqueue(ex, mesh, kinds,
                  [(("p", b.row.index), row_basis.node(b.row).pivots)
                   for b in far]
