@@ -6,6 +6,8 @@ The block tree pairs clusters and classifies each pair as admissible (far
 field, compressible), inadmissible leaf (near field, dense), or subdivided.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError
@@ -39,10 +41,11 @@ class BoundingBox:
         return self._diameter
 
     def distance(self, other):
-        # componentwise gap; zero for overlapping or touching boxes
+        # componentwise gap; zero for overlapping or touching boxes. The
+        # norm as np.linalg.norm computes it, without its per-call checks
         gap = np.maximum(0.0, np.maximum(self.lower - other.upper,
                                          other.lower - self.upper))
-        return float(np.linalg.norm(gap))
+        return math.sqrt(gap @ gap)
 
     def __repr__(self):
         return "BoundingBox(%s, %s)" % (self.lower.tolist(), self.upper.tolist())
