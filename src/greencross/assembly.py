@@ -12,12 +12,12 @@ triangle pair shared by several blocks once and scatters it to all of them
 dedupe). Pairs of unknown case are classified by :func:`galerkin_classify`,
 which looks each pair up among the mesh's vertex-sharing pairs (a sorted
 key array from the vertex stars) and passes only those to
-``quadrature.classify_pairs``; every other pair is disjoint. Each entry sums in a fixed order: ascending row
-triangle, then canonical column slot, then column triangle. So assembly is
-bitwise reproducible for any capacity and thread count, and a block equals
-the same rows and columns of any larger block. A collocation block is the
-product of its row points and its column triangle table, with the same
-order per entry.
+``quadrature.classify_pairs``; every other pair is disjoint. Each entry
+sums in a fixed order: ascending row triangle, then canonical column slot,
+then column triangle. So assembly is bitwise reproducible for any capacity
+and thread count, and a block equals the same rows and columns of any
+larger block. A collocation block is the product of its row points and its
+column triangle table, with the same order per entry.
 
 The pair evaluator takes a whole case-homogeneous batch at a time, in chunks
 of a fixed number of quadrature points. Disjoint pairs, the bulk of the
@@ -181,16 +181,8 @@ def galerkin_classify(mesh):
     """
     tris = mesh.triangles
     nt = len(tris)
-    stars = mesh.vertex_stars()
-    size = np.array([len(st) for st in stars])
-    flat = np.concatenate(stars)
-    first = np.repeat(np.cumsum(size) - size, size)  # star start per entry
-    # each entry paired with every entry of its star
-    reps = size[np.repeat(np.arange(len(stars)), size)]
-    left = np.repeat(np.arange(len(flat)), reps)
-    right = first[left] + np.arange(len(left)) - np.repeat(
-        np.cumsum(reps) - reps, reps)
-    shared = np.unique(flat[left] * nt + flat[right])
+    shared = np.unique(np.concatenate(
+        [(st[:, None] * nt + st).ravel() for st in mesh.vertex_stars()]))
 
     def classify(rows, cols):
         key = rows * nt + cols

@@ -71,8 +71,8 @@ DEFAULT_CAPACITY = 4096
 # L4 constant build near 100 MiB (117 MiB at 2^18).
 _WINDOW = 1 << 17
 
-# scatter target of an unused slot: a target plus one or two of these is
-# negative, and the sum cannot overflow
+# scatter target row of an unused row slot: plus any column the target is
+# negative, so the slot pair is dropped
 _UNUSED = -(1 << 61)
 
 
