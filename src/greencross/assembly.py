@@ -23,10 +23,12 @@ The pair evaluator takes a whole case-homogeneous batch at a time, in chunks
 of a fixed number of quadrature points. Disjoint pairs, the bulk of the
 work, read per-triangle tables of the regular rule (points, Gram-weighted
 weights, basis factors, normals) built once per evaluator; vertex, edge and
-identical pairs interpolate the two charts at the regularized rule's points
-in coordinate-major (b, M) arrays. The linear basis's disjoint pairs
-contract their M x M kernel matrix with the row and column slot weights by
-a stacked matmul, two small products per pair; the other paths sum with
+identical pairs interpolate the two charts at the distinct points of each
+side of the regularized rule, then gather them to the rule's M points in
+coordinate-major (b, M) arrays. The linear basis contracts with stacked
+matmuls, small products per pair: a disjoint pair's M x M kernel matrix
+between the row and column slot weights, a singular pair's M kernel values
+with the (M, 9) slot weights. The constant basis and collocation sum with
 numpy reductions and call no BLAS. Either way the value of a pair depends
 on its own data only, never on the rest of its chunk.
 
@@ -123,21 +125,34 @@ def _chunks(n, points):
     return [slice(s, min(n, s + step)) for s in range(0, n, step)]
 
 
-_SingularRule = namedtuple("_SingularRule", "n6x n6y wb")
+_SingularRule = namedtuple("_SingularRule", "n6x ix n6y iy w")
 
 
 @lru_cache(maxsize=None)
 def _singular_rule(case, q_sing, basis):
-    """Shape functions (6, M) of both sides and the weights as a
-    (width, width, M) array, times the barycentric factors of the linear
-    basis."""
+    """The regularized rule of a singular case, ready to interpolate.
+
+    Each side's M points repeat heavily (56 distinct of 512 per side for the
+    vertex rule at q_sing 4, 800 of 1536 for the identical rule), so a side
+    keeps the shape functions (6, U) at its U distinct points, n6x or n6y,
+    and the index (M,) of every rule point among them, ix or iy. The
+    weights w are (M,) for the constant basis; for the linear basis they
+    carry the barycentric factors, (M, 9) with column 3 a + c for the slots
+    (a, c). Every array is read-only: the cache shares them among threads.
+    """
     rule = quad.sauter_rule(quad.KIND_NAMES[case], q_sing)
+    sides = []
+    for pts in (rule.x, rule.y):
+        distinct, index = np.unique(pts, axis=0, return_inverse=True)
+        sides += [shape_functions(distinct).T.copy(), index.reshape(-1)]
     if basis == "constant":
-        wb = rule.w[None, None, :]
+        w = rule.w.copy()
     else:
-        wb = np.einsum("m,ma,mb->abm", rule.w, _bary(rule.x), _bary(rule.y))
-    return _SingularRule(shape_functions(rule.x).T.copy(),
-                         shape_functions(rule.y).T.copy(), wb)
+        w = np.einsum("m,ma,mb->mab", rule.w, _bary(rule.x),
+                      _bary(rule.y)).reshape(-1, 9)
+    for a in (*sides, w):
+        a.flags.writeable = False
+    return _SingularRule(*sides, w)
 
 
 _FarTables = namedtuple("_FarTables", "x wr wc n")
@@ -205,7 +220,8 @@ def galerkin_pair_evaluator(kind, mesh, basis, q_reg, q_sing):
     Disjoint pairs read the per-triangle tables of :func:`_far_tables`, so
     no chart is interpolated per pair: the value is the sum over the M*M
     point pairs of wr_a wc_b K(x_a, y_b). Singular pairs interpolate both
-    charts at the pair rule's points, coordinate-major.
+    charts at the distinct points of :func:`_singular_rule`, coordinate-major,
+    and gather them to the rule's points.
 
     Returns values in the canonical (permuted) local ordering; the stored
     chart node and normal values are gathered through the same permutation,
@@ -230,7 +246,7 @@ def galerkin_pair_evaluator(kind, mesh, basis, q_reg, q_sing):
                 _disjoint_chunk(out[sl], rows[sl], cols[sl])
         else:
             rule = _singular_rule(int(case), q_sing, basis)
-            for sl in _chunks(len(rows), rule.n6x.shape[1]):
+            for sl in _chunks(len(rows), len(rule.ix)):
                 _singular_chunk(out[sl], rows[sl], cols[sl], px[sl], py[sl],
                                 rule)
         return out
@@ -258,27 +274,44 @@ def galerkin_pair_evaluator(kind, mesh, basis, q_reg, q_sing):
                                   axis=1) / FOUR_PI
 
     def _singular_chunk(out, rows, cols, px, py, rule):
-        d = (_chart_points(nodes, rows, px, rule.n6x)
-             - _chart_points(nodes, cols, py, rule.n6y))
-        r2 = np.sum(d * d, axis=0)
-        r = np.sqrt(r2)
+        # charts interpolated at each side's distinct points, gathered to
+        # the M rule points; the (3, b, M) temporaries are reused in place
+        d = _chart_points(nodes, rows, px, rule.n6x).take(rule.ix, axis=2)
+        d -= _chart_points(nodes, cols, py, rule.n6y).take(rule.iy, axis=2)
         if pack.curved:
-            gx = _norm3(_chart_points(normals, rows, px, rule.n6x), axis=0)
+            gx = _norm3(_chart_points(normals, rows, px, rule.n6x),
+                        axis=0).take(rule.ix, axis=1)
         else:
             gx = pack.gram[rows][:, None]
         if dlp:
-            ny = _chart_points(normals, cols, py, rule.n6y)
+            ny = _chart_points(normals, cols, py, rule.n6y).take(rule.iy,
+                                                                 axis=2)
+            ny *= d
+            kg = np.sum(ny, axis=0)
+        d *= d
+        r2 = np.sum(d, axis=0)
+        if dlp:
             # |n_y| carries the column Gramian, so only gx multiplies here
-            kg = np.sum(d * ny, axis=0) / (FOUR_PI * r2 * r) * gx
+            r = np.sqrt(r2)
+            r2 *= FOUR_PI
+            r2 *= r
+            kg /= r2
+            kg *= gx
         else:
             if pack.curved:
-                gy = _norm3(_chart_points(normals, cols, py, rule.n6y), axis=0)
+                gy = _norm3(_chart_points(normals, cols, py, rule.n6y),
+                            axis=0).take(rule.iy, axis=1)
             else:
                 gy = pack.gram[cols][:, None]
-            kg = gx * gy / (FOUR_PI * r)
-        for a in range(width):
-            for c in range(width):
-                out[:, a, c] = np.sum(kg * rule.wb[a, c], axis=1)
+            r = np.sqrt(r2, out=r2)
+            r *= FOUR_PI
+            kg = np.divide(gx * gy, r, out=r)
+        if width > 1:
+            # the nine slot weights of a pair in one small product per pair
+            np.matmul(kg[:, None, :], rule.w, out=out.reshape(len(rows), 1, 9))
+        else:
+            kg *= rule.w
+            out[:, 0, 0] = np.sum(kg, axis=1)
 
     return evaluate
 

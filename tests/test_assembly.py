@@ -8,7 +8,8 @@ from greencross import quadrature as quad
 from greencross.clustering import (BoundingBox, build_block_tree,
                                    build_cluster_tree)
 from greencross.errors import ConfigError
-from greencross.geometry import build_sphere_mesh, chart_eval, to_curved
+from greencross.geometry import (build_sphere_mesh, chart_eval,
+                                 shape_functions, to_curved)
 from greencross.quadrature import green_box_rule
 
 FOUR_PI = 4.0 * np.pi
@@ -299,20 +300,43 @@ def _pairs_by_case(mesh, per_case, seed=3):
 def test_pair_values_independent_of_chunking(monkeypatch, geometry, basis,
                                              kind):
     """Per-pair values are bitwise equal for any point budget and any
-    order or grouping of the pairs in a batch."""
+    order or grouping of the pairs in a batch, at the singular orders of
+    the tests and of the benchmark."""
     mesh = _mesh(geometry, 2)
-    ev = assembly.galerkin_pair_evaluator(kind, mesh, basis, 2, 3)
-    for case, (t, s, px, py) in _pairs_by_case(mesh, 40).items():
-        ref = ev(case, t, s, px, py)
-        rev = slice(None, None, -1)
-        for budget in (1, 37, 1000):
-            monkeypatch.setattr(assembly, "_POINT_BUDGET", budget)
-            assert np.array_equal(ev(case, t, s, px, py), ref)
-            assert np.array_equal(ev(case, t[rev], s[rev], px[rev],
-                                     py[rev]), ref[rev])
-        monkeypatch.undo()
-        one = ev(case, t[:1], s[:1], px[:1], py[:1])
-        assert np.array_equal(one, ref[:1])
+    for q_sing in (3, 4):
+        ev = assembly.galerkin_pair_evaluator(kind, mesh, basis, 2, q_sing)
+        for case, (t, s, px, py) in _pairs_by_case(mesh, 40).items():
+            ref = ev(case, t, s, px, py)
+            rev = slice(None, None, -1)
+            for budget in (1, 37, 1000, 5000):
+                monkeypatch.setattr(assembly, "_POINT_BUDGET", budget)
+                assert np.array_equal(ev(case, t, s, px, py), ref)
+                assert np.array_equal(ev(case, t[rev], s[rev], px[rev],
+                                         py[rev]), ref[rev])
+            monkeypatch.undo()
+            one = ev(case, t[:1], s[:1], px[:1], py[:1])
+            assert np.array_equal(one, ref[:1])
+
+
+@pytest.mark.parametrize("kind", ["vertex", "edge", "identical"])
+def test_singular_rule_distinct_point_tables(kind):
+    """Each side's distinct points, and the shape functions there, gathered
+    by the stored indices give the rule's points and their shape functions
+    bitwise; the cached tables refuse writes."""
+    for q in range(2, 6):
+        rule = quad.sauter_rule(kind, q)
+        for basis in ("constant", "linear"):
+            tab = assembly._singular_rule(quad.KIND_CODES[kind], q, basis)
+            for pts, n6, index in ((rule.x, tab.n6x, tab.ix),
+                                   (rule.y, tab.n6y, tab.iy)):
+                distinct = np.unique(pts, axis=0)
+                assert n6.shape == (6, len(distinct))
+                assert len(distinct) < len(pts)
+                assert np.array_equal(distinct[index], pts)
+                assert np.array_equal(n6[:, index], shape_functions(pts).T)
+            for a in tab:
+                with pytest.raises(ValueError, match="read-only"):
+                    np.multiply(a, 1, out=a)
 
 
 def _reference_pair(mesh, kind, basis, rule, t, s, p, q):
