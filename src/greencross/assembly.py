@@ -110,7 +110,7 @@ def _coordinate_major(a):
 def _chart_points(coords, tris, perm, n6t):
     """Quadratic interpolation of chart node values, coordinate-major.
 
-    coords is a (3, nt, 6) array, n6t the (6, M) shape functions of a rule;
+    coords is a (3, nt, 6) array, n6t the (6, M) shape functions at M points;
     the nodes of each listed triangle are read in the order ORDER6 of its
     permutation id. Returns a (3, b, M) array. An einsum reduction over the
     six nodes, not BLAS, so each point is independent of the batch.
