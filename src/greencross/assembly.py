@@ -16,8 +16,11 @@ key array from the vertex stars) and passes only those to
 sums in a fixed order: ascending row triangle, then canonical column slot,
 then column triangle. So assembly is bitwise reproducible for any capacity
 and thread count, and a block equals the same rows and columns of any
-larger block. A collocation block is the product of its row points and its
-column triangle table, with the same order per entry.
+larger block. A constant-basis single-layer pair is evaluated in one
+orientation, row triangle below column triangle (see
+:func:`galerkin_pair_evaluator`), so that matrix is bitwise symmetric. A
+collocation block is the product of its row points and its column
+triangle table, with the same order per entry.
 
 The pair evaluator takes a whole case-homogeneous batch at a time, in chunks
 of a fixed number of quadrature points. Disjoint pairs, the bulk of the
@@ -227,6 +230,12 @@ def galerkin_pair_evaluator(kind, mesh, basis, q_reg, q_sing):
     chart node and normal values are gathered through the same permutation,
     which reproduces the physical point and normal fields exactly, so no
     orientation correction is needed for odd permutations.
+
+    Orientation rule: the constant-basis single layer evaluates a pair
+    (t, s) with t > s as its mirror (s, t), classified anew (swapping the
+    given permutations would change the rule's vertex order, at quadrature
+    level). So (t, s) gets the bits of (s, t); the linear basis and dlp
+    evaluate pairs as given.
     """
     if kind not in ("slp", "dlp"):
         raise ConfigError("unknown kernel kind %r" % (kind,))
@@ -238,8 +247,17 @@ def galerkin_pair_evaluator(kind, mesh, basis, q_reg, q_sing):
     nodes = _coordinate_major(pack.nodes)
     normals = _coordinate_major(pack.normals)
     far = _far_tables(pack, nodes, normals, q_reg, basis == "linear", dlp)
+    mirror = basis == "constant" and not dlp
 
     def evaluate(case, rows, cols, px, py):
+        if mirror:
+            # the orientation rule: (t, s) with t > s is evaluated as (s, t)
+            swap = np.flatnonzero(rows > cols)
+            rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
+            if len(swap) and case != quad.DISJOINT:
+                px, py = px.copy(), py.copy()
+                _, px[swap], py[swap] = quad.classify_pairs(
+                    mesh.triangles[rows[swap]], mesh.triangles[cols[swap]])
         out = np.empty((len(rows), width, width))
         if case == quad.DISJOINT:
             for sl in _chunks(len(rows), far.x.shape[-1] ** 2):

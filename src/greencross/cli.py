@@ -169,20 +169,29 @@ def build_trees(mesh, cfg):
 def build_h2_operator(mesh, cfg, kind="slp", capacity=DEFAULT_CAPACITY,
                       threads=None, btree=None):
     """Cluster tree, block tree and GCA-H2 matrix for one config; a block
-    tree built before (by :func:`build_trees`) is reused."""
+    tree built before (by :func:`build_trees`) is reused.
+
+    A Galerkin build has one basis, for both sides: the column basis would
+    have the row basis's pivots (see ``gca.build_cluster_basis``).
+    Collocation rows are points, so that build has two.
+    """
     if btree is None:
         tree, btree = build_trees(mesh, cfg)
     else:
         tree = btree.row
     orders = (cfg.q_reg, cfg.q_sing)
-    row_kind = "collocation" if cfg.disc == "collocation" else cfg.basis
     rmarks, cmarks = gca.coupling_marks(btree)
-    row_basis = gca.build_cluster_basis(
-        tree, mesh, row_kind, cfg.m, cfg.delta_factor, cfg.eps,
-        side="row", orders=orders, marks=rmarks)
-    col_basis = gca.build_cluster_basis(
-        tree, mesh, cfg.basis, cfg.m, cfg.delta_factor, cfg.eps,
-        side="col", orders=orders, marks=cmarks)
+
+    def basis(kind, side, marks):
+        return gca.build_cluster_basis(tree, mesh, kind, cfg.m,
+                                       cfg.delta_factor, cfg.eps, side=side,
+                                       orders=orders, marks=marks)
+
+    if cfg.disc == "collocation":
+        row_basis = basis("collocation", "row", rmarks)
+        col_basis = basis(cfg.basis, "col", cmarks)
+    else:
+        row_basis = col_basis = basis(cfg.basis, "row", rmarks | cmarks)
     hm = gca.build_h2(btree, row_basis, col_basis, mesh, kind=kind,
                       basis=cfg.basis, disc=cfg.disc, orders=orders,
                       capacity=capacity, threads=threads)

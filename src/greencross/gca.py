@@ -31,7 +31,7 @@ from .quadrature import DISJOINT, green_box_rule
 
 __all__ = [
     "Interpolation", "aca_interpolation", "BasisNode", "ClusterBasis",
-    "build_cluster_basis", "expand_basis", "CouplingBlock", "NearfieldBlock",
+    "build_cluster_basis", "CouplingBlock", "NearfieldBlock",
     "H2Matrix", "build_h2", "BlockLowRank", "build_green", "build_flat_gca",
 ]
 
@@ -180,8 +180,12 @@ def build_cluster_basis(tree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
     chose them, so every node's pivots are those of that selection and the
     leaf's transfer is only reordered to match.
 
-    ``side`` picks the row or column role of the factorization.  The
-    collocation basis (point evaluation rows) exists only on the row side.
+    ``side`` picks the row or column role of the factorization.  A
+    Galerkin B is A with its halves swapped and scaled by -1/d_tau and
+    1/d_tau, so it spans A; full pivoting, by magnitude and relative norm,
+    picks the same pivots on both sides and V the same to rounding, and a
+    symmetric build uses one basis for both.  The collocation basis (point
+    evaluation rows) exists only on the row side.
 
     ``marks`` (a set of cluster indices, see :func:`coupling_marks`)
     restricts the build to clusters that actually feed a coupling block:
@@ -246,13 +250,6 @@ def build_cluster_basis(tree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
 
     walk(tree)
     return ClusterBasis(roots, by_index)
-
-
-def expand_basis(node):
-    """Dense cluster-size x rank matrix realized by the nested basis."""
-    if not node.children:
-        return node.v
-    return np.vstack([expand_basis(c) @ c.transfer for c in node.children])
 
 
 CouplingBlock = namedtuple("CouplingBlock", "row col values")
@@ -351,6 +348,21 @@ def _far_cases(rows, cols):
     return np.full(len(rows), DISJOINT)
 
 
+def _mirrored(leaves):
+    """Of the leaves of a symmetric block tree, the indices of those with
+    row cluster <= column cluster, which are evaluated, and (leaf, partner)
+    for the others; every leaf needs a partner in its state."""
+    at = {(b.row.index, b.col.index, b.state): k for k, b in enumerate(leaves)}
+    partner = [at.get((b.col.index, b.row.index, b.state)) for b in leaves]
+    if None in partner:
+        b = leaves[partner.index(None)]
+        raise StateError("block tree is not symmetric: leaf #%d x #%d has "
+                         "no %s partner" % (b.row.index, b.col.index, b.state))
+    lower = np.array([b.row.index > b.col.index for b in leaves], dtype=bool)
+    return (np.flatnonzero(~lower),
+            [(k, partner[k]) for k in np.flatnonzero(lower)])
+
+
 def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
              disc="galerkin", orders=(3, 5), capacity=DEFAULT_CAPACITY,
              threads=None):
@@ -361,26 +373,42 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     :func:`_far_cases`), inadmissible leaves dense blocks, classified pair
     by pair.  Every entry request is routed through one batch executor, so
     results do not depend on capacity or thread count.
+
+    A constant-basis slp Galerkin build over one tree (``btree.row is
+    btree.col``) with one basis is symmetric, bitwise with the evaluator's
+    orientation rule.  It evaluates only the leaves with row cluster <=
+    column cluster (diagonal ones whole) and writes every other leaf as
+    its partner's transpose.  Other builds evaluate every leaf.
     """
     far, near = btree.admissible_leaves(), btree.inadmissible_leaves()
+    leaves = far + near
+    evaluate, mirrored = np.arange(len(leaves)), []
+    if ((kind, basis, disc) == ("slp", "constant", "galerkin")
+            and btree.row is btree.col and row_basis is col_basis):
+        evaluate, mirrored = _mirrored(leaves)
     packed, far_views, near_views, places = h2.pack(
         row_basis, col_basis, far, near, (btree.row.size, btree.col.size))
+    cases = np.r_[_far_cases([b.row for b in far], [b.col for b in far]),
+                  np.full(len(near), -1)]
+
+    def side(bases, k, cluster):
+        # index lists keyed ("p", cluster) for a basis node's pivots and
+        # ("c", cluster) for a cluster's indices
+        if k < len(far):
+            return ("p", cluster.index), bases.node(cluster).pivots
+        return ("c", cluster.index), cluster.indices
+
     ex, kinds = _make_executor(kind, mesh, basis, disc, packed.blocks.data,
                                orders, capacity, threads)
     with ex:
-        # index lists keyed ("p", cluster) for a basis node's pivots and
-        # ("c", cluster) for a cluster's indices
         _enqueue(ex, mesh, kinds,
-                 [(("p", b.row.index), row_basis.node(b.row).pivots)
-                  for b in far]
-                 + [(("c", b.row.index), b.row.indices) for b in near],
-                 [(("p", b.col.index), col_basis.node(b.col).pivots)
-                  for b in far]
-                 + [(("c", b.col.index), b.col.indices) for b in near],
-                 places,
-                 np.r_[_far_cases([b.row for b in far], [b.col for b in far]),
-                       np.full(len(near), -1)])
+                 [side(row_basis, k, leaves[k].row) for k in evaluate],
+                 [side(col_basis, k, leaves[k].col) for k in evaluate],
+                 places[evaluate], cases[evaluate])
         ex.finalize()
+    views = far_views + near_views
+    for k, p in mirrored:
+        views[k][...] = views[p].T
     return H2Matrix(btree.row, btree.col, row_basis, col_basis,
                     [CouplingBlock(leaf.row, leaf.col, view)
                      for leaf, view in zip(far, far_views)],

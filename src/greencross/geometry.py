@@ -1,13 +1,13 @@
 """Triangulated closed surfaces.
 
 Plane meshes, quadratic curved triangles (vertices plus edge midpoints),
-octahedron-based sphere meshes, chart/normal/Gramian evaluation, and the
+octahedron-based sphere meshes, chart packs for batched evaluation, and the
 text file format.
 """
 
 import numpy as np
 
-from .errors import GeometryError, MeshFormatError, SizeLimitError
+from .errors import MeshFormatError, SizeLimitError
 
 LEVEL_CAP = 8
 
@@ -112,17 +112,6 @@ class CurvedTriangleMesh:
 
     def centroids(self):
         return self.base.centroids()
-
-
-class ChartSample:
-    """Chart evaluation result: point, unnormalized normal, Gramian."""
-
-    __slots__ = ("point", "normal", "gramian")
-
-    def __init__(self, point, normal, gramian):
-        self.point = point
-        self.normal = normal
-        self.gramian = gramian
 
 
 def _check_indices(triangles, nv):
@@ -293,34 +282,6 @@ def chart_pack(mesh):
     return pack
 
 
-def chart_eval(mesh, triangle, xhat):
-    """Evaluate the chart of one triangle at xhat in t-hat.
-
-    The normal is obtained by quadratic interpolation of the normals at the
-    six chart nodes; since the chart is quadratic, its two partials are
-    linear and the cross product is itself quadratic, so the interpolation
-    is exact.
-    """
-    xhat = np.asarray(xhat, dtype=np.float64)
-    x, y = float(xhat[0]), float(xhat[1])
-    if x < -1e-12 or y < -1e-12 or x + y > 1.0 + 1e-12:
-        raise GeometryError("point (%g, %g) outside the reference triangle" % (x, y))
-    pack = chart_pack(mesh)
-    n6 = shape_functions(xhat)
-    point = n6 @ pack.nodes[triangle]
-    normal = n6 @ pack.normals[triangle]
-    return ChartSample(point, normal, float(np.linalg.norm(normal)))
-
-
-def chart_partials(mesh, triangle, xhat):
-    """Direct partial derivatives of the chart, for cross-product oracles."""
-    pack = chart_pack(mesh)
-    grads = shape_gradients(np.asarray(xhat, dtype=np.float64))
-    du = grads[..., 0] @ pack.nodes[triangle]
-    dv = grads[..., 1] @ pack.nodes[triangle]
-    return du, dv
-
-
 def control_points(mesh):
     """Bernstein control points of each (possibly curved) triangle chart,
     shape (nt, 6, 3).
@@ -336,20 +297,6 @@ def control_points(mesh):
     ctrl[:, 4] = 0.5 * (4.0 * nodes[:, 4] - nodes[:, 1] - nodes[:, 2])
     ctrl[:, 5] = 0.5 * (4.0 * nodes[:, 5] - nodes[:, 2] - nodes[:, 0])
     return ctrl
-
-
-def surface_area(mesh, quad_order=4):
-    """Integral of the Gramian over all charts."""
-    from .quadrature import triangle_gauss
-
-    pts, wts = triangle_gauss(quad_order)
-    pack = chart_pack(mesh)
-    if not pack.curved:
-        return float(wts.sum() * pack.gram.sum())
-    n6 = shape_functions(pts)  # (M, 6)
-    normals = np.einsum("ma,tac->tmc", n6, pack.normals)
-    gram = np.linalg.norm(normals, axis=2)  # (nt, M)
-    return float((gram @ wts).sum())
 
 
 def write_mesh(mesh, path):

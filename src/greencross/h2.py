@@ -17,7 +17,9 @@ operator, before ``gca.build_h2`` assembles each block in place in it:
   by shape, transfers by level and shape, and each stack is applied with
   one batched ``np.matmul``.  The children's contributions to their
   parents are summed by one ``np.bincount`` per level, in a fixed order:
-  stack by stack, tree order within a stack.
+  stack by stack, tree order within a stack.  A symmetric Galerkin
+  operator has one basis for both sides, and so one pack, which H x and
+  H^T y both read.
 * Couplings and nearfield blocks share one set of block rows, keyed by
   output slots in the row side's z: a coupling between two full-rank
   leaves is laid out like a nearfield block.  The blocks of one block row
@@ -245,12 +247,14 @@ def pack(row_basis, col_basis, coupling, nearfield, shape):
     as block-tree leaves do; ``shape`` is the operator's (rows, cols).
     Stacks both bases, rebinding their nodes' matrices to views into the
     stacks, and lays all blocks out by output slots over one zeroed buffer
-    ``blocks.data``.  Returns the :class:`Packed` layout, the coupling and
-    the nearfield values as views into that buffer, in input order, and
-    the places in it of all blocks (see :func:`block_rows`), couplings
-    first.
+    ``blocks.data``; one basis for both sides (``row_basis is
+    col_basis``) is stacked once, in one pack.  Returns the
+    :class:`Packed` layout, the coupling and the nearfield values as views
+    into that buffer, in input order, and the places in it of all blocks
+    (see :func:`block_rows`), couplings first.
     """
-    row, col = _BasisPack(row_basis, shape[0]), _BasisPack(col_basis, shape[1])
+    row = _BasisPack(row_basis, shape[0])
+    col = row if col_basis is row_basis else _BasisPack(col_basis, shape[1])
     _, ((blocks, views, places),) = block_rows(
         [row.slots(row_basis.node(b.row))
          + (np.arange(*col.slots(col_basis.node(b.col))),) for b in coupling]
@@ -306,13 +310,13 @@ def storage_report(h):
     dense reference 8 n^2.  Matrix reports exclude index/tree overhead from
     the total and list the pivot index bytes separately.  Full-rank leaves
     store no matrix (their V is the shared identity), so ``leaf_bases``
-    leaves them out.
+    leaves them out.  A basis shared by both sides is counted once.
     """
     if isinstance(h, (int, np.integer)):
         n = int(h)
         return {"dense": 8 * n * n, "total": 8 * n * n}
     leaf_bases = transfers = index_bytes = 0
-    for basis in (h.row_basis, h.col_basis):
+    for basis in {id(b): b for b in (h.row_basis, h.col_basis)}.values():
         for bn in basis.nodes():
             index_bytes += 8 * bn.rank
             if not bn.children and not _identity_leaf(bn):

@@ -14,7 +14,6 @@ import numpy as np
 Rule1D = namedtuple("Rule1D", "points weights")
 GreenRule = namedtuple("GreenRule", "points weights normals k")
 PairRule = namedtuple("PairRule", "x y w")
-SingularityCase = namedtuple("SingularityCase", "kind row_perm col_perm")
 
 DISJOINT, VERTEX, EDGE, IDENTICAL = 0, 1, 2, 3
 KIND_NAMES = ("disjoint", "vertex", "edge", "identical")
@@ -177,15 +176,6 @@ def _perm_id_table():
     for i, p in enumerate(PERMS3.tolist()):
         table[p[0], p[1], p[2]] = i
     return table
-
-
-def classify_pair(t, s):
-    """Single-pair classification; see classify_pairs."""
-    kind, rp, cp = classify_pairs(np.asarray(t).reshape(1, 3),
-                                  np.asarray(s).reshape(1, 3))
-    return SingularityCase(KIND_NAMES[kind[0]],
-                           tuple(PERMS3[rp[0]].tolist()),
-                           tuple(PERMS3[cp[0]].tolist()))
 
 
 def _grid4(q):

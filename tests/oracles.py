@@ -1,0 +1,69 @@
+"""Pointwise reference implementations the tests compare the program with.
+
+Each evaluates one point, one pair or one basis node the plain way: a chart
+at one reference point, one triangle pair's classification, one nested
+basis expanded to its dense matrix. The program itself works on batches.
+"""
+from collections import namedtuple
+
+import numpy as np
+
+from greencross import quadrature as quad
+from greencross.errors import GeometryError
+from greencross.geometry import chart_pack, shape_functions, shape_gradients
+
+ChartSample = namedtuple("ChartSample", "point normal gramian")
+SingularityCase = namedtuple("SingularityCase", "kind row_perm col_perm")
+
+
+def chart_eval(mesh, triangle, xhat):
+    """Point, unnormalized normal and Gramian of one triangle's chart at
+    xhat in t-hat.
+
+    The normal is the quadratic interpolation of the normals at the six
+    chart nodes; the chart is quadratic, so its two partials are linear,
+    the cross product is quadratic and the interpolation is exact.
+    """
+    xhat = np.asarray(xhat, dtype=np.float64)
+    x, y = float(xhat[0]), float(xhat[1])
+    if x < -1e-12 or y < -1e-12 or x + y > 1.0 + 1e-12:
+        raise GeometryError("point (%g, %g) outside the reference triangle"
+                            % (x, y))
+    pack = chart_pack(mesh)
+    n6 = shape_functions(xhat)
+    normal = n6 @ pack.normals[triangle]
+    return ChartSample(n6 @ pack.nodes[triangle], normal,
+                       float(np.linalg.norm(normal)))
+
+
+def chart_partials(mesh, triangle, xhat):
+    """Partial derivatives of one triangle's chart at xhat."""
+    nodes = chart_pack(mesh).nodes[triangle]
+    grads = shape_gradients(np.asarray(xhat, dtype=np.float64))
+    return grads[..., 0] @ nodes, grads[..., 1] @ nodes
+
+
+def surface_area(mesh, quad_order=4):
+    """Integral of the Gramian over all charts."""
+    pts, wts = quad.triangle_gauss(quad_order)
+    pack = chart_pack(mesh)
+    if not pack.curved:
+        return float(wts.sum() * pack.gram.sum())
+    normals = np.einsum("ma,tac->tmc", shape_functions(pts), pack.normals)
+    return float((np.linalg.norm(normals, axis=2) @ wts).sum())
+
+
+def classify_pair(t, s):
+    """Classification of one triangle pair; see quadrature.classify_pairs."""
+    kind, rp, cp = quad.classify_pairs(np.asarray(t).reshape(1, 3),
+                                       np.asarray(s).reshape(1, 3))
+    return SingularityCase(quad.KIND_NAMES[kind[0]],
+                           tuple(quad.PERMS3[rp[0]].tolist()),
+                           tuple(quad.PERMS3[cp[0]].tolist()))
+
+
+def expand_basis(node):
+    """Dense cluster-size x rank matrix realized by a nested basis node."""
+    if not node.children:
+        return node.v
+    return np.vstack([expand_basis(c) @ c.transfer for c in node.children])

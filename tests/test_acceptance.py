@@ -12,8 +12,9 @@ import pytest
 from greencross import assembly, cli, gca, h2
 from greencross import quadrature as quad
 from greencross.clustering import build_block_tree, build_cluster_tree
-from greencross.geometry import build_sphere_mesh, surface_area, to_curved
+from greencross.geometry import build_sphere_mesh, to_curved
 
+from oracles import expand_basis, surface_area
 from pairsets import fixed_pairs, pair_integral
 
 
@@ -30,12 +31,17 @@ def _dense_op(a):
 
 def _build(mesh, tree, btree, m, eps, orders, basis="constant",
            disc="galerkin", capacity=4096, threads=None):
+    """H2 build with its bases; a Galerkin build has one basis for both
+    sides, as cli.build_h2_operator builds it."""
     rm, cm = gca.coupling_marks(btree)
-    row_kind = "collocation" if disc == "collocation" else basis
-    rb = gca.build_cluster_basis(tree, mesh, row_kind, m, 0.5, eps, "row",
-                                 orders, rm)
-    cb = gca.build_cluster_basis(tree, mesh, basis, m, 0.5, eps, "col",
-                                 orders, cm)
+    if disc == "galerkin":
+        rb = cb = gca.build_cluster_basis(tree, mesh, basis, m, 0.5, eps,
+                                          "row", orders, rm | cm)
+    else:
+        rb = gca.build_cluster_basis(tree, mesh, "collocation", m, 0.5, eps,
+                                     "row", orders, rm)
+        cb = gca.build_cluster_basis(tree, mesh, basis, m, 0.5, eps, "col",
+                                     orders, cm)
     hm = gca.build_h2(btree, rb, cb, mesh, "slp", basis, disc, orders,
                       capacity=capacity, threads=threads)
     return hm, rb, cb
@@ -125,7 +131,7 @@ def test_criterion_05_interpolation_invariants(crit3):
         two_k = 12 * m * m
         for basis in (rb, cb):
             for bn in basis.nodes():
-                v = gca.expand_basis(bn)
+                v = expand_basis(bn)
                 idx = np.asarray(bn.cluster.indices)
                 pos = np.array([int(np.nonzero(idx == p)[0][0])
                                 for p in bn.pivots], dtype=int)

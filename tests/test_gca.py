@@ -10,8 +10,9 @@ from greencross.clustering import (ADMISSIBLE, BlockTree, build_block_tree,
 from greencross.errors import ConfigError, StateError
 from greencross.gca import (aca_interpolation, build_cluster_basis,
                             build_flat_gca, build_green, build_h2,
-                            coupling_marks, expand_basis)
+                            coupling_marks)
 from greencross.geometry import build_sphere_mesh, to_curved
+from oracles import expand_basis
 
 
 def _dense_op(a):

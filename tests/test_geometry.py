@@ -4,9 +4,10 @@ import pytest
 from greencross import geometry
 from greencross.errors import MeshFormatError, SizeLimitError
 from greencross.geometry import (
-    build_sphere_mesh, chart_eval, chart_pack, read_mesh, shape_functions,
-    surface_area, to_curved, write_mesh,
+    build_sphere_mesh, chart_pack, read_mesh, shape_functions, to_curved,
+    write_mesh,
 )
+from oracles import chart_eval, chart_partials, surface_area
 
 FOUR_PI = 4.0 * np.pi
 
@@ -77,7 +78,7 @@ def test_chart_normal_matches_partials():
     mesh = to_curved(build_sphere_mesh(1), project_to_unit_sphere=True)
     for xh in ((0.2, 0.3), (0.05, 0.9), (1 / 3, 1 / 3)):
         sample = chart_eval(mesh, 3, xh)
-        du, dv = geometry.chart_partials(mesh, 3, xh)
+        du, dv = chart_partials(mesh, 3, xh)
         assert np.allclose(sample.normal, np.cross(du, dv), atol=1e-13)
         assert abs(sample.gramian - np.linalg.norm(np.cross(du, dv))) < 1e-13
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from greencross import quadrature as quad
+from oracles import classify_pair
 from pairsets import T1, fixed_pairs, pair_integral
 
 LN_SILVER = np.log(1.0 + np.sqrt(2.0))
@@ -115,10 +116,10 @@ def test_pair_integral_swap_invariance(kind):
 
 
 def test_classify_pair_cases():
-    assert quad.classify_pair((0, 1, 2), (0, 1, 2)).kind == "identical"
-    assert quad.classify_pair((0, 1, 2), (2, 1, 5)).kind == "edge"
-    assert quad.classify_pair((0, 1, 2), (3, 4, 2)).kind == "vertex"
-    assert quad.classify_pair((0, 1, 2), (3, 4, 5)).kind == "disjoint"
+    assert classify_pair((0, 1, 2), (0, 1, 2)).kind == "identical"
+    assert classify_pair((0, 1, 2), (2, 1, 5)).kind == "edge"
+    assert classify_pair((0, 1, 2), (3, 4, 2)).kind == "vertex"
+    assert classify_pair((0, 1, 2), (3, 4, 5)).kind == "disjoint"
 
 
 def test_classify_pair_aligns_shared_vertices():
@@ -127,7 +128,7 @@ def test_classify_pair_aligns_shared_vertices():
     pool = [(0, 1, 2), (2, 1, 5), (3, 4, 2), (3, 4, 5), (1, 2, 6), (0, 5, 6)]
     for t in pool:
         for s in pool:
-            case = quad.classify_pair(t, s)
+            case = classify_pair(t, s)
             k = shared[case.kind]
             tp = np.asarray(t)[list(case.row_perm)]
             sp = np.asarray(s)[list(case.col_perm)]
@@ -143,7 +144,7 @@ def test_classify_pairs_matches_scalar():
     cols = pool[rng.integers(0, len(pool), size=30)]
     kinds, row_perms, col_perms = quad.classify_pairs(rows, cols)
     for i in range(len(rows)):
-        case = quad.classify_pair(tuple(rows[i]), tuple(cols[i]))
+        case = classify_pair(tuple(rows[i]), tuple(cols[i]))
         assert quad.KIND_NAMES[kinds[i]] == case.kind
         assert tuple(quad.PERMS3[row_perms[i]].tolist()) == case.row_perm
         assert tuple(quad.PERMS3[col_perms[i]].tolist()) == case.col_perm
