@@ -375,10 +375,10 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     results do not depend on capacity or thread count.
 
     A constant-basis slp Galerkin build over one tree (``btree.row is
-    btree.col``) with one basis is symmetric, bitwise with the evaluator's
-    orientation rule.  It evaluates only the leaves with row cluster <=
-    column cluster (diagonal ones whole) and writes every other leaf as
-    its partner's transpose.  Other builds evaluate every leaf.
+    btree.col``) with one basis is symmetric, bitwise so under the
+    evaluator's orientation rule.  It evaluates only the leaves with row
+    cluster <= column cluster (diagonal ones whole) and writes every other
+    leaf as its partner's transpose.  Other builds evaluate every leaf.
     """
     far, near = btree.admissible_leaves(), btree.inadmissible_leaves()
     leaves = far + near
@@ -391,11 +391,11 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     cases = np.r_[_far_cases([b.row for b in far], [b.col for b in far]),
                   np.full(len(near), -1)]
 
-    def side(bases, k, cluster):
+    def side(nested, k, cluster):
         # index lists keyed ("p", cluster) for a basis node's pivots and
         # ("c", cluster) for a cluster's indices
         if k < len(far):
-            return ("p", cluster.index), bases.node(cluster).pivots
+            return ("p", cluster.index), nested.node(cluster).pivots
         return ("c", cluster.index), cluster.indices
 
     ex, kinds = _make_executor(kind, mesh, basis, disc, packed.blocks.data,

@@ -1,3 +1,4 @@
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -389,3 +390,73 @@ def test_pair_values_match_chart_reference(geometry, basis, kind):
             ref, mag = _reference_pair(mesh, kind, basis, rule, t[i], s[i],
                                        px[i], py[i])
             assert np.abs(got[i] - ref).max() <= 1e-13 * mag.max()
+
+
+@pytest.mark.parametrize("geometry", ["plane", "curved"])
+@pytest.mark.parametrize("orders", [(2, 4), (3, 5)])
+def test_constant_slp_galerkin_bitwise_symmetric(geometry, orders):
+    """The orientation rule makes the dense constant single-layer matrix
+    symmetric to the last bit."""
+    mesh = _mesh(geometry, 2)
+    dofs = np.arange(mesh.nt)
+    a = assembly.assemble_galerkin_block("slp", mesh, "constant", dofs, dofs,
+                                         orders).values
+    assert np.array_equal(a, a.T)
+
+
+def _all_pair_values(mesh, kind, basis, upper):
+    """Evaluator values at orders (2, 4) of every triangle pair (t, s), or
+    of those with t < s, as the executor passes them: one call per case,
+    pairs in row-major order, permutations from classify_pairs."""
+    t, s = np.divmod(np.arange(mesh.nt ** 2), mesh.nt)
+    if upper:
+        t, s = t[t < s], s[t < s]
+    case, px, py = quad.classify_pairs(mesh.triangles[t], mesh.triangles[s])
+    ev = assembly.galerkin_pair_evaluator(kind, mesh, basis, 2, 4)
+    return [ev(c, t[case == c], s[case == c], px[case == c], py[case == c])
+            for c in range(4)]
+
+
+def test_orientation_rule_mirrors_lower_pairs(sphere2):
+    """A pair (t, s) with t > s gets, bitwise, the value of (s, t), and
+    mixing such pairs into a batch leaves the t < s values untouched."""
+    for mesh in (sphere2, _mesh("curved", 2)):
+        pairs = _pairs_by_case(mesh, 60)
+        ev = assembly.galerkin_pair_evaluator("slp", mesh, "constant", 2, 4)
+        for case, (t, s, px, py) in pairs.items():
+            lower = t > s
+            assert case == quad.IDENTICAL or 0 < lower.sum() < len(t)
+            mixed = ev(case, t, s, px, py)
+            _, qx, qy = quad.classify_pairs(mesh.triangles[s],
+                                            mesh.triangles[t])
+            assert np.array_equal(mixed, ev(case, s, t, qx, qy))
+            up = ~lower
+            assert np.array_equal(mixed[up], ev(case, t[up], s[up], px[up],
+                                                py[up]))
+
+
+# sha256 prefixes of _all_pair_values before the orientation rule
+# (numpy 2.4.6, x86_64): constant slp over the pairs t < s, the others
+# over all pairs
+_SEED_VALUES = {
+    ("plane", "slp", "constant"): "0436163bac63236e",
+    ("plane", "dlp", "constant"): "36075405c59a528f",
+    ("plane", "slp", "linear"): "227a67b819b971ff",
+    ("plane", "dlp", "linear"): "d2ee8508796122b9",
+    ("curved", "slp", "constant"): "7498f4af735fedd9",
+    ("curved", "dlp", "constant"): "895aeee7070e02b3",
+    ("curved", "slp", "linear"): "04963781e928c29a",
+    ("curved", "dlp", "linear"): "9cf5d0c07ea807d0",
+}
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6",
+                    reason="seed fingerprints were taken with numpy 2.4.6")
+@pytest.mark.parametrize("geometry,kind,basis", sorted(_SEED_VALUES))
+def test_pair_values_keep_seed_bits(geometry, kind, basis):
+    """The orientation rule leaves the constant slp values of pairs t < s
+    and every dlp and linear value bitwise as they were before it."""
+    upper = (kind, basis) == ("slp", "constant")
+    values = _all_pair_values(_mesh(geometry, 2), kind, basis, upper)
+    digest = hashlib.sha256(b"".join(v.tobytes() for v in values))
+    assert digest.hexdigest()[:16] == _SEED_VALUES[geometry, kind, basis]

@@ -3,9 +3,10 @@ import threading
 import numpy as np
 import pytest
 
-from greencross import assembly, gca, h2
+from greencross import assembly, cli, gca, h2
 from greencross import quadrature as quad
-from greencross.clustering import (ADMISSIBLE, BlockTree, build_block_tree,
+from greencross.clustering import (ADMISSIBLE, INADMISSIBLE, SUBDIVIDED,
+                                   BlockTree, build_block_tree,
                                    build_cluster_tree)
 from greencross.errors import ConfigError, StateError
 from greencross.gca import (aca_interpolation, build_cluster_basis,
@@ -451,3 +452,120 @@ def test_linear_build_evaluates_each_pair_once(monkeypatch):
     sharing = (tris[t][:, :, None] == tris[s][:, None, :]).any(axis=(1, 2))
     assert len(np.unique(got)) == len(got)
     assert np.array_equal(np.sort(got), needed[sharing])
+
+
+def _config(basis, m=2):
+    return cli.ExperimentConfig(
+        level=3, geometry="plane", basis=basis, disc="galerkin", eta=1.0, m=m,
+        delta_factor=0.5, eps=1e-4, leaf_size=16, q_reg=2, q_sing=4, lam=0.5,
+        source=(1.2, 0.0, 0.0), seed=0)
+
+
+def _tasks(hm):
+    return sum(st["tasks"] for st in hm.exec_stats)
+
+
+def _leaf_blocks(hm):
+    """(row index, col index) -> (row dofs, col dofs, values) of every
+    coupling (at pivots) and nearfield block."""
+    out = {}
+    for blk in hm.coupling:
+        out[blk.row.index, blk.col.index] = (
+            hm.row_basis.node(blk.row).pivots,
+            hm.col_basis.node(blk.col).pivots, blk.values)
+    for blk in hm.nearfield:
+        out[blk.row.index, blk.col.index] = (blk.row.indices,
+                                             blk.col.indices, blk.values)
+    return out
+
+
+@pytest.fixture(scope="module")
+def mirror_l3(sphere3):
+    """Plane L3 constant slp Galerkin through cli.build_h2_operator."""
+    def build(capacity=4096, threads=None, kind="slp"):
+        return cli.build_h2_operator(sphere3, _config("constant"), kind=kind,
+                                     capacity=capacity, threads=threads)[0]
+
+    return build, build()
+
+
+def test_mirror_build_shares_one_basis(mirror_l3):
+    _, hm = mirror_l3
+    assert hm.row_basis is hm.col_basis
+    assert hm.packed.row is hm.packed.col
+
+
+def test_mirrored_leaves_are_transposes_and_dense_blocks(sphere3, mirror_l3):
+    """Every leaf below the diagonal is bitwise its partner's transpose and
+    bitwise the Galerkin block of its rows and columns."""
+    _, hm = mirror_l3
+    blocks = _leaf_blocks(hm)
+    lower = [key for key in blocks if key[0] > key[1]]
+    assert len(lower) > 0 and any(key in {(b.row.index, b.col.index)
+                                          for b in hm.coupling}
+                                  for key in lower)
+    for r, c in lower:
+        rows, cols, values = blocks[r, c]
+        assert np.array_equal(values, blocks[c, r][2].T)
+        ref = assembly.assemble_galerkin_block("slp", sphere3, "constant",
+                                               rows, cols, (2, 4)).values
+        assert np.array_equal(values, ref)
+
+
+def test_mirror_build_evaluates_upper_leaves_only(mirror_l3):
+    _, hm = mirror_l3
+    blocks = _leaf_blocks(hm)
+    upper = sum(v.size for (r, c), (_, _, v) in blocks.items() if r <= c)
+    assert _tasks(hm) == upper < sum(v.size for _, _, v in blocks.values())
+
+
+def test_mirror_blocks_independent_of_capacity_and_threads(mirror_l3):
+    build, ref = mirror_l3
+    want = _leaf_blocks(ref)
+    for capacity in (7, 10 ** 6):
+        for threads in (1, 4):
+            got = _leaf_blocks(build(capacity, threads))
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[k][2], want[k][2]) for k in want)
+
+
+def test_other_builds_evaluate_every_entry(sphere3, l3_setup, mirror_l3):
+    """Two bases or the dlp kernel: one evaluated pair per entry of every
+    leaf, as before the mirror."""
+    build, _ = mirror_l3
+    tree, btree = l3_setup
+    two = _build_h2(sphere3, tree, btree, 2, 1e-4, (2, 4))
+    dlp = build(kind="dlp")
+    assert two.row_basis is not two.col_basis
+    assert dlp.row_basis is dlp.col_basis
+    for hm in (two, dlp):
+        assert _tasks(hm) == sum(v.size for _, _, v
+                                 in _leaf_blocks(hm).values())
+
+
+def test_linear_one_basis_build_evaluates_every_pair(sphere3):
+    """The linear basis keeps its path with one basis: every distinct
+    triangle pair of every leaf is evaluated, in both orientations."""
+    hm = cli.build_h2_operator(sphere3, _config("linear"))[0]
+    assert hm.row_basis is hm.col_basis and len(hm.coupling) > 0
+    needed = []
+    for rows, cols, _ in _leaf_blocks(hm).values():
+        t = assembly.triangle_table(rows, sphere3).rows[:, 0]
+        s = assembly.triangle_table(cols, sphere3).rows[:, 0]
+        needed.append((t[:, None] * sphere3.nt + s[None, :]).ravel())
+    assert _tasks(hm) == len(np.unique(np.concatenate(needed)))
+
+
+def test_asymmetric_one_tree_block_tree_refused(sphere2):
+    """The mirror needs every leaf's partner: a one-tree block tree without
+    the leaf (right, left) is refused before any evaluation."""
+    tree = build_cluster_tree(sphere2, "constant", leaf_size=16)
+    left, right = tree.children
+    btree = BlockTree(tree, tree, SUBDIVIDED, tuple(
+        BlockTree(r, c, INADMISSIBLE, ())
+        for r, c in ((left, left), (left, right), (right, right))))
+    basis = build_cluster_basis(tree, sphere2, "constant", 2)
+    baseline = threading.active_count()
+    with pytest.raises(StateError, match="not symmetric"):
+        build_h2(btree, basis, basis, sphere2, threads=2)
+    assert threading.active_count() == baseline

@@ -414,3 +414,44 @@ def test_cgnr_solve_nonsymmetric():
     assert abs(res.residuals[-1] - np.linalg.norm(b - a @ res.x)) \
         <= 1e-8 * np.linalg.norm(b)
     assert np.linalg.norm(b - a @ res.x) <= 1e-9 * np.linalg.norm(b)
+
+
+@pytest.fixture(scope="module")
+def one_and_two_bases(sphere3):
+    """Plane L3 constant Galerkin built with one basis for both sides and
+    with a separate column basis; also that column basis."""
+    tree = build_cluster_tree(sphere3, "constant", leaf_size=16)
+    btree = build_block_tree(tree, eta=1.0)
+    rm, cm = gca.coupling_marks(btree)
+
+    def basis(side, marks):
+        return gca.build_cluster_basis(tree, sphere3, "constant", 2, 0.5,
+                                       1e-4, side, (2, 4), marks)
+
+    rb, cb = basis("row", rm | cm), basis("col", cm)
+    other = basis("row", rm | cm)
+    return [gca.build_h2(btree, b, c, sphere3, "slp", "constant",
+                         "galerkin", (2, 4)) for b, c in ((rb, rb),
+                                                          (other, cb))] + [cb]
+
+
+def test_one_basis_operator_matches_two_basis(one_and_two_bases):
+    one, two, _ = one_and_two_bases
+    assert one.packed.row is one.packed.col
+    rng = np.random.default_rng(21)
+    for x in rng.standard_normal((3, one.shape[0])):
+        for product in (h2.mvm, h2.mvm_t):
+            ref = product(two, x)
+            assert np.linalg.norm(product(one, x) - ref) \
+                <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_one_basis_storage_counts_the_basis_once(one_and_two_bases):
+    one, two, cb = one_and_two_bases
+    col = sum(8 * bn.v.size for bn in cb.nodes()
+              if not bn.children and not _full_rank_leaf(bn))
+    col += sum(8 * bn.transfer.size for bn in cb.nodes()
+               if bn.transfer is not None)
+    assert col > 0
+    assert h2.storage_report(one)["total"] \
+        == h2.storage_report(two)["total"] - col
