@@ -362,29 +362,33 @@ def collocation_evaluator(kind, mesh, q_reg, q_sing):
         n6t = shape_functions(pts).T.copy()
         wb = wts[None, :] * _bary(pts).T  # (3, M)
         rules.append((n6t, wb))
+    # a disjoint pair reads its triangle's regular-rule points and normals,
+    # interpolated once per triangle (per point, so the bits are the same)
+    every = np.arange(len(pack.nodes))
+    far = [_chart_points(c, every, 0 * every, rules[0][0])
+           for c in (nodes, normals)]
 
     def evaluate(case, rows, cols, px, py):
         n6t, wb = rules[int(case)]
         out = np.empty((len(rows), 1, 3))
         for sl in _chunks(len(rows), n6t.shape[1]):
-            _eval_chunk(out[sl], rows[sl], cols[sl], py[sl], n6t, wb)
-        return out
-
-    def _eval_chunk(out, rows, cols, py, n6t, wb):
-        d = verts[:, rows, None] - _chart_points(nodes, cols, py, n6t)
-        r2 = np.sum(d * d, axis=0)
-        r = np.sqrt(r2)
-        if dlp:
-            ny = _chart_points(normals, cols, py, n6t)
-            kg = np.sum(d * ny, axis=0) / (FOUR_PI * r2 * r)
-        else:
-            if pack.curved:
-                gy = _norm3(_chart_points(normals, cols, py, n6t), axis=0)
+            if case == 0:
+                y, ny = (a.take(cols[sl], axis=1) for a in far)
             else:
-                gy = pack.gram[cols][:, None]
-            kg = gy / (FOUR_PI * r)
-        for c in range(3):
-            out[:, 0, c] = np.sum(kg * wb[c][None, :], axis=1)
+                y, ny = (_chart_points(a, cols[sl], py[sl], n6t)
+                         for a in (nodes, normals))
+            d = verts[:, rows[sl], None] - y
+            r2 = np.sum(d * d, axis=0)
+            r = np.sqrt(r2)
+            if dlp:
+                kg = np.sum(d * ny, axis=0) / (FOUR_PI * r2 * r)
+            elif pack.curved:
+                kg = _norm3(ny, axis=0) / (FOUR_PI * r)
+            else:
+                kg = pack.gram[cols[sl]][:, None] / (FOUR_PI * r)
+            for c in range(3):
+                out[sl, 0, c] = np.sum(kg * wb[c][None, :], axis=1)
+        return out
 
     return evaluate
 

@@ -169,11 +169,8 @@ def build_trees(mesh, cfg):
 def build_h2_operator(mesh, cfg, kind="slp", capacity=DEFAULT_CAPACITY,
                       threads=None, btree=None):
     """Cluster tree, block tree and GCA-H2 matrix for one config; a block
-    tree built before (by :func:`build_trees`) is reused.
-
-    A Galerkin build has one basis, for both sides: the column basis would
-    have the row basis's pivots (see ``gca.build_cluster_basis``).
-    Collocation rows are points, so that build has two.
+    tree built before (by :func:`build_trees`) is reused.  A Galerkin
+    build has one basis for both sides (see ``gca.build_cluster_basis``).
     """
     if btree is None:
         tree, btree = build_trees(mesh, cfg)

@@ -271,6 +271,24 @@ def test_dense_block_subset_consistency(sphere3, dense_slp3):
         assert np.array_equal(blk, dense[np.ix_(rows, cols)])
 
 
+@pytest.mark.parametrize("geometry", ["plane", "curved"])
+def test_collocation_block_subset_consistency(geometry):
+    """Collocation blocks, whose disjoint pairs read per-triangle tables,
+    equal the same rows and columns of the dense matrix bitwise, for small
+    batches over two workers."""
+    mesh = _mesh(geometry, 2)
+    dofs = np.arange(mesh.nv)
+    rng = np.random.default_rng(19)
+    for kind in ("slp", "dlp"):
+        dense = assembly.assemble_collocation_block(kind, mesh, "linear",
+                                                    dofs, dofs).values
+        rows = rng.choice(mesh.nv, size=23, replace=False)
+        cols = rng.choice(mesh.nv, size=31, replace=False)
+        blk = assembly.assemble_collocation_block(
+            kind, mesh, "linear", rows, cols, capacity=7, threads=2).values
+        assert np.array_equal(blk, dense[np.ix_(rows, cols)])
+
+
 _VARIANTS = [(g, b, k) for g in ("plane", "curved")
              for b in ("constant", "linear") for k in ("slp", "dlp")]
 
