@@ -454,9 +454,9 @@ def test_linear_build_evaluates_each_pair_once(monkeypatch):
     assert np.array_equal(np.sort(got), needed[sharing])
 
 
-def _config(basis, m=2):
+def _config(basis):
     return cli.ExperimentConfig(
-        level=3, geometry="plane", basis=basis, disc="galerkin", eta=1.0, m=m,
+        level=3, geometry="plane", basis=basis, disc="galerkin", eta=1.0, m=2,
         delta_factor=0.5, eps=1e-4, leaf_size=16, q_reg=2, q_sing=4, lam=0.5,
         source=(1.2, 0.0, 0.0), seed=0)
 
@@ -500,10 +500,9 @@ def test_mirrored_leaves_are_transposes_and_dense_blocks(sphere3, mirror_l3):
     bitwise the Galerkin block of its rows and columns."""
     _, hm = mirror_l3
     blocks = _leaf_blocks(hm)
+    coupling = {(b.row.index, b.col.index) for b in hm.coupling}
     lower = [key for key in blocks if key[0] > key[1]]
-    assert len(lower) > 0 and any(key in {(b.row.index, b.col.index)
-                                          for b in hm.coupling}
-                                  for key in lower)
+    assert any(key in coupling for key in lower)
     for r, c in lower:
         rows, cols, values = blocks[r, c]
         assert np.array_equal(values, blocks[c, r][2].T)
