@@ -365,7 +365,7 @@ def collocation_evaluator(kind, mesh, q_reg, q_sing):
     # a disjoint pair reads its triangle's regular-rule points and normals,
     # interpolated once per triangle (per point, so the bits are the same)
     every = np.arange(len(pack.nodes))
-    far = [_chart_points(c, every, 0 * every, rules[0][0])
+    far = [_chart_points(c, every, np.zeros_like(every), rules[0][0])
            for c in (nodes, normals)]
 
     def evaluate(case, rows, cols, px, py):
