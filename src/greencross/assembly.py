@@ -22,6 +22,13 @@ orientation, row triangle below column triangle (see
 collocation block is the product of its row points and its column
 triangle table, with the same order per entry.
 
+An evaluator computes one kernel or several: the single layer g and the
+double layer dg/dn_y, which a solve needs on the same pairs. It returns a
+value per pair and requested kernel; kernels asked for together share the
+pair's points, differences, distances and Gramians, and each value is
+bitwise what a one-kernel evaluator gives. So one executor pass assembles
+V and K, each block taking the kernels of the operators it belongs to.
+
 The pair evaluator takes a whole case-homogeneous batch at a time, in chunks
 of a fixed number of quadrature points. Disjoint pairs, the bulk of the
 work, read per-triangle tables of the regular rule (points, Gram-weighted
@@ -37,7 +44,9 @@ on its own data only, never on the rest of its chunk.
 
 The Green factors A_tau, B_sigma sample the kernel at points of the box
 boundary rule; all their integrands are regular, so plain triangle Gauss
-rules apply.
+rules apply. The double layer reuses A_tau and has a column factor of its
+own (:func:`green_col_factor`). The mass matrix M is applied as a sum over
+triangles (:func:`mass_apply`); :func:`mass_block` assembles its blocks.
 """
 
 from collections import namedtuple
@@ -161,14 +170,24 @@ def _singular_rule(case, q_sing, basis):
 _FarTables = namedtuple("_FarTables", "x wr wc n")
 
 
-def _far_tables(pack, nodes, normals, q_reg, linear, dlp):
+def _kinds(kinds):
+    """The kernels an evaluator computes, as a tuple: one name or several."""
+    kinds = (kinds,) if isinstance(kinds, str) else tuple(kinds)
+    if not kinds or len(set(kinds)) != len(kinds) or not set(kinds) <= {
+            "slp", "dlp"}:
+        raise ConfigError("unknown kernel kinds %r" % (kinds,))
+    return kinds
+
+
+def _far_tables(pack, nodes, normals, q_reg, linear, kinds):
     """Per-triangle regular-rule data for disjoint pairs, built once.
 
     x holds the M rule points of every triangle, coordinate-major (3, nt, M).
     Row weights wr are the Gram-weighted weights times, for the linear
-    basis, the barycentric factors: (nt, width, M). The column weights wc
-    are the same for slp; dlp leaves out the column Gramian, which the
-    unnormalized interpolated normals n (3, nt, M) carry.
+    basis, the barycentric factors: (nt, width, M). The column weights wc,
+    one per kernel, are the same for slp; dlp leaves out the column
+    Gramian, which the unnormalized interpolated normals n (3, nt, M)
+    carry.
     """
     pts, wts = quad.triangle_gauss(q_reg)
     n6t = shape_functions(pts).T.copy()
@@ -181,10 +200,11 @@ def _far_tables(pack, nodes, normals, q_reg, linear, dlp):
     else:
         gram = pack.gram[:, None]
     gw = gram * wts
-    cw = np.broadcast_to(wts, gw.shape) if dlp else gw
     slots = _bary(pts).T if linear else np.ones((1, len(wts)))
-    return _FarTables(x, gw[:, None, :] * slots, cw[:, None, :] * slots,
-                      nrm if dlp else None)
+    wr = gw[:, None, :] * slots
+    wc = [np.broadcast_to(wts, gw.shape)[:, None, :] * slots
+          if k == "dlp" else wr for k in kinds]
+    return _FarTables(x, wr, wc, nrm if "dlp" in kinds else None)
 
 
 def galerkin_classify(mesh):
@@ -217,8 +237,15 @@ def galerkin_classify(mesh):
     return classify
 
 
-def galerkin_pair_evaluator(kind, mesh, basis, q_reg, q_sing):
-    """Batched pair-integral evaluator for the executor.
+def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
+    """Batched pair-integral evaluator for the executor, for one kernel
+    ("slp", "dlp") or several (a tuple of them).
+
+    ``evaluate(case, rows, cols, px, py, kernels=None)`` returns the values
+    of the kernels listed by position in ``kinds`` (default: all), shape
+    (npairs, len(kernels), width, width). Kernels evaluated together share
+    each pair's points, differences, distances and Gramians, and every value
+    is bitwise what a one-kernel evaluator gives.
 
     Disjoint pairs read the per-triangle tables of :func:`_far_tables`, so
     no chart is interpolated per pair: the value is the sum over the M*M
@@ -232,66 +259,86 @@ def galerkin_pair_evaluator(kind, mesh, basis, q_reg, q_sing):
     orientation correction is needed for odd permutations.
 
     Orientation rule: the constant-basis single layer evaluates a pair
-    (t, s) with t > s as its mirror (s, t), classified anew (swapping the
-    given permutations would change the rule's vertex order, at quadrature
-    level). So (t, s) gets the bits of (s, t); the linear basis and dlp
-    evaluate pairs as given.
+    (t, s) with t > s as its mirror (s, t), with the permutations
+    ``classify_pairs`` gives the mirror (:func:`quadrature.mirror_perms`;
+    swapping the given ones would change the rule's vertex order, at
+    quadrature level). So (t, s) gets the bits of (s, t); the linear basis
+    and dlp evaluate pairs as given. Where a constant slp and a dlp value
+    of such a pair are both asked for, the two read different points and
+    are evaluated apart.
     """
-    if kind not in ("slp", "dlp"):
-        raise ConfigError("unknown kernel kind %r" % (kind,))
+    kinds = _kinds(kinds)
     if basis not in ("constant", "linear"):
         raise ConfigError("unknown basis %r" % (basis,))
     pack = chart_pack(mesh)
     width = 1 if basis == "constant" else 3
-    dlp = kind == "dlp"
     nodes = _coordinate_major(pack.nodes)
     normals = _coordinate_major(pack.normals)
-    far = _far_tables(pack, nodes, normals, q_reg, basis == "linear", dlp)
-    mirror = basis == "constant" and not dlp
+    far = _far_tables(pack, nodes, normals, q_reg, basis == "linear", kinds)
+    slp = kinds.index("slp") if basis == "constant" and "slp" in kinds \
+        else None
 
-    def evaluate(case, rows, cols, px, py):
-        if mirror:
-            # the orientation rule: (t, s) with t > s is evaluated as (s, t)
-            swap = np.flatnonzero(rows > cols)
-            rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
-            if len(swap) and case != quad.DISJOINT:
-                px, py = px.copy(), py.copy()
-                _, px[swap], py[swap] = quad.classify_pairs(
-                    mesh.triangles[rows[swap]], mesh.triangles[cols[swap]])
-        out = np.empty((len(rows), width, width))
+    def evaluate(case, rows, cols, px, py, kernels=None):
+        kernels = list(range(len(kinds)) if kernels is None else kernels)
+        low = rows > cols if slp in kernels else None
+        if low is None or not low.any():
+            return _values(case, rows, cols, px, py, kernels)
+        # the orientation rule: slp evaluates (t, s) with t > s as (s, t);
+        # the other kernels read those pairs as given, in a pass of their own
+        out = np.empty((len(rows), len(kernels), width, width))
+        up, low = np.flatnonzero(~low), np.flatnonzero(low)
+        out[up] = _values(case, rows[up], cols[up], px[up], py[up], kernels)
+        mx, my = quad.mirror_perms(case, px[low], py[low])
+        at = kernels.index(slp)
+        out[low, at] = _values(case, cols[low], rows[low], mx, my, [slp])[:, 0]
+        rest = [j for j, k in enumerate(kernels) if k != slp]
+        if rest:
+            out[low[:, None], rest] = _values(
+                case, rows[low], cols[low], px[low], py[low],
+                [kernels[j] for j in rest])
+        return out
+
+    def _values(case, rows, cols, px, py, kernels):
+        out = np.empty((len(rows), len(kernels), width, width))
+        # dlp first: the singular chunk divides by r2 in place for dlp
+        # before it scales r in place for slp
+        todo = sorted(enumerate(kernels), key=lambda jk: kinds[jk[1]] != "dlp")
         if case == quad.DISJOINT:
             for sl in _chunks(len(rows), far.x.shape[-1] ** 2):
-                _disjoint_chunk(out[sl], rows[sl], cols[sl])
+                _disjoint_chunk(out[sl], rows[sl], cols[sl], todo)
         else:
             rule = _singular_rule(int(case), q_sing, basis)
             for sl in _chunks(len(rows), len(rule.ix)):
                 _singular_chunk(out[sl], rows[sl], cols[sl], px[sl], py[sl],
-                                rule)
+                                rule, todo)
         return out
 
-    def _disjoint_chunk(out, rows, cols):
+    def _disjoint_chunk(out, rows, cols, todo):
         # point pairs (a, b) of each triangle pair on the two trailing axes
         d = (far.x.take(rows, axis=1)[..., :, None]
              - far.x.take(cols, axis=1)[..., None, :])
         r2 = np.sum(d * d, axis=0)
-        if dlp:
-            ny = far.n.take(cols, axis=1)[..., None, :]
-            kern = np.sum(d * ny, axis=0) / (r2 * np.sqrt(r2))
-        else:
-            kern = 1.0 / np.sqrt(r2)
+        r = np.sqrt(r2)
         wr = far.wr.take(rows, axis=0)
-        wc = far.wc.take(cols, axis=0)
-        if width > 1:
-            # the slots of a pair: its kernel matrix between the row and
-            # the column weights, two small products per pair
-            out[:] = wr @ kern @ wc.transpose(0, 2, 1) / FOUR_PI
-        else:
-            # one contiguous M*M sum per pair
-            out[:, 0, 0] = np.sum((kern * wc[:, 0, None, :]
-                                   * wr[:, 0, :, None]).reshape(len(rows), -1),
-                                  axis=1) / FOUR_PI
+        for j, k in todo:
+            if kinds[k] == "dlp":
+                ny = far.n.take(cols, axis=1)[..., None, :]
+                kern = np.sum(d * ny, axis=0) / (r2 * r)
+            else:
+                kern = 1.0 / r
+            wc = far.wc[k].take(cols, axis=0)
+            if width > 1:
+                # the slots of a pair: its kernel matrix between the row
+                # and the column weights, two small products per pair
+                out[:, j] = wr @ kern @ wc.transpose(0, 2, 1) / FOUR_PI
+            else:
+                # one contiguous M*M sum per pair
+                out[:, j, 0, 0] = np.sum(
+                    (kern * wc[:, 0, None, :]
+                     * wr[:, 0, :, None]).reshape(len(rows), -1),
+                    axis=1) / FOUR_PI
 
-    def _singular_chunk(out, rows, cols, px, py, rule):
+    def _singular_chunk(out, rows, cols, px, py, rule, todo):
         # charts interpolated at each side's distinct points, gathered to
         # the M rule points; the (3, b, M) temporaries are reused in place
         d = _chart_points(nodes, rows, px, rule.n6x).take(rule.ix, axis=2)
@@ -301,35 +348,39 @@ def galerkin_pair_evaluator(kind, mesh, basis, q_reg, q_sing):
                         axis=0).take(rule.ix, axis=1)
         else:
             gx = pack.gram[rows][:, None]
+        dlp = kinds[todo[0][1]] == "dlp"
+        if dlp or pack.curved:
+            # the column normals at the distinct points, shared by the
+            # dlp kernel and the curved slp Gramian
+            ny = _chart_points(normals, cols, py, rule.n6y)
         if dlp:
-            ny = _chart_points(normals, cols, py, rule.n6y).take(rule.iy,
-                                                                 axis=2)
-            ny *= d
-            kg = np.sum(ny, axis=0)
+            kg = ny.take(rule.iy, axis=2)
+            kg *= d
+            kg = np.sum(kg, axis=0)
         d *= d
         r2 = np.sum(d, axis=0)
-        if dlp:
-            # |n_y| carries the column Gramian, so only gx multiplies here
-            r = np.sqrt(r2)
-            r2 *= FOUR_PI
-            r2 *= r
-            kg /= r2
-            kg *= gx
-        else:
-            if pack.curved:
-                gy = _norm3(_chart_points(normals, cols, py, rule.n6y),
-                            axis=0).take(rule.iy, axis=1)
+        r = np.sqrt(r2)
+        for j, k in todo:
+            if kinds[k] == "dlp":
+                # |n_y| carries the column Gramian, so only gx multiplies
+                r2 *= FOUR_PI
+                r2 *= r
+                kg /= r2
+                kg *= gx
             else:
-                gy = pack.gram[cols][:, None]
-            r = np.sqrt(r2, out=r2)
-            r *= FOUR_PI
-            kg = np.divide(gx * gy, r, out=r)
-        if width > 1:
-            # the nine slot weights of a pair in one small product per pair
-            np.matmul(kg[:, None, :], rule.w, out=out.reshape(len(rows), 1, 9))
-        else:
-            kg *= rule.w
-            out[:, 0, 0] = np.sum(kg, axis=1)
+                if pack.curved:
+                    gy = _norm3(ny, axis=0).take(rule.iy, axis=1)
+                else:
+                    gy = pack.gram[cols][:, None]
+                r *= FOUR_PI
+                kg = np.divide(gx * gy, r, out=r)
+            if width > 1:
+                # the nine slot weights of a pair in one small product per
+                # pair
+                out[:, j] = np.matmul(kg[:, None, :], rule.w).reshape(-1, 3, 3)
+            else:
+                kg *= rule.w
+                out[:, j, 0, 0] = np.sum(kg, axis=1)
 
     return evaluate
 
@@ -346,17 +397,17 @@ def collocation_classify(mesh):
     return classify
 
 
-def collocation_evaluator(kind, mesh, q_reg, q_sing):
+def collocation_evaluator(kinds, mesh, q_reg, q_sing):
     """Single-integral evaluator: rows are surface points, columns the
     linear basis. Case 0 is a regular triangle rule, case 1 the vertex
-    Duffy rule with the singular vertex rotated to local slot 0."""
-    if kind not in ("slp", "dlp"):
-        raise ConfigError("unknown kernel kind %r" % (kind,))
+    Duffy rule with the singular vertex rotated to local slot 0. Kernels
+    and ``evaluate``'s arguments and values are those of
+    :func:`galerkin_pair_evaluator`, with width 1 x 3."""
+    kinds = _kinds(kinds)
     pack = chart_pack(mesh)
     verts = np.ascontiguousarray(mesh.vertices.T)
     nodes = _coordinate_major(pack.nodes)
     normals = _coordinate_major(pack.normals)
-    dlp = kind == "dlp"
     rules = []
     for pts, wts in (quad.triangle_gauss(q_reg), quad.duffy_rule(0, q_sing)):
         n6t = shape_functions(pts).T.copy()
@@ -368,9 +419,10 @@ def collocation_evaluator(kind, mesh, q_reg, q_sing):
     far = [_chart_points(c, every, np.zeros_like(every), rules[0][0])
            for c in (nodes, normals)]
 
-    def evaluate(case, rows, cols, px, py):
+    def evaluate(case, rows, cols, px, py, kernels=None):
+        kernels = list(range(len(kinds)) if kernels is None else kernels)
         n6t, wb = rules[int(case)]
-        out = np.empty((len(rows), 1, 3))
+        out = np.empty((len(rows), len(kernels), 1, 3))
         for sl in _chunks(len(rows), n6t.shape[1]):
             if case == 0:
                 y, ny = (a.take(cols[sl], axis=1) for a in far)
@@ -380,14 +432,15 @@ def collocation_evaluator(kind, mesh, q_reg, q_sing):
             d = verts[:, rows[sl], None] - y
             r2 = np.sum(d * d, axis=0)
             r = np.sqrt(r2)
-            if dlp:
-                kg = np.sum(d * ny, axis=0) / (FOUR_PI * r2 * r)
-            elif pack.curved:
-                kg = _norm3(ny, axis=0) / (FOUR_PI * r)
-            else:
-                kg = pack.gram[cols[sl]][:, None] / (FOUR_PI * r)
-            for c in range(3):
-                out[sl, 0, c] = np.sum(kg * wb[c][None, :], axis=1)
+            for j, k in enumerate(kernels):
+                if kinds[k] == "dlp":
+                    kg = np.sum(d * ny, axis=0) / (FOUR_PI * r2 * r)
+                elif pack.curved:
+                    kg = _norm3(ny, axis=0) / (FOUR_PI * r)
+                else:
+                    kg = pack.gram[cols[sl]][:, None] / (FOUR_PI * r)
+                for c in range(3):
+                    out[sl, j, 0, c] = np.sum(kg * wb[c][None, :], axis=1)
         return out
 
     return evaluate
@@ -417,6 +470,9 @@ def element_table(mesh, basis, indices):
 
 def make_galerkin_executor(kind, mesh, basis, out, orders=(3, 5),
                            capacity=DEFAULT_CAPACITY, threads=None):
+    """Executor of the Galerkin pairs of one kernel or several (``kind`` a
+    name or a tuple of names), adding into ``out``, one buffer per
+    kernel."""
     q_reg, q_sing = orders
     width = 1 if basis == "constant" else 3
     return BatchExecutor(
@@ -488,28 +544,43 @@ def _surface_quadrature(mesh, tris, q):
     return xq, gram * wts[None, :]
 
 
-def _green_kernels(xq, z, nz):
-    """g(x, z_nu) and <x - z_nu, n_nu>/(4 pi r^3) for all points and columns."""
+def _green_kernels(xq, z, nz, nx=None):
+    """g(x, z_nu) and dg/dn_z(x, z_nu) = <x - z_nu, n_nu>/(4 pi r^3) for all
+    points and columns; given the unnormalized surface normals nx at the
+    points, their derivatives along nx instead: dg/dn_x and
+    d2g/dn_x dn_z."""
     d = xq[:, :, None, :] - z[None, None, :, :]
     r = _norm3(d)
     _touch_guard(r)
-    g = 1.0 / (FOUR_PI * r)
-    h = np.einsum("tmkc,kc->tmk", d, nz) / (FOUR_PI * r ** 3)
-    return g, h
+    dz = np.einsum("tmkc,kc->tmk", d, nz)
+    if nx is None:
+        return 1.0 / (FOUR_PI * r), dz / (FOUR_PI * r ** 3)
+    dx = np.einsum("tmkc,tmc->tmk", d, nx)
+    return (-dx / (FOUR_PI * r ** 3),
+            (np.einsum("tmc,kc->tmk", nx, nz) - 3.0 * dx * dz / r ** 2)
+            / (FOUR_PI * r ** 3))
 
 
-def _basis_integrals(mesh, indices, basis, q, z, nz):
-    """Integrals of g(., z_nu) phi_i and dg/dn_z(., z_nu) phi_i, shape (n, k)."""
+def _basis_integrals(mesh, indices, basis, q, z, nz, kind="slp"):
+    """Integrals of g(., z_nu) phi_i and dg/dn_z(., z_nu) phi_i, shape (n, k);
+    for ``kind`` "dlp" their normal derivatives at the surface point,
+    dg/dn_x(., z_nu) phi_i and d2g/dn_x dn_z(., z_nu) phi_i."""
     indices = np.asarray(indices)
     k = len(z)
-    if basis == "constant":
-        xq, gw = _surface_quadrature(mesh, indices, q)
-        g, h = _green_kernels(xq, z, nz)
-        return np.einsum("tm,tmk->tk", gw, g), np.einsum("tm,tmk->tk", gw, h)
-    table = triangle_table(indices, mesh).rows
-    tris = table[:, 0]
+    table = None if basis == "constant" else triangle_table(indices, mesh).rows
+    tris = indices if table is None else table[:, 0]
     xq, gw = _surface_quadrature(mesh, tris, q)
-    g, h = _green_kernels(xq, z, nz)
+    if kind == "dlp":
+        # the unnormalized normals carry the Gramian
+        pts, wts = quad.triangle_gauss(q)
+        nx = np.einsum("ma,tac->tmc", shape_functions(pts),
+                       chart_pack(mesh).normals[tris])
+        g, h = _green_kernels(xq, z, nz, nx)
+        gw = np.broadcast_to(wts, gw.shape)
+    else:
+        g, h = _green_kernels(xq, z, nz)
+    if table is None:
+        return np.einsum("tm,tmk->tk", gw, g), np.einsum("tm,tmk->tk", gw, h)
     pts, _ = quad.triangle_gauss(q)
     n3 = _bary(pts)  # (M, 3)
     ig = np.zeros((len(indices), k))
@@ -546,16 +617,23 @@ def green_row_factor(cluster, rule, mesh, basis, orders=(3, 5)):
     return a
 
 
-def green_col_factor(pair, rule, mesh, basis, orders=(3, 5)):
+def green_col_factor(pair, rule, mesh, basis, orders=(3, 5), kind="slp"):
     """Column factor B for the pair (tau, sigma), using tau's rule and d_tau;
-    A @ B.T approximates the block on tau x sigma."""
+    A @ B.T approximates the block on tau x sigma of the ``kind`` kernel.
+
+    Green's representation of g(x, y) in x holds for the double-layer
+    kernel dg/dn_y too, so A serves both: the dlp factor takes the moments
+    of d2g/dn_z dn_y where slp takes dg/dn_z, and of dg/dn_y where slp
+    takes g.
+    """
     tau, sigma = pair
     if basis == "collocation":
         raise ConfigError("column factors integrate a Galerkin basis")
     z, wz, nz, k = rule.points, rule.weights, rule.normals, rule.k
     sq = np.sqrt(wz)
     d_tau = tau.box.diameter()
-    g, h = _basis_integrals(mesh, sigma.indices, basis, orders[0], z, nz)
+    g, h = _basis_integrals(mesh, sigma.indices, basis, orders[0], z, nz,
+                            kind)
     b = np.empty((g.shape[0], 2 * k))
     b[:, :k] = sq[None, :] * h
     b[:, k:] = sq[None, :] / d_tau * g
@@ -570,6 +648,25 @@ def triangle_areas(mesh, q=3):
         gram = _norm3(np.einsum("ma,tac->tmc", n6, pack.normals))
         return gram @ wts
     return pack.gram * wts.sum()
+
+
+def _local_mass(mesh, tris, order):
+    """Linear-basis mass matrices (T, 3, 3) of the listed triangles."""
+    pts, _ = quad.triangle_gauss(order)
+    _, gw = _surface_quadrature(mesh, tris, order)
+    n3 = _bary(pts)
+    return np.einsum("tm,ma,mb->tab", gw, n3, n3)
+
+
+def mass_apply(mesh, basis, v, order=3):
+    """M v for the surface L2 product, summed over triangles: no n x n
+    matrix."""
+    if basis == "constant":
+        return triangle_areas(mesh, order) * v
+    tris = mesh.triangles
+    local = _local_mass(mesh, np.arange(mesh.nt), order)
+    return np.bincount(tris.ravel(), np.einsum("tab,tb->ta", local, v[tris])
+                       .ravel(), minlength=mesh.nv)
 
 
 def mass_block(mesh, basis, rows, cols, order=3):
@@ -588,10 +685,7 @@ def mass_block(mesh, basis, rows, cols, order=3):
     common, ir, ic = np.intersect1d(tr[:, 0], tc[:, 0], return_indices=True)
     if len(common) == 0:
         return DenseBlock(rows, cols, values)
-    pts, wts = quad.triangle_gauss(order)
-    _, gw = _surface_quadrature(mesh, common, order)
-    n3 = _bary(pts)
-    local = np.einsum("tm,ma,mb->tab", gw, n3, n3)
+    local = _local_mass(mesh, common, order)
     rslots = tr[ir, 1:] - 1
     cslots = tc[ic, 1:] - 1
     for a in range(3):

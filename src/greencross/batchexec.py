@@ -1,14 +1,16 @@
 """Pair-major batched execution of quadrature tasks.
 
-Work is described block by block, in a buffer laid out by the caller. A
-block is a row-major region of the buffer, given by its place (offset, row
-stride, rows, columns), and one product of tasks: every element of a row
-table paired with every element of a column table. A table lists elements,
-each carrying the local slots its values scatter to (-1: unused), and one
-table serves every block that names it, so a caller builds it once per
-distinct index list. ``enqueue_blocks`` records any number of blocks in one
-call, as a few arrays; ``enqueue_many`` is its one-block case, the block
-given as a 2-D view into the buffer. Nothing is evaluated before
+Work is described block by block, in buffers laid out by the caller: one
+buffer per kernel the evaluator computes (the single layer, the double
+layer). A block is a row-major region of the buffer of each kernel it
+takes, given by its place there (offset, row stride, rows, columns), and
+one product of tasks: every element of a row table paired with every
+element of a column table. A table lists elements, each carrying the local
+slots its values scatter to (-1: unused), and one table serves every block
+that names it, so a caller builds it once per distinct index list.
+``enqueue_blocks`` records any number of blocks in one call, as a few
+arrays; ``enqueue_many`` is its one-block case, the block given as a 2-D
+view into the buffer of one kernel. Nothing is evaluated before
 ``finalize``, which sorts the row entries of all blocks (the entries of
 their row tables) by element and walks them in ascending order, window by
 window:
@@ -20,33 +22,37 @@ window:
    of workers; the window's tasks are expanded from its row entries and
    their blocks' column tables, and nothing larger is ever expanded;
 2. the window's tasks are reduced to distinct pairs, so a pair shared by
-   several blocks is classified and evaluated once (skipped when both
-   widths are 1, as for the constant basis, where a pair is one entry of
-   one block);
+   several blocks is classified and evaluated once, for every kernel its
+   blocks take (skipped when one kernel and both widths are 1, as for the
+   constant-basis single layer, where a pair is one entry of one block);
 3. the pairs of unknown singularity case are classified in one call (a
    block may carry the known case of all its pairs instead: an admissible
    block holds only disjoint pairs; a pair known in one block takes that
    case in all of them);
-4. the pairs are stable-sorted by case and evaluated in ``capacity``-sized
-   batches, every batch one rule with no branching inside, the singular
-   cases first, over a pool of ``threads`` workers that lives only for the
-   call to ``finalize``; the pair arrays they read and the values they
-   write sit in buffers kept from window to window;
+4. the pairs are stable-sorted by case and by the kernels they are needed
+   for, and evaluated in ``capacity``-sized batches, every batch one rule
+   and one set of kernels with no branching inside, the singular cases
+   first, over a pool of ``threads`` workers that lives only for the call
+   to ``finalize``; the pair arrays they read and the values they write sit
+   in buffers kept from window to window;
 5. while the workers evaluate, the main thread maps every used (row slot,
-   column slot) of every task to its flat target in the buffer and to its
-   pair's value, in the order below; an unused slot takes no entry. One
-   ``np.add.at`` then scatters the window.
+   column slot) of every task, per kernel its block takes, to its flat
+   target in that kernel's buffer and to its pair's value of that kernel,
+   in the order below; an unused slot takes no entry. One ``np.add.at``
+   per kernel then scatters the window.
 
 Order contract: a block entry sums its contributions by ascending row
 element, then block, in the order the blocks were recorded, then canonical
 column slot b, then position in the column table, then canonical row slot
-a. Recording blocks in one call or one call each gives the same sums. Windows split only between row
-elements, so every entry is bitwise independent of the capacity, the number
-of workers and the window size, and of which other blocks the build holds.
-The evaluator must likewise produce per-pair values independent of how
-pairs are batched; the ones in the assembly module cut each batch into
-chunks of a fixed number of quadrature points, a function of the rule
-alone, and compute each pair's value from its own data only.
+a. Recording blocks in one call or one call each gives the same sums, and
+so does recording a block for several kernels or once per kernel. Windows
+split only between row elements, so every entry is bitwise independent of
+the capacity, the number of workers and the window size, and of which
+other blocks (of any kernel) the build holds. The evaluator must likewise
+produce per-pair values independent of how pairs are batched and of which
+other kernels it computes with them; the ones in the assembly module cut
+each batch into chunks of a fixed number of quadrature points, a function
+of the rule alone, and compute each pair's value from its own data only.
 
 An executor whose ``finalize`` failed (an evaluator raised), or that was
 closed before finalizing, refuses further work: the enqueue methods and
@@ -78,7 +84,7 @@ _UNUSED = -(1 << 61)
 
 # the recorded tasks of a build: row entries (element, record, slots) sorted
 # by element; per record its column entries' offset and count, known case,
-# target offset in the buffer and target row stride
+# and per kernel its target offset (-1: not taken) and row stride
 _Layout = namedtuple("_Layout", "rows rec rs cols cs coff ncol case offset "
                                 "stride span")
 
@@ -154,12 +160,14 @@ class BatchExecutor:
     """Pair-major, case-sorted task batching with a deterministic scatter.
 
     classify(rows, cols) -> (case, row_perm, col_perm) arrays routes each
-    pair to its case; evaluator(case, rows, cols, row_perm, col_perm)
-    returns values of shape (npairs, row_width, col_width) laid out in the
-    canonical (permuted) local order. ``out`` is the C-contiguous float64
-    buffer the values are added into; blocks are 2-D regions of it. Slot
-    arrays give the target position inside the block for each local index,
-    -1 marking an unused slot.
+    pair to its case; evaluator(case, rows, cols, row_perm, col_perm,
+    kernels) returns the values of the listed kernels, shape (npairs,
+    len(kernels), row_width, col_width), laid out in the canonical
+    (permuted) local order. ``out`` is the C-contiguous float64 buffer the
+    values are added into, or a sequence of such buffers, one per kernel:
+    a block takes one kernel or several, and is a 2-D region of the buffer
+    of each. Slot arrays give the target position inside the block for
+    each local index, -1 marking an unused slot.
     """
 
     def __init__(self, classify, evaluator, out, num_cases=4,
@@ -172,7 +180,9 @@ class BatchExecutor:
             threads = os.cpu_count() or 1
         if threads < 1:
             raise ConfigError("threads must be >= 1")
-        if out.dtype != np.float64 or not out.flags.c_contiguous:
+        outs = [out] if isinstance(out, np.ndarray) else list(out)
+        if not outs or any(o.dtype != np.float64 or not o.flags.c_contiguous
+                           for o in outs):
             raise ConfigError("the buffer must be C-contiguous float64")
         self.capacity = capacity
         self.threads = threads
@@ -180,10 +190,11 @@ class BatchExecutor:
         self.col_width = col_width
         self._classify = classify
         self._evaluator = evaluator
-        self._out = out.reshape(-1)
+        self._outs = [o.reshape(-1) for o in outs]
+        self.kernels = len(outs)
         self._permute_rows = permute_rows
         self._permute_cols = permute_cols
-        self._dedupe = row_width * col_width > 1
+        self._dedupe = self.kernels * row_width * col_width > 1
         self._num_cases = num_cases
         self._records = []
         self._open = True
@@ -191,12 +202,14 @@ class BatchExecutor:
         self._stats = [{"tasks": 0, "batches": 0, "wall_s": 0.0}
                        for _ in range(num_cases)]
 
-    def _place(self, target):
-        """Flat offset and row stride of the view ``target`` in the buffer."""
-        size = self._out.itemsize
+    def _place(self, target, kernel):
+        """Flat offset and row stride of the view ``target`` in the buffer
+        of ``kernel``."""
+        out = self._outs[kernel]
+        size = out.itemsize
         if target.shape[1] > 1 and target.strides[1] != size:
             raise ConfigError("target columns are not unit-stride")
-        offset = (target.ctypes.data - self._out.ctypes.data) // size
+        offset = (target.ctypes.data - out.ctypes.data) // size
         stride = target.strides[0] // size
         return offset, stride
 
@@ -209,10 +222,13 @@ class BatchExecutor:
         element's target rows (columns) in a block, -1 marking an unused
         slot. Block k pairs every element of row table row_ids[k] with
         every element of column table col_ids[k]. places[k] = (offset, row
-        stride, rows, columns) locates the block in the buffer; cases[k] is
-        the singularity case of all its pairs, or -1 to classify each pair.
-        A known case skips classification, and its pairs keep their local
-        order (identity permutations).
+        stride, rows, columns) locates the block in the buffer; with
+        several kernels places[k] holds one such place per kernel, offset
+        -1 where the block does not take that kernel. cases[k] is the
+        singularity case of all its pairs, or -1 to classify each pair. A
+        known case skips classification, and its pairs keep their local
+        order (identity permutations). A pair is evaluated once for all the
+        kernels of all the blocks that list it.
         """
         if not self._open:
             raise StateError("enqueue after finalize or close")
@@ -220,7 +236,8 @@ class BatchExecutor:
         cols = _tables(col_tables, self.col_width)
         row_ids = np.asarray(row_ids, dtype=np.int64).reshape(-1)
         col_ids = np.asarray(col_ids, dtype=np.int64).reshape(-1)
-        places = np.asarray(places, dtype=np.int64).reshape(-1, 4)
+        places = np.asarray(places, dtype=np.int64).reshape(
+            -1, self.kernels, 4)
         cases = np.asarray(cases, dtype=np.int64).reshape(-1)
         if not len(row_ids) == len(col_ids) == len(places) == len(cases):
             raise ConfigError("one row table, column table, place and case "
@@ -228,35 +245,42 @@ class BatchExecutor:
         bad = (cases < -1) | (cases >= self._num_cases)
         if bad.any():
             raise ConfigError("unknown case %r" % (cases[bad][0],))
-        offset, stride, nrows, ncols = places.T
-        if np.any((_top(*rows[1:])[row_ids] >= nrows)
-                  | (_top(*cols[1:])[col_ids] >= ncols)):
+        offset, stride, nrows, ncols = np.moveaxis(places, 2, 0)
+        taken = offset != -1
+        if not taken.any(axis=1).all():
+            raise ConfigError("a block takes no kernel")
+        if np.any(taken & ((_top(*rows[1:])[row_ids, None] >= nrows)
+                           | (_top(*cols[1:])[col_ids, None] >= ncols))):
             raise ConfigError("slot outside the block's shape")
         last = offset + (nrows - 1) * stride + ncols - 1
-        if np.any((nrows > 0) & (ncols > 0) & ((offset < 0) | (stride < 0)
-                                                | (last >= self._out.size))):
+        size = np.array([o.size for o in self._outs])
+        if np.any(taken & (nrows > 0) & (ncols > 0)
+                  & ((offset < 0) | (stride < 0) | (last >= size))):
             raise ConfigError("block is not inside the executor's buffer")
         keep = ((np.diff(rows[2])[row_ids] > 0)
                 & (np.diff(cols[2])[col_ids] > 0))
         if keep.any():
             self._records.append((rows, cols, row_ids[keep], col_ids[keep],
-                                  places[keep, :2], cases[keep]))
+                                  places[keep, :, :2], cases[keep]))
 
     def enqueue_many(self, rows, cols, target, row_slots, col_slots,
-                     case=None):
+                     case=None, kernel=0):
         """Record the len(rows) x len(cols) tasks (rows[i], cols[j]).
 
         The one-block case of :meth:`enqueue_blocks`: ``target`` is the
-        block, a 2-D view into the buffer. row_slots (len(rows), row_width)
-        and col_slots (len(cols), col_width) hold each element's target
-        rows and columns in it. ``case``, when given, is the singularity
-        case of every pair.
+        block, a 2-D view into the buffer of ``kernel``. row_slots
+        (len(rows), row_width) and col_slots (len(cols), col_width) hold
+        each element's target rows and columns in it. ``case``, when given,
+        is the singularity case of every pair.
         """
         if not self._open:
             raise StateError("enqueue after finalize or close")
+        if not 0 <= kernel < self.kernels:
+            raise ConfigError("kernel outside 0..%d" % (self.kernels - 1))
+        places = np.full((self.kernels, 4), -1)
+        places[kernel] = self._place(target, kernel) + target.shape
         self.enqueue_blocks([(rows, row_slots)], [(cols, col_slots)], [0],
-                            [0], [self._place(target) + target.shape],
-                            [-1 if case is None else case])
+                            [0], [places], [-1 if case is None else case])
 
     def finalize(self):
         """Evaluate the recorded tasks and add their values into the buffer.
@@ -296,15 +320,15 @@ class BatchExecutor:
         ncol = np.diff(cstart)[col_ids]
         layout = _Layout(relems[ent], rec, np.take(rslots, ent, axis=0),
                          celems, cslots, cstart[col_ids], ncol,
-                         np.concatenate(case), places[:, 0], places[:, 1],
-                         celems.max() + 1)
+                         np.concatenate(case), places[..., 0],
+                         places[..., 1], celems.max() + 1)
         scratch = _Scratch()
         with ThreadPoolExecutor(max_workers=self.threads) as pool:
             for start, stop in _windows(layout.rows, ncol[rec]):
                 self._run_window(pool, layout, start, stop, scratch)
 
     def _run_window(self, pool, lay, start, stop, buf):
-        rw, cw = self.row_width, self.col_width
+        rw, cw, nk = self.row_width, self.col_width, self.kernels
         rec = lay.rec[start:stop]
         length = lay.ncol[rec]
         first = np.cumsum(length) - length
@@ -327,6 +351,15 @@ class BatchExecutor:
             cols = np.take(cols, pick, out=buf("pair_cols", len(pick)))
         else:
             pair = np.arange(n)
+        # the kernels each pair is needed for, as a bit mask
+        need = buf("need", len(rows))
+        if nk > 1:
+            need.fill(0)
+            for k in range(nk):
+                takes = np.repeat(lay.offset[rec, k] >= 0, length)
+                need[pair[takes]] |= 1 << k
+        else:
+            need.fill(1)
         px, py = buf("px", len(rows)), buf("py", len(rows))
         px.fill(0)
         py.fill(0)
@@ -334,22 +367,18 @@ class BatchExecutor:
         if len(unknown):
             case[unknown], px[unknown], py[unknown] = self._classify(
                 rows[unknown], cols[unknown])
-        values = self._evaluate(pool, case, rows, cols, px, py,
-                                buf("values", len(rows) * rw * cw, np.float64))
+        values = self._evaluate(
+            pool, case, need, rows, cols, px, py,
+            buf("values", len(rows) * nk * rw * cw, np.float64))
 
         # scatter map, built while the workers evaluate: per task its
-        # target rows in the buffer (an unused slot far below zero) and
-        # target columns (-1 unused), in canonical slot order
-        rs = lay.rs[start:stop]
-        rowt = np.take(np.where(rs >= 0, lay.offset[rec][:, None]
-                                + rs * lay.stride[rec][:, None], _UNUSED),
-                       run, axis=0)
+        # target columns (-1 unused), in canonical slot order, and per
+        # kernel its target rows in that kernel's buffer (an unused slot,
+        # or a kernel the block does not take, far below zero)
         colt = np.take(lay.cs, col, axis=0)
+        moved = None
         if self._permute_rows or self._permute_cols:
             moved = np.flatnonzero((px | py)[pair])
-            if self._permute_rows:
-                rowt[moved] = np.take_along_axis(
-                    rowt[moved], PERMS3[px[pair[moved]]], axis=1)
             if self._permute_cols:
                 colt[moved] = np.take_along_axis(
                     colt[moved], PERMS3[py[pair[moved]]], axis=1)
@@ -365,46 +394,75 @@ class BatchExecutor:
         used = c >= 0
         seg, c = np.compress(used, seg), np.compress(used, c)
         task = seg // cw
-        tgt = np.take(rowt, task, axis=0)
-        tgt += c[:, None]
-        keep = (tgt >= 0).reshape(-1)
-        tgt = np.compress(keep, tgt)
-        src = np.compress(keep, (pair[task] * (rw * cw) + seg
-                                 - task * cw)[:, None] + np.arange(rw) * cw)
-        np.add.at(self._out, tgt, values().reshape(-1)[src])
+        src = ((pair[task] * nk) * (rw * cw) + seg - task * cw)[:, None] \
+            + np.arange(rw) * cw
+        rs = lay.rs[start:stop]
+        scatter = []
+        for k in range(nk):
+            offset, stride = lay.offset[rec, k], lay.stride[rec, k]
+            rowt = np.take(np.where((rs >= 0) & (offset >= 0)[:, None],
+                                    offset[:, None] + rs * stride[:, None],
+                                    _UNUSED), run, axis=0)
+            if self._permute_rows:
+                rowt[moved] = np.take_along_axis(
+                    rowt[moved], PERMS3[px[pair[moved]]], axis=1)
+            tgt = np.take(rowt, task, axis=0)
+            tgt += c[:, None]
+            keep = (tgt >= 0).reshape(-1)
+            at = np.compress(keep, src)
+            if k:
+                at += k * rw * cw
+            scatter.append((np.compress(keep, tgt), at))
+        vals = values().reshape(-1)
+        for out, (tgt, at) in zip(self._outs, scatter):
+            np.add.at(out, tgt, vals[at])
 
-    def _evaluate(self, pool, case, rows, cols, px, py, values):
-        """Start evaluating the listed pairs, by case in capacity-sized
-        batches, into ``values`` (one row of row_width * col_width per
-        pair); returns a function that waits for and returns the values.
+    def _evaluate(self, pool, case, need, rows, cols, px, py, values):
+        """Start evaluating the listed pairs, by case and needed kernels in
+        capacity-sized batches, into ``values`` (one row of kernels *
+        row_width * col_width per pair; a kernel a pair is not needed for
+        is left unset); returns a function that waits for and returns the
+        values.
         """
-        by_case = np.argsort(case, kind="stable")
-        bounds = np.searchsorted(case[by_case], np.arange(self._num_cases + 1))
+        nk = self.kernels
+        key = (case << nk) | need
+        by_key = np.argsort(key, kind="stable")
+        bounds = np.searchsorted(key[by_key],
+                                 np.arange((self._num_cases << nk) + 1))
         batches = deque()
         # singular cases first: their pairs cost the most, so the cheap
         # disjoint batches even out the workers at the end of the window
         for c in reversed(range(self._num_cases)):
-            s, e = bounds[c], bounds[c + 1]
-            self._stats[c]["tasks"] += int(e - s)
-            batches += [(c, by_case[b:min(e, b + self.capacity)])
-                        for b in range(s, e, self.capacity)]
+            self._stats[c]["tasks"] += int(bounds[(c + 1) << nk]
+                                           - bounds[c << nk])
+            for mask in range(1, 1 << nk):
+                s, e = bounds[(c << nk) | mask], bounds[((c << nk) | mask) + 1]
+                kernels = [k for k in range(nk) if mask >> k & 1]
+                batches += [(c, kernels, by_key[b:min(e, b + self.capacity)])
+                            for b in range(s, e, self.capacity)]
         # batches write disjoint rows
-        values = values.reshape(len(rows), self.row_width, self.col_width)
+        values = values.reshape(len(rows), nk, self.row_width,
+                                self.col_width)
 
         def work():
             # each worker pulls batches until none is left
             walls = []
             while True:
                 try:
-                    c, idx = batches.popleft()
+                    c, kernels, idx = batches.popleft()
                 except IndexError:
                     return walls
                 t0 = time.perf_counter()
                 try:
-                    values[idx] = np.reshape(
+                    got = np.reshape(
                         self._evaluator(c, rows[idx], cols[idx], px[idx],
-                                        py[idx]),
-                        (len(idx), self.row_width, self.col_width))
+                                        py[idx], kernels),
+                        (len(idx), len(kernels), self.row_width,
+                         self.col_width))
+                    if len(kernels) == nk:
+                        values[idx] = got
+                    else:
+                        values[idx[:, None], kernels] = got
                 except BaseException:
                     batches.clear()  # the other workers stop soon
                     raise

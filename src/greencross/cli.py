@@ -6,7 +6,8 @@ mesh      write a sphere mesh (plane or curved) in the text format
 compress  build Green / flat GCA / GCA-H2 approximations, report per-method
           storage, setup time and spectral error against the dense oracle
 solve     assemble and solve the single-layer Dirichlet system with the
-          compressed operator, report the surface L2 error
+          compressed operator, its double-layer right-hand side from a
+          compressed K built in the same pass, report the surface L2 error
 stats     batch-executor statistics for one compressed build, per
           singularity case: batches, tasks (pair integrals evaluated;
           a pair shared by several blocks is evaluated and counted
@@ -16,7 +17,8 @@ All reports are RFC 4180 CSV with one fixed column set, so rows from
 different runs concatenate cleanly.  Every row echoes the full experiment
 configuration; re-running with the same config and seed reproduces all
 non-timing columns.  Exit codes: 0 success, 2 invalid configuration,
-3 desk-scale guard refusal.
+3 size guard refusal (a mesh level out of range, or a dense oracle
+whose matrix would not fit its memory budget).
 """
 
 import argparse
@@ -33,8 +35,9 @@ from .batchexec import DEFAULT_CAPACITY
 from .clustering import build_block_tree, build_cluster_tree
 from .quadrature import triangle_gauss
 
-# dense matrices (oracle comparison, dlp right-hand sides) refuse above this
-DENSE_GUARD = 8192
+# memory budget of compress's dense oracle, an n x n float64 matrix: 512
+# MiB, n = 8192
+DENSE_BYTES = 1 << 29
 
 REPORT_COLUMNS = ["method", "basis", "geometry", "disc", "level", "n",
                   "eta", "m", "eps", "storage_bytes", "setup_s", "solve_s",
@@ -167,10 +170,12 @@ def build_trees(mesh, cfg):
 
 
 def build_h2_operator(mesh, cfg, kind="slp", capacity=DEFAULT_CAPACITY,
-                      threads=None, btree=None):
+                      threads=None, btree=None, dlp=False):
     """Cluster tree, block tree and GCA-H2 matrix for one config; a block
     tree built before (by :func:`build_trees`) is reused.  A Galerkin
     build has one basis for both sides (see ``gca.build_cluster_basis``).
+    With ``dlp``, the same build also makes the double-layer operator, with
+    a dlp column basis, as the matrix's ``dlp`` (see ``gca.build_h2``).
     """
     if btree is None:
         tree, btree = build_trees(mesh, cfg)
@@ -189,9 +194,14 @@ def build_h2_operator(mesh, cfg, kind="slp", capacity=DEFAULT_CAPACITY,
         col_basis = basis(cfg.basis, "col", cmarks)
     else:
         row_basis = col_basis = basis(cfg.basis, "row", rmarks | cmarks)
+    dlp_basis = None
+    if dlp:
+        dlp_basis = gca.build_cluster_basis(
+            tree, mesh, cfg.basis, cfg.m, cfg.delta_factor, cfg.eps,
+            side="col", orders=orders, marks=cmarks, kind="dlp")
     hm = gca.build_h2(btree, row_basis, col_basis, mesh, kind=kind,
                       basis=cfg.basis, disc=cfg.disc, orders=orders,
-                      capacity=capacity, threads=threads)
+                      capacity=capacity, threads=threads, dlp_basis=dlp_basis)
     return hm, tree, btree
 
 
@@ -237,10 +247,11 @@ def cmd_compress(args):
         cfg = cfg._replace(level=infer_level(mesh))
     n = dof_count(mesh, cfg.basis)
     want_dense = not args.no_dense
-    if want_dense and n > DENSE_GUARD:
+    if want_dense and 8 * n * n > DENSE_BYTES:
         raise SizeLimitError(
-            "dense oracle refused for n=%d > %d; pass --no-dense to "
-            "compress without the error column" % (n, DENSE_GUARD))
+            "dense oracle refused for n=%d: its matrix takes %d MiB, over "
+            "the %d MiB budget; pass --no-dense to compress without the "
+            "error column" % (n, 8 * n * n >> 20, DENSE_BYTES >> 20))
 
     rows = []
     dense = None
@@ -338,6 +349,19 @@ def solution_l2_error(mesh, basis, u_dofs, source, q=4):
     return np.sqrt(np.einsum("tm,tm->", w, (u_h - u_ex) ** 2))
 
 
+def dirichlet_rhs(hm, mesh, cfg, v_h):
+    """b = lam M v + K v, the right-hand side of the Dirichlet solve, from
+    the double-layer operator K that ``build_h2_operator(..., dlp=True)``
+    attached to ``hm``, which it then drops.  K v is K's H2 product; M v
+    (collocation: v) is summed over triangles.  No n x n matrix is made.
+    """
+    kv = h2.mvm(hm.dlp, v_h)
+    hm.dlp = None
+    if cfg.disc == "collocation":
+        return cfg.lam * v_h + kv
+    return cfg.lam * assembly.mass_apply(mesh, cfg.basis, v_h) + kv
+
+
 def cmd_solve(args):
     cfg = config_from_args(args)
     if not (np.isfinite(args.cg_tol) and args.cg_tol > 0.0):
@@ -349,10 +373,6 @@ def cmd_solve(args):
     mesh = load_mesh(args.mesh, cfg)
     if cfg.level < 0:
         cfg = cfg._replace(level=infer_level(mesh))
-    if mesh.nt > DENSE_GUARD:
-        raise SizeLimitError(
-            "solve refused for %d triangles > %d: the double-layer "
-            "right-hand side is assembled densely" % (mesh.nt, DENSE_GUARD))
     n = dof_count(mesh, cfg.basis)
     source = np.asarray(cfg.source)
     points = dof_points(mesh, cfg.basis)
@@ -360,14 +380,8 @@ def cmd_solve(args):
 
     t0 = time.perf_counter()
     hm, _, _ = build_h2_operator(mesh, cfg, capacity=args.capacity,
-                                 threads=args.threads)
-    K = assemble_dense("dlp", mesh, cfg, args.capacity, args.threads)
-    if cfg.disc == "collocation":
-        b = cfg.lam * v_h + K @ v_h
-    else:
-        dofs = np.arange(n)
-        M = assembly.mass_block(mesh, cfg.basis, dofs, dofs).values
-        b = cfg.lam * (M @ v_h) + K @ v_h
+                                 threads=args.threads, dlp=True)
+    b = dirichlet_rhs(hm, mesh, cfg, v_h)
     setup_s = time.perf_counter() - t0
 
     op = h2.as_operator(hm)
@@ -480,14 +494,16 @@ def build_parser():
     p.add_argument("--mesh", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--no-dense", action="store_true",
-                   help="skip the dense oracle (required above n=%d)"
-                        % DENSE_GUARD)
+                   help="skip the dense oracle (required when its n x n "
+                        "matrix exceeds %d MiB)" % (DENSE_BYTES >> 20))
     _add_config_flags(p)
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("solve",
                        help="solve the Dirichlet problem via the "
-                            "single-layer equation")
+                            "single-layer equation; V and the double-layer "
+                            "K of the right-hand side are built compressed, "
+                            "in one pass, with no n x n step")
     p.add_argument("--mesh", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--cg-tol", type=float, default=1e-8)

@@ -161,7 +161,7 @@ def coupling_marks(btree):
 
 
 def build_cluster_basis(tree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
-                        side="row", orders=(3, 5), marks=None):
+                        side="row", orders=(3, 5), marks=None, kind="slp"):
     """Nested interpolation basis, built bottom-up over ``tree``.
 
     Each leaf interpolates its Green quadrature factor (box rule of order m,
@@ -185,7 +185,9 @@ def build_cluster_basis(tree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
     1/d_tau, so it spans A; full pivoting, by magnitude and relative norm,
     picks the same pivots on both sides and V the same to rounding, and a
     symmetric build uses one basis for both.  The collocation basis (point
-    evaluation rows) exists only on the row side.
+    evaluation rows) exists only on the row side.  The row basis serves
+    the double-layer kernel as well; ``kind`` "dlp" builds its column
+    basis from the dlp column factor (see ``assembly.green_col_factor``).
 
     ``marks`` (a set of cluster indices, see :func:`coupling_marks`)
     restricts the build to clusters that actually feed a coupling block:
@@ -195,6 +197,8 @@ def build_cluster_basis(tree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
     """
     if side not in ("row", "col"):
         raise ConfigError("side must be 'row' or 'col', got %r" % (side,))
+    if kind not in ("slp", "dlp") or (side, kind) == ("row", "dlp"):
+        raise ConfigError("no %s basis for kernel %r" % (side, kind))
 
     def factor(node, rows):
         rule = green_box_rule(node.box, delta_factor * node.box.diameter(), m)
@@ -202,7 +206,7 @@ def build_cluster_basis(tree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
         if side == "row":
             return assembly.green_row_factor(stub, rule, mesh, basis, orders)
         return assembly.green_col_factor((stub, stub), rule, mesh, basis,
-                                         orders)
+                                         orders, kind)
 
     by_index = {}
     roots = []
@@ -264,11 +268,12 @@ class H2Matrix:
     leaves.  Block row/col fields reference cluster tree nodes; vectors in
     tree ordering address them through start/stop slices.  ``packed`` is
     the layout of ``h2.pack``, made before assembly: block values and basis
-    matrices are views into its arrays.
+    matrices are views into its arrays.  ``dlp`` is the double-layer
+    operator a build made alongside (see :func:`build_h2`), or None.
     """
 
     def __init__(self, row_tree, col_tree, row_basis, col_basis, coupling,
-                 nearfield, packed, exec_stats=None):
+                 nearfield, packed, exec_stats=None, dlp=None):
         self.row_tree = row_tree
         self.col_tree = col_tree
         self.row_basis = row_basis
@@ -277,6 +282,7 @@ class H2Matrix:
         self.nearfield = nearfield
         self.exec_stats = exec_stats
         self.packed = packed
+        self.dlp = dlp
 
     @property
     def shape(self):
@@ -288,8 +294,9 @@ class H2Matrix:
 
 
 def _make_executor(kind, mesh, basis, disc, out, orders, capacity, threads):
-    """The executor of a build and the row and column kinds of its element
-    tables (see ``assembly.element_table``)."""
+    """The executor of a build, for one kernel or several (with one buffer
+    each), and the row and column kinds of its element tables (see
+    ``assembly.element_table``)."""
     if disc == "galerkin":
         return (assembly.make_galerkin_executor(kind, mesh, basis, out,
                                                 orders, capacity, threads),
@@ -365,7 +372,7 @@ def _mirrored(leaves):
 
 def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
              disc="galerkin", orders=(3, 5), capacity=DEFAULT_CAPACITY,
-             threads=None):
+             threads=None, dlp_basis=None):
     """Assemble the H2-matrix over a block tree and two nested bases.
 
     Laid out first (``h2.pack``), admissible leaves get exact entries at
@@ -379,42 +386,83 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     evaluator's orientation rule.  It evaluates only the leaves with row
     cluster <= column cluster (diagonal ones whole) and writes every other
     leaf as its partner's transpose.  Other builds evaluate every leaf.
+
+    Given ``dlp_basis``, a column basis of the double-layer kernel (see
+    :func:`build_cluster_basis`), an slp build also assembles the dlp
+    operator K over the same block tree and row basis, in the same executor
+    pass: its couplings are exact dlp entries at the row pivots x the dlp
+    column pivots, its nearfield the same leaves.  A triangle pair that
+    blocks of both operators need is classified and interpolated once and
+    evaluated for both kernels.  K is the returned matrix's ``dlp``; V
+    stays bitwise what a build without K gives.
     """
+    if dlp_basis is not None and kind != "slp":
+        raise ConfigError("a dlp column basis goes with an slp build")
     far, near = btree.admissible_leaves(), btree.inadmissible_leaves()
     leaves = far + near
     evaluate, mirrored = np.arange(len(leaves)), []
     if ((kind, basis, disc) == ("slp", "constant", "galerkin")
             and btree.row is btree.col and row_basis is col_basis):
         evaluate, mirrored = _mirrored(leaves)
-    packed, far_views, near_views, places = h2.pack(
-        row_basis, col_basis, far, near, (btree.row.size, btree.col.size))
+    shape = (btree.row.size, btree.col.size)
+    col_bases = [col_basis] + ([] if dlp_basis is None else [dlp_basis])
+    layouts = [h2.pack(row_basis, col_bases[0], far, near, shape)]
+    layouts += [h2.pack(row_basis, cb, far, near, shape, layouts[0][0].row)
+                for cb in col_bases[1:]]
+    # every leaf's place in each operator, offset -1 where it is not
+    # evaluated (V's mirrored leaves)
+    place = np.full((len(leaves), len(layouts), 4), -1)
+    place[evaluate, 0] = layouts[0][3][evaluate]
+    for j, (*_, places) in enumerate(layouts[1:], 1):
+        place[:, j] = places
+    # an admissible leaf is one block per operator, at that operator's
+    # column pivots; an inadmissible leaf one block for all operators
+    blocks = [(k, j) for j in range(len(layouts)) for k in range(len(far))
+              if place[k, j, 0] >= 0]
+    blocks += [(k, None) for k in range(len(far), len(leaves))
+               if (place[k, :, 0] >= 0).any()]
     cases = np.r_[_far_cases([b.row for b in far], [b.col for b in far]),
                   np.full(len(near), -1)]
 
     def side(nested, k, cluster):
-        # index lists keyed ("p", cluster) for a basis node's pivots and
-        # ("c", cluster) for a cluster's indices
+        # index lists keyed ("p", basis, cluster) for a basis node's pivots
+        # and ("c", cluster) for a cluster's indices
         if k < len(far):
-            return ("p", cluster.index), nested.node(cluster).pivots
+            return (("p", id(nested), cluster.index),
+                    nested.node(cluster).pivots)
         return ("c", cluster.index), cluster.indices
 
-    ex, kinds = _make_executor(kind, mesh, basis, disc, packed.blocks.data,
+    def places(k, j):
+        if j is None:
+            return place[k]
+        only = np.full_like(place[k], -1)
+        only[j] = place[k, j]
+        return only
+
+    ex, kinds = _make_executor((kind, "dlp")[:len(layouts)], mesh, basis,
+                               disc, [p.blocks.data for p, *_ in layouts],
                                orders, capacity, threads)
     with ex:
         _enqueue(ex, mesh, kinds,
-                 [side(row_basis, k, leaves[k].row) for k in evaluate],
-                 [side(col_basis, k, leaves[k].col) for k in evaluate],
-                 places[evaluate], cases[evaluate])
+                 [side(row_basis, k, leaves[k].row) for k, _ in blocks],
+                 [side(col_bases[j or 0], k, leaves[k].col)
+                  for k, j in blocks],
+                 [places(k, j) for k, j in blocks],
+                 [cases[k] for k, _ in blocks])
         ex.finalize()
-    views = far_views + near_views
+    views = layouts[0][1] + layouts[0][2]
     for k, p in mirrored:
         views[k][...] = views[p].T
-    return H2Matrix(btree.row, btree.col, row_basis, col_basis,
+    ops = [H2Matrix(btree.row, btree.col, row_basis, cb,
                     [CouplingBlock(leaf.row, leaf.col, view)
                      for leaf, view in zip(far, far_views)],
                     [NearfieldBlock(leaf.row, leaf.col, view)
                      for leaf, view in zip(near, near_views)],
                     packed, ex.stats())
+           for cb, (packed, far_views, near_views, _) in zip(col_bases,
+                                                             layouts)]
+    ops[0].dlp = ops[1] if len(ops) > 1 else None
+    return ops[0]
 
 
 def _unpermute(perm, yt):

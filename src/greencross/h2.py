@@ -240,7 +240,7 @@ def block_rows(*groups):
 Packed = namedtuple("Packed", "row col blocks")
 
 
-def pack(row_basis, col_basis, coupling, nearfield, shape):
+def pack(row_basis, col_basis, coupling, nearfield, shape, row=None):
     """Packed layout of an H2-matrix for :func:`mvm` and :func:`mvm_t`.
 
     ``coupling`` and ``nearfield`` list blocks with (row, col) clusters,
@@ -248,12 +248,15 @@ def pack(row_basis, col_basis, coupling, nearfield, shape):
     Stacks both bases, rebinding their nodes' matrices to views into the
     stacks, and lays all blocks out by output slots over one zeroed buffer
     ``blocks.data``; one basis for both sides (``row_basis is
-    col_basis``) is stacked once, in one pack.  Returns the
+    col_basis``) is stacked once, in one pack.  ``row``, the ``row`` pack
+    of another operator over ``row_basis``, is shared instead of stacking
+    that basis again.  Returns the
     :class:`Packed` layout, the coupling and the nearfield values as views
     into that buffer, in input order, and the places in it of all blocks
     (see :func:`block_rows`), couplings first.
     """
-    row = _BasisPack(row_basis, shape[0])
+    if row is None:
+        row = _BasisPack(row_basis, shape[0])
     col = row if col_basis is row_basis else _BasisPack(col_basis, shape[1])
     _, ((blocks, views, places),) = block_rows(
         [row.slots(row_basis.node(b.row))

@@ -222,11 +222,8 @@ def _solve_variant(mesh, basis, geometry_name, level):
         q_reg=2, q_sing=4, lam=0.5, source=(2.5, 0.0, 0.0), seed=0)
     n = cli.dof_count(mesh, basis)
     v_h = cli.point_source(cli.dof_points(mesh, basis), np.asarray(cfg.source))
-    hm, _, _ = cli.build_h2_operator(mesh, cfg)
-    k = cli.assemble_dense("dlp", mesh, cfg)
-    dofs = np.arange(n)
-    m_mat = assembly.mass_block(mesh, basis, dofs, dofs).values
-    b = cfg.lam * (m_mat @ v_h) + k @ v_h
+    hm, _, _ = cli.build_h2_operator(mesh, cfg, dlp=True)
+    b = cli.dirichlet_rhs(hm, mesh, cfg, v_h)
     res = h2.cg_solve(h2.as_operator(hm), b, tol=1e-8, max_iter=n)
     assert res.converged
     return cli.solution_l2_error(mesh, basis, res.x, np.asarray(cfg.source))

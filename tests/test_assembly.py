@@ -478,3 +478,72 @@ def test_pair_values_keep_seed_bits(geometry, kind, basis):
     values = _all_pair_values(_mesh(geometry, 2), kind, basis, upper)
     digest = hashlib.sha256(b"".join(v.tobytes() for v in values))
     assert digest.hexdigest()[:16] == _SEED_VALUES[geometry, kind, basis]
+
+
+@pytest.mark.parametrize("geometry", ["plane", "curved"])
+@pytest.mark.parametrize("basis", ["constant", "linear"])
+def test_fused_kernels_keep_single_kernel_bits(geometry, basis):
+    """An evaluator of both kernels gives, for every triangle pair of an
+    L2 mesh in both orientations, bitwise the values of the one-kernel
+    evaluators, whichever kernels a call asks for and in whichever order
+    the evaluator lists them."""
+    mesh = _mesh(geometry, 2)
+    t, s = np.divmod(np.arange(mesh.nt ** 2), mesh.nt)
+    case, px, py = quad.classify_pairs(mesh.triangles[t], mesh.triangles[s])
+    single = {k: assembly.galerkin_pair_evaluator(k, mesh, basis, 2, 4)
+              for k in ("slp", "dlp")}
+    both = assembly.galerkin_pair_evaluator(("slp", "dlp"), mesh, basis, 2, 4)
+    swapped = assembly.galerkin_pair_evaluator(("dlp", "slp"), mesh, basis,
+                                               2, 4)
+    for c in range(4):
+        sel = np.flatnonzero(case == c)
+        args = (c, t[sel], s[sel], px[sel], py[sel])
+        ref = [single[k](*args)[:, 0] for k in ("slp", "dlp")]
+        got = both(*args)
+        assert got.shape == (len(sel), 2) + ref[0].shape[1:]
+        assert np.array_equal(got[:, 0], ref[0])
+        assert np.array_equal(got[:, 1], ref[1])
+        assert np.array_equal(swapped(*args)[:, ::-1], got)
+        assert np.array_equal(both(*args, kernels=[1, 0])[:, ::-1], got)
+        for k in (0, 1):
+            assert np.array_equal(both(*args, kernels=[k])[:, 0], ref[k])
+
+
+@pytest.mark.parametrize("geometry", ["plane", "curved"])
+def test_fused_collocation_kernels_keep_single_kernel_bits(geometry):
+    mesh = _mesh(geometry, 2)
+    x, s = np.divmod(np.arange(mesh.nv * mesh.nt), mesh.nt)
+    case, px, py = assembly.collocation_classify(mesh)(x, s)
+    single = {k: assembly.collocation_evaluator(k, mesh, 2, 4)
+              for k in ("slp", "dlp")}
+    both = assembly.collocation_evaluator(("slp", "dlp"), mesh, 2, 4)
+    for c in (0, 1):
+        sel = np.flatnonzero(case == c)
+        args = (c, x[sel], s[sel], px[sel], py[sel])
+        got = both(*args)
+        for k, kind in enumerate(("slp", "dlp")):
+            assert np.array_equal(got[:, k], single[kind](*args)[:, 0])
+            assert np.array_equal(both(*args, kernels=[k])[:, 0], got[:, k])
+
+
+def test_unknown_kernel_kinds_rejected(sphere2):
+    for kinds in ("hyp", (), ("slp", "slp"), ("slp", "hyp")):
+        with pytest.raises(ConfigError):
+            assembly.galerkin_pair_evaluator(kinds, sphere2, "constant", 2, 4)
+        with pytest.raises(ConfigError):
+            assembly.collocation_evaluator(kinds, sphere2, 2, 4)
+
+
+@pytest.mark.parametrize("geometry", ["plane", "curved"])
+@pytest.mark.parametrize("basis", ["constant", "linear"])
+def test_mass_apply_matches_mass_block(geometry, basis):
+    """M v summed over triangles equals the dense mass matrix product to
+    rounding."""
+    mesh = _mesh(geometry, 2)
+    n = mesh.nt if basis == "constant" else mesh.nv
+    dofs = np.arange(n)
+    m = assembly.mass_block(mesh, basis, dofs, dofs).values
+    v = np.random.default_rng(2).standard_normal(n)
+    got = assembly.mass_apply(mesh, basis, v)
+    assert np.abs(got - m @ v).max() <= 1e-15 * np.abs(m).sum(axis=1).max() \
+        * np.abs(v).max()

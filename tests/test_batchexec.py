@@ -20,7 +20,7 @@ def _classify_parity(rows, cols):
     return case, z, z
 
 
-def _eval_pairfn(case, rows, cols, px, py):
+def _eval_pairfn(case, rows, cols, px, py, kernels=None):
     # deterministic per-task value, independent of batch composition
     return np.sin(1.3 * rows + 0.7 * cols + case)[:, None, None]
 
@@ -173,7 +173,7 @@ def test_slot_permutation_routing():
         return (np.zeros(n, dtype=np.int64), np.full(n, 1, dtype=np.int64),
                 np.zeros(n, dtype=np.int64))
 
-    def evaluator(case, rows, cols, px, py):
+    def evaluator(case, rows, cols, px, py, kernels=None):
         return np.arange(10.0, 13.0).reshape(1, 3, 1).repeat(len(rows), 0)
 
     out = np.zeros((3, 1))
@@ -185,7 +185,7 @@ def test_slot_permutation_routing():
     assert np.array_equal(out[:, 0], [12.0, 10.0, 11.0])
 
 
-def _eval_raises(case, rows, cols, px, py):
+def _eval_raises(case, rows, cols, px, py, kernels=None):
     raise RuntimeError("evaluator failure")
 
 
@@ -270,7 +270,7 @@ def _classify_rotating(rows, cols):
     return case, rows % 6, cols % 6
 
 
-def _eval_slots(case, rows, cols, px, py):
+def _eval_slots(case, rows, cols, px, py, kernels=None):
     # per-task 3x3 values that depend on the canonical permutations
     a = np.arange(3.0)
     return np.sin(1.3 * rows + 0.7 * cols + case + 0.1 * px + 0.01 * py)[
@@ -330,7 +330,7 @@ def test_failed_window_releases_pool_and_refuses(monkeypatch):
     released; the executor then refuses work and its blocks."""
     monkeypatch.setattr(batchexec, "_WINDOW", 10)
 
-    def evaluator(case, rows, cols, px, py):
+    def evaluator(case, rows, cols, px, py, kernels=None):
         if np.any(rows == 3):
             raise RuntimeError("evaluator failure")
         return _eval_pairfn(case, rows, cols, px, py)
@@ -349,7 +349,7 @@ def test_failed_window_releases_pool_and_refuses(monkeypatch):
         ex.enqueue_many([0], [0], out, [[0]], [[0]])
 
 
-def _eval_pairfn3(case, rows, cols, px, py):
+def _eval_pairfn3(case, rows, cols, px, py, kernels=None):
     # _eval_pairfn in every slot of a width-3 pair
     return np.broadcast_to(_eval_pairfn(case, rows, cols, px, py),
                            (len(rows), 3, 3))
@@ -391,7 +391,7 @@ def test_pairs_shared_by_blocks_evaluated_once():
     def run(parts):
         seen = []
 
-        def evaluator(case, rows, cols, px, py):
+        def evaluator(case, rows, cols, px, py, kernels=None):
             seen.extend(zip(rows.tolist(), cols.tolist()))
             return _eval_slots(case, rows, cols, px, py)
 
@@ -506,3 +506,86 @@ def test_enqueue_blocks_rejects_mismatched_blocks():
             ex.enqueue_blocks(table, table, [0], [0], [(1, 2, 2, 2)], [-1])
         with pytest.raises(ConfigError):
             ex.enqueue_blocks(table, table, [0], [0], [(0, 2, 2, 2)], [4])
+
+
+def _eval_kernels(case, rows, cols, px, py, kernels):
+    # kernel k of a pair: a value of its own, per (row, col) only
+    k = np.asarray(kernels)[None, :]
+    return np.sin(1.3 * rows[:, None] + 0.7 * cols[:, None] + 0.3 * k
+                  + case)[:, :, None, None]
+
+
+def test_blocks_of_two_kernels_share_pair_evaluations():
+    """Blocks of two kernels over one set of pairs: each distinct pair is
+    evaluated once, for the kernels its blocks take, and each buffer gets,
+    bitwise, what a one-kernel executor writes for the same blocks."""
+    rng = np.random.default_rng(7)
+    tables = [(rng.choice(20, size=6, replace=False),
+               rng.permutation(6)[:, None]) for _ in range(3)]
+    # block k: tables, and the kernels it takes (bit 0: kernel 0, ...)
+    blocks = [(0, 1, 1), (0, 1, 2), (1, 2, 3), (2, 0, 2), (2, 2, 3)]
+    calls = []
+
+    def evaluator(case, rows, cols, px, py, kernels):
+        calls.append((rows * 20 + cols, tuple(kernels)))
+        return _eval_kernels(case, rows, cols, px, py, kernels)
+
+    def places(k, kernels):
+        return [(36 * k, 6, 6, 6) if kernels >> j & 1 else (-1, 0, 0, 0)
+                for j in range(2)]
+
+    outs = [np.zeros(36 * len(blocks)), np.zeros(36 * len(blocks))]
+    ex = BatchExecutor(_classify_parity, evaluator, outs, capacity=4,
+                       threads=2)
+    ex.enqueue_blocks(tables, tables, [r for r, _, _ in blocks],
+                      [c for _, c, _ in blocks],
+                      [places(k, m) for k, (_, _, m) in enumerate(blocks)],
+                      [-1] * len(blocks))
+    ex.finalize()
+    keys = np.concatenate([key for key, _ in calls])
+    assert len(keys) == len(np.unique(keys)) == ex.stats()[0]["tasks"] \
+        + ex.stats()[1]["tasks"]
+    need = {}
+    for r, c, m in blocks:
+        for t in tables[r][0]:
+            for s in tables[c][0]:
+                need[t * 20 + s] = need.get(t * 20 + s, 0) | m
+    for key, kernels in calls:
+        for q in key:
+            assert sum(1 << k for k in kernels) == need[int(q)]
+    for j, out in enumerate(outs):
+        ref = np.zeros_like(out)
+        one = BatchExecutor(
+            _classify_parity,
+            lambda case, rows, cols, px, py, kernels: _eval_kernels(
+                case, rows, cols, px, py, [j]), ref, capacity=3, threads=1)
+        for k, (r, c, m) in enumerate(blocks):
+            if m >> j & 1:
+                one.enqueue_many(tables[r][0], tables[c][0],
+                                 ref[36 * k:36 * (k + 1)].reshape(6, 6),
+                                 tables[r][1], tables[c][1])
+        one.finalize()
+        assert np.array_equal(out, ref)
+        assert all(np.any(out[36 * k:36 * (k + 1)] != 0.0) == bool(m >> j & 1)
+                   for k, (_, _, m) in enumerate(blocks))
+
+
+def test_kernel_places_validated():
+    outs = [np.zeros(4), np.zeros(8)]
+    table = [([0, 1], [[0], [1]])]
+    with BatchExecutor(_classify_all_zero, _eval_kernels, outs,
+                       threads=1) as ex:
+        with pytest.raises(ConfigError):  # a block taking no kernel
+            ex.enqueue_blocks(table, table, [0], [0],
+                              [[(-1, 0, 0, 0), (-1, 0, 0, 0)]], [-1])
+        with pytest.raises(ConfigError):  # fits kernel 1's buffer only
+            ex.enqueue_blocks(table, table, [0], [0],
+                              [[(4, 2, 2, 2), (4, 2, 2, 2)]], [-1])
+        with pytest.raises(ConfigError):
+            ex.enqueue_many([0], [0], outs[0].reshape(2, 2), [[0]], [[0]],
+                            kernel=2)
+        ex.enqueue_blocks(table, table, [0], [0],
+                          [[(-1, 0, 0, 0), (4, 2, 2, 2)]], [-1])
+        ex.enqueue_many([1], [1], outs[0].reshape(2, 2), [[0]], [[0]])
+        ex.finalize()
+    assert np.count_nonzero(outs[1]) == 4 and np.count_nonzero(outs[0]) == 1

@@ -116,6 +116,22 @@ def test_compress_dense_guard(tmp_path):
     assert cli.main(["compress", "--mesh", mesh6, "--out", out]) == 3
 
 
+def test_compress_dense_guard_is_a_memory_estimate(mesh2_file, tmp_path,
+                                                   monkeypatch, capsys):
+    """The oracle is refused from its estimated bytes, before any dense
+    matrix is built; --no-dense still runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix built")
+
+    monkeypatch.setattr(cli, "assemble_dense", refuse)
+    monkeypatch.setattr(cli, "DENSE_BYTES", 8 * 128 * 128 - 1)
+    out = str(tmp_path / "guard.csv")
+    assert cli.main(["compress", "--mesh", mesh2_file, "--out", out]) == 3
+    assert "--no-dense" in capsys.readouterr().err
+    assert cli.main(["compress", "--mesh", mesh2_file, "--out", out,
+                     "--no-dense"]) == 0
+
+
 def test_solve_galerkin_constant(mesh2_file, tmp_path):
     out = str(tmp_path / "solve.csv")
     rc = cli.main(["solve", "--mesh", mesh2_file, "--out", out])
@@ -142,6 +158,28 @@ def test_solve_collocation(mesh2_curved_file, tmp_path):
     assert int(row["cg_iters"]) > 0
     assert 0.0 < float(row["l2_err"]) < 0.2
     assert row["disc"] == "collocation"
+
+
+@pytest.mark.parametrize("basis,disc", [("constant", "galerkin"),
+                                        ("linear", "galerkin"),
+                                        ("linear", "collocation")])
+def test_solve_has_no_dense_step(mesh2_file, tmp_path, monkeypatch, basis,
+                                 disc):
+    """solve builds V and K compressed and applies M by triangles: every
+    dense assembly path raises, and it still runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense step in solve")
+
+    for owner, name in ((cli, "assemble_dense"),
+                        (cli.assembly, "assemble_galerkin_block"),
+                        (cli.assembly, "assemble_collocation_block"),
+                        (cli.assembly, "mass_block")):
+        monkeypatch.setattr(owner, name, refuse)
+    out = str(tmp_path / "solve.csv")
+    assert cli.main(["solve", "--mesh", mesh2_file, "--out", out, "--basis",
+                     basis, "--disc", disc]) == 0
+    row = _read_csv(out)[0]
+    assert int(row["cg_iters"]) > 0 and 0.0 < float(row["l2_err"]) < 0.5
 
 
 @pytest.mark.parametrize("extra", [

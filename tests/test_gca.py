@@ -407,9 +407,9 @@ def test_linear_build_evaluates_each_pair_once(monkeypatch):
     def spy(*args):
         evaluate = real(*args)
 
-        def spied(case, rows, cols, px, py):
+        def spied(case, rows, cols, px, py, kernels=None):
             seen.append(rows * mesh.nt + cols)
-            return evaluate(case, rows, cols, px, py)
+            return evaluate(case, rows, cols, px, py, kernels)
 
         return spied
 
@@ -568,3 +568,131 @@ def test_asymmetric_one_tree_block_tree_refused(sphere2):
     with pytest.raises(StateError, match="not symmetric"):
         build_h2(btree, basis, basis, sphere2, threads=2)
     assert threading.active_count() == baseline
+
+
+# the double-layer operator built alongside V (cli.build_h2_operator with
+# dlp=True)
+
+def _curved(level):
+    return to_curved(build_sphere_mesh(level), project_to_unit_sphere=True)
+
+
+def _solve_config(level, geometry, basis, eps=1e-4, orders=(2, 4), m=3,
+                  disc="galerkin"):
+    return cli.ExperimentConfig(
+        level=level, geometry=geometry, basis=basis, disc=disc, eta=1.0, m=m,
+        delta_factor=0.5, eps=eps, leaf_size=16, q_reg=orders[0],
+        q_sing=orders[1], lam=0.5, source=(1.2, 0.0, 0.0), seed=0)
+
+
+@pytest.mark.parametrize("disc", ["galerkin", "collocation"])
+def test_fused_build_all_nearfield_is_dense_dlp(disc):
+    """At curved L3 linear no leaf is admissible: the build's K is bitwise
+    the dense double-layer matrix, and V bitwise a build without K."""
+    mesh = _curved(3)
+    cfg = _solve_config(3, "curved", "linear", disc=disc)
+    hm = cli.build_h2_operator(mesh, cfg, dlp=True)[0]
+    k = hm.dlp
+    assert len(hm.coupling) == len(k.coupling) == 0
+    dense = cli.assemble_dense("dlp", mesh, cfg)
+    for blk in k.nearfield:
+        assert np.array_equal(
+            blk.values, dense[np.ix_(blk.row.indices, blk.col.indices)])
+    alone = cli.build_h2_operator(mesh, cfg)[0]
+    assert alone.dlp is None
+    assert np.array_equal(hm.packed.blocks.data, alone.packed.blocks.data)
+    assert _tasks(hm) == _tasks(alone)
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6",
+                    reason="the fingerprint was taken with numpy 2.4.6")
+def test_fused_build_keeps_seed_v_bits():
+    """V of the curved L3 linear Galerkin solve keeps the bits it had when
+    K was still assembled densely (sha256 prefix, numpy 2.4.6, x86_64)."""
+    import hashlib
+    hm = cli.build_h2_operator(_curved(3), _solve_config(3, "curved",
+                                                         "linear"),
+                               dlp=True)[0]
+    digest = hashlib.sha256(hm.packed.blocks.data.tobytes()).hexdigest()
+    assert digest[:16] == "e4c6b638a068b567"
+
+
+@pytest.fixture(scope="module")
+def dense_dlp():
+    """Dense dlp matrices of the meshes the compressed K is checked on."""
+    cache = {}
+
+    def get(level, geometry, basis):
+        key = level, geometry, basis
+        if key not in cache:
+            mesh = _curved(level) if geometry == "curved" \
+                else build_sphere_mesh(level)
+            cache[key] = mesh, cli.assemble_dense(
+                "dlp", mesh, _solve_config(level, geometry, basis))
+        return cache[key]
+
+    return get
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4])
+@pytest.mark.parametrize("level,geometry,basis", [
+    (3, "plane", "constant"), (4, "curved", "linear")])
+def test_compressed_dlp_error_tracks_eps(dense_dlp, level, geometry, basis,
+                                         eps):
+    mesh, dense = dense_dlp(level, geometry, basis)
+    hm = cli.build_h2_operator(
+        mesh, _solve_config(level, geometry, basis, eps), dlp=True)[0]
+    assert len(hm.dlp.coupling) > 0
+    assert hm.dlp.row_basis is hm.row_basis
+    assert hm.dlp.col_basis is not hm.col_basis
+    err = h2.spectral_error_estimate(_dense_op(dense), h2.as_operator(hm.dlp),
+                                     dense.shape[1])[1]
+    assert err <= 10 * eps
+
+
+def test_fused_blocks_independent_of_capacity_and_threads(sphere3):
+    """Plane L3 constant: V's upper leaves, mirrored, and K's every leaf
+    in one pass, bitwise the same over capacity x threads."""
+    cfg = _config("constant")
+
+    def blocks(capacity, threads):
+        hm = cli.build_h2_operator(sphere3, cfg, capacity=capacity,
+                                   threads=threads, dlp=True)[0]
+        return hm.packed.blocks.data, hm.dlp.packed.blocks.data
+
+    ref = blocks(4096, 2)
+    alone = cli.build_h2_operator(sphere3, cfg)[0]
+    assert np.array_equal(ref[0], alone.packed.blocks.data)
+    for capacity in (7, 10 ** 6):
+        for threads in (1, 4):
+            got = blocks(capacity, threads)
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
+@pytest.mark.parametrize("level,bound", [(2, 2e-5), (3, 5e-6)])
+def test_interior_gauss_identity_compressed(level, bound):
+    """(M/2 + K) 1 = 0 with the K of the fused build and M summed over
+    triangles, as solve forms its right-hand side (lambda 1/2, v = 1)."""
+    mesh = _curved(level)
+    cfg = _solve_config(level, "curved", "linear", orders=(3, 5))
+    hm = cli.build_h2_operator(mesh, cfg, dlp=True)[0]
+    one = np.ones(mesh.nv)
+    r = cli.dirichlet_rhs(hm, mesh, cfg, one)
+    assert hm.dlp is None
+    m1 = assembly.mass_apply(mesh, "linear", one)
+    assert np.linalg.norm(r) / np.linalg.norm(m1) < bound
+
+
+def test_dlp_basis_needs_slp_build_and_column_side(sphere2):
+    tree = build_cluster_tree(sphere2, "constant", leaf_size=16)
+    btree = build_block_tree(tree, eta=1.0)
+    with pytest.raises(ConfigError):
+        build_cluster_basis(tree, sphere2, "constant", 2, kind="dlp")
+    with pytest.raises(ConfigError):
+        build_cluster_basis(tree, sphere2, "constant", 2, side="col",
+                            kind="hyp")
+    basis = build_cluster_basis(tree, sphere2, "constant", 2)
+    dlp = build_cluster_basis(tree, sphere2, "constant", 2, side="col",
+                              kind="dlp")
+    with pytest.raises(ConfigError):
+        build_h2(btree, basis, basis, sphere2, kind="dlp", dlp_basis=dlp)
