@@ -22,12 +22,8 @@ orientation, row triangle below column triangle (see
 collocation block is the product of its row points and its column
 triangle table, with the same order per entry.
 
-An evaluator computes one kernel or several: the single layer g and the
-double layer dg/dn_y, which a solve needs on the same pairs. It returns a
-value per pair and requested kernel; kernels asked for together share the
-pair's points, differences, distances and Gramians, and each value is
-bitwise what a one-kernel evaluator gives. So one executor pass assembles
-V and K, each block taking the kernels of the operators it belongs to.
+An evaluator computes the single layer, the double layer or both, with
+one value per pair and kernel, so one executor pass assembles V and K.
 
 The pair evaluator takes a whole case-homogeneous batch at a time, in chunks
 of a fixed number of quadrature points. Disjoint pairs, the bulk of the
@@ -44,9 +40,7 @@ on its own data only, never on the rest of its chunk.
 
 The Green factors A_tau, B_sigma sample the kernel at points of the box
 boundary rule; all their integrands are regular, so plain triangle Gauss
-rules apply. The double layer reuses A_tau and has a column factor of its
-own (:func:`green_col_factor`). The mass matrix M is applied as a sum over
-triangles (:func:`mass_apply`); :func:`mass_block` assembles its blocks.
+rules apply; the double layer reuses A_tau.
 """
 
 from collections import namedtuple
@@ -171,10 +165,9 @@ _FarTables = namedtuple("_FarTables", "x wr wc n")
 
 
 def _kinds(kinds):
-    """The kernels an evaluator computes, as a tuple: one name or several."""
+    """One kernel name or several, as a tuple."""
     kinds = (kinds,) if isinstance(kinds, str) else tuple(kinds)
-    if not kinds or len(set(kinds)) != len(kinds) or not set(kinds) <= {
-            "slp", "dlp"}:
+    if sorted(kinds) not in (["slp"], ["dlp"], ["dlp", "slp"]):
         raise ConfigError("unknown kernel kinds %r" % (kinds,))
     return kinds
 
@@ -184,10 +177,9 @@ def _far_tables(pack, nodes, normals, q_reg, linear, kinds):
 
     x holds the M rule points of every triangle, coordinate-major (3, nt, M).
     Row weights wr are the Gram-weighted weights times, for the linear
-    basis, the barycentric factors: (nt, width, M). The column weights wc,
-    one per kernel, are the same for slp; dlp leaves out the column
-    Gramian, which the unnormalized interpolated normals n (3, nt, M)
-    carry.
+    basis, the barycentric factors: (nt, width, M). The column weights wc
+    (one per kernel) are the same for slp; dlp leaves out the column
+    Gramian, which the unnormalized interpolated normals n (3, nt, M) carry.
     """
     pts, wts = quad.triangle_gauss(q_reg)
     n6t = shape_functions(pts).T.copy()
@@ -238,14 +230,13 @@ def galerkin_classify(mesh):
 
 
 def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
-    """Batched pair-integral evaluator for the executor, for one kernel
-    ("slp", "dlp") or several (a tuple of them).
+    """Batched pair-integral evaluator for the executor, of one kernel
+    ("slp", "dlp") or a tuple of them.
 
-    ``evaluate(case, rows, cols, px, py, kernels=None)`` returns the values
-    of the kernels listed by position in ``kinds`` (default: all), shape
-    (npairs, len(kernels), width, width). Kernels evaluated together share
-    each pair's points, differences, distances and Gramians, and every value
-    is bitwise what a one-kernel evaluator gives.
+    ``evaluate(case, rows, cols, px, py, kernels=None)`` returns the
+    kernels at these positions in ``kinds`` (default: all), shape (npairs,
+    len(kernels), width, width). Kernels share each pair's points,
+    distances and Gramians; every value is bitwise the one-kernel value.
 
     Disjoint pairs read the per-triangle tables of :func:`_far_tables`, so
     no chart is interpolated per pair: the value is the sum over the M*M
@@ -263,9 +254,8 @@ def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
     ``classify_pairs`` gives the mirror (:func:`quadrature.mirror_perms`;
     swapping the given ones would change the rule's vertex order, at
     quadrature level). So (t, s) gets the bits of (s, t); the linear basis
-    and dlp evaluate pairs as given. Where a constant slp and a dlp value
-    of such a pair are both asked for, the two read different points and
-    are evaluated apart.
+    and dlp evaluate pairs as given, so for such a pair a constant slp
+    and a dlp value are evaluated apart.
     """
     kinds = _kinds(kinds)
     if basis not in ("constant", "linear"):
@@ -280,22 +270,20 @@ def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
 
     def evaluate(case, rows, cols, px, py, kernels=None):
         kernels = list(range(len(kinds)) if kernels is None else kernels)
-        low = rows > cols if slp in kernels else None
-        if low is None or not low.any():
+        low = np.flatnonzero(rows > cols) if slp in kernels else []
+        if not len(low):
             return _values(case, rows, cols, px, py, kernels)
-        # the orientation rule: slp evaluates (t, s) with t > s as (s, t);
-        # the other kernels read those pairs as given, in a pass of their own
-        out = np.empty((len(rows), len(kernels), width, width))
-        up, low = np.flatnonzero(~low), np.flatnonzero(low)
-        out[up] = _values(case, rows[up], cols[up], px[up], py[up], kernels)
+        # the orientation rule: slp evaluates (t, s) with t > s as (s, t)
         mx, my = quad.mirror_perms(case, px[low], py[low])
-        at = kernels.index(slp)
-        out[low, at] = _values(case, cols[low], rows[low], mx, my, [slp])[:, 0]
-        rest = [j for j, k in enumerate(kernels) if k != slp]
-        if rest:
-            out[low[:, None], rest] = _values(
-                case, rows[low], cols[low], px[low], py[low],
-                [kernels[j] for j in rest])
+        if kernels == [slp]:
+            px, py = px.copy(), py.copy()
+            px[low], py[low] = mx, my
+            return _values(case, np.minimum(rows, cols),
+                           np.maximum(rows, cols), px, py, kernels)
+        # the other kernels read (t, s) as given: its slp value is replaced
+        out = _values(case, rows, cols, px, py, kernels)
+        out[low, kernels.index(slp)] = _values(case, cols[low], rows[low], mx,
+                                               my, [slp])[:, 0]
         return out
 
     def _values(case, rows, cols, px, py, kernels):
@@ -401,8 +389,7 @@ def collocation_evaluator(kinds, mesh, q_reg, q_sing):
     """Single-integral evaluator: rows are surface points, columns the
     linear basis. Case 0 is a regular triangle rule, case 1 the vertex
     Duffy rule with the singular vertex rotated to local slot 0. Kernels
-    and ``evaluate``'s arguments and values are those of
-    :func:`galerkin_pair_evaluator`, with width 1 x 3."""
+    as in :func:`galerkin_pair_evaluator`."""
     kinds = _kinds(kinds)
     pack = chart_pack(mesh)
     verts = np.ascontiguousarray(mesh.vertices.T)
@@ -470,9 +457,7 @@ def element_table(mesh, basis, indices):
 
 def make_galerkin_executor(kind, mesh, basis, out, orders=(3, 5),
                            capacity=DEFAULT_CAPACITY, threads=None):
-    """Executor of the Galerkin pairs of one kernel or several (``kind`` a
-    name or a tuple of names), adding into ``out``, one buffer per
-    kernel."""
+    """Executor of one kernel or a tuple of them, with one buffer each."""
     q_reg, q_sing = orders
     width = 1 if basis == "constant" else 3
     return BatchExecutor(
@@ -563,8 +548,7 @@ def _green_kernels(xq, z, nz, nx=None):
 
 def _basis_integrals(mesh, indices, basis, q, z, nz, kind="slp"):
     """Integrals of g(., z_nu) phi_i and dg/dn_z(., z_nu) phi_i, shape (n, k);
-    for ``kind`` "dlp" their normal derivatives at the surface point,
-    dg/dn_x(., z_nu) phi_i and d2g/dn_x dn_z(., z_nu) phi_i."""
+    for ``kind`` "dlp" of their derivatives along the surface normal."""
     indices = np.asarray(indices)
     k = len(z)
     table = None if basis == "constant" else triangle_table(indices, mesh).rows
@@ -619,12 +603,8 @@ def green_row_factor(cluster, rule, mesh, basis, orders=(3, 5)):
 
 def green_col_factor(pair, rule, mesh, basis, orders=(3, 5), kind="slp"):
     """Column factor B for the pair (tau, sigma), using tau's rule and d_tau;
-    A @ B.T approximates the block on tau x sigma of the ``kind`` kernel.
-
-    Green's representation of g(x, y) in x holds for the double-layer
-    kernel dg/dn_y too, so A serves both: the dlp factor takes the moments
-    of d2g/dn_z dn_y where slp takes dg/dn_z, and of dg/dn_y where slp
-    takes g.
+    A @ B.T approximates the block on tau x sigma of the ``kind`` kernel:
+    the dlp factor is the slp one differentiated along n_y.
     """
     tau, sigma = pair
     if basis == "collocation":
@@ -659,8 +639,7 @@ def _local_mass(mesh, tris, order):
 
 
 def mass_apply(mesh, basis, v, order=3):
-    """M v for the surface L2 product, summed over triangles: no n x n
-    matrix."""
+    """M v for the surface L2 product, as a sum over triangles."""
     if basis == "constant":
         return triangle_areas(mesh, order) * v
     tris = mesh.triangles

@@ -1,16 +1,15 @@
 """Pair-major batched execution of quadrature tasks.
 
-Work is described block by block, in buffers laid out by the caller: one
-buffer per kernel the evaluator computes (the single layer, the double
-layer). A block is a row-major region of the buffer of each kernel it
-takes, given by its place there (offset, row stride, rows, columns), and
-one product of tasks: every element of a row table paired with every
-element of a column table. A table lists elements, each carrying the local
-slots its values scatter to (-1: unused), and one table serves every block
-that names it, so a caller builds it once per distinct index list.
-``enqueue_blocks`` records any number of blocks in one call, as a few
-arrays; ``enqueue_many`` is its one-block case, the block given as a 2-D
-view into the buffer of one kernel. Nothing is evaluated before
+Work is described block by block, in buffers laid out by the caller, one
+per kernel the evaluator computes. A block is a row-major region of the
+buffer of each kernel it takes, given by its place there (offset, row
+stride, rows, columns), and one product of tasks: every element of a row
+table paired with every element of a column table. A table lists elements,
+each carrying the local slots its values scatter to (-1: unused), and one
+table serves every block that names it, so a caller builds it once per
+distinct index list. ``enqueue_blocks`` records any number of blocks in one
+call, as a few arrays; ``enqueue_many`` is its one-block case, the block
+given as a 2-D view into the first buffer. Nothing is evaluated before
 ``finalize``, which sorts the row entries of all blocks (the entries of
 their row tables) by element and walks them in ascending order, window by
 window:
@@ -29,28 +28,27 @@ window:
    block may carry the known case of all its pairs instead: an admissible
    block holds only disjoint pairs; a pair known in one block takes that
    case in all of them);
-4. the pairs are stable-sorted by case and by the kernels they are needed
-   for, and evaluated in ``capacity``-sized batches, every batch one rule
-   and one set of kernels with no branching inside, the singular cases
-   first, over a pool of ``threads`` workers that lives only for the call
-   to ``finalize``; the pair arrays they read and the values they write sit
-   in buffers kept from window to window;
+4. the pairs are stable-sorted by case and needed kernels and evaluated in
+   ``capacity``-sized batches, every batch one rule and one set of kernels
+   with no branching inside, the singular cases first, over a pool of
+   ``threads`` workers that lives only for the call to ``finalize``; the
+   pair arrays they read and the values they write sit in buffers kept
+   from window to window;
 5. while the workers evaluate, the main thread maps every used (row slot,
-   column slot) of every task, per kernel its block takes, to its flat
-   target in that kernel's buffer and to its pair's value of that kernel,
-   in the order below; an unused slot takes no entry. One ``np.add.at``
-   per kernel then scatters the window.
+   column slot) of every task and kernel of its block to its flat target
+   in that kernel's buffer and to its pair's value, in the order below; an
+   unused slot takes no entry. One ``np.add.at`` per buffer then scatters
+   the window.
 
 Order contract: a block entry sums its contributions by ascending row
 element, then block, in the order the blocks were recorded, then canonical
 column slot b, then position in the column table, then canonical row slot
-a. Recording blocks in one call or one call each gives the same sums, and
-so does recording a block for several kernels or once per kernel. Windows
-split only between row elements, so every entry is bitwise independent of
-the capacity, the number of workers and the window size, and of which
-other blocks (of any kernel) the build holds. The evaluator must likewise
-produce per-pair values independent of how pairs are batched and of which
-other kernels it computes with them; the ones in the assembly module cut
+a. Recording blocks in one call or one call each gives the same sums.
+Windows split only between row elements, so every entry is bitwise
+independent of the capacity, the number of workers and the window size,
+and of which other blocks (of any kernel) the build holds. The evaluator
+must likewise produce per-pair values independent of how pairs are batched
+and of the other kernels asked for; the ones in the assembly module cut
 each batch into chunks of a fixed number of quadrature points, a function
 of the rule alone, and compute each pair's value from its own data only.
 
@@ -202,10 +200,10 @@ class BatchExecutor:
         self._stats = [{"tasks": 0, "batches": 0, "wall_s": 0.0}
                        for _ in range(num_cases)]
 
-    def _place(self, target, kernel):
-        """Flat offset and row stride of the view ``target`` in the buffer
-        of ``kernel``."""
-        out = self._outs[kernel]
+    def _place(self, target):
+        """Flat offset and row stride of the view ``target`` in the first
+        kernel's buffer."""
+        out = self._outs[0]
         size = out.itemsize
         if target.shape[1] > 1 and target.strides[1] != size:
             raise ConfigError("target columns are not unit-stride")
@@ -222,13 +220,11 @@ class BatchExecutor:
         element's target rows (columns) in a block, -1 marking an unused
         slot. Block k pairs every element of row table row_ids[k] with
         every element of column table col_ids[k]. places[k] = (offset, row
-        stride, rows, columns) locates the block in the buffer; with
-        several kernels places[k] holds one such place per kernel, offset
-        -1 where the block does not take that kernel. cases[k] is the
-        singularity case of all its pairs, or -1 to classify each pair. A
-        known case skips classification, and its pairs keep their local
-        order (identity permutations). A pair is evaluated once for all the
-        kernels of all the blocks that list it.
+        stride, rows, columns) locates the block in the buffer, one place
+        per kernel with several, offset -1 for a kernel it does not take;
+        cases[k] is the singularity case of all its pairs, or -1 to
+        classify each pair. A known case skips classification, and its
+        pairs keep their local order (identity permutations).
         """
         if not self._open:
             raise StateError("enqueue after finalize or close")
@@ -264,21 +260,19 @@ class BatchExecutor:
                                   places[keep, :, :2], cases[keep]))
 
     def enqueue_many(self, rows, cols, target, row_slots, col_slots,
-                     case=None, kernel=0):
+                     case=None):
         """Record the len(rows) x len(cols) tasks (rows[i], cols[j]).
 
         The one-block case of :meth:`enqueue_blocks`: ``target`` is the
-        block, a 2-D view into the buffer of ``kernel``. row_slots
+        block, a 2-D view into the buffer of the first kernel. row_slots
         (len(rows), row_width) and col_slots (len(cols), col_width) hold
         each element's target rows and columns in it. ``case``, when given,
         is the singularity case of every pair.
         """
         if not self._open:
             raise StateError("enqueue after finalize or close")
-        if not 0 <= kernel < self.kernels:
-            raise ConfigError("kernel outside 0..%d" % (self.kernels - 1))
         places = np.full((self.kernels, 4), -1)
-        places[kernel] = self._place(target, kernel) + target.shape
+        places[0] = self._place(target) + target.shape
         self.enqueue_blocks([(rows, row_slots)], [(cols, col_slots)], [0],
                             [0], [places], [-1 if case is None else case])
 
@@ -352,14 +346,12 @@ class BatchExecutor:
         else:
             pair = np.arange(n)
         # the kernels each pair is needed for, as a bit mask
-        need = buf("need", len(rows))
+        need = 1
         if nk > 1:
-            need.fill(0)
+            need = np.zeros(len(rows), dtype=np.int64)
             for k in range(nk):
                 takes = np.repeat(lay.offset[rec, k] >= 0, length)
                 need[pair[takes]] |= 1 << k
-        else:
-            need.fill(1)
         px, py = buf("px", len(rows)), buf("py", len(rows))
         px.fill(0)
         py.fill(0)
@@ -376,7 +368,6 @@ class BatchExecutor:
         # kernel its target rows in that kernel's buffer (an unused slot,
         # or a kernel the block does not take, far below zero)
         colt = np.take(lay.cs, col, axis=0)
-        moved = None
         if self._permute_rows or self._permute_cols:
             moved = np.flatnonzero((px | py)[pair])
             if self._permute_cols:
@@ -394,8 +385,6 @@ class BatchExecutor:
         used = c >= 0
         seg, c = np.compress(used, seg), np.compress(used, c)
         task = seg // cw
-        src = ((pair[task] * nk) * (rw * cw) + seg - task * cw)[:, None] \
-            + np.arange(rw) * cw
         rs = lay.rs[start:stop]
         scatter = []
         for k in range(nk):
@@ -409,10 +398,11 @@ class BatchExecutor:
             tgt = np.take(rowt, task, axis=0)
             tgt += c[:, None]
             keep = (tgt >= 0).reshape(-1)
-            at = np.compress(keep, src)
-            if k:
-                at += k * rw * cw
-            scatter.append((np.compress(keep, tgt), at))
+            tgt = np.compress(keep, tgt)
+            src = np.compress(keep, (pair[task] * (nk * rw * cw) + seg
+                                     - task * cw)[:, None]
+                              + (k * rw + np.arange(rw)) * cw)
+            scatter.append((tgt, src))
         vals = values().reshape(-1)
         for out, (tgt, at) in zip(self._outs, scatter):
             np.add.at(out, tgt, vals[at])

@@ -35,8 +35,7 @@ from .batchexec import DEFAULT_CAPACITY
 from .clustering import build_block_tree, build_cluster_tree
 from .quadrature import triangle_gauss
 
-# memory budget of compress's dense oracle, an n x n float64 matrix: 512
-# MiB, n = 8192
+# memory budget of compress's dense oracle matrix (n = 8192)
 DENSE_BYTES = 1 << 29
 
 REPORT_COLUMNS = ["method", "basis", "geometry", "disc", "level", "n",
@@ -174,8 +173,7 @@ def build_h2_operator(mesh, cfg, kind="slp", capacity=DEFAULT_CAPACITY,
     """Cluster tree, block tree and GCA-H2 matrix for one config; a block
     tree built before (by :func:`build_trees`) is reused.  A Galerkin
     build has one basis for both sides (see ``gca.build_cluster_basis``).
-    With ``dlp``, the same build also makes the double-layer operator, with
-    a dlp column basis, as the matrix's ``dlp`` (see ``gca.build_h2``).
+    With ``dlp``, it also builds the double-layer operator as ``dlp``.
     """
     if btree is None:
         tree, btree = build_trees(mesh, cfg)
@@ -350,11 +348,9 @@ def solution_l2_error(mesh, basis, u_dofs, source, q=4):
 
 
 def dirichlet_rhs(hm, mesh, cfg, v_h):
-    """b = lam M v + K v, the right-hand side of the Dirichlet solve, from
-    the double-layer operator K that ``build_h2_operator(..., dlp=True)``
-    attached to ``hm``, which it then drops.  K v is K's H2 product; M v
-    (collocation: v) is summed over triangles.  No n x n matrix is made.
-    """
+    """b = lam M v + K v, with K v the product of ``hm.dlp`` (see
+    :func:`build_h2_operator`), which it then drops, and M v (collocation:
+    v) summed over triangles."""
     kv = h2.mvm(hm.dlp, v_h)
     hm.dlp = None
     if cfg.disc == "collocation":

@@ -185,9 +185,8 @@ def build_cluster_basis(tree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
     1/d_tau, so it spans A; full pivoting, by magnitude and relative norm,
     picks the same pivots on both sides and V the same to rounding, and a
     symmetric build uses one basis for both.  The collocation basis (point
-    evaluation rows) exists only on the row side.  The row basis serves
-    the double-layer kernel as well; ``kind`` "dlp" builds its column
-    basis from the dlp column factor (see ``assembly.green_col_factor``).
+    evaluation rows) exists only on the row side, which serves the
+    double layer too; ``kind`` "dlp" builds its column basis.
 
     ``marks`` (a set of cluster indices, see :func:`coupling_marks`)
     restricts the build to clusters that actually feed a coupling block:
@@ -294,8 +293,8 @@ class H2Matrix:
 
 
 def _make_executor(kind, mesh, basis, disc, out, orders, capacity, threads):
-    """The executor of a build, for one kernel or several (with one buffer
-    each), and the row and column kinds of its element tables (see
+    """The executor of a build (one kernel or several, one buffer each) and
+    the row and column kinds of its element tables (see
     ``assembly.element_table``)."""
     if disc == "galerkin":
         return (assembly.make_galerkin_executor(kind, mesh, basis, out,
@@ -387,14 +386,11 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     cluster <= column cluster (diagonal ones whole) and writes every other
     leaf as its partner's transpose.  Other builds evaluate every leaf.
 
-    Given ``dlp_basis``, a column basis of the double-layer kernel (see
-    :func:`build_cluster_basis`), an slp build also assembles the dlp
-    operator K over the same block tree and row basis, in the same executor
-    pass: its couplings are exact dlp entries at the row pivots x the dlp
-    column pivots, its nearfield the same leaves.  A triangle pair that
-    blocks of both operators need is classified and interpolated once and
-    evaluated for both kernels.  K is the returned matrix's ``dlp``; V
-    stays bitwise what a build without K gives.
+    Given ``dlp_basis``, a dlp column basis, an slp build also assembles
+    the dlp operator K, returned as the matrix's ``dlp``, in the same
+    executor pass: exact couplings at the row x dlp column pivots, the
+    same nearfield leaves, each shared triangle pair evaluated once for
+    both kernels.  V's blocks stay bitwise the same.
     """
     if dlp_basis is not None and kind != "slp":
         raise ConfigError("a dlp column basis goes with an slp build")

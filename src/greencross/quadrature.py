@@ -171,23 +171,17 @@ def classify_pairs(row_tris, col_tris):
 
 
 def mirror_perms(kind, row_perm, col_perm):
-    """The permutations ``classify_pairs(s, t)`` gives, from those of
-    ``classify_pairs(t, s)``, with no second look at the triangles; ``kind``
-    is one case for all pairs or one per pair.
-
-    The shared vertices sit in the leading slots of both sides. A vertex
-    or identical pair swaps the two permutations. An edge pair gives s
-    the rotation that leads with its shared slots, and t the slots that
-    hold the same vertices in that order.
-    """
+    """``classify_pairs(s, t)``'s permutations from those of (t, s);
+    ``kind`` is one case or one per pair. Vertex and identical pairs swap
+    them; an edge pair gives s the rotation leading with its shared slots
+    and t the slots holding the same vertices in that order."""
     qx, qy = np.array(col_perm), np.array(row_perm)
     edge = np.flatnonzero(np.broadcast_to(np.asarray(kind) == EDGE,
                                           qx.shape))
     if len(edge):
         ra, rb = PERMS3[qy[edge], :2].T  # t's shared slots
         ca, cb = PERMS3[qx[edge], :2].T  # s's shared slots, same vertices
-        bits = (1 << ca) | (1 << cb)
-        rot = np.where(bits == 3, 0, np.where(bits == 6, 1, 2))
+        rot = (1 - ca - cb) % 3  # {0,1} -> 0, {1,2} -> 1, {0,2} -> 2
         same = PERMS3[rot, 0] == ca
         c0, c1 = np.where(same, ra, rb), np.where(same, rb, ra)
         qx[edge] = rot

@@ -581,9 +581,6 @@ def test_kernel_places_validated():
         with pytest.raises(ConfigError):  # fits kernel 1's buffer only
             ex.enqueue_blocks(table, table, [0], [0],
                               [[(4, 2, 2, 2), (4, 2, 2, 2)]], [-1])
-        with pytest.raises(ConfigError):
-            ex.enqueue_many([0], [0], outs[0].reshape(2, 2), [[0]], [[0]],
-                            kernel=2)
         ex.enqueue_blocks(table, table, [0], [0],
                           [[(-1, 0, 0, 0), (4, 2, 2, 2)]], [-1])
         ex.enqueue_many([1], [1], outs[0].reshape(2, 2), [[0]], [[0]])
