@@ -415,18 +415,19 @@ class BatchExecutor:
         values.
         """
         nk = self.kernels
-        key = (case << nk) | need
+        sets = (1 << nk) - 1  # kernel sets, by bit mask
+        key = case if nk == 1 else case * sets + need - 1
         by_key = np.argsort(key, kind="stable")
         bounds = np.searchsorted(key[by_key],
-                                 np.arange((self._num_cases << nk) + 1))
+                                 np.arange(self._num_cases * sets + 1))
         batches = deque()
         # singular cases first: their pairs cost the most, so the cheap
         # disjoint batches even out the workers at the end of the window
         for c in reversed(range(self._num_cases)):
-            self._stats[c]["tasks"] += int(bounds[(c + 1) << nk]
-                                           - bounds[c << nk])
-            for mask in range(1, 1 << nk):
-                s, e = bounds[(c << nk) | mask], bounds[((c << nk) | mask) + 1]
+            self._stats[c]["tasks"] += int(bounds[(c + 1) * sets]
+                                           - bounds[c * sets])
+            for mask in range(1, sets + 1):
+                s, e = bounds[c * sets + mask - 1], bounds[c * sets + mask]
                 kernels = [k for k in range(nk) if mask >> k & 1]
                 batches += [(c, kernels, by_key[b:min(e, b + self.capacity)])
                             for b in range(s, e, self.capacity)]

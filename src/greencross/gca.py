@@ -413,10 +413,12 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
         place[:, j] = places
     # an admissible leaf is one block per operator, at that operator's
     # column pivots; an inadmissible leaf one block for all operators
-    blocks = [(k, j) for j in range(len(layouts)) for k in range(len(far))
-              if place[k, j, 0] >= 0]
-    blocks += [(k, None) for k in range(len(far), len(leaves))
-               if (place[k, :, 0] >= 0).any()]
+    owner, blocks = np.nonzero(place[:len(far), :, 0].T >= 0)
+    blocks = np.r_[blocks, len(far) + np.flatnonzero(
+        (place[len(far):, :, 0] >= 0).any(axis=1))]
+    places = place[blocks]
+    places[:len(owner)][np.arange(len(layouts)) != owner[:, None]] = -1
+    owner = np.r_[owner, np.zeros(len(blocks) - len(owner), dtype=int)]
     cases = np.r_[_far_cases([b.row for b in far], [b.col for b in far]),
                   np.full(len(near), -1)]
 
@@ -428,23 +430,15 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
                     nested.node(cluster).pivots)
         return ("c", cluster.index), cluster.indices
 
-    def places(k, j):
-        if j is None:
-            return place[k]
-        only = np.full_like(place[k], -1)
-        only[j] = place[k, j]
-        return only
-
     ex, kinds = _make_executor((kind, "dlp")[:len(layouts)], mesh, basis,
                                disc, [p.blocks.data for p, *_ in layouts],
                                orders, capacity, threads)
     with ex:
         _enqueue(ex, mesh, kinds,
-                 [side(row_basis, k, leaves[k].row) for k, _ in blocks],
-                 [side(col_bases[j or 0], k, leaves[k].col)
-                  for k, j in blocks],
-                 [places(k, j) for k, j in blocks],
-                 [cases[k] for k, _ in blocks])
+                 [side(row_basis, k, leaves[k].row) for k in blocks],
+                 [side(col_bases[j], k, leaves[k].col)
+                  for k, j in zip(blocks, owner)],
+                 places, cases[blocks])
         ex.finalize()
     views = layouts[0][1] + layouts[0][2]
     for k, p in mirrored:
