@@ -404,8 +404,8 @@ class BatchExecutor:
                               + (k * rw + np.arange(rw)) * cw)
             scatter.append((tgt, src))
         vals = values().reshape(-1)
-        for out, (tgt, at) in zip(self._outs, scatter):
-            np.add.at(out, tgt, vals[at])
+        for out, (tgt, src) in zip(self._outs, scatter):
+            np.add.at(out, tgt, vals[src])
 
     def _evaluate(self, pool, case, need, rows, cols, px, py, values):
         """Start evaluating the listed pairs, by case and needed kernels in

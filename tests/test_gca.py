@@ -1,3 +1,4 @@
+import hashlib
 import threading
 
 import numpy as np
@@ -609,7 +610,6 @@ def test_fused_build_all_nearfield_is_dense_dlp(disc):
 def test_fused_build_keeps_seed_v_bits():
     """V of the curved L3 linear Galerkin solve keeps the bits it had when
     K was still assembled densely (sha256 prefix, numpy 2.4.6, x86_64)."""
-    import hashlib
     hm = cli.build_h2_operator(_curved(3), _solve_config(3, "curved",
                                                          "linear"),
                                dlp=True)[0]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -173,7 +175,6 @@ def test_mirror_perms_match_classify_pairs():
     """The mirror's permutations, derived from the pair's own, equal a
     fresh classification of (s, t), for every labelled arrangement of two
     triangles sharing one, two or three vertices."""
-    import itertools
     labels = np.array(list(itertools.permutations(range(5), 3)))
     t = np.repeat(labels, len(labels), axis=0)
     s = np.tile(labels, (len(labels), 1))
