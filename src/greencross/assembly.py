@@ -463,9 +463,8 @@ def make_galerkin_executor(kind, mesh, basis, out, orders=(3, 5),
     return BatchExecutor(
         galerkin_classify(mesh),
         galerkin_pair_evaluator(kind, mesh, basis, q_reg, q_sing), out,
-        num_cases=4, row_width=width, col_width=width,
-        permute_rows=(basis == "linear"), permute_cols=(basis == "linear"),
-        capacity=capacity, threads=threads)
+        num_cases=4, row_width=width, col_width=width, capacity=capacity,
+        threads=threads)
 
 
 def make_collocation_executor(kind, mesh, out, orders=(3, 5),
@@ -474,9 +473,8 @@ def make_collocation_executor(kind, mesh, out, orders=(3, 5),
     return BatchExecutor(
         collocation_classify(mesh),
         collocation_evaluator(kind, mesh, q_reg, q_sing), out,
-        num_cases=2, row_width=1, col_width=3,
-        permute_rows=False, permute_cols=True,
-        capacity=capacity, threads=threads)
+        num_cases=2, row_width=1, col_width=3, capacity=capacity,
+        threads=threads)
 
 
 def _assemble(ex, values, mesh, kinds, rows, cols):

@@ -161,7 +161,8 @@ class BatchExecutor:
     pair to its case; evaluator(case, rows, cols, row_perm, col_perm,
     kernels) returns the values of the listed kernels, shape (npairs,
     len(kernels), row_width, col_width), laid out in the canonical
-    (permuted) local order. ``out`` is the C-contiguous float64 buffer the
+    (permuted) local order; a side of width 1 has nothing to permute and
+    ignores its permutation. ``out`` is the C-contiguous float64 buffer the
     values are added into, or a sequence of such buffers, one per kernel:
     a block takes one kernel or several, and is a 2-D region of the buffer
     of each. Slot arrays give the target position inside the block for
@@ -169,9 +170,8 @@ class BatchExecutor:
     """
 
     def __init__(self, classify, evaluator, out, num_cases=4,
-                 row_width=1, col_width=1,
-                 permute_rows=False, permute_cols=False,
-                 capacity=DEFAULT_CAPACITY, threads=None):
+                 row_width=1, col_width=1, capacity=DEFAULT_CAPACITY,
+                 threads=None):
         if capacity < 1:
             raise ConfigError("capacity must be >= 1")
         if threads is None:
@@ -190,8 +190,8 @@ class BatchExecutor:
         self._evaluator = evaluator
         self._outs = [o.reshape(-1) for o in outs]
         self.kernels = len(outs)
-        self._permute_rows = permute_rows
-        self._permute_cols = permute_cols
+        self._permute_rows = row_width > 1
+        self._permute_cols = col_width > 1
         self._dedupe = self.kernels * row_width * col_width > 1
         self._num_cases = num_cases
         self._records = []

@@ -33,7 +33,7 @@ from .errors import ConfigError, GreencrossError, SizeLimitError
 from . import assembly, gca, geometry, h2
 from .batchexec import DEFAULT_CAPACITY
 from .clustering import build_block_tree, build_cluster_tree
-from .quadrature import triangle_gauss
+from .quadrature import KIND_NAMES, triangle_gauss
 
 # memory budget of compress's dense oracle matrix (n = 8192)
 DENSE_BYTES = 1 << 29
@@ -43,7 +43,6 @@ REPORT_COLUMNS = ["method", "basis", "geometry", "disc", "level", "n",
                   "rel_spec_err", "l2_err", "cg_iters"]
 
 STATS_COLUMNS = ["case", "batches", "tasks", "wall_s"]
-CASE_NAMES = ("disjoint", "vertex", "edge", "identical")
 
 
 ExperimentConfig = namedtuple("ExperimentConfig", [
@@ -272,35 +271,27 @@ def cmd_compress(args):
     t_tree = time.perf_counter() - t0
     orders = (cfg.q_reg, cfg.q_sing)
 
-    t0 = time.perf_counter()
-    green = gca.build_green(btree, mesh, kind="slp", basis=cfg.basis,
-                            disc=cfg.disc, m=cfg.m,
-                            delta_factor=cfg.delta_factor, orders=orders,
-                            capacity=args.capacity, threads=args.threads)
-    dt = t_tree + time.perf_counter() - t0
-    rows.append(report_row(cfg, "green", n,
-                           storage_bytes=green.storage()["total"],
-                           setup_s=dt, rel_spec_err=spec_err(green.apply)))
-
-    t0 = time.perf_counter()
-    flat = gca.build_flat_gca(btree, mesh, kind="slp", basis=cfg.basis,
-                              disc=cfg.disc, m=cfg.m,
-                              delta_factor=cfg.delta_factor, eps=cfg.eps,
-                              orders=orders, capacity=args.capacity,
-                              threads=args.threads)
-    dt = t_tree + time.perf_counter() - t0
-    rows.append(report_row(cfg, "gca", n,
-                           storage_bytes=flat.storage()["total"],
-                           setup_s=dt, rel_spec_err=spec_err(flat.apply)))
-
-    t0 = time.perf_counter()
-    hm, _, _ = build_h2_operator(mesh, cfg, capacity=args.capacity,
-                                 threads=args.threads, btree=btree)
-    dt = t_tree + time.perf_counter() - t0
-    rows.append(report_row(cfg, "h2", n,
-                           storage_bytes=h2.storage_report(hm)["total"],
-                           setup_s=dt,
-                           rel_spec_err=spec_err(h2.as_operator(hm))))
+    builds = (
+        ("green", lambda: gca.build_green(
+            btree, mesh, kind="slp", basis=cfg.basis, disc=cfg.disc,
+            m=cfg.m, delta_factor=cfg.delta_factor, orders=orders,
+            capacity=args.capacity, threads=args.threads)),
+        ("gca", lambda: gca.build_flat_gca(
+            btree, mesh, kind="slp", basis=cfg.basis, disc=cfg.disc,
+            m=cfg.m, delta_factor=cfg.delta_factor, eps=cfg.eps,
+            orders=orders, capacity=args.capacity, threads=args.threads)),
+        ("h2", lambda: build_h2_operator(
+            mesh, cfg, capacity=args.capacity, threads=args.threads,
+            btree=btree)[0]))
+    for method, build in builds:
+        t0 = time.perf_counter()
+        op = build()
+        dt = t_tree + time.perf_counter() - t0
+        rows.append(report_row(cfg, method, n,
+                               storage_bytes=h2.storage_report(op)["total"],
+                               setup_s=dt,
+                               rel_spec_err=spec_err(h2.as_operator(op))))
+        op = None  # freed before the next build
 
     write_report(args.out, rows)
     for row in rows:
@@ -414,7 +405,7 @@ def cmd_stats(args):
         cfg = cfg._replace(level=infer_level(mesh))
     hm, _, _ = build_h2_operator(mesh, cfg, capacity=args.capacity,
                                  threads=args.threads)
-    rows = [{"case": CASE_NAMES[st["case"]], "batches": st["batches"],
+    rows = [{"case": KIND_NAMES[st["case"]], "batches": st["batches"],
              "tasks": st["tasks"], "wall_s": st["wall_s"]}
             for st in hm.exec_stats]
     write_report(args.out, rows, columns=STATS_COLUMNS)

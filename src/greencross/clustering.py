@@ -32,11 +32,6 @@ class BoundingBox:
             raise ConfigError("bounding box has lower > upper")
         self._diameter = float(np.linalg.norm(self.upper - self.lower))
 
-    @classmethod
-    def of_points(cls, points):
-        points = np.asarray(points, dtype=float).reshape(-1, 3)
-        return cls(points.min(axis=0), points.max(axis=0))
-
     def diameter(self):
         return self._diameter
 
@@ -101,11 +96,6 @@ class ClusterTree:
         if self.is_leaf():
             return [self]
         return [l for c in self.children for l in c.leaves()]
-
-    def depth(self):
-        if self.is_leaf():
-            return 0
-        return 1 + max(c.depth() for c in self.children)
 
     def __repr__(self):
         return "ClusterTree(#%d, %d dofs, %s)" % (

@@ -8,16 +8,19 @@ which repairs most of the quadrature error.  Running the construction
 bottom-up through the children's pivot rows yields nested bases with small
 transfer matrices, i.e. an H2-matrix.
 
-Three compressed representations are built here:
+Three compressed representations are built here, all of one kind, an
+:class:`H2Matrix` that ``h2`` applies and measures: a row basis, a column
+basis, a coupling matrix per admissible block and a dense nearfield.
 
 * ``build_green``    - per-block low-rank factors A B^T straight from the
-                       box quadrature (the baseline),
-* ``build_flat_gca`` - per-cluster interpolation, coupling rows x full
-                       column sets (non-nested),
+                       box quadrature (the baseline): a flat row basis of
+                       the factors A, identity columns, couplings B^T,
+* ``build_flat_gca`` - per-cluster interpolation over a flat row basis,
+                       couplings at pivot rows x full column sets
+                       (non-nested),
 * ``build_h2``       - nested bases, pivot x pivot couplings.
 
-The two non-nested ones are both :class:`BlockLowRank` operators.  Every
-builder lays its operator out first and assembles each block in place.
+Every builder lays its operator out first and assembles each block in place.
 """
 
 from collections import namedtuple
@@ -32,7 +35,7 @@ from .quadrature import DISJOINT, green_box_rule
 __all__ = [
     "Interpolation", "aca_interpolation", "BasisNode", "ClusterBasis",
     "build_cluster_basis", "CouplingBlock", "NearfieldBlock",
-    "H2Matrix", "build_h2", "BlockLowRank", "build_green", "build_flat_gca",
+    "H2Matrix", "build_h2", "build_green", "build_flat_gca",
 ]
 
 
@@ -91,26 +94,36 @@ class _Rows:
 
 
 class BasisNode:
-    """Per-cluster content of a nested basis.
+    """Per-cluster content of a cluster basis.
 
-    Leaves carry the interpolation matrix ``v`` (cluster size x rank);
-    internal nodes carry nothing themselves, but each non-root node holds the
+    Leaves carry the matrix ``v`` (cluster size x rank); internal nodes
+    carry nothing themselves, but each non-root node holds the
     ``transfer`` matrix (own rank x parent rank) its parent assigned to it.
-    ``pivots`` are global dof indices.
+    The rank is read off ``v`` where there is one, else off ``pivots``,
+    the global dof indices of the interpolation rows; a Green factor (see
+    :func:`build_green`) has none.  An ``identity`` node is a childless
+    node whose matrix is I and whose pivots are its indices in tree order,
+    marked where it is made: ``h2.pack`` gives it its tree range as its
+    slots and stores no matrix for it.  A cluster leaf's keeps as ``v`` a
+    read-only identity that its basis shares among leaves of its size;
+    the identity columns of the baselines, which can span half the tree,
+    keep none.
     """
 
-    __slots__ = ("cluster", "pivots", "v", "transfer", "children")
+    __slots__ = ("cluster", "pivots", "v", "transfer", "children",
+                 "identity")
 
-    def __init__(self, cluster, pivots, v, children):
+    def __init__(self, cluster, pivots, v, children, identity=False):
         self.cluster = cluster
         self.pivots = pivots
         self.v = v
         self.transfer = None
         self.children = children
+        self.identity = identity
 
     @property
     def rank(self):
-        return len(self.pivots)
+        return len(self.pivots) if self.v is None else self.v.shape[1]
 
     def nodes(self):
         out = [self]
@@ -123,28 +136,73 @@ class BasisNode:
 
 
 class ClusterBasis:
-    """Nested interpolation basis over a cluster tree.
+    """Cluster basis: a forest of basis nodes over a cluster tree.
 
-    Usually a single tree of basis nodes, but when built with ``marks`` the
-    unneeded top of the cluster tree carries no basis content and ``roots``
-    holds the maximal materialized nodes (a forest).
+    A nested basis is usually a single tree, but when built with ``marks``
+    the unneeded top of the cluster tree carries no basis content and
+    ``roots`` holds the maximal materialized nodes.  The baselines' bases
+    are flat: childless roots only, whose clusters may nest (see
+    :func:`build_flat_gca`).
     """
 
-    def __init__(self, roots, by_index):
+    def __init__(self, roots):
         self.roots = roots
-        self._by_index = by_index
-
-    @property
-    def root(self):
-        if len(self.roots) != 1:
-            raise ConfigError("basis is a forest, not a single tree")
-        return self.roots[0]
+        self._by_index = {bn.cluster.index: bn for bn in self.nodes()}
 
     def node(self, cluster):
         return self._by_index[cluster.index]
 
     def nodes(self):
         return [bn for r in self.roots for bn in r.nodes()]
+
+
+def _green_rule(cluster, m, delta_factor):
+    return green_box_rule(cluster.box, delta_factor * cluster.box.diameter(),
+                          m)
+
+
+def _interpolate(cluster, a, eps, eyes):
+    """Childless basis node of ``cluster`` from its factor ``a``.
+
+    Returns the node, its pivots in the order the cross approximation chose
+    them, and for an identity node the permutation from that order to its
+    pivots.  A cluster leaf whose cross approximation takes every row is
+    full rank: its interpolation matrix is a permutation.  Such a leaf
+    keeps its rows in tree order instead, ``pivots = cluster.indices``, so
+    that ``v`` is I: it is an identity node, whose ``v`` is the read-only
+    identity of its size in ``eyes``, one per basis.  An internal
+    cluster's factor (a flat basis node) keeps its matrix even at full
+    rank, since its tree range also holds its descendants' nearfield rows.
+    """
+    rows = np.asarray(cluster.indices)
+    interp = aca_interpolation(a, eps)
+    chosen = rows[interp.pivots]
+    if len(chosen) < len(rows) or not cluster.is_leaf():
+        return BasisNode(cluster, chosen, interp.v, ()), chosen, None
+    if len(rows) not in eyes:
+        eyes[len(rows)] = np.eye(len(rows))
+        eyes[len(rows)].flags.writeable = False
+    bn = BasisNode(cluster, rows.copy(), eyes[len(rows)], (), identity=True)
+    return bn, chosen, np.argsort(interp.pivots)
+
+
+def _flat_basis(clusters, node):
+    """Flat basis: the childless node ``node(cluster)`` of every distinct
+    cluster listed, in order of first appearance."""
+    nodes = {}
+    for c in clusters:
+        if c.index not in nodes:
+            nodes[c.index] = node(c)
+    return ClusterBasis(list(nodes.values()))
+
+
+def _identity_columns(btree):
+    """Flat basis of identity nodes over the column clusters of the
+    admissible leaves: a block's coupling then spans all its columns."""
+    return _flat_basis(
+        [b.col for b in btree.admissible_leaves()],
+        lambda c: BasisNode(c, np.asarray(c.indices), None, (),
+                            identity=True))
 
 
 def coupling_marks(btree):
@@ -170,12 +228,10 @@ def build_cluster_basis(tree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
     pivot rows, with the node's own box; splitting the resulting
     interpolation matrix along the children gives the transfer matrices.
 
-    A leaf whose cross approximation takes every row is full rank: its
-    interpolation matrix is a permutation.  Such a leaf keeps its rows in
-    tree order instead, ``pivots = cluster.indices``, so that ``v`` is the
-    identity; the full-rank leaves of one size share one read-only identity
-    and store no matrix of their own.  ``h2.pack`` then reads and writes
-    their coefficients straight in the tree-ordered vector.  The parent's
+    A full-rank leaf is an identity node (see :func:`_interpolate`): the
+    full-rank leaves of one size share one read-only identity and store no
+    matrix of their own, and ``h2.pack`` reads and writes their
+    coefficients straight in the tree-ordered vector.  The parent's
     factor still takes the leaf's rows in the order the cross approximation
     chose them, so every node's pivots are those of that selection and the
     leaf's transfer is only reordered to match.
@@ -200,36 +256,23 @@ def build_cluster_basis(tree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
         raise ConfigError("no %s basis for kernel %r" % (side, kind))
 
     def factor(node, rows):
-        rule = green_box_rule(node.box, delta_factor * node.box.diameter(), m)
+        rule = _green_rule(node, m, delta_factor)
         stub = _Rows(rows, node.box)
         if side == "row":
             return assembly.green_row_factor(stub, rule, mesh, basis, orders)
         return assembly.green_col_factor((stub, stub), rule, mesh, basis,
                                          orders, kind)
 
-    by_index = {}
-    roots = []
-    identities = {}
-
-    def identity(n):
-        if n not in identities:
-            identities[n] = np.eye(n)
-            identities[n].flags.writeable = False
-        return identities[n]
+    eyes = {}
 
     def build(node):
         """Basis node of ``node``, its pivots in the order the cross
         approximation chose them (the rows of its parent's factor), and,
         for a full-rank leaf, the permutation from that order to
-        ``pivots``."""
+        ``pivots`` (see :func:`_interpolate`)."""
         if node.is_leaf():
-            rows = np.asarray(node.indices)
-            interp = aca_interpolation(factor(node, rows), eps)
-            chosen = rows[interp.pivots]
-            if len(chosen) < len(rows):
-                return BasisNode(node, chosen, interp.v, ()), chosen, None
-            bn = BasisNode(node, rows.copy(), identity(len(rows)), ())
-            return bn, chosen, np.argsort(interp.pivots)
+            return _interpolate(node, factor(node, np.asarray(node.indices)),
+                                eps, eyes)
         built = [build(c) for c in node.children]
         rows = np.concatenate([chosen for _, chosen, _ in built])
         interp = aca_interpolation(factor(node, rows), eps)
@@ -244,15 +287,10 @@ def build_cluster_basis(tree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
     def walk(node):
         # descend past unmarked territory; build wherever a mark covers us
         if marks is None or node.index in marks:
-            roots.append(build(node)[0])
-            by_index.update((bn.cluster.index, bn)
-                            for bn in roots[-1].nodes())
-            return
-        for c in node.children:
-            walk(c)
+            return [build(node)[0]]
+        return [bn for c in node.children for bn in walk(c)]
 
-    walk(tree)
-    return ClusterBasis(roots, by_index)
+    return ClusterBasis(walk(tree))
 
 
 CouplingBlock = namedtuple("CouplingBlock", "row col values")
@@ -260,10 +298,11 @@ NearfieldBlock = namedtuple("NearfieldBlock", "row col values")
 
 
 class H2Matrix:
-    """Compressed operator: nested bases plus coupling/nearfield blocks.
+    """Compressed operator: cluster bases plus coupling/nearfield blocks.
 
-    ``coupling`` holds exact matrix entries at pivot rows x pivot columns for
-    every admissible block-tree leaf, ``nearfield`` the dense inadmissible
+    ``coupling`` holds a matrix for every admissible block-tree leaf (exact
+    entries at pivot rows x pivot columns, or the Green baseline's B^T,
+    see :func:`build_green`), ``nearfield`` the dense inadmissible
     leaves.  Block row/col fields reference cluster tree nodes; vectors in
     tree ordering address them through start/stop slices.  ``packed`` is
     the layout of ``h2.pack``, made before assembly: block values and basis
@@ -321,15 +360,6 @@ def _tables(mesh, kind, side):
     return tables, [ids[key] for key, _ in side]
 
 
-def _enqueue(ex, mesh, kinds, rows, cols, places, cases):
-    """Record every block of a build with one executor call; ``rows`` and
-    ``cols`` name each block's index lists (see :func:`_tables`),
-    ``places`` and ``cases`` are passed on per block."""
-    row_tables, row_ids = _tables(mesh, kinds[0], rows)
-    col_tables, col_ids = _tables(mesh, kinds[1], cols)
-    ex.enqueue_blocks(row_tables, col_tables, row_ids, col_ids, places, cases)
-
-
 def _far_cases(rows, cols):
     """Singularity case of every entry pair of the admissible blocks
     rows[k] x cols[k], one per block.
@@ -372,7 +402,7 @@ def _mirrored(leaves):
 def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
              disc="galerkin", orders=(3, 5), capacity=DEFAULT_CAPACITY,
              threads=None, dlp_basis=None):
-    """Assemble the H2-matrix over a block tree and two nested bases.
+    """Assemble the H2-matrix over a block tree and two cluster bases.
 
     Laid out first (``h2.pack``), admissible leaves get exact entries at
     pivot rows x pivot columns in place, all from disjoint pairs (see
@@ -391,6 +421,10 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     executor pass: exact couplings at the row x dlp column pivots, the
     same nearfield leaves, each shared triangle pair evaluated once for
     both kernels.  V's blocks stay bitwise the same.
+
+    The bases may be flat (see :func:`build_flat_gca`).  A row node
+    without pivots (a Green factor, see :func:`build_green`) has no exact
+    entries: its couplings are left zero, for the caller to fill.
     """
     if dlp_basis is not None and kind != "slp":
         raise ConfigError("a dlp column basis goes with an slp build")
@@ -400,6 +434,8 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     if ((kind, basis, disc) == ("slp", "constant", "galerkin")
             and btree.row is btree.col and row_basis is col_basis):
         evaluate, mirrored = _mirrored(leaves)
+    evaluate = [k for k in evaluate if k >= len(far)
+                or row_basis.node(far[k].row).pivots is not None]
     shape = (btree.row.size, btree.col.size)
     col_bases = [col_basis] + ([] if dlp_basis is None else [dlp_basis])
     layouts = [h2.pack(row_basis, col_bases[0], far, near, shape)]
@@ -434,11 +470,15 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
                                disc, [p.blocks.data for p, *_ in layouts],
                                orders, capacity, threads)
     with ex:
-        _enqueue(ex, mesh, kinds,
-                 [side(row_basis, k, leaves[k].row) for k in blocks],
-                 [side(col_bases[j], k, leaves[k].col)
-                  for k, j in zip(blocks, owner)],
-                 places, cases[blocks])
+        # every block with one executor call
+        row_tables, row_ids = _tables(
+            mesh, kinds[0], [side(row_basis, k, leaves[k].row)
+                             for k in blocks])
+        col_tables, col_ids = _tables(
+            mesh, kinds[1], [side(col_bases[j], k, leaves[k].col)
+                             for k, j in zip(blocks, owner)])
+        ex.enqueue_blocks(row_tables, col_tables, row_ids, col_ids, places,
+                          cases[blocks])
         ex.finalize()
     views = layouts[0][1] + layouts[0][2]
     for k, p in mirrored:
@@ -455,120 +495,31 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     return ops[0]
 
 
-def _unpermute(perm, yt):
-    y = np.empty_like(yt)
-    y[perm] = yt
-    return y
-
-
-class BlockLowRank:
-    """Block low-rank operator with a dense nearfield, for the baselines.
-
-    Every admissible block is a product L R: the left factor L belongs to
-    the row cluster and is shared by all blocks of that row, the right
-    factor R is the block's own. The Green-only baseline has L = A and
-    R = B^T, flat GCA the interpolation matrix L = V and the exact entries
-    R = S at the pivot rows and all block columns.
-
-    The constructor lays the operator out, for the builder to fill: right
-    factors by row cluster in block rows that map x to its coefficient
-    slots, and nearfield blocks, both over one zeroed buffer ``data``.
-    """
-
-    def __init__(self, btree, left):
-        self.row_root = btree.row
-        self.col_root = btree.col
-        self.left = left                # row cluster index -> L
-        far, near = btree.admissible_leaves(), btree.inadmissible_leaves()
-        # Row clusters nest, so the left factors are kept as the block rows
-        # of L^T, which map disjoint coefficient slots: L c is their
-        # transposed product, summed over nested rows by one bincount.
-        slots = {}
-        rows = []
-        gather = []
-        size = width = 0
-        for leaf in far:
-            tau = leaf.row
-            if tau.index not in slots:
-                a = left[tau.index]
-                slots[tau.index] = (size, size + a.shape[1])
-                rows.append(slots[tau.index] + (a.T, width, width + tau.size))
-                gather.append(np.arange(tau.start, tau.stop))
-                size += a.shape[1]
-                width += tau.size
-        self._size = size
-        self._left = h2._BlockRows(
-            rows, np.concatenate([np.zeros(0, dtype=np.intp)] + gather),
-            None)
-        self.data, ((self._right, right, self._right_places),
-                    (self._near, values, self._near_places)) = h2.block_rows(
-            [slots[leaf.row.index]
-             + (np.arange(leaf.col.start, leaf.col.stop),) for leaf in far],
-            [(leaf.row.start, leaf.row.stop,
-              np.arange(leaf.col.start, leaf.col.stop)) for leaf in near])
-        self.blocks = [(leaf.row, leaf.col, r)   # (row, col, R) triples
-                       for leaf, r in zip(far, right)]
-        self.nearfield = [NearfieldBlock(leaf.row, leaf.col, v)
-                          for leaf, v in zip(near, values)]
-
-    @property
-    def shape(self):
-        return (self.row_root.size, self.col_root.size)
-
-    def matvec(self, x):
-        nr, nc = self.shape
-        xt = np.asarray(x, dtype=np.float64)[self.col_root.perm]
-        yt = (self._left.mvm_t(self._right.mvm(xt, self._size), nr)
-              + self._near.mvm(xt, nr))
-        return _unpermute(self.row_root.perm, yt)
-
-    def rmatvec(self, y):
-        nr, nc = self.shape
-        yt = np.asarray(y, dtype=np.float64)[self.row_root.perm]
-        xt = (self._right.mvm_t(self._left.mvm(yt, self._size), nc)
-              + self._near.mvm_t(yt, nc))
-        return _unpermute(self.col_root.perm, xt)
-
-    def apply(self, x, trans=False):
-        return self.rmatvec(x) if trans else self.matvec(x)
-
-    def storage(self):
-        """Byte counts at 8 bytes per real."""
-        left = sum(8 * a.size for a in self.left.values())
-        right = 8 * self._right.data.size
-        nearfield = 8 * self._near.data.size
-        return {"left": left, "right": right, "nearfield": nearfield,
-                "total": left + right + nearfield}
-
-
 def build_green(btree, mesh, kind="slp", basis="constant", disc="galerkin",
                 m=4, delta_factor=0.5, orders=(3, 5),
                 capacity=DEFAULT_CAPACITY, threads=None):
-    """Green-only compression: rank-2k quadrature factors per admissible
-    block, dense nearfield."""
-    row_basis = "collocation" if disc == "collocation" else basis
+    """Green-only compression: rank-2k quadrature factors A B^T per
+    admissible block, dense nearfield.
+
+    An :class:`H2Matrix` over a flat row basis of the factors A, one per
+    row cluster, and identity columns: each coupling is its block's B^T.
+    """
+    row_kind = "collocation" if disc == "collocation" else basis
     rules = {}
-    factors = {}
-    for leaf in btree.admissible_leaves():
-        tau = leaf.row
-        if tau.index not in factors:
-            rules[tau.index] = green_box_rule(
-                tau.box, delta_factor * tau.box.diameter(), m)
-            factors[tau.index] = assembly.green_row_factor(
-                tau, rules[tau.index], mesh, row_basis, orders)
-    op = BlockLowRank(btree, factors)
-    for tau, sigma, r in op.blocks:
-        r[...] = assembly.green_col_factor((tau, sigma), rules[tau.index],
-                                           mesh, basis, orders).T
-    ex, kinds = _make_executor(kind, mesh, basis, disc, op.data, orders,
-                               capacity, threads)
-    with ex:
-        _enqueue(ex, mesh, kinds,
-                 [(("c", b.row.index), b.row.indices) for b in op.nearfield],
-                 [(("c", b.col.index), b.col.indices) for b in op.nearfield],
-                 op._near_places, np.full(len(op.nearfield), -1))
-        ex.finalize()
-    return op
+
+    def node(tau):
+        rules[tau.index] = _green_rule(tau, m, delta_factor)
+        a = assembly.green_row_factor(tau, rules[tau.index], mesh, row_kind,
+                                      orders)
+        return BasisNode(tau, None, a, ())
+
+    rows = _flat_basis([b.row for b in btree.admissible_leaves()], node)
+    hm = build_h2(btree, rows, _identity_columns(btree), mesh, kind, basis,
+                  disc, orders, capacity, threads)
+    for blk in hm.coupling:
+        blk.values[...] = assembly.green_col_factor(
+            (blk.row, blk.col), rules[blk.row.index], mesh, basis, orders).T
+    return hm
 
 
 def build_flat_gca(btree, mesh, kind="slp", basis="constant",
@@ -576,36 +527,20 @@ def build_flat_gca(btree, mesh, kind="slp", basis="constant",
                    orders=(3, 5), capacity=DEFAULT_CAPACITY, threads=None):
     """Non-nested cross approximation over the block tree.
 
-    Every cluster appearing as the row of an admissible leaf interpolates
-    its full Green factor once; the block then stores exact entries at the
-    pivot rows and all of the block's columns.
+    Every row cluster of an admissible leaf interpolates its full Green
+    factor once, a childless node of a flat row basis (a full-rank cluster
+    leaf is an identity node, see :func:`_interpolate`).  Over identity
+    columns, :func:`build_h2` then stores each block's exact entries at
+    the pivot rows and all of its columns.
     """
-    row_basis = "collocation" if disc == "collocation" else basis
-    pivots = {}
-    bases = {}
-    for leaf in btree.admissible_leaves():
-        tau = leaf.row
-        if tau.index not in bases:
-            rule = green_box_rule(tau.box, delta_factor * tau.box.diameter(),
-                                  m)
-            a = assembly.green_row_factor(tau, rule, mesh, row_basis, orders)
-            interp = aca_interpolation(a, eps)
-            pivots[tau.index] = np.asarray(tau.indices)[interp.pivots]
-            bases[tau.index] = interp.v
-    op = BlockLowRank(btree, bases)
-    ex, kinds = _make_executor(kind, mesh, basis, disc, op.data, orders,
-                               capacity, threads)
-    with ex:
-        _enqueue(ex, mesh, kinds,
-                 [(("p", tau.index), pivots[tau.index])
-                  for tau, _, _ in op.blocks]
-                 + [(("c", b.row.index), b.row.indices) for b in op.nearfield],
-                 [(("c", sigma.index), sigma.indices)
-                  for _, sigma, _ in op.blocks]
-                 + [(("c", b.col.index), b.col.indices) for b in op.nearfield],
-                 np.r_[op._right_places, op._near_places],
-                 np.r_[_far_cases([tau for tau, _, _ in op.blocks],
-                                  [sigma for _, sigma, _ in op.blocks]),
-                       np.full(len(op.nearfield), -1)])
-        ex.finalize()
-    return op
+    row_kind = "collocation" if disc == "collocation" else basis
+    eyes = {}
+
+    def node(tau):
+        a = assembly.green_row_factor(tau, _green_rule(tau, m, delta_factor),
+                                      mesh, row_kind, orders)
+        return _interpolate(tau, a, eps, eyes)[0]
+
+    rows = _flat_basis([b.row for b in btree.admissible_leaves()], node)
+    return build_h2(btree, rows, _identity_columns(btree), mesh, kind, basis,
+                    disc, orders, capacity, threads)

@@ -1,5 +1,12 @@
 """Applying H2-matrices: matvec, storage accounting, norm estimation, CG.
 
+The three methods of ``gca`` (Green-only, flat GCA, GCA-H2) build one kind
+of operator, ``gca.H2Matrix``: a row and a column cluster basis, coupling
+blocks and a dense nearfield.  The nested GCA-H2 bases are trees with
+transfer matrices; the baselines' bases are flat forests of childless
+nodes over a row cluster each, with identity nodes for columns, so the
+functions here apply and measure all three.
+
 Vectors cross the API boundary in external dof ordering; the permutation
 into cluster-tree ordering happens once per product.  The matvec follows
 the usual phases: forward transform up the column basis, couplings and
@@ -10,18 +17,18 @@ operator, before ``gca.build_h2`` assembles each block in place in it:
 
 * Each side numbers the coefficients of all its basis nodes in one vector
   z = [x_tree; c].  Its first n entries are the tree-ordered vector; the
-  other nodes follow level by level from the roots.  A full-rank leaf has
-  V = I (see ``gca.build_cluster_basis``), so its slots are its own tree
-  range: the transforms skip it, and its parent's transfer reads and
-  writes the tree part directly.  The other leaves' matrices are stacked
-  by shape, transfers by level and shape, and each stack is applied with
-  one batched ``np.matmul``.  The children's contributions to their
-  parents are summed by one ``np.bincount`` per level, in a fixed order:
-  stack by stack, tree order within a stack.  A symmetric Galerkin
-  operator has one basis for both sides, and so one pack, which H x and
-  H^T y both read.
+  other nodes follow level by level from the roots.  An identity node (a
+  full-rank leaf, see ``gca.build_cluster_basis``, or a baseline's column)
+  has V = I, so its slots are its own tree range: the transforms skip it,
+  and its parent's transfer reads and writes the tree part directly.  The
+  other leaves' matrices are stacked by shape, transfers by level and
+  shape, and each stack is applied with one batched ``np.matmul``.  The
+  children's contributions to their parents are summed by one
+  ``np.bincount`` per level, in a fixed order: stack by stack, tree order
+  within a stack.  A symmetric Galerkin operator has one basis for both
+  sides, and so one pack, which H x and H^T y both read.
 * Couplings and nearfield blocks share one set of block rows, keyed by
-  output slots in the row side's z: a coupling between two full-rank
+  output slots in the row side's z: a coupling between two identity
   leaves is laid out like a nearfield block.  The blocks of one block row
   sit side by side in one contiguous matrix, with a gather index into the
   column side's z.  Block rows cover disjoint outputs, so H x writes each
@@ -43,7 +50,7 @@ import numpy as np
 
 from .errors import ConfigError, StateError
 
-__all__ = ["mvm", "mvm_t", "as_operator", "pack", "Packed", "block_rows",
+__all__ = ["mvm", "mvm_t", "as_operator", "pack", "Packed",
            "storage_report", "spectral_error_estimate", "cg_solve",
            "cgnr_solve", "CGResult"]
 
@@ -61,20 +68,16 @@ def _slot_matrix(offsets, width):
     return np.asarray(offsets, dtype=np.intp)[:, None] + np.arange(width)
 
 
-def _identity_leaf(bn):
-    """Whether basis node ``bn`` is a full-rank leaf, whose V is I."""
-    return not bn.children and bn.rank == bn.cluster.size
-
-
 class _BasisPack:
-    """Coefficient layout and stacked matrices of one nested basis.
+    """Coefficient layout and stacked matrices of one cluster basis.
 
     The vector z = [x_tree; c] has length ``size``: ``n`` tree entries, then
-    the coefficients of every node but the full-rank leaves, the forest
+    the coefficients of every node but the identity nodes, the forest
     roots first, each level contiguous, in tree order.  ``offset`` maps a
-    cluster index to the first slot of its node in z; a full-rank leaf's
+    cluster index to the first slot of its node in z; an identity node's
     slots are its tree range.  Building the pack rebinds every other leaf's
-    ``v`` and every ``transfer`` to a view into its stack.
+    ``v`` and every ``transfer`` to a view into its stack, and refuses a
+    stack of leaves whose tree rows overlap (nested clusters of one size).
     """
 
     def __init__(self, basis, n):
@@ -90,9 +93,9 @@ class _BasisPack:
         for level in levels:
             lo = size
             for bn, _ in level:
-                if _identity_leaf(bn):
+                if bn.identity:
                     if not np.array_equal(bn.pivots, bn.cluster.indices):
-                        raise StateError("full-rank leaf #%d: pivots not in "
+                        raise StateError("identity node #%d: pivots not in "
                                          "tree order" % bn.cluster.index)
                     self.offset[bn.cluster.index] = bn.cluster.start
                 else:
@@ -103,13 +106,18 @@ class _BasisPack:
 
         self.leaves = []
         leaves = [bn for level in levels for bn, _ in level
-                  if not bn.children and not _identity_leaf(bn)]
+                  if not bn.children and not bn.identity]
         for group in _grouped(leaves, lambda bn: bn.v.shape):
+            starts = np.array([bn.cluster.start for bn in group])
+            # a stack adds into its tree rows with one fancy-index +=,
+            # which keeps only one of two updates of a shared row
+            if np.any(np.diff(np.sort(starts)) < group[0].v.shape[0]):
+                raise StateError("basis leaves of shape %s share tree rows"
+                                 % (group[0].v.shape,))
             stack = np.stack([bn.v for bn in group])
             for bn, v in zip(group, stack):
                 bn.v = v
-            rows = _slot_matrix([bn.cluster.start for bn in group],
-                                stack.shape[1])
+            rows = _slot_matrix(starts, stack.shape[1])
             slots = _slot_matrix([self.offset[bn.cluster.index]
                                   for bn in group], stack.shape[2])
             self.leaves.append((rows, slots, stack))
@@ -160,24 +168,50 @@ class _BasisPack:
 
 
 class _BlockRows:
-    """A block-sparse matrix laid out by block row; see :func:`block_rows`.
+    """Blocks laid out by block row over one zeroed buffer ``data``.
 
+    ``blocks`` lists (start, stop, cols): a block covers the outputs
+    start:stop and the inputs listed in ``cols``.  Blocks with the same
+    output range form one block row (in order of first appearance), side
+    by side in the order given; block rows fill ``data`` back to back.
     ``rows`` lists (start, stop, matrix, lo, hi): the block row ``matrix``
     maps the inputs ``gather[lo:hi]`` to the outputs start:stop.  Output
     ranges must be pairwise disjoint (checked here), since M x writes each
-    block row's product straight into its slice.  ``data`` holds all the
-    matrices back to back, or is None when they live apart.
+    block row's product straight into its slice.  ``views`` holds the
+    blocks' values as views into ``data``, in input order, and ``places``
+    their places in it: one row (offset, row stride, rows, columns) per
+    block.
     """
 
-    def __init__(self, rows, gather, data):
-        spans = sorted((start, stop) for start, stop, *_ in rows
+    def __init__(self, blocks):
+        self.data = np.zeros(sum((stop - start) * len(cols)
+                                 for start, stop, cols in blocks))
+        self.views = [None] * len(blocks)
+        self.places = np.zeros((len(blocks), 4), dtype=np.int64)
+        self.rows = []
+        gather = []
+        used = width = 0
+        for members in _grouped(range(len(blocks)), lambda i: blocks[i][:2]):
+            start, stop = blocks[members[0]][:2]
+            w = sum(len(blocks[i][2]) for i in members)
+            mat = self.data[used:used + (stop - start) * w].reshape(
+                stop - start, w)
+            col = 0
+            for i in members:
+                cols = blocks[i][2]
+                self.views[i] = mat[:, col:col + len(cols)]
+                self.places[i] = used + col, w, stop - start, len(cols)
+                gather.append(cols)
+                col += len(cols)
+            self.rows.append((start, stop, mat, width, width + w))
+            used += mat.size
+            width += w
+        self.gather = np.concatenate([np.zeros(0, dtype=np.intp)] + gather)
+        spans = sorted((start, stop) for start, stop, *_ in self.rows
                        if stop > start)
         for (_, stop), (start, _) in zip(spans, spans[1:]):
             if start < stop:
                 raise StateError("block rows overlap at output %d" % start)
-        self.rows = rows
-        self.gather = gather
-        self.data = data
 
     def mvm(self, x, n):
         """M x, a vector of length ``n``."""
@@ -193,48 +227,6 @@ class _BlockRows:
         for start, stop, mat, lo, hi in self.rows:
             np.dot(mat.T, y[start:stop], out=parts[lo:hi])
         return np.bincount(self.gather, parts, minlength=n)
-
-
-def block_rows(*groups):
-    """Lay out groups of blocks by block row over one zeroed buffer.
-
-    A group lists blocks as (start, stop, cols), covering outputs start:stop
-    and the inputs listed in ``cols``.  In a group, blocks with the same
-    output range form one block row (in order of first appearance), side by
-    side in the order given; block rows fill the buffer back to back.
-    Returns the buffer and, per group, its :class:`_BlockRows`, the
-    blocks' values as views into the buffer, in input order, and their
-    places in it: one row (offset, row stride, rows, columns) per block.
-    """
-    data = np.zeros(sum((stop - start) * len(cols)
-                        for group in groups for start, stop, cols in group))
-    out = []
-    used = 0
-    for blocks in groups:
-        views = [None] * len(blocks)
-        places = np.zeros((len(blocks), 4), dtype=np.int64)
-        rows = []
-        gather = []
-        first = used
-        width = 0
-        for members in _grouped(range(len(blocks)), lambda i: blocks[i][:2]):
-            start, stop = blocks[members[0]][:2]
-            w = sum(len(blocks[i][2]) for i in members)
-            mat = data[used:used + (stop - start) * w].reshape(stop - start, w)
-            col = 0
-            for i in members:
-                cols = blocks[i][2]
-                views[i] = mat[:, col:col + len(cols)]
-                places[i] = used + col, w, stop - start, len(cols)
-                gather.append(cols)
-                col += len(cols)
-            rows.append((start, stop, mat, width, width + w))
-            used += mat.size
-            width += w
-        gather = np.concatenate([np.zeros(0, dtype=np.intp)] + gather)
-        out.append((_BlockRows(rows, gather, data[first:used]), views,
-                    places))
-    return data, out
 
 
 Packed = namedtuple("Packed", "row col blocks")
@@ -253,18 +245,18 @@ def pack(row_basis, col_basis, coupling, nearfield, shape, row=None):
     that basis again.  Returns the
     :class:`Packed` layout, the coupling and the nearfield values as views
     into that buffer, in input order, and the places in it of all blocks
-    (see :func:`block_rows`), couplings first.
+    (see :class:`_BlockRows`), couplings first.
     """
     if row is None:
         row = _BasisPack(row_basis, shape[0])
     col = row if col_basis is row_basis else _BasisPack(col_basis, shape[1])
-    _, ((blocks, views, places),) = block_rows(
+    blocks = _BlockRows(
         [row.slots(row_basis.node(b.row))
          + (np.arange(*col.slots(col_basis.node(b.col))),) for b in coupling]
         + [(b.row.start, b.row.stop, np.arange(b.col.start, b.col.stop))
            for b in nearfield])
-    return (Packed(row, col, blocks), views[:len(coupling)],
-            views[len(coupling):], places)
+    return (Packed(row, col, blocks), blocks.views[:len(coupling)],
+            blocks.views[len(coupling):], blocks.places)
 
 
 def _check_dim(x, n):
@@ -311,9 +303,9 @@ def storage_report(h):
 
     Accepts an H2-matrix or a plain dimension; a dimension reports just the
     dense reference 8 n^2.  Matrix reports exclude index/tree overhead from
-    the total and list the pivot index bytes separately.  Full-rank leaves
-    store no matrix (their V is the shared identity), so ``leaf_bases``
-    leaves them out.  A basis shared by both sides is counted once.
+    the total and list the pivot index bytes separately.  Identity nodes
+    store no matrix, so ``leaf_bases`` leaves them out.  A basis shared by
+    both sides is counted once.
     """
     if isinstance(h, (int, np.integer)):
         n = int(h)
@@ -321,8 +313,9 @@ def storage_report(h):
     leaf_bases = transfers = index_bytes = 0
     for basis in {id(b): b for b in (h.row_basis, h.col_basis)}.values():
         for bn in basis.nodes():
-            index_bytes += 8 * bn.rank
-            if not bn.children and not _identity_leaf(bn):
+            if bn.pivots is not None:
+                index_bytes += 8 * len(bn.pivots)
+            if not bn.children and not bn.identity:
                 leaf_bases += 8 * bn.v.size
             if bn.transfer is not None:
                 transfers += 8 * bn.transfer.size

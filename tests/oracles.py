@@ -1,8 +1,9 @@
 """Pointwise reference implementations the tests compare the program with.
 
-Each evaluates one point, one pair or one basis node the plain way: a chart
-at one reference point, one triangle pair's classification, one nested
-basis expanded to its dense matrix. The program itself works on batches.
+Each evaluates one point, one pair, one basis node or one block at a time,
+the plain way: a chart at one reference point, one triangle pair's
+classification, one nested basis expanded to its dense matrix, an operator
+applied block by block. The program itself works on batches.
 """
 from collections import namedtuple
 
@@ -67,3 +68,69 @@ def expand_basis(node):
     if not node.children:
         return node.v
     return np.vstack([expand_basis(c) @ c.transfer for c in node.children])
+
+
+def _forward(basis, xt):
+    """Coefficients of every node of ``basis``: V^T xt (an identity node
+    takes its tree range as it is)."""
+    hat = {}
+
+    def rec(bn):
+        cl = bn.cluster
+        if bn.identity:
+            hat[cl.index] = xt[cl.start:cl.stop].copy()
+        elif not bn.children:
+            hat[cl.index] = bn.v.T @ xt[cl.start:cl.stop]
+        else:
+            hat[cl.index] = sum(c.transfer.T @ rec(c) for c in bn.children)
+        return hat[cl.index]
+
+    for root in basis.roots:
+        rec(root)
+    return hat
+
+
+def _backward(basis, hat, yt):
+    """yt += V hat over every node of ``basis``."""
+    def rec(bn):
+        cl = bn.cluster
+        if bn.identity:
+            yt[cl.start:cl.stop] += hat[cl.index]
+        elif not bn.children:
+            yt[cl.start:cl.stop] += bn.v @ hat[cl.index]
+        for c in bn.children:
+            hat[c.cluster.index] += c.transfer @ hat[cl.index]
+            rec(c)
+
+    for root in basis.roots:
+        rec(root)
+
+
+def blockwise_mvm(h, x, trans=False):
+    """y = H x (H^T x if ``trans``) for a gca.H2Matrix, one block at a
+    time, as the matvec was before the packed layout."""
+    out_tree, in_tree = h.row_tree, h.col_tree
+    out_basis, in_basis = h.row_basis, h.col_basis
+    if trans:
+        out_tree, in_tree = in_tree, out_tree
+        out_basis, in_basis = in_basis, out_basis
+    xt = x[in_tree.perm]
+    xhat = _forward(in_basis, xt)
+    yhat = {bn.cluster.index: np.zeros(bn.rank) for bn in out_basis.nodes()}
+    for blk in h.coupling:
+        if trans:
+            yhat[blk.col.index] += blk.values.T @ xhat[blk.row.index]
+        else:
+            yhat[blk.row.index] += blk.values @ xhat[blk.col.index]
+    yt = np.zeros(out_tree.size)
+    _backward(out_basis, yhat, yt)
+    for blk in h.nearfield:
+        if trans:
+            yt[blk.col.start:blk.col.stop] += (
+                blk.values.T @ xt[blk.row.start:blk.row.stop])
+        else:
+            yt[blk.row.start:blk.row.stop] += (
+                blk.values @ xt[blk.col.start:blk.col.stop])
+    y = np.empty(out_tree.size)
+    y[out_tree.perm] = yt
+    return y

@@ -110,11 +110,11 @@ def test_criterion_04_method_ordering(sphere3, dense_slp3):
     h2_bytes = h2.storage_report(hm)["total"]
     fl = gca.build_flat_gca(btree, sphere3, "slp", "constant", "galerkin",
                             m=2, delta_factor=0.5, eps=1e-3, orders=(3, 5))
-    fl_err = h2.spectral_error_estimate(dop, fl.apply, n)[1]
-    fl_bytes = fl.storage()["total"]
+    fl_err = h2.spectral_error_estimate(dop, h2.as_operator(fl), n)[1]
+    fl_bytes = h2.storage_report(fl)["total"]
     gr = gca.build_green(btree, sphere3, "slp", "constant", "galerkin",
                          m=2, delta_factor=0.5, orders=(3, 5))
-    gr_err = h2.spectral_error_estimate(dop, gr.apply, n)[1]
+    gr_err = h2.spectral_error_estimate(dop, h2.as_operator(gr), n)[1]
     ratio = h2_err / fl_err
     ok = (1.0 / 3.0 <= ratio <= 3.0
           and h2_err <= gr_err / 10.0 and fl_err <= gr_err / 10.0

@@ -164,7 +164,8 @@ def test_thread_invariance_bitwise():
 
 
 def test_slot_permutation_routing():
-    """permute_rows realigns slot targets to the canonical local order."""
+    """A row width above 1 realigns slot targets to the canonical local
+    order."""
     seen = {}
 
     def classify(rows, cols):
@@ -178,7 +179,7 @@ def test_slot_permutation_routing():
 
     out = np.zeros((3, 1))
     ex = BatchExecutor(classify, evaluator, out, row_width=3, col_width=1,
-                       permute_rows=True, capacity=8, threads=1)
+                       capacity=8, threads=1)
     ex.enqueue_many([0], [0], out, [[0, 1, 2]], [[0]])
     ex.finalize()
     # canonical value 10+a lands in original slot PERMS3[1][a] = (1,2,0)[a]
@@ -285,8 +286,7 @@ def _run_blocks(capacity=16, threads=2, seed=31):
     mats = buf.reshape(2, 6, 20)
     blocks = [mats[k // 4][:, 5 * (k % 4):5 * (k % 4) + 5] for k in range(8)]
     ex = BatchExecutor(_classify_rotating, _eval_slots, buf, row_width=3,
-                       col_width=3, permute_rows=True, permute_cols=True,
-                       capacity=capacity, threads=threads)
+                       col_width=3, capacity=capacity, threads=threads)
     for k in range(8):
         nr, nc = (int(x) for x in rng.integers(1, 12, size=2))
         rs = rng.integers(-1, 6, size=(nr, 3))
@@ -399,8 +399,7 @@ def test_pairs_shared_by_blocks_evaluated_once():
         mat = np.zeros((4, 6 * len(parts)))
         blocks = [mat[:, 6 * k:6 * k + 6] for k in range(len(parts))]
         ex = BatchExecutor(_classify_rotating, evaluator, mat, row_width=3,
-                           col_width=3, permute_rows=True, permute_cols=True,
-                           capacity=5, threads=2)
+                           col_width=3, capacity=5, threads=2)
         rows, cols = np.arange(4), np.arange(6)
         for r, block in zip(parts, blocks):
             slots = np.full((4, 3), -1)
@@ -477,8 +476,7 @@ def test_whole_build_enqueue_matches_block_by_block(width):
             return BatchExecutor(_classify_parity, _eval_pairfn, out,
                                  capacity=7, threads=2)
         return BatchExecutor(_classify_rotating, _eval_slots, out,
-                             row_width=3, col_width=3, permute_rows=True,
-                             permute_cols=True, capacity=7, threads=2)
+                             row_width=3, col_width=3, capacity=7, threads=2)
 
     got = np.zeros(900)
     ex = make(got)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from greencross import cli
+from greencross import quadrature as quad
 from greencross.geometry import CurvedTriangleMesh, read_mesh
 
 
@@ -215,7 +216,7 @@ def test_stats_report(mesh2_file, tmp_path):
     assert cli.main(["stats", "--mesh", mesh2_file, "--out", out]) == 0
     rows = _read_csv(out)
     assert list(rows[0].keys()) == cli.STATS_COLUMNS
-    assert [r["case"] for r in rows] == list(cli.CASE_NAMES)
+    assert [r["case"] for r in rows] == list(quad.KIND_NAMES)
     assert all(int(r["tasks"]) > 0 for r in rows)
     assert all(int(r["batches"]) >= 1 for r in rows)
     assert all(float(r["wall_s"]) >= 0.0 for r in rows)

@@ -16,7 +16,7 @@ def test_bounding_box_basics():
     touching = BoundingBox(np.array([1.0, 0.0, 0.0]), np.array([2.0, 1.0, 1.0]))
     assert a.distance(touching) == 0.0
     pts = np.array([[0.0, 1.0, 2.0], [3.0, -1.0, 0.5]])
-    box = BoundingBox.of_points(pts)
+    box = BoundingBox(pts.min(axis=0), pts.max(axis=0))
     assert np.array_equal(box.lower, [0.0, -1.0, 0.5])
     assert np.array_equal(box.upper, [3.0, 1.0, 2.0])
     with pytest.raises(ConfigError):

@@ -14,7 +14,7 @@ from greencross.gca import (aca_interpolation, build_cluster_basis,
                             build_flat_gca, build_green, build_h2,
                             coupling_marks)
 from greencross.geometry import build_sphere_mesh, to_curved
-from oracles import expand_basis
+from oracles import blockwise_mvm, expand_basis
 
 
 def _dense_op(a):
@@ -205,54 +205,29 @@ def test_green_and_flat_gca(sphere3, l3_setup, dense_op3):
     n = sphere3.nt
     gr = build_green(btree, sphere3, "slp", "constant", "galerkin",
                      m=2, delta_factor=0.5, orders=(3, 5))
-    green_err = h2.spectral_error_estimate(dense_op3, gr.apply, n)[1]
+    green_err = h2.spectral_error_estimate(dense_op3, h2.as_operator(gr),
+                                           n)[1]
     fl = build_flat_gca(btree, sphere3, "slp", "constant", "galerkin",
                         m=2, delta_factor=0.5, eps=1e-3, orders=(3, 5))
-    flat_err = h2.spectral_error_estimate(dense_op3, fl.apply, n)[1]
+    flat_err = h2.spectral_error_estimate(dense_op3, h2.as_operator(fl),
+                                          n)[1]
     # Green-only quadrature error dwarfs the cross-interpolated version
     assert 1e-2 <= green_err <= 2e-1
     assert 5e-5 <= flat_err <= 5e-4
     assert green_err >= 10 * flat_err
 
-    gs = gr.storage()
-    assert gs["total"] == gs["left"] + gs["right"] + gs["nearfield"]
-    fs = fl.storage()
-    assert fs["total"] == fs["left"] + fs["right"] + fs["nearfield"]
+    parts = ("leaf_bases", "transfers", "couplings", "nearfield")
+    gs = h2.storage_report(gr)
+    assert gs["total"] == sum(gs[k] for k in parts)
+    fs = h2.storage_report(fl)
+    assert fs["total"] == sum(fs[k] for k in parts)
     assert fs["total"] < gs["total"]
 
     rng = np.random.default_rng(3)
     x = rng.standard_normal(n)
     y = rng.standard_normal(n)
-    assert abs(y @ gr.matvec(x) - x @ gr.rmatvec(y)) \
-        <= 1e-12 * abs(y @ gr.matvec(x))
-
-
-# Block-by-block products, BlockLowRank's matvec as it was before the packed
-# layout: the reference for matvec/rmatvec.
-
-def _ref_low_rank(op, x, trans=False):
-    """y = A x (A^T x if ``trans``), one block at a time."""
-    out_root, in_root = op.row_root, op.col_root
-    if trans:
-        out_root, in_root = in_root, out_root
-    xt = x[in_root.perm]
-    yt = np.zeros(out_root.size)
-    for row, col, r in op.blocks:
-        left = op.left[row.index]
-        if trans:
-            yt[col.start:col.stop] += r.T @ (left.T @ xt[row.start:row.stop])
-        else:
-            yt[row.start:row.stop] += left @ (r @ xt[col.start:col.stop])
-    for blk in op.nearfield:
-        if trans:
-            yt[blk.col.start:blk.col.stop] += (
-                blk.values.T @ xt[blk.row.start:blk.row.stop])
-        else:
-            yt[blk.row.start:blk.row.stop] += (
-                blk.values @ xt[blk.col.start:blk.col.stop])
-    y = np.empty(out_root.size)
-    y[out_root.perm] = yt
-    return y
+    assert abs(y @ h2.mvm(gr, x) - x @ h2.mvm_t(gr, y)) \
+        <= 1e-12 * abs(y @ h2.mvm(gr, x))
 
 
 @pytest.fixture(scope="module",
@@ -276,30 +251,96 @@ def test_low_rank_products_match_blockwise_reference(low_rank_ops):
     # the packed sums add in another order; 1e-14 relative as for h2.mvm
     rng = np.random.default_rng(14)
     for op in low_rank_ops:
-        assert len(op.blocks) > 0 and len(op.nearfield) > 0
+        assert len(op.coupling) > 0 and len(op.nearfield) > 0
         n_rows, n_cols = op.shape
         for _ in range(3):
             x = rng.standard_normal(n_cols)
             y = rng.standard_normal(n_rows)
-            ref = _ref_low_rank(op, x)
-            ref_t = _ref_low_rank(op, y, trans=True)
-            assert np.linalg.norm(op.matvec(x) - ref) \
+            ref = blockwise_mvm(op, x)
+            ref_t = blockwise_mvm(op, y, trans=True)
+            assert np.linalg.norm(h2.mvm(op, x) - ref) \
                 <= 1e-14 * np.linalg.norm(ref)
-            assert np.linalg.norm(op.rmatvec(y) - ref_t) \
+            assert np.linalg.norm(h2.mvm_t(op, y) - ref_t) \
                 <= 1e-14 * np.linalg.norm(ref_t)
 
 
 def test_low_rank_blocks_are_views_into_the_packed_arrays(low_rank_ops):
     for op in low_rank_ops:
-        right, near = op._right.data, op._near.data
-        assert all(np.shares_memory(r, right) for _, _, r in op.blocks)
-        assert all(np.shares_memory(blk.values, near)
-                   for blk in op.nearfield)
-        st = op.storage()
-        assert st["right"] == 8 * right.size \
-            == sum(8 * r.size for _, _, r in op.blocks)
-        assert st["nearfield"] == 8 * near.size \
-            == sum(8 * blk.values.size for blk in op.nearfield)
+        p = op.packed
+        data = p.blocks.data
+        assert all(np.shares_memory(blk.values, data)
+                   for blk in op.coupling + op.nearfield)
+        stacks = [v for _, _, v in p.row.leaves]
+        assert all(any(np.shares_memory(bn.v, s) for s in stacks)
+                   for bn in op.row_basis.nodes() if not bn.identity)
+        # flat bases: childless rows, identity columns over the tree vector
+        assert all(not bn.children for bn in op.row_basis.nodes())
+        assert all(bn.identity for bn in op.col_basis.nodes())
+        assert p.col.size == op.shape[1]
+        st = h2.storage_report(op)
+        assert st["couplings"] + st["nearfield"] == 8 * data.size
+        assert st["couplings"] == sum(8 * blk.values.size
+                                      for blk in op.coupling)
+        assert st["nearfield"] == sum(8 * blk.values.size
+                                      for blk in op.nearfield)
+        assert st["leaf_bases"] == sum(8 * s.size for s in stacks)
+        assert st["transfers"] == 0
+
+
+def test_flat_gca_full_rank_leaves_store_no_matrix(sphere3):
+    """A full-rank cluster leaf of flat GCA is an identity node: pivots in
+    tree order, the shared identity, no stacked matrix and no storage.
+    Full-rank factors of internal clusters keep their matrix."""
+    tree = build_cluster_tree(sphere3, "constant", leaf_size=16)
+    btree = build_block_tree(tree, eta=1.0)
+    fl = build_flat_gca(btree, sphere3, "slp", "constant", "galerkin",
+                        m=3, delta_factor=0.5, eps=1e-4, orders=(3, 5))
+    nodes = fl.row_basis.nodes()
+    eyes = [bn for bn in nodes if bn.identity]
+    assert len(eyes) > 0
+    stacks = [v for _, _, v in fl.packed.row.leaves]
+    for bn in eyes:
+        assert bn.cluster.is_leaf() and bn.rank == bn.cluster.size
+        assert np.array_equal(bn.pivots, bn.cluster.indices)
+        assert np.array_equal(bn.v, np.eye(bn.rank))
+        assert not bn.v.flags.writeable
+        assert not any(np.shares_memory(bn.v, s) for s in stacks)
+        assert fl.packed.row.slots(bn) == (bn.cluster.start,
+                                           bn.cluster.stop)
+    assert not any(bn.identity for bn in nodes if not bn.cluster.is_leaf())
+    rep = h2.storage_report(fl)
+    assert rep["leaf_bases"] == sum(8 * bn.v.size for bn in nodes
+                                    if not bn.identity)
+    x = np.random.default_rng(17).standard_normal(sphere3.nt)
+    ref = blockwise_mvm(fl, x)
+    assert np.linalg.norm(h2.mvm(fl, x) - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_square_green_factor_is_applied_as_itself(sphere2):
+    """A row factor as wide as its cluster is not I unless it is marked
+    so: products use the matrix, and storage counts it."""
+    tree = build_cluster_tree(sphere2, "constant", leaf_size=8)
+    btree = build_block_tree(tree, eta=1.0)
+    rng = np.random.default_rng(15)
+    rows = gca._flat_basis(
+        [b.row for b in btree.admissible_leaves()],
+        lambda c: gca.BasisNode(c, None,
+                                rng.standard_normal((c.size, c.size)), ()))
+    op = build_h2(btree, rows, gca._identity_columns(btree), sphere2,
+                  threads=1)
+    assert len(op.coupling) > 0
+    # rows without pivots take no exact entries: couplings left zero
+    assert all(not blk.values.any() for blk in op.coupling)
+    for blk in op.coupling:
+        blk.values[...] = rng.standard_normal(blk.values.shape)
+    assert not any(bn.identity for bn in rows.nodes())
+    x = rng.standard_normal(sphere2.nt)
+    for trans, product in ((False, h2.mvm), (True, h2.mvm_t)):
+        ref = blockwise_mvm(op, x, trans)
+        assert np.linalg.norm(product(op, x) - ref) \
+            <= 1e-13 * np.linalg.norm(ref)
+    assert h2.storage_report(op)["leaf_bases"] == sum(
+        8 * bn.cluster.size ** 2 for bn in rows.nodes())
 
 
 def test_h2_beats_flat_gca_storage(sphere3, l3_setup):
@@ -308,7 +349,7 @@ def test_h2_beats_flat_gca_storage(sphere3, l3_setup):
     rep = h2.storage_report(hm)
     fl = build_flat_gca(btree, sphere3, "slp", "constant", "galerkin",
                         m=2, delta_factor=0.5, eps=1e-3, orders=(3, 5))
-    assert rep["total"] < fl.storage()["total"] < rep["dense"]
+    assert rep["total"] < h2.storage_report(fl)["total"] < rep["dense"]
 
 
 def test_collocation_h2(sphere3):

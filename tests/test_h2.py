@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from greencross import gca, h2
-from greencross.clustering import build_block_tree, build_cluster_tree
+from greencross.clustering import (ClusterTree, build_block_tree,
+                                   build_cluster_tree)
 from greencross.errors import ConfigError, StateError
 from greencross.geometry import build_sphere_mesh, to_curved
+from oracles import blockwise_mvm
 
 
 @pytest.fixture(scope="module")
@@ -62,71 +64,6 @@ def _full_rank_leaf(bn):
     return not bn.children and bn.rank == bn.cluster.size
 
 
-# Block-by-block products, the matvec as it was before the packed layout:
-# the reference for mvm/mvm_t.
-
-def _ref_forward(basis, xt):
-    hat = {}
-
-    def rec(bn):
-        cl = bn.cluster
-        if not bn.children:
-            hat[cl.index] = bn.v.T @ xt[cl.start:cl.stop]
-            return
-        acc = np.zeros(bn.rank)
-        for c in bn.children:
-            rec(c)
-            acc += c.transfer.T @ hat[c.cluster.index]
-        hat[cl.index] = acc
-
-    for root in basis.roots:
-        rec(root)
-    return hat
-
-
-def _ref_backward(basis, hat, yt):
-    def rec(bn):
-        cl = bn.cluster
-        if not bn.children:
-            yt[cl.start:cl.stop] += bn.v @ hat[cl.index]
-            return
-        for c in bn.children:
-            hat[c.cluster.index] += c.transfer @ hat[cl.index]
-            rec(c)
-
-    for root in basis.roots:
-        rec(root)
-
-
-def _ref_mvm(h, x, trans=False):
-    """y = H x (H^T x if ``trans``), one block at a time."""
-    out_tree, in_tree = h.row_tree, h.col_tree
-    out_basis, in_basis = h.row_basis, h.col_basis
-    if trans:
-        out_tree, in_tree = in_tree, out_tree
-        out_basis, in_basis = in_basis, out_basis
-    xt = x[in_tree.perm]
-    xhat = _ref_forward(in_basis, xt)
-    yhat = {bn.cluster.index: np.zeros(bn.rank) for bn in out_basis.nodes()}
-    for blk in h.coupling:
-        if trans:
-            yhat[blk.col.index] += blk.values.T @ xhat[blk.row.index]
-        else:
-            yhat[blk.row.index] += blk.values @ xhat[blk.col.index]
-    yt = np.zeros(out_tree.size)
-    _ref_backward(out_basis, yhat, yt)
-    for blk in h.nearfield:
-        if trans:
-            yt[blk.col.start:blk.col.stop] += (
-                blk.values.T @ xt[blk.row.start:blk.row.stop])
-        else:
-            yt[blk.row.start:blk.row.stop] += (
-                blk.values @ xt[blk.col.start:blk.col.stop])
-    y = np.empty(out_tree.size)
-    y[out_tree.perm] = yt
-    return y
-
-
 def test_packed_mvm_matches_blockwise_reference(operator):
     assert len(operator.coupling) > 0 and len(operator.nearfield) > 0
     # the packed sums add in another order; 1e-14 relative is about 50 ulps
@@ -136,8 +73,8 @@ def test_packed_mvm_matches_blockwise_reference(operator):
     for _ in range(3):
         x = rng.standard_normal(n_cols)
         y = rng.standard_normal(n_rows)
-        ref = _ref_mvm(operator, x)
-        ref_t = _ref_mvm(operator, y, trans=True)
+        ref = blockwise_mvm(operator, x)
+        ref_t = blockwise_mvm(operator, y, trans=True)
         assert np.linalg.norm(h2.mvm(operator, x) - ref) \
             <= 1e-14 * np.linalg.norm(ref)
         assert np.linalg.norm(h2.mvm_t(operator, y) - ref_t) \
@@ -218,6 +155,7 @@ def test_full_rank_leaves_are_shared_identities(operators):
             eyes = {}
             for bn in filter(_full_rank_leaf, basis.nodes()):
                 found += 1
+                assert bn.identity
                 assert np.array_equal(bn.pivots, bn.cluster.indices)
                 assert np.array_equal(bn.v, np.eye(bn.rank))
                 assert not bn.v.flags.writeable
@@ -239,11 +177,30 @@ def test_fixture_operators_cover_every_coupling_kind(operators):
 
 
 def test_overlapping_block_rows_refused():
-    mat = np.zeros((2, 1))
-    gather = np.zeros(2, dtype=np.intp)
+    col = np.zeros(1, dtype=np.intp)
     with pytest.raises(StateError):
-        h2._BlockRows([(0, 2, mat, 0, 1), (1, 3, mat, 1, 2)], gather, None)
-    h2._BlockRows([(0, 2, mat, 0, 1), (2, 4, mat, 1, 2)], gather, None)
+        h2._BlockRows([(0, 2, col), (1, 3, col)])
+    h2._BlockRows([(0, 2, col), (2, 4, col)])
+
+
+def test_basis_stack_over_shared_tree_rows_refused(sphere2):
+    """A stack is applied with one fancy-index +=, which would drop one of
+    two updates of a shared tree row: two leaves of one shape over
+    overlapping rows are refused, leaves of one shape over disjoint rows
+    or of different shapes over nested rows are not."""
+    tree = build_cluster_tree(sphere2, "constant", leaf_size=16)
+    left, right = tree.children
+
+    def basis(*clusters):
+        return gca.ClusterBasis([gca.BasisNode(c, None, np.ones((c.size, 2)),
+                                               ()) for c in clusters])
+
+    shifted = ClusterTree(tree.perm, left.start + 1, left.stop + 1,
+                          left.box, (), tree.size)
+    with pytest.raises(StateError):
+        h2._BasisPack(basis(left, shifted), tree.size)
+    h2._BasisPack(basis(left, right), tree.size)
+    h2._BasisPack(basis(tree, left), tree.size)
 
 
 def test_concurrent_products_equal_serial_bits(operator):
