@@ -11,16 +11,19 @@ triangle pair shared by several blocks once and scatters it to all of them
 (a constant-basis pair is one entry of one block, so that path skips the
 dedupe). Pairs of unknown case are classified by :func:`galerkin_classify`,
 which looks each pair up among the mesh's vertex-sharing pairs (a sorted
-key array from the vertex stars) and passes only those to
-``quadrature.classify_pairs``; every other pair is disjoint. Each entry
-sums in a fixed order: ascending row triangle, then canonical column slot,
-then column triangle. So assembly is bitwise reproducible for any capacity
-and thread count, and a block equals the same rows and columns of any
-larger block. A constant-basis single-layer pair is evaluated in one
-orientation, row triangle below column triangle (see
-:func:`galerkin_pair_evaluator`), so that matrix is bitwise symmetric. A
-collocation block is the product of its row points and its column
-triangle table, with the same order per entry.
+key array from the vertex stars) and counts the shared vertices of only
+those; every other pair is disjoint. Each entry sums in a fixed order:
+ascending row triangle, then column slot, then column triangle. So
+assembly is bitwise reproducible for any capacity and thread count, and a
+block equals the same rows and columns of any larger block. A collocation
+block is the product of its row points and its column triangle table,
+with the same order per entry.
+
+The evaluators own a pair's local vertex order and its orientation (see
+:func:`galerkin_pair_evaluator`): they rotate a singular pair for its
+rule and return values in each element's own slots, and evaluate a
+constant-basis single-layer pair row triangle below column triangle, so
+that matrix is bitwise symmetric.
 
 An evaluator computes the single layer, the double layer or both, with
 one value per pair and kernel, so one executor pass assembles V and K.
@@ -72,7 +75,7 @@ def _bary(pts):
     return np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]], axis=1)
 
 
-def triangle_table(indices, mesh, basis="linear"):
+def triangle_table(indices, mesh):
     """Triangle rows of the requested vertex indices.
 
     Each output row is (triangle, slot0, slot1, slot2); slot p holds the
@@ -82,8 +85,6 @@ def triangle_table(indices, mesh, basis="linear"):
     vertex stars: every (triangle, slot) pair is written at most once, as
     the indices are distinct.
     """
-    if basis != "linear":
-        raise ConfigError("triangle tables index vertex DOFs (linear basis)")
     indices = np.asarray(indices, dtype=np.int64)
     if len(np.unique(indices)) != len(indices):
         raise ConfigError("duplicate indices in triangle_table")
@@ -200,14 +201,13 @@ def _far_tables(pack, nodes, normals, q_reg, linear, kinds):
 
 
 def galerkin_classify(mesh):
-    """Pair classifier for the executor.
+    """Pair classifier for the executor: the case of each pair.
 
-    Only pairs that share a vertex go to :func:`quadrature.classify_pairs`;
-    every other pair is disjoint, with identity permutations. The
-    vertex-sharing pairs are kept as one sorted array of keys
-    row * nt + col, every ordered pair of triangles in a vertex star: O(n)
-    keys for a mesh of bounded valence, against which a batch of pairs is
-    tested with one ``searchsorted``.
+    Only pairs that share a vertex are compared vertex by vertex; every
+    other pair is disjoint. The vertex-sharing pairs are kept as one sorted
+    array of keys row * nt + col, every ordered pair of triangles in a
+    vertex star: O(n) keys for a mesh of bounded valence, against which a
+    batch of pairs is tested with one ``searchsorted``.
     """
     tris = mesh.triangles
     nt = len(tris)
@@ -219,12 +219,11 @@ def galerkin_classify(mesh):
         at = np.minimum(np.searchsorted(shared, key), len(shared) - 1)
         hit = np.flatnonzero(shared[at] == key)
         case = np.full(len(rows), quad.DISJOINT, dtype=np.int64)
-        px = np.zeros(len(rows), dtype=np.int64)
-        py = np.zeros(len(rows), dtype=np.int64)
         if len(hit):
-            case[hit], px[hit], py[hit] = quad.classify_pairs(
-                tris[rows[hit]], tris[cols[hit]])
-        return case, px, py
+            # the case code counts the shared vertices
+            case[hit] = (tris[rows[hit], :, None]
+                         == tris[cols[hit], None, :]).any(axis=2).sum(axis=1)
+        return case
 
     return classify
 
@@ -233,9 +232,12 @@ def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
     """Batched pair-integral evaluator for the executor, of one kernel
     ("slp", "dlp") or a tuple of them.
 
-    ``evaluate(case, rows, cols, px, py, kernels=None)`` returns the
-    kernels at these positions in ``kinds`` (default: all), shape (npairs,
-    len(kernels), width, width). Kernels share each pair's points,
+    ``evaluate(case, rows, cols, kernels=None)`` returns, for the triangle
+    pairs (rows[i], cols[i]), all of singularity case ``case``, the kernels
+    at these positions in ``kinds`` (default: all), shape (npairs,
+    len(kernels), width, width): entry [i, j, a, b] pairs the basis
+    functions of vertex a of rows[i] and vertex b of cols[i], each in its
+    triangle's own vertex order. Kernels share each pair's points,
     distances and Gramians; every value is bitwise the one-kernel value.
 
     Disjoint pairs read the per-triangle tables of :func:`_far_tables`, so
@@ -244,49 +246,48 @@ def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
     charts at the distinct points of :func:`_singular_rule`, coordinate-major,
     and gather them to the rule's points.
 
-    Returns values in the canonical (permuted) local ordering; the stored
-    chart node and normal values are gathered through the same permutation,
-    which reproduces the physical point and normal fields exactly, so no
-    orientation correction is needed for odd permutations.
+    Vertex order, known here only: a singular batch classifies its own
+    pairs (``quadrature.classify_pairs``) and reads both charts' nodes and
+    normals through the permutations that put the shared vertices first,
+    as the regularized rules need. That reproduces the physical point and
+    normal fields exactly, so odd permutations need no orientation
+    correction; linear values then go back to each triangle's own order.
 
     Orientation rule: the constant-basis single layer evaluates a pair
-    (t, s) with t > s as its mirror (s, t), with the permutations
-    ``classify_pairs`` gives the mirror (:func:`quadrature.mirror_perms`;
-    swapping the given ones would change the rule's vertex order, at
-    quadrature level). So (t, s) gets the bits of (s, t); the linear basis
-    and dlp evaluate pairs as given, so for such a pair a constant slp
-    and a dlp value are evaluated apart.
+    (t, s) with t > s as (s, t), classified as such (swapping the pair's
+    own permutations would change the rule's vertex order, at quadrature
+    level). So (t, s) gets the bits of (s, t); the linear basis and dlp
+    evaluate pairs as given, so for such a pair a constant slp and a dlp
+    value are evaluated apart.
     """
     kinds = _kinds(kinds)
     if basis not in ("constant", "linear"):
         raise ConfigError("unknown basis %r" % (basis,))
     pack = chart_pack(mesh)
     width = 1 if basis == "constant" else 3
+    tris = mesh.triangles
     nodes = _coordinate_major(pack.nodes)
     normals = _coordinate_major(pack.normals)
     far = _far_tables(pack, nodes, normals, q_reg, basis == "linear", kinds)
     slp = kinds.index("slp") if basis == "constant" and "slp" in kinds \
         else None
 
-    def evaluate(case, rows, cols, px, py, kernels=None):
+    def evaluate(case, rows, cols, kernels=None):
         kernels = list(range(len(kinds)) if kernels is None else kernels)
         low = np.flatnonzero(rows > cols) if slp in kernels else []
         if not len(low):
-            return _values(case, rows, cols, px, py, kernels)
+            return _values(case, rows, cols, kernels)
         # the orientation rule: slp evaluates (t, s) with t > s as (s, t)
-        mx, my = quad.mirror_perms(case, px[low], py[low])
         if kernels == [slp]:
-            px, py = px.copy(), py.copy()
-            px[low], py[low] = mx, my
             return _values(case, np.minimum(rows, cols),
-                           np.maximum(rows, cols), px, py, kernels)
+                           np.maximum(rows, cols), kernels)
         # the other kernels read (t, s) as given: its slp value is replaced
-        out = _values(case, rows, cols, px, py, kernels)
-        out[low, kernels.index(slp)] = _values(case, cols[low], rows[low], mx,
-                                               my, [slp])[:, 0]
+        out = _values(case, rows, cols, kernels)
+        out[low, kernels.index(slp)] = _values(case, cols[low], rows[low],
+                                               [slp])[:, 0]
         return out
 
-    def _values(case, rows, cols, px, py, kernels):
+    def _values(case, rows, cols, kernels):
         out = np.empty((len(rows), len(kernels), width, width))
         # dlp first: the singular chunk divides by r2 in place for dlp
         # before it scales r in place for slp
@@ -294,11 +295,18 @@ def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
         if case == quad.DISJOINT:
             for sl in _chunks(len(rows), far.x.shape[-1] ** 2):
                 _disjoint_chunk(out[sl], rows[sl], cols[sl], todo)
-        else:
-            rule = _singular_rule(int(case), q_sing, basis)
-            for sl in _chunks(len(rows), len(rule.ix)):
-                _singular_chunk(out[sl], rows[sl], cols[sl], px[sl], py[sl],
-                                rule, todo)
+            return out
+        _, px, py = quad.classify_pairs(tris[rows], tris[cols])
+        rule = _singular_rule(int(case), q_sing, basis)
+        for sl in _chunks(len(rows), len(rule.ix)):
+            _singular_chunk(out[sl], rows[sl], cols[sl], px[sl], py[sl],
+                            rule, todo)
+        if width > 1:
+            # from the rule's vertex order back to each triangle's own
+            out = np.take_along_axis(
+                out, quad.INV_PERMS3[px][:, None, :, None], axis=2)
+            out = np.take_along_axis(
+                out, quad.INV_PERMS3[py][:, None, None, :], axis=3)
         return out
 
     def _disjoint_chunk(out, rows, cols, todo):
@@ -374,13 +382,12 @@ def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
 
 
 def collocation_classify(mesh):
+    """Pair classifier for the executor: case 1 where the row point is a
+    vertex of the column triangle, else 0."""
     tris = mesh.triangles
 
     def classify(rows, cols):
-        hit = tris[cols] == rows[:, None]
-        case = hit.any(axis=1).astype(np.int64)
-        py = np.argmax(hit, axis=1)  # rotation putting the point's vertex first
-        return case, np.zeros(len(rows), dtype=np.int64), py
+        return (tris[cols] == rows[:, None]).any(axis=1).astype(np.int64)
 
     return classify
 
@@ -388,10 +395,12 @@ def collocation_classify(mesh):
 def collocation_evaluator(kinds, mesh, q_reg, q_sing):
     """Single-integral evaluator: rows are surface points, columns the
     linear basis. Case 0 is a regular triangle rule, case 1 the vertex
-    Duffy rule with the singular vertex rotated to local slot 0. Kernels
-    as in :func:`galerkin_pair_evaluator`."""
+    Duffy rule, read with the point's vertex rotated to local slot 0.
+    Values, in each triangle's own vertex order, and kernels as in
+    :func:`galerkin_pair_evaluator`."""
     kinds = _kinds(kinds)
     pack = chart_pack(mesh)
+    tris = mesh.triangles
     verts = np.ascontiguousarray(mesh.vertices.T)
     nodes = _coordinate_major(pack.nodes)
     normals = _coordinate_major(pack.normals)
@@ -406,15 +415,18 @@ def collocation_evaluator(kinds, mesh, q_reg, q_sing):
     far = [_chart_points(c, every, np.zeros_like(every), rules[0][0])
            for c in (nodes, normals)]
 
-    def evaluate(case, rows, cols, px, py, kernels=None):
+    def evaluate(case, rows, cols, kernels=None):
         kernels = list(range(len(kinds)) if kernels is None else kernels)
         n6t, wb = rules[int(case)]
+        if case:
+            # the rotation putting the point's vertex first
+            rot = np.argmax(tris[cols] == rows[:, None], axis=1)
         out = np.empty((len(rows), len(kernels), 1, 3))
         for sl in _chunks(len(rows), n6t.shape[1]):
             if case == 0:
                 y, ny = (a.take(cols[sl], axis=1) for a in far)
             else:
-                y, ny = (_chart_points(a, cols[sl], py[sl], n6t)
+                y, ny = (_chart_points(a, cols[sl], rot[sl], n6t)
                          for a in (nodes, normals))
             d = verts[:, rows[sl], None] - y
             r2 = np.sum(d * d, axis=0)
@@ -428,6 +440,10 @@ def collocation_evaluator(kinds, mesh, q_reg, q_sing):
                     kg = pack.gram[cols[sl]][:, None] / (FOUR_PI * r)
                 for c in range(3):
                     out[sl, j, 0, c] = np.sum(kg * wb[c][None, :], axis=1)
+        if case:
+            # back to each triangle's own vertex order
+            out = np.take_along_axis(
+                out, quad.INV_PERMS3[rot][:, None, None, :], axis=3)
         return out
 
     return evaluate

@@ -40,17 +40,23 @@ window:
    unused slot takes no entry. One ``np.add.at`` per buffer then scatters
    the window.
 
+The executor knows no geometry: an evaluator returns its values in the
+slots of the element tables (see :class:`BatchExecutor`), and any local
+order it integrates in (the vertex order a singular rule needs) is its
+own to undo.
+
 Order contract: a block entry sums its contributions by ascending row
-element, then block, in the order the blocks were recorded, then canonical
-column slot b, then position in the column table, then canonical row slot
-a. Recording blocks in one call or one call each gives the same sums.
-Windows split only between row elements, so every entry is bitwise
-independent of the capacity, the number of workers and the window size,
-and of which other blocks (of any kernel) the build holds. The evaluator
-must likewise produce per-pair values independent of how pairs are batched
-and of the other kernels asked for; the ones in the assembly module cut
-each batch into chunks of a fixed number of quadrature points, a function
-of the rule alone, and compute each pair's value from its own data only.
+element, then block, in the order the blocks were recorded, then column
+slot b (the column element's own slot in its table), then position in the
+column table, then row slot a. Recording blocks in one call or one call
+each gives the same sums. Windows split only between row elements, so
+every entry is bitwise independent of the capacity, the number of workers
+and the window size, and of which other blocks (of any kernel) the build
+holds. The evaluator must likewise produce per-pair values independent
+of how pairs are batched and of the other kernels asked for; the ones in
+the assembly module cut each batch into chunks of a fixed number of
+quadrature points, a function of the rule alone, and compute each pair's
+value from its own data only.
 
 An executor whose ``finalize`` failed (an evaluator raised), or that was
 closed before finalizing, refuses further work: the enqueue methods and
@@ -65,7 +71,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import ConfigError, StateError
-from .quadrature import PERMS3
 
 DEFAULT_CAPACITY = 4096
 
@@ -157,16 +162,16 @@ def _windows(elems, cost):
 class BatchExecutor:
     """Pair-major, case-sorted task batching with a deterministic scatter.
 
-    classify(rows, cols) -> (case, row_perm, col_perm) arrays routes each
-    pair to its case; evaluator(case, rows, cols, row_perm, col_perm,
-    kernels) returns the values of the listed kernels, shape (npairs,
-    len(kernels), row_width, col_width), laid out in the canonical
-    (permuted) local order; a side of width 1 has nothing to permute and
-    ignores its permutation. ``out`` is the C-contiguous float64 buffer the
-    values are added into, or a sequence of such buffers, one per kernel:
-    a block takes one kernel or several, and is a 2-D region of the buffer
-    of each. Slot arrays give the target position inside the block for
-    each local index, -1 marking an unused slot.
+    classify(rows, cols) returns the case of each listed pair;
+    evaluator(case, rows, cols, kernels) returns the listed kernels' values
+    for pairs all of that case, shape (npairs, len(kernels), row_width,
+    col_width), value [i, k, a, b] for slot a of element rows[i] and slot
+    b of element cols[i], as their tables list them. ``out`` is the
+    C-contiguous float64 buffer the values are added into, or a sequence
+    of such buffers, one per kernel: a block takes one kernel or several,
+    and is a 2-D region of the buffer of each. Slot arrays give the target
+    position inside the block for each local index, -1 marking an unused
+    slot.
     """
 
     def __init__(self, classify, evaluator, out, num_cases=4,
@@ -190,8 +195,6 @@ class BatchExecutor:
         self._evaluator = evaluator
         self._outs = [o.reshape(-1) for o in outs]
         self.kernels = len(outs)
-        self._permute_rows = row_width > 1
-        self._permute_cols = col_width > 1
         self._dedupe = self.kernels * row_width * col_width > 1
         self._num_cases = num_cases
         self._records = []
@@ -223,8 +226,7 @@ class BatchExecutor:
         stride, rows, columns) locates the block in the buffer, one place
         per kernel with several, offset -1 for a kernel it does not take;
         cases[k] is the singularity case of all its pairs, or -1 to
-        classify each pair. A known case skips classification, and its
-        pairs keep their local order (identity permutations).
+        classify each pair; a known case skips classification.
         """
         if not self._open:
             raise StateError("enqueue after finalize or close")
@@ -352,27 +354,18 @@ class BatchExecutor:
             for k in range(nk):
                 takes = np.repeat(lay.offset[rec, k] >= 0, length)
                 need[pair[takes]] |= 1 << k
-        px, py = buf("px", len(rows)), buf("py", len(rows))
-        px.fill(0)
-        py.fill(0)
         unknown = np.flatnonzero(case < 0)
         if len(unknown):
-            case[unknown], px[unknown], py[unknown] = self._classify(
-                rows[unknown], cols[unknown])
+            case[unknown] = self._classify(rows[unknown], cols[unknown])
         values = self._evaluate(
-            pool, case, need, rows, cols, px, py,
+            pool, case, need, rows, cols,
             buf("values", len(rows) * nk * rw * cw, np.float64))
 
         # scatter map, built while the workers evaluate: per task its
-        # target columns (-1 unused), in canonical slot order, and per
-        # kernel its target rows in that kernel's buffer (an unused slot,
-        # or a kernel the block does not take, far below zero)
+        # target columns (-1 unused), and per kernel its target rows in
+        # that kernel's buffer (an unused slot, or a kernel the block does
+        # not take, far below zero)
         colt = np.take(lay.cs, col, axis=0)
-        if self._permute_rows or self._permute_cols:
-            moved = np.flatnonzero((px | py)[pair])
-            if self._permute_cols:
-                colt[moved] = np.take_along_axis(
-                    colt[moved], PERMS3[py[pair[moved]]], axis=1)
         # segments seg = task * cw + b in scatter order: row entry, then
         # column slot b, then position; run (row entry, b) lists the row
         # entry's tasks in order
@@ -385,17 +378,14 @@ class BatchExecutor:
         used = c >= 0
         seg, c = np.compress(used, seg), np.compress(used, c)
         task = seg // cw
+        entry = run[task]
         rs = lay.rs[start:stop]
         scatter = []
         for k in range(nk):
             offset, stride = lay.offset[rec, k], lay.stride[rec, k]
-            rowt = np.take(np.where((rs >= 0) & (offset >= 0)[:, None],
-                                    offset[:, None] + rs * stride[:, None],
-                                    _UNUSED), run, axis=0)
-            if self._permute_rows:
-                rowt[moved] = np.take_along_axis(
-                    rowt[moved], PERMS3[px[pair[moved]]], axis=1)
-            tgt = np.take(rowt, task, axis=0)
+            tgt = np.take(np.where((rs >= 0) & (offset >= 0)[:, None],
+                                   offset[:, None] + rs * stride[:, None],
+                                   _UNUSED), entry, axis=0)
             tgt += c[:, None]
             keep = (tgt >= 0).reshape(-1)
             tgt = np.compress(keep, tgt)
@@ -407,7 +397,7 @@ class BatchExecutor:
         for out, (tgt, src) in zip(self._outs, scatter):
             np.add.at(out, tgt, vals[src])
 
-    def _evaluate(self, pool, case, need, rows, cols, px, py, values):
+    def _evaluate(self, pool, case, need, rows, cols, values):
         """Start evaluating the listed pairs, by case and needed kernels in
         capacity-sized batches, into ``values`` (one row of kernels *
         row_width * col_width per pair; a kernel a pair is not needed for
@@ -446,8 +436,7 @@ class BatchExecutor:
                 t0 = time.perf_counter()
                 try:
                     got = np.reshape(
-                        self._evaluator(c, rows[idx], cols[idx], px[idx],
-                                        py[idx], kernels),
+                        self._evaluator(c, rows[idx], cols[idx], kernels),
                         (len(idx), len(kernels), self.row_width,
                          self.col_width))
                     if len(kernels) == nk:

@@ -190,35 +190,18 @@ class BlockTree:
     def inadmissible_leaves(self):
         return [b for b in self.leaves() if b.state == INADMISSIBLE]
 
-    def depth(self):
-        if self.is_leaf():
-            return 0
-        return 1 + max(c.depth() for c in self.children)
-
-    def stats(self):
-        leaves = self.leaves()
-        adm = sum(1 for b in leaves if b.state == ADMISSIBLE)
-        return {
-            "depth": self.depth(),
-            "leaves": len(leaves),
-            "admissible": adm,
-            "inadmissible": len(leaves) - adm,
-        }
-
     def __repr__(self):
         return "BlockTree(row #%d x col #%d, %s)" % (
             self.row.index, self.col.index, self.state)
 
 
-def build_block_tree(row_root, col_root=None, eta=1.0):
-    """Recursive block partition of row x column index sets.
+def build_block_tree(root, eta=1.0):
+    """Recursive block partition of the tree's index set with itself.
 
     Admissible pairs become far-field leaves.  If both clusters are leaves the
     pair is a near-field leaf; otherwise the pair is subdivided, splitting
     only the cluster(s) that have children.
     """
-    if col_root is None:
-        col_root = row_root
     if eta <= 0:
         raise ConfigError("eta must be positive, got %r" % (eta,))
 
@@ -232,4 +215,4 @@ def build_block_tree(row_root, col_root=None, eta=1.0):
         kids = tuple(rec(rc, cc) for rc in rs for cc in cs)
         return BlockTree(r, c, SUBDIVIDED, kids)
 
-    return rec(row_root, col_root)
+    return rec(root, root)

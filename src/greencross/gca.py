@@ -410,11 +410,11 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     by pair.  Every entry request is routed through one batch executor, so
     results do not depend on capacity or thread count.
 
-    A constant-basis slp Galerkin build over one tree (``btree.row is
-    btree.col``) with one basis is symmetric, bitwise so under the
-    evaluator's orientation rule.  It evaluates only the leaves with row
-    cluster <= column cluster (diagonal ones whole) and writes every other
-    leaf as its partner's transpose.  Other builds evaluate every leaf.
+    A constant-basis slp Galerkin build with one basis is symmetric,
+    bitwise so under the evaluator's orientation rule.  It evaluates only
+    the leaves with row cluster <= column cluster (diagonal ones whole) and
+    writes every other leaf as its partner's transpose.  Other builds
+    evaluate every leaf.
 
     Given ``dlp_basis``, a dlp column basis, an slp build also assembles
     the dlp operator K, returned as the matrix's ``dlp``, in the same
@@ -432,7 +432,7 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     leaves = far + near
     evaluate, mirrored = np.arange(len(leaves)), []
     if ((kind, basis, disc) == ("slp", "constant", "galerkin")
-            and btree.row is btree.col and row_basis is col_basis):
+            and row_basis is col_basis):
         evaluate, mirrored = _mirrored(leaves)
     evaluate = [k for k in evaluate if k >= len(far)
                 or row_basis.node(far[k].row).pivots is not None]

@@ -15,6 +15,7 @@ Rule1D = namedtuple("Rule1D", "points weights")
 GreenRule = namedtuple("GreenRule", "points weights normals k")
 PairRule = namedtuple("PairRule", "x y w")
 
+# a pair's case code is the number of vertices its triangles share
 DISJOINT, VERTEX, EDGE, IDENTICAL = 0, 1, 2, 3
 KIND_NAMES = ("disjoint", "vertex", "edge", "identical")
 KIND_CODES = {name: code for code, name in enumerate(KIND_NAMES)}
@@ -27,7 +28,6 @@ PERMS3 = np.array(
     dtype=np.int64,
 )
 INV_PERMS3 = np.array([np.argsort(p) for p in PERMS3])
-_PERM_ID = {tuple(p): i for i, p in enumerate(PERMS3.tolist())}
 
 # chart-node reordering induced by each vertex permutation: slot a < 3 maps
 # to vertex perm[a], slot 3+j to the midpoint of edge (perm[j], perm[j+1])
@@ -139,12 +139,7 @@ def classify_pairs(row_tris, col_tris):
     eq = row_tris[:, :, None] == col_tris[:, None, :]  # (B, 3, 3)
     row_hit = eq.any(axis=2)
     col_hit = eq.any(axis=1)
-    shared = row_hit.sum(axis=1)
-    kind = np.empty(B, dtype=np.int64)
-    kind[shared == 0] = DISJOINT
-    kind[shared == 1] = VERTEX
-    kind[shared == 2] = EDGE
-    kind[shared == 3] = IDENTICAL
+    kind = row_hit.sum(axis=1)
     rperm = np.zeros(B, dtype=np.int64)
     cperm = np.zeros(B, dtype=np.int64)
 
@@ -168,25 +163,6 @@ def classify_pairs(row_tris, col_tris):
         c2 = 3 - c0 - c1
         cperm[mask] = _perm_id_table()[c0, c1, c2]
     return kind, rperm, cperm
-
-
-def mirror_perms(kind, row_perm, col_perm):
-    """``classify_pairs(s, t)``'s permutations from those of (t, s);
-    ``kind`` is one case or one per pair. Vertex and identical pairs swap
-    them; an edge pair gives s the rotation leading with its shared slots
-    and t the slots holding the same vertices in that order."""
-    qx, qy = np.array(col_perm), np.array(row_perm)
-    edge = np.flatnonzero(np.broadcast_to(np.asarray(kind) == EDGE,
-                                          qx.shape))
-    if len(edge):
-        ra, rb = PERMS3[qy[edge], :2].T  # t's shared slots
-        ca, cb = PERMS3[qx[edge], :2].T  # s's shared slots, same vertices
-        rot = (1 - ca - cb) % 3  # {0,1} -> 0, {1,2} -> 1, {0,2} -> 2
-        same = PERMS3[rot, 0] == ca
-        c0, c1 = np.where(same, ra, rb), np.where(same, rb, ra)
-        qx[edge] = rot
-        qy[edge] = _perm_id_table()[c0, c1, 3 - c0 - c1]
-    return qx, qy
 
 
 @lru_cache(maxsize=1)

@@ -10,17 +10,14 @@ from greencross.errors import ConfigError, StateError
 
 
 def _classify_all_zero(rows, cols):
-    z = np.zeros(len(rows), dtype=np.int64)
-    return z, z, z
+    return np.zeros(len(rows), dtype=np.int64)
 
 
 def _classify_parity(rows, cols):
-    case = (rows + cols) % 2
-    z = np.zeros(len(rows), dtype=np.int64)
-    return case, z, z
+    return (rows + cols) % 2
 
 
-def _eval_pairfn(case, rows, cols, px, py, kernels=None):
+def _eval_pairfn(case, rows, cols, kernels=None):
     # deterministic per-task value, independent of batch composition
     return np.sin(1.3 * rows + 0.7 * cols + case)[:, None, None]
 
@@ -164,29 +161,24 @@ def test_thread_invariance_bitwise():
 
 
 def test_slot_permutation_routing():
-    """A row width above 1 realigns slot targets to the canonical local
-    order."""
-    seen = {}
+    """Values come in the elements' own slot order: value (a, b) of a
+    pair lands at row slot a of its row element and column slot b of its
+    column element, whatever permutation of the block the slots are."""
+    def evaluator(case, rows, cols, kernels=None):
+        a = np.arange(3.0)
+        return np.broadcast_to(10.0 * a[:, None] + a, (len(rows), 1, 3, 3))
 
-    def classify(rows, cols):
-        n = len(rows)
-        # rotation id 1: canonical local a comes from original slot (a+1)%3
-        return (np.zeros(n, dtype=np.int64), np.full(n, 1, dtype=np.int64),
-                np.zeros(n, dtype=np.int64))
-
-    def evaluator(case, rows, cols, px, py, kernels=None):
-        return np.arange(10.0, 13.0).reshape(1, 3, 1).repeat(len(rows), 0)
-
-    out = np.zeros((3, 1))
-    ex = BatchExecutor(classify, evaluator, out, row_width=3, col_width=1,
-                       capacity=8, threads=1)
-    ex.enqueue_many([0], [0], out, [[0, 1, 2]], [[0]])
+    out = np.zeros((3, 3))
+    ex = BatchExecutor(_classify_all_zero, evaluator, out, row_width=3,
+                       col_width=3, capacity=8, threads=1)
+    ex.enqueue_many([0], [0], out, [[2, 0, 1]], [[1, 2, 0]])
     ex.finalize()
-    # canonical value 10+a lands in original slot PERMS3[1][a] = (1,2,0)[a]
-    assert np.array_equal(out[:, 0], [12.0, 10.0, 11.0])
+    a = np.arange(3.0)
+    assert np.array_equal(out[np.ix_([2, 0, 1], [1, 2, 0])],
+                          10.0 * a[:, None] + a)
 
 
-def _eval_raises(case, rows, cols, px, py, kernels=None):
+def _eval_raises(case, rows, cols, kernels=None):
     raise RuntimeError("evaluator failure")
 
 
@@ -267,15 +259,14 @@ def test_unknown_case_rejected():
 
 
 def _classify_rotating(rows, cols):
-    case = (rows + cols) % 4
-    return case, rows % 6, cols % 6
+    return (rows + cols) % 4
 
 
-def _eval_slots(case, rows, cols, px, py, kernels=None):
-    # per-task 3x3 values that depend on the canonical permutations
+def _eval_slots(case, rows, cols, kernels=None):
+    # per-task 3x3 values, a different one in every slot pair
     a = np.arange(3.0)
-    return np.sin(1.3 * rows + 0.7 * cols + case + 0.1 * px + 0.01 * py)[
-        :, None, None] * (1.0 + a[None, :, None] + 0.5 * a[None, None, :])
+    return np.sin(1.3 * rows + 0.7 * cols + case)[:, None, None] * (
+        1.0 + a[None, :, None] + 0.5 * a[None, None, :])
 
 
 def _run_blocks(capacity=16, threads=2, seed=31):
@@ -330,10 +321,10 @@ def test_failed_window_releases_pool_and_refuses(monkeypatch):
     released; the executor then refuses work and its blocks."""
     monkeypatch.setattr(batchexec, "_WINDOW", 10)
 
-    def evaluator(case, rows, cols, px, py, kernels=None):
+    def evaluator(case, rows, cols, kernels=None):
         if np.any(rows == 3):
             raise RuntimeError("evaluator failure")
-        return _eval_pairfn(case, rows, cols, px, py)
+        return _eval_pairfn(case, rows, cols)
 
     baseline = threading.active_count()
     out = np.zeros((5, 5))
@@ -349,9 +340,9 @@ def test_failed_window_releases_pool_and_refuses(monkeypatch):
         ex.enqueue_many([0], [0], out, [[0]], [[0]])
 
 
-def _eval_pairfn3(case, rows, cols, px, py, kernels=None):
+def _eval_pairfn3(case, rows, cols, kernels=None):
     # _eval_pairfn in every slot of a width-3 pair
-    return np.broadcast_to(_eval_pairfn(case, rows, cols, px, py),
+    return np.broadcast_to(_eval_pairfn(case, rows, cols),
                            (len(rows), 3, 3))
 
 
@@ -391,9 +382,9 @@ def test_pairs_shared_by_blocks_evaluated_once():
     def run(parts):
         seen = []
 
-        def evaluator(case, rows, cols, px, py, kernels=None):
+        def evaluator(case, rows, cols, kernels=None):
             seen.extend(zip(rows.tolist(), cols.tolist()))
-            return _eval_slots(case, rows, cols, px, py)
+            return _eval_slots(case, rows, cols)
 
         # the blocks side by side in one block row
         mat = np.zeros((4, 6 * len(parts)))
@@ -506,7 +497,7 @@ def test_enqueue_blocks_rejects_mismatched_blocks():
             ex.enqueue_blocks(table, table, [0], [0], [(0, 2, 2, 2)], [4])
 
 
-def _eval_kernels(case, rows, cols, px, py, kernels):
+def _eval_kernels(case, rows, cols, kernels):
     # kernel k of a pair: a value of its own, per (row, col) only
     k = np.asarray(kernels)[None, :]
     return np.sin(1.3 * rows[:, None] + 0.7 * cols[:, None] + 0.3 * k
@@ -524,9 +515,9 @@ def test_blocks_of_two_kernels_share_pair_evaluations():
     blocks = [(0, 1, 1), (0, 1, 2), (1, 2, 3), (2, 0, 2), (2, 2, 3)]
     calls = []
 
-    def evaluator(case, rows, cols, px, py, kernels):
+    def evaluator(case, rows, cols, kernels):
         calls.append((rows * 20 + cols, tuple(kernels)))
-        return _eval_kernels(case, rows, cols, px, py, kernels)
+        return _eval_kernels(case, rows, cols, kernels)
 
     def places(k, kernels):
         return [(36 * k, 6, 6, 6) if kernels >> j & 1 else (-1, 0, 0, 0)
@@ -555,8 +546,8 @@ def test_blocks_of_two_kernels_share_pair_evaluations():
         ref = np.zeros_like(out)
         one = BatchExecutor(
             _classify_parity,
-            lambda case, rows, cols, px, py, kernels: _eval_kernels(
-                case, rows, cols, px, py, [j]), ref, capacity=3, threads=1)
+            lambda case, rows, cols, kernels: _eval_kernels(
+                case, rows, cols, [j]), ref, capacity=3, threads=1)
         for k, (r, c, m) in enumerate(blocks):
             if m >> j & 1:
                 one.enqueue_many(tables[r][0], tables[c][0],

@@ -92,9 +92,10 @@ def test_block_tree_tiles_index_product(sphere3):
     for leaf in btree.leaves():
         cover[leaf.row.start:leaf.row.stop, leaf.col.start:leaf.col.stop] += 1
     assert np.all(cover == 1)
-    stats = btree.stats()
-    assert stats["admissible"] > 0 and stats["inadmissible"] > 0
-    assert stats["leaves"] == stats["admissible"] + stats["inadmissible"]
+    adm = len(btree.admissible_leaves())
+    inadm = len(btree.inadmissible_leaves())
+    assert adm > 0 and inadm > 0
+    assert len(btree.leaves()) == adm + inadm
 
 
 def test_block_tree_leaf_states(sphere3):
@@ -118,19 +119,9 @@ def test_block_tree_small_mesh_single_block():
 
 def test_eta_controls_far_field(sphere3):
     tree = build_cluster_tree(sphere3, basis_kind="constant", leaf_size=16)
-    loose = build_block_tree(tree, eta=2.0).stats()
-    tight = build_block_tree(tree, eta=0.5).stats()
-    assert loose["admissible"] > tight["admissible"]
-    assert loose["inadmissible"] < tight["inadmissible"]
+    loose = build_block_tree(tree, eta=2.0)
+    tight = build_block_tree(tree, eta=0.5)
+    assert len(loose.admissible_leaves()) > len(tight.admissible_leaves())
+    assert len(loose.inadmissible_leaves()) < len(tight.inadmissible_leaves())
     with pytest.raises(ConfigError):
         build_block_tree(tree, eta=-1.0)
-
-
-def test_block_tree_rectangular(sphere3):
-    rows = build_cluster_tree(sphere3, basis_kind="linear", leaf_size=16)
-    cols = build_cluster_tree(sphere3, basis_kind="constant", leaf_size=16)
-    btree = build_block_tree(rows, cols, eta=1.0)
-    cover = np.zeros((sphere3.nv, sphere3.nt), dtype=np.int64)
-    for leaf in btree.leaves():
-        cover[leaf.row.start:leaf.row.stop, leaf.col.start:leaf.col.stop] += 1
-    assert np.all(cover == 1)

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -169,23 +167,3 @@ def test_green_box_rule_geometry():
 def test_green_box_rule_rejects_bad_delta():
     with pytest.raises(ValueError):
         quad.green_box_rule((np.zeros(3), np.ones(3)), 0.0, 3)
-
-
-def test_mirror_perms_match_classify_pairs():
-    """The mirror's permutations, derived from the pair's own, equal a
-    fresh classification of (s, t), for every labelled arrangement of two
-    triangles sharing one, two or three vertices."""
-    labels = np.array(list(itertools.permutations(range(5), 3)))
-    t = np.repeat(labels, len(labels), axis=0)
-    s = np.tile(labels, (len(labels), 1))
-    kind, px, py = quad.classify_pairs(t, s)
-    _, qx, qy = quad.classify_pairs(s, t)
-    assert set(kind.tolist()) == {quad.VERTEX, quad.EDGE, quad.IDENTICAL}
-    mx, my = quad.mirror_perms(kind, px, py)
-    assert np.array_equal(mx, qx) and np.array_equal(my, qy)
-    for case in (quad.VERTEX, quad.EDGE, quad.IDENTICAL):
-        one = kind == case
-        mx, my = quad.mirror_perms(case, px[one], py[one])
-        assert np.array_equal(mx, qx[one]) and np.array_equal(my, qy[one])
-    assert np.array_equal(quad.mirror_perms(quad.DISJOINT, [0, 0], [0, 0]),
-                          [[0, 0], [0, 0]])
