@@ -545,10 +545,10 @@ def _surface_quadrature(mesh, tris, q):
 
 def _green_kernels(xq, z, nz, nx=None):
     """g(x, z_nu) and dg/dn_z(x, z_nu) = <x - z_nu, n_nu>/(4 pi r^3) for all
-    points and columns; given the unnormalized surface normals nx at the
-    points, their derivatives along nx instead: dg/dn_x and
-    d2g/dn_x dn_z."""
-    d = xq[:, :, None, :] - z[None, None, :, :]
+    points of each triangle and the rule points z (T, K, 3) of its box;
+    given the unnormalized surface normals nx at the points, their
+    derivatives along nx instead: dg/dn_x and d2g/dn_x dn_z."""
+    d = xq[:, :, None, :] - z[:, None, :, :]
     r = _norm3(d)
     _touch_guard(r)
     dz = np.einsum("tmkc,kc->tmk", d, nz)
@@ -560,78 +560,91 @@ def _green_kernels(xq, z, nz, nx=None):
             / (FOUR_PI * r ** 3))
 
 
-def _basis_integrals(mesh, indices, basis, q, z, nz, kind="slp"):
-    """Integrals of g(., z_nu) phi_i and dg/dn_z(., z_nu) phi_i, shape (n, k);
-    for ``kind`` "dlp" of their derivatives along the surface normal."""
-    indices = np.asarray(indices)
-    k = len(z)
-    table = None if basis == "constant" else triangle_table(indices, mesh).rows
-    tris = indices if table is None else table[:, 0]
-    xq, gw = _surface_quadrature(mesh, tris, q)
-    if kind == "dlp":
-        # the unnormalized normals carry the Gramian
-        pts, wts = quad.triangle_gauss(q)
-        nx = np.einsum("ma,tac->tmc", shape_functions(pts),
-                       chart_pack(mesh).normals[tris])
-        g, h = _green_kernels(xq, z, nz, nx)
-        gw = np.broadcast_to(wts, gw.shape)
-    else:
-        g, h = _green_kernels(xq, z, nz)
-    if table is None:
-        return np.einsum("tm,tmk->tk", gw, g), np.einsum("tm,tmk->tk", gw, h)
-    pts, _ = quad.triangle_gauss(q)
-    n3 = _bary(pts)  # (M, 3)
-    ig = np.zeros((len(indices), k))
-    ih = np.zeros((len(indices), k))
-    vg = np.einsum("ma,tm,tmk->tak", n3, gw, g)
-    vh = np.einsum("ma,tm,tmk->tak", n3, gw, h)
-    for a in range(3):
-        slot = table[:, 1 + a] - 1
-        ok = slot >= 0
-        np.add.at(ig, slot[ok], vg[ok, a])
-        np.add.at(ih, slot[ok], vh[ok, a])
-    return ig, ih
+def _green_factor(segments, rule, mesh, basis, q, kind, row):
+    """Row factors (``row``) or ``kind`` column factors of the (indices,
+    box) segments under a rule of one box per segment, stacked by rows;
+    evaluated in chunks of whole segments of about _POINT_BUDGET kernel
+    points, so each row's values depend on its own segment only."""
+    k = rule.k
+    if rule.points.ndim == 2:
+        rule = rule._replace(points=rule.points[None],
+                             weights=rule.weights[None])
+    rows = [np.asarray(ix, dtype=np.int64) for ix, _ in segments]
+    sizes = np.array([len(r) for r in rows], dtype=np.int64)
+    diam = np.array([box.diameter() for _, box in segments])[:, None]
+    sq = np.sqrt(rule.weights)
+    pts, wts = quad.triangle_gauss(q)
+    per_row = k * (1 if basis == "collocation" else len(wts))
+    chunk = np.cumsum(sizes * per_row) // _POINT_BUDGET
+    edges = np.r_[np.flatnonzero(np.diff(np.r_[-1, chunk])), len(sizes)]
+    first = np.cumsum(np.r_[0, sizes])
+    out = np.empty((first[-1], 2 * k))
+    for s0, s1 in zip(edges[:-1], edges[1:]):
+        seg = np.repeat(np.arange(s0, s1), sizes[s0:s1])
+        tris, tseg = np.concatenate(rows[s0:s1]), seg
+        if basis == "linear":
+            tables = [triangle_table(r, mesh).rows for r in rows[s0:s1]]
+            table = np.concatenate(tables)
+            tris = table[:, 0]
+            tseg = np.repeat(np.arange(s0, s1), [len(t) for t in tables])
+        if basis == "collocation":
+            xq, gw = mesh.vertices[tris][:, None, :], np.ones((len(tris), 1))
+        else:
+            xq, gw = _surface_quadrature(mesh, tris, q)
+        if kind == "dlp":
+            # the unnormalized normals carry the Gramian
+            nx = np.einsum("ma,tac->tmc", shape_functions(pts),
+                           chart_pack(mesh).normals[tris])
+            g, h = _green_kernels(xq, rule.points[tseg], rule.normals, nx)
+            gw = np.broadcast_to(wts, gw.shape)
+        else:
+            g, h = _green_kernels(xq, rule.points[tseg], rule.normals)
+        if basis != "linear":
+            g = np.einsum("tm,tmk->tk", gw, g)
+            h = np.einsum("tm,tmk->tk", gw, h)
+        else:  # each vertex row sums its triangles' slot values
+            n3 = _bary(pts)  # (M, 3)
+            vg = np.einsum("ma,tm,tmk->tak", n3, gw, g)
+            vh = np.einsum("ma,tm,tmk->tak", n3, gw, h)
+            g, h = np.zeros((len(seg), k)), np.zeros((len(seg), k))
+            at = first[tseg] - first[s0]
+            for a in range(3):
+                ok = table[:, 1 + a] > 0
+                np.add.at(g, at[ok] + table[ok, 1 + a] - 1, vg[ok, a])
+                np.add.at(h, at[ok] + table[ok, 1 + a] - 1, vh[ok, a])
+        part = out[first[s0]:first[s1]]
+        if row:
+            part[:, :k] = sq[seg] * g
+            part[:, k:] = -diam[seg] * sq[seg] * h
+        else:
+            part[:, :k] = sq[seg] * h
+            part[:, k:] = sq[seg] / diam[seg] * g
+    return out
 
 
 def green_row_factor(cluster, rule, mesh, basis, orders=(3, 5)):
     """Row factor A: columns nu carry sqrt(w_nu) g-moments, columns nu+k the
     -d_tau sqrt(w_nu) normal-derivative moments, d_tau = diam of the cluster
-    box. Collocation rows are plain point evaluations."""
-    z, wz, nz, k = rule.points, rule.weights, rule.normals, rule.k
-    sq = np.sqrt(wz)
-    d_tau = cluster.box.diameter()
-    if basis == "collocation":
-        x = mesh.vertices[np.asarray(cluster.indices)]
-        d = x[:, None, :] - z[None, :, :]
-        r = _norm3(d)
-        _touch_guard(r)
-        g = 1.0 / (FOUR_PI * r)
-        h = np.einsum("nkc,kc->nk", d, nz) / (FOUR_PI * r ** 3)
-    else:
-        g, h = _basis_integrals(mesh, cluster.indices, basis, orders[0], z, nz)
-    a = np.empty((g.shape[0], 2 * k))
-    a[:, :k] = sq[None, :] * g
-    a[:, k:] = -d_tau * sq[None, :] * h
-    return a
+    box. Collocation rows are plain point evaluations.  Under a rule of
+    several boxes (see ``quadrature.green_box_rule``), ``cluster`` is a
+    list of (indices, box) segments, one per box: their factors, stacked
+    by rows, bitwise as each alone."""
+    if rule.points.ndim == 2:
+        cluster = [(cluster.indices, cluster.box)]
+    return _green_factor(cluster, rule, mesh, basis, orders[0], "slp", True)
 
 
 def green_col_factor(pair, rule, mesh, basis, orders=(3, 5), kind="slp"):
     """Column factor B for the pair (tau, sigma), using tau's rule and d_tau;
     A @ B.T approximates the block on tau x sigma of the ``kind`` kernel:
-    the dlp factor is the slp one differentiated along n_y.
-    """
-    tau, sigma = pair
+    the dlp factor is the slp one differentiated along n_y.  Under a rule
+    of several boxes, ``pair`` is a list of (sigma's indices, tau's box)
+    segments, stacked as :func:`green_row_factor` stacks them."""
     if basis == "collocation":
         raise ConfigError("column factors integrate a Galerkin basis")
-    z, wz, nz, k = rule.points, rule.weights, rule.normals, rule.k
-    sq = np.sqrt(wz)
-    d_tau = tau.box.diameter()
-    g, h = _basis_integrals(mesh, sigma.indices, basis, orders[0], z, nz,
-                            kind)
-    b = np.empty((g.shape[0], 2 * k))
-    b[:, :k] = sq[None, :] * h
-    b[:, k:] = sq[None, :] / d_tau * g
-    return b
+    if rule.points.ndim == 2:
+        pair = [(pair[1].indices, pair[0].box)]
+    return _green_factor(pair, rule, mesh, basis, orders[0], kind, False)
 
 
 def triangle_areas(mesh, q=3):

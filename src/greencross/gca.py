@@ -20,7 +20,9 @@ basis, a coupling matrix per admissible block and a dense nearfield.
                        (non-nested),
 * ``build_h2``       - nested bases, pivot x pivot couplings.
 
-Every builder lays its operator out first and assembles each block in place.
+Bases are built a tree level at a time, each level in a few stacked array
+operations.  Every builder lays its operator out first and assembles each
+block in place.
 """
 
 from collections import namedtuple
@@ -41,6 +43,10 @@ __all__ = [
 
 Interpolation = namedtuple("Interpolation", "pivots v")
 
+# blocks whose B^T the Green baseline evaluates per call: about 2 MiB at
+# plane L4 (leaf 16, 2k = 108)
+_FACTOR_BLOCKS = 64
+
 
 def aca_interpolation(a, eps, max_rank=None):
     """Cross approximation of a thin matrix with full pivoting.
@@ -53,44 +59,63 @@ def aca_interpolation(a, eps, max_rank=None):
     Returns an :class:`Interpolation` whose matrix ``v`` satisfies
     ``v[pivots] == identity`` exactly and ``v @ a[pivots]`` reproduces the
     rank-r cross approximation of ``a``.
+
+    Given a list of matrices with one column count, makes their
+    interpolations together, one array operation per pivot step over a
+    stack padded with zero rows: each takes the pivots it takes alone,
+    unless its residual norm, summed in another order, meets the stopping
+    test within rounding.
     """
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    n, w = a.shape
-    limit = min(n, w if max_rank is None else int(max_rank))
-    norm = np.linalg.norm(a)
-    r = a.copy()
-    pivots = []
-    crosses = []
-    while len(pivots) < limit and np.linalg.norm(r) > eps * norm:
-        i, j = np.unravel_index(np.argmax(np.abs(r)), r.shape)
-        piv = r[i, j]
-        if piv == 0.0:
+    if isinstance(a, np.ndarray) and a.ndim == 2:
+        return aca_interpolation([a], eps, max_rank)[0]
+    if not len(a):
+        return []
+
+    def norms(x):  # the Frobenius norm of each matrix of a stack
+        flat = x.reshape(len(x), 1, -1)
+        return np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0])
+
+    sizes = [len(x) for x in a]
+    r = np.zeros((len(a), max(sizes), a[0].shape[1]))
+    for x, rx in zip(a, r):
+        rx[:len(x)] = x
+    n, rows, w = r.shape
+    limit = min(rows, w if max_rank is None else int(max_rank))
+    stop = eps * norms(r)
+    crosses = np.zeros((n, limit, rows))
+    pivots = np.zeros((n, limit), dtype=np.intp)
+    rank = np.zeros(n, dtype=np.intp)
+    live = np.arange(n)  # the matrices r still holds
+    scratch = np.empty_like(r)
+    for step in range(limit):
+        # the first entry of largest magnitude: the first maximum or the
+        # first minimum, whichever is larger in magnitude or comes first
+        flat, at = r.reshape(len(live), -1), np.arange(len(live))
+        hi, lo = flat.argmax(axis=1), flat.argmin(axis=1)
+        top, bottom = np.abs(flat[at, hi]), np.abs(flat[at, lo])
+        best = np.where(top == bottom, np.minimum(hi, lo),
+                        np.where(top > bottom, hi, lo))
+        go = (norms(r) > stop[live]) & (flat[at, best] != 0.0)
+        if not go.all():
+            r, live, best = r[go], live[go], best[go]
+        if not len(live):
             break
-        u = r[:, j] / piv
-        r -= np.outer(u, r[i, :])
-        pivots.append(int(i))
-        crosses.append(u)
-    rank = len(pivots)
-    pivots = np.asarray(pivots, dtype=np.intp)
-    if rank == 0:
-        return Interpolation(pivots, np.zeros((n, 0)))
+        at, (i, j) = np.arange(len(live)), np.divmod(best, w)
+        u = r[at, :, j] / r[at, i, j][:, None]
+        r -= np.einsum("ni,nj->nij", u, r[at, i, :],
+                       out=scratch[:len(live)])
+        crosses[live, step], pivots[live, step] = u, i
+        rank[live] += 1
     # Residuals vanish on earlier pivot rows, so the cross columns restricted
     # to the pivot rows form a unit lower triangular matrix and
     # v = U (U|pivots)^-1 interpolates: v|pivots = I, v A|pivots = sum u l^T.
-    u_mat = np.stack(crosses, axis=1)
-    v = np.linalg.solve(u_mat[pivots].T, u_mat.T).T
-    v[pivots] = np.eye(rank)
-    return Interpolation(pivots, v)
-
-
-class _Rows:
-    """Stand-in cluster: explicit dof rows considered under a given box."""
-
-    __slots__ = ("indices", "box")
-
-    def __init__(self, indices, box):
-        self.indices = indices
-        self.box = box
+    out = []
+    for k, (size, rk) in enumerate(zip(sizes, rank)):
+        u, piv = crosses[k, :rk, :size], pivots[k, :rk].copy()
+        v = np.linalg.solve(u[:, piv], u).T
+        v[piv] = np.eye(rk)
+        out.append(Interpolation(piv, v))
+    return out
 
 
 class BasisNode:
@@ -156,26 +181,43 @@ class ClusterBasis:
         return [bn for r in self.roots for bn in r.nodes()]
 
 
-def _green_rule(cluster, m, delta_factor):
-    return green_box_rule(cluster.box, delta_factor * cluster.box.diameter(),
-                          m)
+def _box_rules(clusters, m, delta_factor):
+    """The Green box rules of the clusters' boxes as one rule of several
+    boxes (see ``quadrature.green_box_rule``)."""
+    lower = np.array([c.box.lower for c in clusters]).reshape(-1, 3)
+    upper = np.array([c.box.upper for c in clusters]).reshape(-1, 3)
+    diam = np.array([c.box.diameter() for c in clusters])
+    return green_box_rule((lower, upper), delta_factor * diam, m)
 
 
-def _interpolate(cluster, a, eps, eyes):
-    """Childless basis node of ``cluster`` from its factor ``a``.
+def _interpolations(clusters, rows, mesh, basis, m, delta_factor, eps,
+                    orders, kind=None):
+    """Cross approximations of the clusters' Green factors at the given
+    rows, all made together: row factors, or with ``kind`` column factors
+    of that kernel (see ``assembly.green_row_factor``)."""
+    segments = [(r, c.box) for c, r in zip(clusters, rows)]
+    rule = _box_rules(clusters, m, delta_factor)
+    if kind is None:
+        a = assembly.green_row_factor(segments, rule, mesh, basis, orders)
+    else:
+        a = assembly.green_col_factor(segments, rule, mesh, basis, orders,
+                                      kind)
+    return aca_interpolation(
+        np.split(a, np.cumsum([len(r) for r in rows])[:-1]), eps)
 
-    Returns the node, its pivots in the order the cross approximation chose
-    them, and for an identity node the permutation from that order to its
-    pivots.  A cluster leaf whose cross approximation takes every row is
-    full rank: its interpolation matrix is a permutation.  Such a leaf
-    keeps its rows in tree order instead, ``pivots = cluster.indices``, so
-    that ``v`` is I: it is an identity node, whose ``v`` is the read-only
-    identity of its size in ``eyes``, one per basis.  An internal
-    cluster's factor (a flat basis node) keeps its matrix even at full
-    rank, since its tree range also holds its descendants' nearfield rows.
+
+def _interpolate(cluster, interp, eyes):
+    """Childless basis node of ``cluster`` from the interpolation of its
+    factor at its indices; also its pivots in the order the cross
+    approximation chose them, and for an identity node the permutation
+    from that order to its pivots.  A cluster leaf whose interpolation
+    takes every row is full rank, an identity node: ``pivots =
+    cluster.indices`` in tree order, ``v`` the read-only identity of its
+    size in ``eyes``, one per basis.  An internal cluster's factor (a flat
+    basis node) keeps its matrix even at full rank, since its tree range
+    also holds its descendants' nearfield rows.
     """
     rows = np.asarray(cluster.indices)
-    interp = aca_interpolation(a, eps)
     chosen = rows[interp.pivots]
     if len(chosen) < len(rows) or not cluster.is_leaf():
         return BasisNode(cluster, chosen, interp.v, ()), chosen, None
@@ -186,23 +228,12 @@ def _interpolate(cluster, a, eps, eyes):
     return bn, chosen, np.argsort(interp.pivots)
 
 
-def _flat_basis(clusters, node):
-    """Flat basis: the childless node ``node(cluster)`` of every distinct
-    cluster listed, in order of first appearance."""
-    nodes = {}
-    for c in clusters:
-        if c.index not in nodes:
-            nodes[c.index] = node(c)
-    return ClusterBasis(list(nodes.values()))
-
-
 def _identity_columns(btree):
     """Flat basis of identity nodes over the column clusters of the
     admissible leaves: a block's coupling then spans all its columns."""
-    return _flat_basis(
-        [b.col for b in btree.admissible_leaves()],
-        lambda c: BasisNode(c, np.asarray(c.indices), None, (),
-                            identity=True))
+    return ClusterBasis([
+        BasisNode(c, np.asarray(c.indices), None, (), identity=True)
+        for c in dict.fromkeys(b.col for b in btree.admissible_leaves())])
 
 
 def coupling_marks(btree):
@@ -228,13 +259,19 @@ def build_cluster_basis(tree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
     pivot rows, with the node's own box; splitting the resulting
     interpolation matrix along the children gives the transfer matrices.
 
-    A full-rank leaf is an identity node (see :func:`_interpolate`): the
-    full-rank leaves of one size share one read-only identity and store no
-    matrix of their own, and ``h2.pack`` reads and writes their
-    coefficients straight in the tree-ordered vector.  The parent's
-    factor still takes the leaf's rows in the order the cross approximation
-    chose them, so every node's pivots are those of that selection and the
-    leaf's transfer is only reordered to match.
+    The nodes are built level by level, by height (0 for a leaf, else 1 +
+    the largest of the children's), a level in a few large batches: box
+    rules scaled and shifted from one, factors from one stacked kernel
+    evaluation, cross approximations made together (see
+    :func:`aca_interpolation`).  Each node takes the pivots it would take
+    alone, except at exact ties and where its stopping test, summed in
+    another order, changes within rounding.
+
+    A full-rank leaf is an identity node (see :func:`_interpolate`), which
+    ``h2.pack`` applies as I.  Its parent's factor still takes the leaf's
+    rows in the order the cross approximation chose them, so every node's
+    pivots are those of that selection and the leaf's transfer is only
+    reordered to match.
 
     ``side`` picks the row or column role of the factorization.  A
     Galerkin B is A with its halves swapped and scaled by -1/d_tau and
@@ -254,43 +291,41 @@ def build_cluster_basis(tree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
         raise ConfigError("side must be 'row' or 'col', got %r" % (side,))
     if kind not in ("slp", "dlp") or (side, kind) == ("row", "dlp"):
         raise ConfigError("no %s basis for kernel %r" % (side, kind))
-
-    def factor(node, rows):
-        rule = _green_rule(node, m, delta_factor)
-        stub = _Rows(rows, node.box)
-        if side == "row":
-            return assembly.green_row_factor(stub, rule, mesh, basis, orders)
-        return assembly.green_col_factor((stub, stub), rule, mesh, basis,
-                                         orders, kind)
-
-    eyes = {}
-
-    def build(node):
-        """Basis node of ``node``, its pivots in the order the cross
-        approximation chose them (the rows of its parent's factor), and,
-        for a full-rank leaf, the permutation from that order to
-        ``pivots`` (see :func:`_interpolate`)."""
-        if node.is_leaf():
-            return _interpolate(node, factor(node, np.asarray(node.indices)),
-                                eps, eyes)
-        built = [build(c) for c in node.children]
-        rows = np.concatenate([chosen for _, chosen, _ in built])
-        interp = aca_interpolation(factor(node, rows), eps)
-        split = np.cumsum([len(chosen) for _, chosen, _ in built])[:-1]
-        for (k, _, order), e in zip(built,
-                                    np.split(interp.v, split, axis=0)):
-            k.transfer = e if order is None else e[order]
-        chosen = rows[interp.pivots]
-        kids = tuple(k for k, _, _ in built)
-        return BasisNode(node, chosen, None, kids), chosen, None
-
-    def walk(node):
-        # descend past unmarked territory; build wherever a mark covers us
-        if marks is None or node.index in marks:
-            return [build(node)[0]]
-        return [bn for c in node.children for bn in walk(c)]
-
-    return ClusterBasis(walk(tree))
+    col_kind = kind if side == "col" else None
+    # the maximal marked clusters: in preorder, each not inside the last
+    roots = []
+    for c in tree.nodes():
+        if ((marks is None or c.index in marks)
+                and (not roots or c.start >= roots[-1].stop)):
+            roots.append(c)
+    # cluster index -> its node, its pivots in the order the cross
+    # approximation chose them (the rows of its parent's factor) and, for
+    # an identity node, the permutation from that order to its pivots
+    built, eyes = {}, {}
+    todo = [c for r in roots for c in r.nodes()]
+    while todo:  # the clusters of one height: all children built
+        ready = [all(k.index in built for k in c.children) for c in todo]
+        level = [c for c, go in zip(todo, ready) if go]
+        todo = [c for c, go in zip(todo, ready) if not go]
+        rows = [np.asarray(c.indices) if c.is_leaf() else
+                np.concatenate([built[k.index][1] for k in c.children])
+                for c in level]
+        for c, r, interp in zip(level, rows, _interpolations(
+                level, rows, mesh, basis, m, delta_factor, eps, orders,
+                col_kind)):
+            if c.is_leaf():
+                built[c.index] = _interpolate(c, interp, eyes)
+                continue
+            kids = [built[k.index] for k in c.children]
+            split = np.cumsum([len(chosen) for _, chosen, _ in kids])[:-1]
+            for (k, _, order), e in zip(kids,
+                                        np.split(interp.v, split, axis=0)):
+                k.transfer = e if order is None else e[order]
+            chosen = r[interp.pivots]
+            built[c.index] = (BasisNode(c, chosen, None,
+                                        tuple(k for k, _, _ in kids)),
+                              chosen, None)
+    return ClusterBasis([built[c.index][0] for c in roots])
 
 
 CouplingBlock = namedtuple("CouplingBlock", "row col values")
@@ -399,6 +434,24 @@ def _mirrored(leaves):
             [(k, partner[k]) for k in np.flatnonzero(lower)])
 
 
+def _upper_triangles(clusters, places):
+    """``enqueue_blocks`` arguments for the upper triangles of diagonal
+    constant-basis leaves at their places: per row element i of a leaf,
+    one 1 x (n - i) product with the suffix of its column list."""
+    sizes = np.array([c.size for c in clusters])
+    elems = np.concatenate([c.indices for c in clusters])
+    pos = np.arange(len(elems)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    count = np.repeat(sizes, sizes) - pos
+    first = np.cumsum(count) - count
+    cols = np.arange(count.sum()) - np.repeat(first - np.arange(len(elems)),
+                                              count)
+    ids = np.arange(len(elems))
+    return (list(zip(elems[:, None], pos[:, None, None])),
+            list(zip(np.split(elems[cols], first[1:]),
+                     np.split(pos[cols, None], first[1:]))),
+            ids, ids, np.repeat(places, sizes, axis=0), np.full(len(ids), -1))
+
+
 def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
              disc="galerkin", orders=(3, 5), capacity=DEFAULT_CAPACITY,
              threads=None, dlp_basis=None):
@@ -412,9 +465,12 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
 
     A constant-basis slp Galerkin build with one basis is symmetric,
     bitwise so under the evaluator's orientation rule.  It evaluates only
-    the leaves with row cluster <= column cluster (diagonal ones whole) and
-    writes every other leaf as its partner's transpose.  Other builds
-    evaluate every leaf.
+    the leaves with row cluster <= column cluster and writes every other
+    leaf as its partner's transpose.  Built alone (no ``dlp_basis``), it
+    evaluates a diagonal leaf's upper triangle only, as one product per
+    row element (see :func:`_upper_triangles`), and writes its strict
+    lower triangle as the transpose; so each unordered triangle pair is
+    integrated once.  Other builds evaluate every leaf whole.
 
     Given ``dlp_basis``, a dlp column basis, an slp build also assembles
     the dlp operator K, returned as the matrix's ``dlp``, in the same
@@ -430,10 +486,13 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
         raise ConfigError("a dlp column basis goes with an slp build")
     far, near = btree.admissible_leaves(), btree.inadmissible_leaves()
     leaves = far + near
-    evaluate, mirrored = np.arange(len(leaves)), []
+    evaluate, mirrored, diagonal = np.arange(len(leaves)), [], []
     if ((kind, basis, disc) == ("slp", "constant", "galerkin")
             and row_basis is col_basis):
         evaluate, mirrored = _mirrored(leaves)
+        if dlp_basis is None:
+            diagonal = [k for k in evaluate if leaves[k].row is leaves[k].col]
+            evaluate = np.setdiff1d(evaluate, diagonal)
     evaluate = [k for k in evaluate if k >= len(far)
                 or row_basis.node(far[k].row).pivots is not None]
     shape = (btree.row.size, btree.col.size)
@@ -442,7 +501,7 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     layouts += [h2.pack(row_basis, cb, far, near, shape, layouts[0][0].row)
                 for cb in col_bases[1:]]
     # every leaf's place in each operator, offset -1 where it is not
-    # evaluated (V's mirrored leaves)
+    # evaluated whole (V's mirrored and diagonal leaves)
     place = np.full((len(leaves), len(layouts), 4), -1)
     place[evaluate, 0] = layouts[0][3][evaluate]
     for j, (*_, places) in enumerate(layouts[1:], 1):
@@ -479,10 +538,16 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
                              for k, j in zip(blocks, owner)])
         ex.enqueue_blocks(row_tables, col_tables, row_ids, col_ids, places,
                           cases[blocks])
+        if diagonal:
+            ex.enqueue_blocks(*_upper_triangles(
+                [leaves[k].row for k in diagonal], layouts[0][3][diagonal]))
         ex.finalize()
     views = layouts[0][1] + layouts[0][2]
     for k, p in mirrored:
         views[k][...] = views[p].T
+    for k in diagonal:
+        lower = np.tril_indices(len(views[k]), -1)
+        views[k][lower] = views[k].T[lower]
     ops = [H2Matrix(btree.row, btree.col, row_basis, cb,
                     [CouplingBlock(leaf.row, leaf.col, view)
                      for leaf, view in zip(far, far_views)],
@@ -503,22 +568,27 @@ def build_green(btree, mesh, kind="slp", basis="constant", disc="galerkin",
 
     An :class:`H2Matrix` over a flat row basis of the factors A, one per
     row cluster, and identity columns: each coupling is its block's B^T.
+    Each factor is a stacked evaluation: A of all row clusters at once,
+    B^T of _FACTOR_BLOCKS consecutive blocks at a time.
     """
     row_kind = "collocation" if disc == "collocation" else basis
-    rules = {}
-
-    def node(tau):
-        rules[tau.index] = _green_rule(tau, m, delta_factor)
-        a = assembly.green_row_factor(tau, rules[tau.index], mesh, row_kind,
-                                      orders)
-        return BasisNode(tau, None, a, ())
-
-    rows = _flat_basis([b.row for b in btree.admissible_leaves()], node)
+    taus = list(dict.fromkeys(b.row for b in btree.admissible_leaves()))
+    a = assembly.green_row_factor([(c.indices, c.box) for c in taus],
+                                  _box_rules(taus, m, delta_factor), mesh,
+                                  row_kind, orders)
+    a = np.split(a, np.cumsum([c.size for c in taus])[:-1])
+    rows = ClusterBasis([BasisNode(c, None, f, ()) for c, f in zip(taus, a)])
     hm = build_h2(btree, rows, _identity_columns(btree), mesh, kind, basis,
                   disc, orders, capacity, threads)
-    for blk in hm.coupling:
-        blk.values[...] = assembly.green_col_factor(
-            (blk.row, blk.col), rules[blk.row.index], mesh, basis, orders).T
+    for first in range(0, len(hm.coupling), _FACTOR_BLOCKS):
+        part = hm.coupling[first:first + _FACTOR_BLOCKS]
+        b = assembly.green_col_factor(
+            [(blk.col.indices, blk.row.box) for blk in part],
+            _box_rules([blk.row for blk in part], m, delta_factor), mesh,
+            basis, orders)
+        for blk, bt in zip(part, np.split(b, np.cumsum(
+                [blk.col.size for blk in part])[:-1])):
+            blk.values[...] = bt.T
     return hm
 
 
@@ -529,18 +599,22 @@ def build_flat_gca(btree, mesh, kind="slp", basis="constant",
 
     Every row cluster of an admissible leaf interpolates its full Green
     factor once, a childless node of a flat row basis (a full-rank cluster
-    leaf is an identity node, see :func:`_interpolate`).  Over identity
-    columns, :func:`build_h2` then stores each block's exact entries at
-    the pivot rows and all of its columns.
+    leaf is an identity node, see :func:`_interpolate`), together with the
+    clusters of about its size (see :func:`build_cluster_basis`).  Over
+    identity columns,
+    :func:`build_h2` then stores each block's exact entries at the pivot
+    rows and all of its columns.
     """
     row_kind = "collocation" if disc == "collocation" else basis
-    eyes = {}
-
-    def node(tau):
-        a = assembly.green_row_factor(tau, _green_rule(tau, m, delta_factor),
-                                      mesh, row_kind, orders)
-        return _interpolate(tau, a, eps, eyes)[0]
-
-    rows = _flat_basis([b.row for b in btree.admissible_leaves()], node)
+    taus = list(dict.fromkeys(b.row for b in btree.admissible_leaves()))
+    nodes, eyes, sizes = {}, {}, {}
+    for c in taus:  # batches of clusters within a factor 2 in size
+        sizes.setdefault(c.size.bit_length(), []).append(c)
+    for level in sizes.values():
+        rows = [np.asarray(c.indices) for c in level]
+        for c, interp in zip(level, _interpolations(
+                level, rows, mesh, row_kind, m, delta_factor, eps, orders)):
+            nodes[c.index] = _interpolate(c, interp, eyes)[0]
+    rows = ClusterBasis([nodes[c.index] for c in taus])
     return build_h2(btree, rows, _identity_columns(btree), mesh, kind, basis,
                     disc, orders, capacity, threads)

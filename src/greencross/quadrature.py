@@ -95,34 +95,37 @@ def green_box_rule(box, delta, m):
     """Tensor Gauss rule on the boundary of the box enlarged by delta.
 
     Returns 6 m^2 points with outward normals; weights sum to the area of
-    the enlarged box boundary.
-    """
-    if delta <= 0.0:
+    the enlarged box boundary.  Corners (lower, upper) of shape (N, 3)
+    and N deltas give the rules of N boxes, the Gauss nodes scaled and
+    shifted to each: points (N, 6 m^2, 3) and weights (N, 6 m^2), bitwise
+    those of each box alone, and the normals (6 m^2, 3) they share."""
+    delta = np.asarray(delta, dtype=np.float64)
+    if np.any(delta <= 0.0):
         raise ValueError("delta must be positive")
     lower, upper = (box.lower, box.upper) if hasattr(box, "lower") else box
-    lo = np.asarray(lower, dtype=np.float64) - delta
-    hi = np.asarray(upper, dtype=np.float64) + delta
+    lo = np.asarray(lower, dtype=np.float64) - delta[..., None]
+    hi = np.asarray(upper, dtype=np.float64) + delta[..., None]
     g, w = _gauss01(m)
     points, weights, normals = [], [], []
     for axis in range(3):
         b, c = [a for a in range(3) if a != axis]
-        pb = lo[b] + (hi[b] - lo[b]) * g
-        pc = lo[c] + (hi[c] - lo[c]) * g
-        face_w = np.outer(w, w).ravel() * (hi[b] - lo[b]) * (hi[c] - lo[c])
-        gb, gc = np.meshgrid(pb, pc, indexing="ij")
-        for side, coord in ((0, lo[axis]), (1, hi[axis])):
-            z = np.empty((m * m, 3))
-            z[:, axis] = coord
-            z[:, b] = gb.ravel()
-            z[:, c] = gc.ravel()
+        pb = lo[..., b, None] + (hi[..., b, None] - lo[..., b, None]) * g
+        pc = lo[..., c, None] + (hi[..., c, None] - lo[..., c, None]) * g
+        face_w = (np.outer(w, w).ravel() * (hi[..., b, None] - lo[..., b, None])
+                  * (hi[..., c, None] - lo[..., c, None]))
+        for side, coord in ((0, lo[..., axis]), (1, hi[..., axis])):
+            z = np.empty(lo.shape[:-1] + (m * m, 3))
+            z[..., axis] = coord[..., None]
+            z[..., b] = np.repeat(pb, m, axis=-1)
+            z[..., c] = np.tile(pc, m)
             n = np.zeros((m * m, 3))
             n[:, axis] = -1.0 if side == 0 else 1.0
             points.append(z)
             weights.append(face_w)
             normals.append(n)
-    points = np.concatenate(points)
-    return GreenRule(points, np.concatenate(weights), np.concatenate(normals),
-                     len(points))
+    points = np.concatenate(points, axis=-2)
+    return GreenRule(points, np.concatenate(weights, axis=-1),
+                     np.concatenate(normals), points.shape[-2])
 
 
 def classify_pairs(row_tris, col_tris):

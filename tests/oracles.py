@@ -2,13 +2,16 @@
 
 Each evaluates one point, one pair, one basis node or one block at a time,
 the plain way: a chart at one reference point, one triangle pair's
-classification, one nested basis expanded to its dense matrix, an operator
-applied block by block. The program itself works on batches.
+classification, a cluster basis built node by node, one nested basis
+expanded to its dense matrix, an operator applied block by block. The
+program itself works on batches.
 """
 from collections import namedtuple
+from types import SimpleNamespace
 
 import numpy as np
 
+from greencross import assembly, gca
 from greencross import quadrature as quad
 from greencross.errors import GeometryError
 from greencross.geometry import chart_pack, shape_functions, shape_gradients
@@ -61,6 +64,92 @@ def classify_pair(t, s):
     return SingularityCase(quad.KIND_NAMES[kind[0]],
                            tuple(quad.PERMS3[rp[0]].tolist()),
                            tuple(quad.PERMS3[cp[0]].tolist()))
+
+
+def aca_reference(a, eps, max_rank=None):
+    """gca.aca_interpolation of one matrix, one pivot at a time."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    n, w = a.shape
+    limit = min(n, w if max_rank is None else int(max_rank))
+    norm = np.linalg.norm(a)
+    r = a.copy()
+    pivots = []
+    crosses = []
+    while len(pivots) < limit and np.linalg.norm(r) > eps * norm:
+        i, j = np.unravel_index(np.argmax(np.abs(r)), r.shape)
+        piv = r[i, j]
+        if piv == 0.0:
+            break
+        u = r[:, j] / piv
+        r -= np.outer(u, r[i, :])
+        pivots.append(int(i))
+        crosses.append(u)
+    rank = len(pivots)
+    pivots = np.asarray(pivots, dtype=np.intp)
+    if rank == 0:
+        return gca.Interpolation(pivots, np.zeros((n, 0)))
+    u_mat = np.stack(crosses, axis=1)
+    v = np.linalg.solve(u_mat[pivots].T, u_mat.T).T
+    v[pivots] = np.eye(rank)
+    return gca.Interpolation(pivots, v)
+
+
+def _node_factor(cluster, rows, mesh, basis, m, delta_factor, orders, side,
+                 kind):
+    """One cluster's Green factor at the given rows, under its own rule."""
+    rule = quad.green_box_rule(cluster.box,
+                               delta_factor * cluster.box.diameter(), m)
+    stub = SimpleNamespace(indices=rows, box=cluster.box)
+    if side == "row":
+        return assembly.green_row_factor(stub, rule, mesh, basis, orders)
+    return assembly.green_col_factor((stub, stub), rule, mesh, basis, orders,
+                                     kind)
+
+
+def cluster_basis(tree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
+                  side="row", orders=(3, 5), marks=None, kind="slp"):
+    """gca.build_cluster_basis node by node, recursively: one box rule, one
+    factor and one cross approximation per node."""
+    eyes = {}
+
+    def build(node):
+        if node.is_leaf():
+            a = _node_factor(node, np.asarray(node.indices), mesh, basis, m,
+                             delta_factor, orders, side, kind)
+            return gca._interpolate(node, aca_reference(a, eps), eyes)
+        built = [build(c) for c in node.children]
+        rows = np.concatenate([chosen for _, chosen, _ in built])
+        interp = aca_reference(_node_factor(node, rows, mesh, basis, m,
+                                            delta_factor, orders, side, kind),
+                               eps)
+        split = np.cumsum([len(chosen) for _, chosen, _ in built])[:-1]
+        for (k, _, order), e in zip(built,
+                                    np.split(interp.v, split, axis=0)):
+            k.transfer = e if order is None else e[order]
+        chosen = rows[interp.pivots]
+        kids = tuple(k for k, _, _ in built)
+        return gca.BasisNode(node, chosen, None, kids), chosen, None
+
+    def walk(node):
+        if marks is None or node.index in marks:
+            return [build(node)[0]]
+        return [bn for c in node.children for bn in walk(c)]
+
+    return gca.ClusterBasis(walk(tree))
+
+
+def flat_basis(btree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
+               orders=(3, 5)):
+    """The row basis of gca.build_flat_gca, cluster by cluster."""
+    eyes, nodes = {}, {}
+    for leaf in btree.admissible_leaves():
+        tau = leaf.row
+        if tau.index not in nodes:
+            a = _node_factor(tau, np.asarray(tau.indices), mesh, basis, m,
+                             delta_factor, orders, "row", "slp")
+            nodes[tau.index] = gca._interpolate(tau, aca_reference(a, eps),
+                                                eyes)[0]
+    return gca.ClusterBasis(list(nodes.values()))
 
 
 def expand_basis(node):

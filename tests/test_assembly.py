@@ -233,6 +233,43 @@ def test_green_col_factor_rejects_collocation(sphere3):
                                   "collocation")
 
 
+@pytest.mark.parametrize("geometry", ["plane", "curved"])
+def test_stacked_green_factors_match_one_box_factors(geometry):
+    """Factors of several (indices, box) segments under one rule of their
+    boxes are bitwise the one-box factors, stacked by rows: row factors
+    for every basis, column factors for both kernels."""
+    mesh = build_sphere_mesh(2)
+    if geometry == "curved":
+        mesh = to_curved(mesh, project_to_unit_sphere=True)
+    for basis in ("constant", "linear", "collocation"):
+        tree = build_cluster_tree(
+            mesh, "constant" if basis == "constant" else "linear",
+            leaf_size=8)
+        nodes = tree.leaves() + list(tree.children)
+        boxes = [c.box for c in nodes]
+        rules = green_box_rule(
+            (np.array([b.lower for b in boxes]),
+             np.array([b.upper for b in boxes])),
+            0.5 * np.array([b.diameter() for b in boxes]), 2)
+        segments = [(c.indices, c.box) for c in nodes]
+        stacked = {"row": assembly.green_row_factor(segments, rules, mesh,
+                                                    basis, (2, 4))}
+        if basis != "collocation":
+            for kind in ("slp", "dlp"):
+                stacked[kind] = assembly.green_col_factor(
+                    segments, rules, mesh, basis, (2, 4), kind)
+        first = np.cumsum([0] + [c.size for c in nodes])
+        for n, c in enumerate(nodes):
+            rule = green_box_rule(c.box, 0.5 * c.box.diameter(), 2)
+            one = {"row": assembly.green_row_factor(c, rule, mesh, basis,
+                                                    (2, 4))}
+            for kind in set(stacked) - {"row"}:
+                one[kind] = assembly.green_col_factor((c, c), rule, mesh,
+                                                      basis, (2, 4), kind)
+            for key, a in one.items():
+                assert np.array_equal(a, stacked[key][first[n]:first[n + 1]])
+
+
 def test_collocation_green_row_factor(sphere3):
     """Collocation rows of A are plain point evaluations of the kernel."""
     tree = build_cluster_tree(sphere3, "linear", leaf_size=16)

@@ -14,7 +14,8 @@ from greencross.gca import (aca_interpolation, build_cluster_basis,
                             build_flat_gca, build_green, build_h2,
                             coupling_marks)
 from greencross.geometry import build_sphere_mesh, to_curved
-from oracles import blockwise_mvm, expand_basis
+from oracles import (aca_reference, blockwise_mvm, cluster_basis,
+                     expand_basis, flat_basis)
 
 
 def _dense_op(a):
@@ -77,6 +78,29 @@ def test_aca_max_rank_cap():
     assert len(interp.pivots) == 4
 
 
+def test_aca_of_several_matrices_matches_each_alone():
+    """Interpolations made together, over a zero-padded stack, take each
+    matrix's pivots one at a time would take, with V|pivots = I exactly
+    and V equal to rounding: row counts that differ, a zero matrix, a
+    full-rank one and a rank cap."""
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((40, 12)))
+    mats = [rng.standard_normal((n, 12)) for n in (5, 30, 12)]
+    mats += [np.zeros((9, 12)), q * 10.0 ** -np.arange(12.0),
+             np.outer(np.arange(1.0, 8.0), rng.standard_normal(12))]
+    for max_rank in (None, 4):
+        got = aca_interpolation(mats, 1e-6, max_rank)
+        assert len(got) == len(mats)
+        for a, interp in zip(mats, got):
+            ref = aca_reference(a, 1e-6, max_rank)
+            assert np.array_equal(interp.pivots, ref.pivots)
+            assert interp.v.shape == ref.v.shape == (len(a), len(ref.pivots))
+            assert np.array_equal(interp.v[interp.pivots],
+                                  np.eye(len(ref.pivots)))
+            assert np.allclose(interp.v, ref.v, rtol=0, atol=1e-12)
+    assert aca_interpolation([], 1e-6) == []
+
+
 @pytest.fixture(scope="module")
 def l3_setup(sphere3):
     tree = build_cluster_tree(sphere3, "constant", leaf_size=16)
@@ -120,6 +144,64 @@ def test_basis_invariants(sphere3, l3_setup):
     # every admissible row cluster has basis content available
     for b in btree.admissible_leaves():
         assert basis.node(b.row) is not None
+
+
+def _same_basis(got, ref):
+    """Node by node: the same clusters, pivots and identity marks,
+    V|pivots = I exactly, and V and the transfers within 1e-10 relative."""
+    assert ([bn.cluster.index for bn in got.nodes()]
+            == [bn.cluster.index for bn in ref.nodes()])
+    for g, r in zip(got.nodes(), ref.nodes()):
+        assert np.array_equal(g.pivots, r.pivots)
+        assert g.identity == r.identity
+        idx = np.asarray(g.cluster.indices)
+        order = np.argsort(idx)
+        pos = order[np.searchsorted(idx[order], g.pivots)]
+        assert np.array_equal(expand_basis(g)[pos], np.eye(g.rank))
+        for a, b in ((g.v, r.v), (g.transfer, r.transfer)):
+            assert (a is None) == (b is None)
+            if a is not None and a.size:
+                assert a.shape == b.shape
+                assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
+
+@pytest.fixture(scope="module", params=["plane", "curved"])
+def basis_meshes(request):
+    meshes = [build_sphere_mesh(level) for level in (2, 3, 4)]
+    if request.param == "curved":
+        meshes = [to_curved(mesh, project_to_unit_sphere=True)
+                  for mesh in meshes]
+    return meshes
+
+
+@pytest.mark.parametrize("basis", ["constant", "linear"])
+def test_level_batched_bases_match_node_by_node(basis_meshes, basis):
+    """Row (constant, linear, collocation), column (slp, dlp) and flat bases
+    built level by level equal the node-by-node reference: whole trees at
+    L2 and L3, the coupling-marked parts at L4 (flat bases at L2 and L3
+    only, whose builds assemble the operator too)."""
+    for mesh, leaf in zip(basis_meshes, (6, 6, 16)):
+        tree = build_cluster_tree(mesh, basis, leaf_size=leaf)
+        btree = build_block_tree(tree, eta=1.0)
+        rm, cm = coupling_marks(btree)
+        marks = (None, None) if leaf < 16 else (rm | cm, cm)
+        specs = [(basis, "row", "slp", marks[0]), (basis, "col", "slp",
+                                                   marks[1]),
+                 (basis, "col", "dlp", marks[1])]
+        if basis == "linear":
+            specs.append(("collocation", "row", "slp", marks[0]))
+        for kind_b, side, kind, mk in specs:
+            args = (tree, mesh, kind_b, 3, 0.5, 1e-4, side, (2, 4), mk, kind)
+            _same_basis(build_cluster_basis(*args), cluster_basis(*args))
+        if leaf == 16:
+            continue
+        row_kind = "constant" if basis == "constant" else "collocation"
+        flat = build_flat_gca(btree, mesh, basis=basis,
+                              disc="galerkin" if basis == "constant"
+                              else "collocation", m=3, eps=1e-4,
+                              orders=(2, 4))
+        _same_basis(flat.row_basis, flat_basis(btree, mesh, row_kind, 3,
+                                               0.5, 1e-4, (2, 4)))
 
 
 def test_basis_side_validation(sphere2):
@@ -322,10 +404,9 @@ def test_square_green_factor_is_applied_as_itself(sphere2):
     tree = build_cluster_tree(sphere2, "constant", leaf_size=8)
     btree = build_block_tree(tree, eta=1.0)
     rng = np.random.default_rng(15)
-    rows = gca._flat_basis(
-        [b.row for b in btree.admissible_leaves()],
-        lambda c: gca.BasisNode(c, None,
-                                rng.standard_normal((c.size, c.size)), ()))
+    rows = gca.ClusterBasis([
+        gca.BasisNode(c, None, rng.standard_normal((c.size, c.size)), ())
+        for c in dict.fromkeys(b.row for b in btree.admissible_leaves())])
     op = build_h2(btree, rows, gca._identity_columns(btree), sphere2,
                   threads=1)
     assert len(op.coupling) > 0
@@ -554,10 +635,33 @@ def test_mirrored_leaves_are_transposes_and_dense_blocks(sphere3, mirror_l3):
 
 
 def test_mirror_build_evaluates_upper_leaves_only(mirror_l3):
+    """Leaves above the diagonal whole, diagonal leaves their upper
+    triangle: each unordered triangle pair once."""
     _, hm = mirror_l3
     blocks = _leaf_blocks(hm)
-    upper = sum(v.size for (r, c), (_, _, v) in blocks.items() if r <= c)
+    upper = sum(v.size for (r, c), (_, _, v) in blocks.items() if r < c)
+    upper += sum(len(v) * (len(v) + 1) // 2
+                 for (r, c), (_, _, v) in blocks.items() if r == c)
     assert _tasks(hm) == upper < sum(v.size for _, _, v in blocks.values())
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6",
+                    reason="the fingerprint was taken with numpy 2.4.6")
+def test_diagonal_leaves_evaluated_once_keep_blocks():
+    """Plane L4 constant V alone (orders (2,4), m 3, eps 1e-4, leaf 16):
+    diagonal leaves evaluate each unordered pair once, which cuts the
+    singular pairs to these counts, and every block keeps its pinned bits
+    (sha256 prefix, numpy 2.4.6, x86_64)."""
+    cfg = _solve_config(4, "plane", "constant")
+    hm = cli.build_h2_operator(build_sphere_mesh(4), cfg)[0]
+    tasks = {st["case"]: st["tasks"] for st in hm.exec_stats}
+    assert [tasks[c] for c in (quad.VERTEX, quad.EDGE, quad.IDENTICAL)] \
+        == [9192, 3072, 2048]
+    digest = hashlib.sha256(hm.packed.blocks.data.tobytes()).hexdigest()
+    assert digest[:16] == "9301207d285d8bd3"
+    for blk in hm.nearfield:
+        if blk.row.index == blk.col.index:
+            assert np.array_equal(blk.values, blk.values.T)
 
 
 def test_mirror_blocks_independent_of_capacity_and_threads(mirror_l3):

@@ -167,3 +167,24 @@ def test_green_box_rule_geometry():
 def test_green_box_rule_rejects_bad_delta():
     with pytest.raises(ValueError):
         quad.green_box_rule((np.zeros(3), np.ones(3)), 0.0, 3)
+
+
+def test_green_box_rule_of_several_boxes_matches_each_box():
+    """Rules of several boxes at once are bitwise the rules of each box
+    alone: points and weights per box, the normals shared."""
+    rng = np.random.default_rng(5)
+    lower = rng.standard_normal((7, 3))
+    upper = lower + rng.random((7, 3))
+    delta = 0.5 * np.linalg.norm(upper - lower, axis=1)
+    for m in (1, 3):
+        rules = quad.green_box_rule((lower, upper), delta, m)
+        assert rules.points.shape == (7, rules.k, 3)
+        assert rules.weights.shape == (7, rules.k)
+        for n in range(7):
+            one = quad.green_box_rule((lower[n], upper[n]), delta[n], m)
+            assert one.k == rules.k == 6 * m * m
+            assert np.array_equal(one.points, rules.points[n])
+            assert np.array_equal(one.weights, rules.weights[n])
+            assert np.array_equal(one.normals, rules.normals)
+    with pytest.raises(ValueError):
+        quad.green_box_rule((lower, upper), np.r_[delta[:-1], 0.0], 2)
