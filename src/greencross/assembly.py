@@ -110,7 +110,8 @@ def _norm3(v, axis=-1):
 
 
 def _coordinate_major(a):
-    """(nt, 6, 3) chart node values as one (3, nt, 6) array."""
+    """An (a, b, 3) array, such as chart node values (nt, 6, 3), as one
+    (3, a, b) array."""
     return np.ascontiguousarray(np.moveaxis(a, 2, 0))
 
 
@@ -547,14 +548,19 @@ def _green_kernels(xq, z, nz, nx=None):
     """g(x, z_nu) and dg/dn_z(x, z_nu) = <x - z_nu, n_nu>/(4 pi r^3) for all
     points of each triangle and the rule points z (T, K, 3) of its box;
     given the unnormalized surface normals nx at the points, their
-    derivatives along nx instead: dg/dn_x and d2g/dn_x dn_z."""
-    d = xq[:, :, None, :] - z[:, None, :, :]
-    r = _norm3(d)
+    derivatives along nx instead: dg/dn_x and d2g/dn_x dn_z.  Worked out
+    coordinate-major, (3, T, M, K); the box normals nz are axis-parallel,
+    so sums with them are exact in any order."""
+    d = (_coordinate_major(xq)[:, :, :, None]
+         - _coordinate_major(z)[:, :, None, :])
+    r = _norm3(d, axis=0)
     _touch_guard(r)
-    dz = np.einsum("tmkc,kc->tmk", d, nz)
+    dz = d[0] * nz[:, 0] + d[1] * nz[:, 1] + d[2] * nz[:, 2]
     if nx is None:
         return 1.0 / (FOUR_PI * r), dz / (FOUR_PI * r ** 3)
-    dx = np.einsum("tmkc,tmc->tmk", d, nx)
+    # sums with the surface normals keep np.einsum's order over (T, M, K, 3)
+    dx = np.einsum("tmkc,tmc->tmk",
+                   np.ascontiguousarray(np.moveaxis(d, 0, -1)), nx)
     return (-dx / (FOUR_PI * r ** 3),
             (np.einsum("tmc,kc->tmk", nx, nz) - 3.0 * dx * dz / r ** 2)
             / (FOUR_PI * r ** 3))
