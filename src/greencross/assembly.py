@@ -593,7 +593,7 @@ def _green_factor(segments, rule, mesh, basis, q, kind, row):
             table = np.concatenate(tables)
             tris = table[:, 0]
             tseg = np.repeat(np.arange(s0, s1), [len(t) for t in tables])
-        if basis == "collocation":
+        if basis == "collocation":  # each row one point, of weight 1
             xq, gw = mesh.vertices[tris][:, None, :], np.ones((len(tris), 1))
         else:
             xq, gw = _surface_quadrature(mesh, tris, q)
