@@ -3,9 +3,12 @@
 A Galerkin block is the product of two triangle tables: every triangle
 touching a row DOF paired with every triangle touching a column DOF, each
 pair's 3x3 (or 1x1) local matrix scattered to the block positions of the
-pair's DOFs. :func:`element_table` gives the executor's form of an index
-list's table, which a build makes once per distinct list (a basis node's
-pivots, a cluster's indices) and shares among all blocks that list it.
+pair's DOFs. :func:`element_tables` gives the executor's one table form,
+(elements, slots, start), of many index lists at once: a build makes one
+table per distinct list (a basis node's pivots, a cluster's indices),
+all in one call per side, and shares each among all blocks that list it;
+:func:`make_executor` makes the executor of a discretization and names
+the table kinds of its rows and columns.
 Blocks record these products with the batch executor, which integrates a
 triangle pair shared by several blocks once and scatters it to all of them
 (a constant-basis pair is one entry of one block, so that path skips the
@@ -75,32 +78,60 @@ def _bary(pts):
     return np.stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]], axis=1)
 
 
+def element_tables(mesh, kind, lists):
+    """Element tables of index lists for the executor, joined in one pass:
+    (elements, slots, start), list k's table at rows start[k]:start[k + 1].
+
+    ``kind`` "constant": the listed triangles in ascending order, each with
+    its 0-based position in its list (one stable sort by list and index).
+    "linear": every triangle touching a listed vertex, in ascending order,
+    with the 0-based positions of its three vertices, -1 for a vertex not
+    listed; built from the concatenated vertex stars of all lists, keyed
+    by (list, triangle), so every (triangle, slot) of a list is written at
+    most once. "collocation" (rows of a collocation block): the listed
+    points in order, each with its position. A list must not repeat an
+    index.
+    """
+    lists = [np.asarray(ix, dtype=np.int64).reshape(-1) for ix in lists]
+    sizes = np.array([len(ix) for ix in lists], dtype=np.int64)
+    flat = np.concatenate([np.zeros(0, dtype=np.int64)] + lists)
+    owner = np.repeat(np.arange(len(lists)), sizes)
+    pos = np.arange(len(flat)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    start = np.r_[0, np.cumsum(sizes)]
+    if kind == "collocation":
+        return flat, pos[:, None], start
+    key = owner * (int(flat.max()) + 1 if len(flat) else 1) + flat
+    order = np.argsort(key, kind="stable")
+    if np.any(key[order[1:]] == key[order[:-1]]):
+        raise ConfigError("duplicate indices in an index list")
+    if kind == "constant":
+        return flat[order], pos[order, None], start
+    stars = mesh.vertex_stars()
+    counts = np.array([len(stars[v]) for v in flat], dtype=np.int64)
+    tris = np.concatenate([np.zeros(0, dtype=np.int64)]
+                          + [stars[v] for v in flat])
+    slot = np.argmax(mesh.triangles[tris] == np.repeat(flat, counts)[:, None],
+                     axis=1)
+    nt = len(mesh.triangles)
+    keys, inv = np.unique(np.repeat(owner, counts) * nt + tris,
+                          return_inverse=True)
+    slots = np.full((len(keys), 3), -1, dtype=np.int64)
+    slots[inv, slot] = np.repeat(pos, counts)
+    return (keys % nt, slots,
+            np.searchsorted(keys, np.arange(len(lists) + 1) * nt))
+
+
 def triangle_table(indices, mesh):
     """Triangle rows of the requested vertex indices.
 
     Each output row is (triangle, slot0, slot1, slot2); slot p holds the
     1-based position of vertex p of the triangle inside ``indices``, or 0
     when that vertex was not requested. Rows are sorted by triangle index,
-    each triangle appearing exactly once. Built from the concatenated
-    vertex stars: every (triangle, slot) pair is written at most once, as
-    the indices are distinct.
+    each triangle appearing exactly once: the linear element table of the
+    one list (see :func:`element_tables`).
     """
-    indices = np.asarray(indices, dtype=np.int64)
-    if len(np.unique(indices)) != len(indices):
-        raise ConfigError("duplicate indices in triangle_table")
-    if len(indices) == 0:
-        return TriangleTable(np.zeros((0, 4), dtype=np.int64))
-    stars = mesh.vertex_stars()
-    stars = [stars[v] for v in indices]
-    counts = [len(st) for st in stars]
-    tris = np.concatenate(stars)
-    verts = np.repeat(indices, counts)
-    slot = np.argmax(mesh.triangles[tris] == verts[:, None], axis=1)
-    uniq, inv = np.unique(tris, return_inverse=True)
-    rows = np.zeros((len(uniq), 4), dtype=np.int64)
-    rows[:, 0] = uniq
-    rows[inv, 1 + slot] = np.repeat(np.arange(1, len(indices) + 1), counts)
-    return TriangleTable(rows)
+    elements, slots, _ = element_tables(mesh, "linear", [indices])
+    return TriangleTable(np.c_[elements, slots + 1])
 
 
 def _norm3(v, axis=-1):
@@ -450,56 +481,37 @@ def collocation_evaluator(kinds, mesh, q_reg, q_sing):
     return evaluate
 
 
-def element_table(mesh, basis, indices):
-    """Element table of an index list for the executor: (elements, slots).
-
-    ``basis`` "constant": the listed triangles in ascending order, each with
-    its 0-based position in ``indices``. "linear": the triangles of
-    :func:`triangle_table`, each with the 0-based positions of its three
-    vertices, -1 for a vertex not listed. "collocation" (rows of a
-    collocation block): the listed points in order, each with its position.
-    """
-    indices = np.asarray(indices, dtype=np.int64)
-    if basis == "collocation":
-        return indices, np.arange(len(indices))[:, None]
-    if basis == "constant":
-        order = np.argsort(indices, kind="stable")
-        tris = indices[order]
-        if np.any(tris[1:] == tris[:-1]):
-            raise ConfigError("duplicate indices")
-        return tris, order[:, None]
-    table = triangle_table(indices, mesh).rows
-    return table[:, 0], table[:, 1:] - 1
-
-
-def make_galerkin_executor(kind, mesh, basis, out, orders=(3, 5),
-                           capacity=DEFAULT_CAPACITY, threads=None):
-    """Executor of one kernel or a tuple of them, with one buffer each."""
+def make_executor(kind, mesh, basis, disc, out, orders=(3, 5),
+                  capacity=DEFAULT_CAPACITY, threads=None):
+    """The executor of one kernel or a tuple of them, with one buffer each,
+    for the ``disc`` ("galerkin", "collocation") of ``basis``, and the row
+    and column kinds of its element tables (see :func:`element_tables`)."""
     q_reg, q_sing = orders
-    width = 1 if basis == "constant" else 3
-    return BatchExecutor(
-        galerkin_classify(mesh),
-        galerkin_pair_evaluator(kind, mesh, basis, q_reg, q_sing), out,
-        num_cases=4, row_width=width, col_width=width, capacity=capacity,
-        threads=threads)
+    if disc == "galerkin":
+        return (BatchExecutor(
+            galerkin_classify(mesh),
+            galerkin_pair_evaluator(kind, mesh, basis, q_reg, q_sing), out,
+            4, capacity, threads), (basis, basis))
+    if disc == "collocation":
+        if basis != "linear":
+            raise ConfigError("collocation rows pair with the linear basis")
+        return (BatchExecutor(
+            collocation_classify(mesh),
+            collocation_evaluator(kind, mesh, q_reg, q_sing), out, 2,
+            capacity, threads), ("collocation", "linear"))
+    raise ConfigError("unknown discretization %r" % (disc,))
 
 
-def make_collocation_executor(kind, mesh, out, orders=(3, 5),
-                              capacity=DEFAULT_CAPACITY, threads=None):
-    q_reg, q_sing = orders
-    return BatchExecutor(
-        collocation_classify(mesh),
-        collocation_evaluator(kind, mesh, q_reg, q_sing), out,
-        num_cases=2, row_width=1, col_width=3, capacity=capacity,
-        threads=threads)
-
-
-def _assemble(ex, values, mesh, kinds, rows, cols):
-    """Fill ``values``, the executor's rows x cols buffer; ``kinds`` are the
-    row and column kinds of :func:`element_table`."""
+def _assemble(kind, mesh, basis, disc, rows, cols, orders, capacity,
+              threads):
+    """The rows x cols block of ``disc``, from one executor."""
+    values = np.zeros((len(rows), len(cols)))
+    ex, kinds = make_executor(kind, mesh, basis, disc, values, orders,
+                              capacity, threads)
     with ex:
-        (tri_r, rslots), (tri_c, cslots) = (
-            element_table(mesh, k, idx) for k, idx in zip(kinds, (rows, cols)))
+        (tri_r, rslots, _), (tri_c, cslots, _) = (
+            element_tables(mesh, k, [idx])
+            for k, idx in zip(kinds, (rows, cols)))
         ex.enqueue_many(tri_r, tri_c, values, rslots, cslots)
         ex.finalize()
     return DenseBlock(np.asarray(rows), np.asarray(cols), values)
@@ -508,21 +520,15 @@ def _assemble(ex, values, mesh, kinds, rows, cols):
 def assemble_galerkin_block(kind, mesh, basis, rows, cols, orders=(3, 5),
                             capacity=DEFAULT_CAPACITY, threads=None):
     """Dense Galerkin block of the slp/dlp operator on the given index lists."""
-    values = np.zeros((len(rows), len(cols)))
-    ex = make_galerkin_executor(kind, mesh, basis, values, orders, capacity,
-                                threads)
-    return _assemble(ex, values, mesh, (basis, basis), rows, cols)
+    return _assemble(kind, mesh, basis, "galerkin", rows, cols, orders,
+                     capacity, threads)
 
 
 def assemble_collocation_block(kind, mesh, basis, rows, cols, orders=(3, 5),
                                capacity=DEFAULT_CAPACITY, threads=None):
     """Collocation block: single surface integrals g(x_i, .) phi_j."""
-    if basis != "linear":
-        raise ConfigError("collocation rows pair with the linear basis")
-    values = np.zeros((len(rows), len(cols)))
-    ex = make_collocation_executor(kind, mesh, values, orders, capacity,
-                                   threads)
-    return _assemble(ex, values, mesh, ("collocation", "linear"), rows, cols)
+    return _assemble(kind, mesh, basis, "collocation", rows, cols, orders,
+                     capacity, threads)
 
 
 def _touch_guard(r):
@@ -572,9 +578,6 @@ def _green_factor(segments, rule, mesh, basis, q, kind, row):
     evaluated in chunks of whole segments of about _POINT_BUDGET kernel
     points, so each row's values depend on its own segment only."""
     k = rule.k
-    if rule.points.ndim == 2:
-        rule = rule._replace(points=rule.points[None],
-                             weights=rule.weights[None])
     rows = [np.asarray(ix, dtype=np.int64) for ix, _ in segments]
     sizes = np.array([len(r) for r in rows], dtype=np.int64)
     diam = np.array([box.diameter() for _, box in segments])[:, None]
@@ -589,10 +592,8 @@ def _green_factor(segments, rule, mesh, basis, q, kind, row):
         seg = np.repeat(np.arange(s0, s1), sizes[s0:s1])
         tris, tseg = np.concatenate(rows[s0:s1]), seg
         if basis == "linear":
-            tables = [triangle_table(r, mesh).rows for r in rows[s0:s1]]
-            table = np.concatenate(tables)
-            tris = table[:, 0]
-            tseg = np.repeat(np.arange(s0, s1), [len(t) for t in tables])
+            tris, slots, start = element_tables(mesh, "linear", rows[s0:s1])
+            tseg = np.repeat(np.arange(s0, s1), np.diff(start))
         if basis == "collocation":  # each row one point, of weight 1
             xq, gw = mesh.vertices[tris][:, None, :], np.ones((len(tris), 1))
         else:
@@ -615,9 +616,9 @@ def _green_factor(segments, rule, mesh, basis, q, kind, row):
             g, h = np.zeros((len(seg), k)), np.zeros((len(seg), k))
             at = first[tseg] - first[s0]
             for a in range(3):
-                ok = table[:, 1 + a] > 0
-                np.add.at(g, at[ok] + table[ok, 1 + a] - 1, vg[ok, a])
-                np.add.at(h, at[ok] + table[ok, 1 + a] - 1, vh[ok, a])
+                ok = slots[:, a] >= 0
+                np.add.at(g, at[ok] + slots[ok, a], vg[ok, a])
+                np.add.at(h, at[ok] + slots[ok, a], vh[ok, a])
         part = out[first[s0]:first[s1]]
         if row:
             part[:, :k] = sq[seg] * g
@@ -628,29 +629,26 @@ def _green_factor(segments, rule, mesh, basis, q, kind, row):
     return out
 
 
-def green_row_factor(cluster, rule, mesh, basis, orders=(3, 5)):
-    """Row factor A: columns nu carry sqrt(w_nu) g-moments, columns nu+k the
-    -d_tau sqrt(w_nu) normal-derivative moments, d_tau = diam of the cluster
-    box. Collocation rows are plain point evaluations.  Under a rule of
-    several boxes (see ``quadrature.green_box_rule``), ``cluster`` is a
-    list of (indices, box) segments, one per box: their factors, stacked
-    by rows, bitwise as each alone."""
-    if rule.points.ndim == 2:
-        cluster = [(cluster.indices, cluster.box)]
-    return _green_factor(cluster, rule, mesh, basis, orders[0], "slp", True)
+def green_row_factor(segments, rule, mesh, basis, orders=(3, 5)):
+    """Row factors A of the (indices, box) segments under a rule of one box
+    per segment (see ``quadrature.green_box_rule``), stacked by rows, each
+    bitwise as alone: columns nu carry sqrt(w_nu) g-moments, columns nu+k
+    the -d_tau sqrt(w_nu) normal-derivative moments, d_tau = diam of the
+    box. Collocation rows are plain point evaluations."""
+    return _green_factor(segments, rule, mesh, basis, orders[0], "slp",
+                         True)
 
 
-def green_col_factor(pair, rule, mesh, basis, orders=(3, 5), kind="slp"):
-    """Column factor B for the pair (tau, sigma), using tau's rule and d_tau;
+def green_col_factor(segments, rule, mesh, basis, orders=(3, 5),
+                     kind="slp"):
+    """Column factors B of the (sigma's indices, tau's box) segments, using
+    tau's rule and d_tau, stacked as :func:`green_row_factor` stacks them;
     A @ B.T approximates the block on tau x sigma of the ``kind`` kernel:
-    the dlp factor is the slp one differentiated along n_y.  Under a rule
-    of several boxes, ``pair`` is a list of (sigma's indices, tau's box)
-    segments, stacked as :func:`green_row_factor` stacks them."""
+    the dlp factor is the slp one differentiated along n_y."""
     if basis == "collocation":
         raise ConfigError("column factors integrate a Galerkin basis")
-    if rule.points.ndim == 2:
-        pair = [(pair[1].indices, pair[0].box)]
-    return _green_factor(pair, rule, mesh, basis, orders[0], kind, False)
+    return _green_factor(segments, rule, mesh, basis, orders[0], kind,
+                         False)
 
 
 def triangle_areas(mesh, q=3):

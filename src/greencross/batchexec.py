@@ -7,12 +7,14 @@ stride, rows, columns), and one product of tasks: every element of a row
 table paired with every element of a column table. A table lists elements,
 each carrying the local slots its values scatter to (-1: unused), and one
 table serves every block that names it, so a caller builds it once per
-distinct index list. ``enqueue_blocks`` records any number of blocks in one
-call, as a few arrays; ``enqueue_many`` is its one-block case, the block
-given as a 2-D view into the first buffer. Nothing is evaluated before
-``finalize``, which sorts the row entries of all blocks (the entries of
-their row tables) by element and walks them in ascending order, window by
-window:
+distinct index list. Tables come joined, (elements, slots, start) with
+table t at rows start[t]:start[t + 1], and the slot arrays' widths are
+those of the evaluator's values, the same in every call. ``enqueue_blocks``
+records any number of blocks in one call, as a few arrays; ``enqueue_many``
+is its one-block case, one table per side, the block given as a 2-D view
+into the first buffer. Nothing is evaluated before ``finalize``, which
+sorts the row entries of all blocks (the entries of their row tables) by
+element and walks them in ascending order, window by window:
 
 1. a window holds whole row elements (all the blocks that list them), so
    every (row, col) element pair of the build lives in exactly one window;
@@ -92,15 +94,17 @@ _Layout = namedtuple("_Layout", "rows rec rs cols cs coff ncol case offset "
                                 "stride span")
 
 
-def _tables(tables, width):
-    """Element tables (elements, slots) back to back: the elements, the
-    slots (n, width) and every table's start, then the end."""
-    elems = [np.asarray(e, dtype=np.int64).reshape(-1) for e, _ in tables]
-    slots = [np.asarray(s, dtype=np.int64).reshape(len(e), width)
-             for e, (_, s) in zip(elems, tables)]
-    return (np.concatenate([np.zeros(0, dtype=np.int64)] + elems),
-            np.concatenate([np.zeros((0, width), dtype=np.int64)] + slots),
-            np.cumsum([0] + [len(e) for e in elems]))
+def _tables(tables):
+    """Joined element tables (elements, slots, start) as int64 arrays,
+    checked: slots (len(elements), width), start rising from 0 to
+    len(elements)."""
+    elems, slots, start = (np.asarray(a, dtype=np.int64) for a in tables)
+    if (slots.ndim != 2 or slots.shape[:1] != elems.shape
+            or not slots.shape[1] or start.ndim != 1 or start[0] != 0
+            or start[-1] != len(elems) or np.any(np.diff(start) < 0)):
+        raise ConfigError("element tables are (elements, slots of shape "
+                          "(elements, width), start)")
+    return elems, slots, start
 
 
 def _top(slots, start):
@@ -175,8 +179,7 @@ class BatchExecutor:
     """
 
     def __init__(self, classify, evaluator, out, num_cases=4,
-                 row_width=1, col_width=1, capacity=DEFAULT_CAPACITY,
-                 threads=None):
+                 capacity=DEFAULT_CAPACITY, threads=None):
         if capacity < 1:
             raise ConfigError("capacity must be >= 1")
         if threads is None:
@@ -189,13 +192,11 @@ class BatchExecutor:
             raise ConfigError("the buffer must be C-contiguous float64")
         self.capacity = capacity
         self.threads = threads
-        self.row_width = row_width
-        self.col_width = col_width
         self._classify = classify
         self._evaluator = evaluator
         self._outs = [o.reshape(-1) for o in outs]
         self.kernels = len(outs)
-        self._dedupe = self.kernels * row_width * col_width > 1
+        self._widths = None  # (row, column) slot widths, from the first call
         self._num_cases = num_cases
         self._records = []
         self._open = True
@@ -214,24 +215,28 @@ class BatchExecutor:
         stride = target.strides[0] // size
         return offset, stride
 
-    def enqueue_blocks(self, row_tables, col_tables, row_ids, col_ids,
-                       places, cases):
+    def enqueue_blocks(self, rows, cols, row_ids, col_ids, places, cases):
         """Record one product of tasks per block.
 
-        row_tables and col_tables list element tables (elements, slots):
-        slots has one row of row_width (col_width) entries per element, the
-        element's target rows (columns) in a block, -1 marking an unused
-        slot. Block k pairs every element of row table row_ids[k] with
-        every element of column table col_ids[k]. places[k] = (offset, row
-        stride, rows, columns) locates the block in the buffer, one place
-        per kernel with several, offset -1 for a kernel it does not take;
-        cases[k] is the singularity case of all its pairs, or -1 to
-        classify each pair; a known case skips classification.
+        rows and cols are element tables joined back to back, (elements,
+        slots, start): table t lists elements[start[t]:start[t + 1]], and
+        slots has one row per element, the element's target rows (columns)
+        in a block, -1 marking an unused slot; its width is the row
+        (column) width of every call. Block k pairs every element of row
+        table row_ids[k] with every element of column table col_ids[k].
+        places[k] = (offset, row stride, rows, columns) locates the block
+        in the buffer, one place per kernel with several, offset -1 for a
+        kernel it does not take; cases[k] is the singularity case of all
+        its pairs, or -1 to classify each pair; a known case skips
+        classification.
         """
         if not self._open:
             raise StateError("enqueue after finalize or close")
-        rows = _tables(row_tables, self.row_width)
-        cols = _tables(col_tables, self.col_width)
+        rows, cols = _tables(rows), _tables(cols)
+        widths = (rows[1].shape[1], cols[1].shape[1])
+        if self._widths not in (None, widths):
+            raise ConfigError("slot widths %r, but %r in earlier calls"
+                              % (widths, self._widths))
         row_ids = np.asarray(row_ids, dtype=np.int64).reshape(-1)
         col_ids = np.asarray(col_ids, dtype=np.int64).reshape(-1)
         places = np.asarray(places, dtype=np.int64).reshape(
@@ -255,6 +260,7 @@ class BatchExecutor:
         if np.any(taken & (nrows > 0) & (ncols > 0)
                   & ((offset < 0) | (stride < 0) | (last >= size))):
             raise ConfigError("block is not inside the executor's buffer")
+        self._widths = widths
         keep = ((np.diff(rows[2])[row_ids] > 0)
                 & (np.diff(cols[2])[col_ids] > 0))
         if keep.any():
@@ -265,18 +271,19 @@ class BatchExecutor:
                      case=None):
         """Record the len(rows) x len(cols) tasks (rows[i], cols[j]).
 
-        The one-block case of :meth:`enqueue_blocks`: ``target`` is the
-        block, a 2-D view into the buffer of the first kernel. row_slots
-        (len(rows), row_width) and col_slots (len(cols), col_width) hold
-        each element's target rows and columns in it. ``case``, when given,
-        is the singularity case of every pair.
+        The one-block case of :meth:`enqueue_blocks`, over one row and one
+        column table: ``target`` is the block, a 2-D view into the buffer
+        of the first kernel. row_slots (len(rows), row_width) and col_slots
+        (len(cols), col_width) hold each element's target rows and columns
+        in it. ``case``, when given, is the singularity case of every pair.
         """
         if not self._open:
             raise StateError("enqueue after finalize or close")
         places = np.full((self.kernels, 4), -1)
         places[0] = self._place(target) + target.shape
-        self.enqueue_blocks([(rows, row_slots)], [(cols, col_slots)], [0],
-                            [0], [places], [-1 if case is None else case])
+        self.enqueue_blocks((rows, row_slots, [0, len(rows)]),
+                            (cols, col_slots, [0, len(cols)]), [0], [0],
+                            [places], [-1 if case is None else case])
 
     def finalize(self):
         """Evaluate the recorded tasks and add their values into the buffer.
@@ -324,7 +331,7 @@ class BatchExecutor:
                 self._run_window(pool, layout, start, stop, scratch)
 
     def _run_window(self, pool, lay, start, stop, buf):
-        rw, cw, nk = self.row_width, self.col_width, self.kernels
+        (rw, cw), nk = self._widths, self.kernels
         rec = lay.rec[start:stop]
         length = lay.ncol[rec]
         first = np.cumsum(length) - length
@@ -336,7 +343,7 @@ class BatchExecutor:
         rows = np.take(lay.rows[start:stop], run, out=buf("rows", n))
         cols = np.take(lay.cols, col, out=buf("cols", n))
         case = np.take(lay.case[rec], run, out=buf("case", n))
-        if self._dedupe:
+        if nk * rw * cw > 1:  # else a pair is one entry of one block
             _, pick, pair = np.unique(rows * lay.span + cols,
                                       return_index=True, return_inverse=True)
             known = np.flatnonzero(case >= 0)
@@ -404,7 +411,7 @@ class BatchExecutor:
         is left unset); returns a function that waits for and returns the
         values.
         """
-        nk = self.kernels
+        (rw, cw), nk = self._widths, self.kernels
         sets = (1 << nk) - 1  # kernel sets, by bit mask
         key = case if nk == 1 else case * sets + need - 1
         by_key = np.argsort(key, kind="stable")
@@ -422,8 +429,7 @@ class BatchExecutor:
                 batches += [(c, kernels, by_key[b:min(e, b + self.capacity)])
                             for b in range(s, e, self.capacity)]
         # batches write disjoint rows
-        values = values.reshape(len(rows), nk, self.row_width,
-                                self.col_width)
+        values = values.reshape(len(rows), nk, rw, cw)
 
         def work():
             # each worker pulls batches until none is left
@@ -437,8 +443,7 @@ class BatchExecutor:
                 try:
                     got = np.reshape(
                         self._evaluator(c, rows[idx], cols[idx], kernels),
-                        (len(idx), len(kernels), self.row_width,
-                         self.col_width))
+                        (len(idx), len(kernels), rw, cw))
                     if len(kernels) == nk:
                         values[idx] = got
                     else:

@@ -118,6 +118,16 @@ def infer_level(mesh):
     return level if 8 * 4 ** level == nt else -1
 
 
+def _config_and_mesh(args):
+    """The config of a subcommand's flags and its mesh; an omitted level
+    is inferred from the mesh."""
+    cfg = config_from_args(args)
+    mesh = load_mesh(args.mesh, cfg)
+    if cfg.level < 0:
+        cfg = cfg._replace(level=infer_level(mesh))
+    return cfg, mesh
+
+
 def dof_count(mesh, basis):
     return mesh.nt if basis == "constant" else mesh.nv
 
@@ -238,10 +248,7 @@ def cmd_mesh(args):
 
 
 def cmd_compress(args):
-    cfg = config_from_args(args)
-    mesh = load_mesh(args.mesh, cfg)
-    if cfg.level < 0:
-        cfg = cfg._replace(level=infer_level(mesh))
+    cfg, mesh = _config_and_mesh(args)
     n = dof_count(mesh, cfg.basis)
     want_dense = not args.no_dense
     if want_dense and 8 * n * n > DENSE_BYTES:
@@ -350,16 +357,13 @@ def dirichlet_rhs(hm, mesh, cfg, v_h):
 
 
 def cmd_solve(args):
-    cfg = config_from_args(args)
     if not (np.isfinite(args.cg_tol) and args.cg_tol > 0.0):
         raise ConfigError("cg tolerance must be finite and positive, got %g"
                           % args.cg_tol)
     if args.cg_max_iter is not None and args.cg_max_iter < 1:
         raise ConfigError("cg iteration cap must be at least 1, got %d"
                           % args.cg_max_iter)
-    mesh = load_mesh(args.mesh, cfg)
-    if cfg.level < 0:
-        cfg = cfg._replace(level=infer_level(mesh))
+    cfg, mesh = _config_and_mesh(args)
     n = dof_count(mesh, cfg.basis)
     source = np.asarray(cfg.source)
     points = dof_points(mesh, cfg.basis)
@@ -399,10 +403,7 @@ def cmd_solve(args):
 
 
 def cmd_stats(args):
-    cfg = config_from_args(args)
-    mesh = load_mesh(args.mesh, cfg)
-    if cfg.level < 0:
-        cfg = cfg._replace(level=infer_level(mesh))
+    cfg, mesh = _config_and_mesh(args)
     hm, _, _ = build_h2_operator(mesh, cfg, capacity=args.capacity,
                                  threads=args.threads)
     rows = [{"case": KIND_NAMES[st["case"]], "batches": st["batches"],

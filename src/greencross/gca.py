@@ -366,33 +366,17 @@ class H2Matrix:
             self.shape + (len(self.coupling), len(self.nearfield)))
 
 
-def _make_executor(kind, mesh, basis, disc, out, orders, capacity, threads):
-    """The executor of a build (one kernel or several, one buffer each) and
-    the row and column kinds of its element tables (see
-    ``assembly.element_table``)."""
-    if disc == "galerkin":
-        return (assembly.make_galerkin_executor(kind, mesh, basis, out,
-                                                orders, capacity, threads),
-                (basis, basis))
-    if disc == "collocation":
-        if basis != "linear":
-            raise ConfigError("collocation rows pair with the linear basis")
-        return (assembly.make_collocation_executor(kind, mesh, out, orders,
-                                                   capacity, threads),
-                ("collocation", "linear"))
-    raise ConfigError("unknown discretization %r" % (disc,))
-
-
 def _tables(mesh, kind, side):
-    """Element tables of one side of a build's blocks, which ``side`` names
-    as (key, indices) each: the table of each distinct key, built once, and
-    each block's table id."""
-    ids, tables = {}, []
+    """The joined element tables of one side of a build's blocks, which
+    ``side`` names as (key, indices) each, one per distinct key from one
+    ``assembly.element_tables`` call, and each block's table id."""
+    ids, lists = {}, []
     for key, indices in side:
         if key not in ids:
-            ids[key] = len(tables)
-            tables.append(assembly.element_table(mesh, kind, indices))
-    return tables, [ids[key] for key, _ in side]
+            ids[key] = len(lists)
+            lists.append(indices)
+    return (assembly.element_tables(mesh, kind, lists),
+            [ids[key] for key, _ in side])
 
 
 def _far_cases(rows, cols):
@@ -437,7 +421,8 @@ def _mirrored(leaves):
 def _upper_triangles(clusters, places):
     """``enqueue_blocks`` arguments for the upper triangles of diagonal
     constant-basis leaves at their places: per row element i of a leaf,
-    one 1 x (n - i) product with the suffix of its column list."""
+    one 1 x (n - i) product with the suffix of its column list, as joined
+    tables of one row element and one suffix each."""
     sizes = np.array([c.size for c in clusters])
     elems = np.concatenate([c.indices for c in clusters])
     pos = np.arange(len(elems)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -446,9 +431,8 @@ def _upper_triangles(clusters, places):
     cols = np.arange(count.sum()) - np.repeat(first - np.arange(len(elems)),
                                               count)
     ids = np.arange(len(elems))
-    return (list(zip(elems[:, None], pos[:, None, None])),
-            list(zip(np.split(elems[cols], first[1:]),
-                     np.split(pos[cols, None], first[1:]))),
+    return ((elems, pos[:, None], np.arange(len(elems) + 1)),
+            (elems[cols], pos[cols, None], np.r_[first, len(cols)]),
             ids, ids, np.repeat(places, sizes, axis=0), np.full(len(ids), -1))
 
 
@@ -466,17 +450,22 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     A constant-basis slp Galerkin build with one basis is symmetric,
     bitwise so under the evaluator's orientation rule.  It evaluates only
     the leaves with row cluster <= column cluster and writes every other
-    leaf as its partner's transpose.  Built alone (no ``dlp_basis``), it
-    evaluates a diagonal leaf's upper triangle only, as one product per
-    row element (see :func:`_upper_triangles`), and writes its strict
-    lower triangle as the transpose; so each unordered triangle pair is
-    integrated once.  Other builds evaluate every leaf whole.
+    leaf as its partner's transpose.  Of a diagonal leaf it evaluates the
+    upper triangle only, as one product per row element (see
+    :func:`_upper_triangles`), and writes its strict lower triangle as the
+    transpose; so each unordered triangle pair is integrated once.  Other
+    builds evaluate every leaf whole.
 
     Given ``dlp_basis``, a dlp column basis, an slp build also assembles
     the dlp operator K, returned as the matrix's ``dlp``, in the same
     executor pass: exact couplings at the row x dlp column pivots, the
-    same nearfield leaves, each shared triangle pair evaluated once for
-    both kernels.  V's blocks stay bitwise the same.
+    same nearfield leaves, K's whole, each shared triangle pair evaluated
+    once for the kernels it is needed for.  V's blocks stay bitwise the
+    same, and V asks for the single layer on the pairs it alone would.
+
+    The tables of all blocks come joined (see ``assembly.element_tables``),
+    one call per side, and all blocks go to the executor in one call, the
+    diagonal upper triangles in a second.
 
     The bases may be flat (see :func:`build_flat_gca`).  A row node
     without pivots (a Green factor, see :func:`build_green`) has no exact
@@ -490,9 +479,8 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     if ((kind, basis, disc) == ("slp", "constant", "galerkin")
             and row_basis is col_basis):
         evaluate, mirrored = _mirrored(leaves)
-        if dlp_basis is None:
-            diagonal = [k for k in evaluate if leaves[k].row is leaves[k].col]
-            evaluate = np.setdiff1d(evaluate, diagonal)
+        diagonal = [k for k in evaluate if leaves[k].row is leaves[k].col]
+        evaluate = np.setdiff1d(evaluate, diagonal)
     evaluate = [k for k in evaluate if k >= len(far)
                 or row_basis.node(far[k].row).pivots is not None]
     shape = (btree.row.size, btree.col.size)
@@ -525,22 +513,23 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
                     nested.node(cluster).pivots)
         return ("c", cluster.index), cluster.indices
 
-    ex, kinds = _make_executor((kind, "dlp")[:len(layouts)], mesh, basis,
-                               disc, [p.blocks.data for p, *_ in layouts],
-                               orders, capacity, threads)
+    ex, kinds = assembly.make_executor(
+        (kind, "dlp")[:len(layouts)], mesh, basis, disc,
+        [p.blocks.data for p, *_ in layouts], orders, capacity, threads)
     with ex:
-        # every block with one executor call
-        row_tables, row_ids = _tables(
-            mesh, kinds[0], [side(row_basis, k, leaves[k].row)
-                             for k in blocks])
-        col_tables, col_ids = _tables(
-            mesh, kinds[1], [side(col_bases[j], k, leaves[k].col)
-                             for k, j in zip(blocks, owner)])
-        ex.enqueue_blocks(row_tables, col_tables, row_ids, col_ids, places,
-                          cases[blocks])
+        rows, row_ids = _tables(mesh, kinds[0],
+                                [side(row_basis, k, leaves[k].row)
+                                 for k in blocks])
+        cols, col_ids = _tables(mesh, kinds[1],
+                                [side(col_bases[j], k, leaves[k].col)
+                                 for k, j in zip(blocks, owner)])
+        ex.enqueue_blocks(rows, cols, row_ids, col_ids, places, cases[blocks])
         if diagonal:
+            # V's place only: K, if built, takes these leaves whole above
+            upper = np.full((len(diagonal), len(layouts), 4), -1)
+            upper[:, 0] = layouts[0][3][diagonal]
             ex.enqueue_blocks(*_upper_triangles(
-                [leaves[k].row for k in diagonal], layouts[0][3][diagonal]))
+                [leaves[k].row for k in diagonal], upper))
         ex.finalize()
     views = layouts[0][1] + layouts[0][2]
     for k, p in mirrored:

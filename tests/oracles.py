@@ -7,7 +7,6 @@ expanded to its dense matrix, an operator applied block by block. The
 program itself works on batches.
 """
 from collections import namedtuple
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -94,15 +93,22 @@ def aca_reference(a, eps, max_rank=None):
     return gca.Interpolation(pivots, v)
 
 
+def one_box(rule):
+    """The rule of one box (``quadrature.green_box_rule`` of a box) as a
+    rule of a list of one box, the form the Green factors take."""
+    return rule._replace(points=rule.points[None],
+                         weights=rule.weights[None])
+
+
 def _node_factor(cluster, rows, mesh, basis, m, delta_factor, orders, side,
                  kind):
     """One cluster's Green factor at the given rows, under its own rule."""
-    rule = quad.green_box_rule(cluster.box,
-                               delta_factor * cluster.box.diameter(), m)
-    stub = SimpleNamespace(indices=rows, box=cluster.box)
+    rule = one_box(quad.green_box_rule(
+        cluster.box, delta_factor * cluster.box.diameter(), m))
+    segment = [(rows, cluster.box)]
     if side == "row":
-        return assembly.green_row_factor(stub, rule, mesh, basis, orders)
-    return assembly.green_col_factor((stub, stub), rule, mesh, basis, orders,
+        return assembly.green_row_factor(segment, rule, mesh, basis, orders)
+    return assembly.green_col_factor(segment, rule, mesh, basis, orders,
                                      kind)
 
 

@@ -11,7 +11,7 @@ from greencross.clustering import (BoundingBox, build_block_tree,
 from greencross.errors import ConfigError
 from greencross.geometry import build_sphere_mesh, shape_functions, to_curved
 from greencross.quadrature import green_box_rule
-from oracles import chart_eval, surface_area
+from oracles import chart_eval, one_box, surface_area
 
 FOUR_PI = 4.0 * np.pi
 
@@ -62,6 +62,46 @@ def test_triangle_table_random_sets(sphere3):
 def test_triangle_table_rejects_bad_input(sphere2):
     with pytest.raises(ConfigError):
         assembly.triangle_table([1, 1, 2], sphere2)
+
+
+def _table_alone(mesh, kind, indices):
+    """One index list's element table, the plain way."""
+    indices = np.asarray(indices, dtype=np.int64)
+    if kind == "collocation":
+        return indices, np.arange(len(indices))[:, None]
+    if kind == "constant":
+        order = np.argsort(indices)
+        return indices[order], order[:, None]
+    pos = np.full(mesh.nv, -1)
+    pos[indices] = np.arange(len(indices))
+    slots = pos[mesh.triangles]
+    tris = np.flatnonzero((slots >= 0).any(axis=1))
+    return tris, slots[tris]
+
+
+@pytest.mark.parametrize("kind", ["constant", "linear", "collocation"])
+def test_element_tables_of_many_lists_equal_each_alone(kind):
+    """The joined tables of every node list of a curved L4 tree, with an
+    empty list among them, are each list's table alone, back to back."""
+    mesh = to_curved(build_sphere_mesh(4), project_to_unit_sphere=True)
+    tree = build_cluster_tree(
+        mesh, "constant" if kind == "constant" else "linear", leaf_size=16)
+    lists = [c.indices for c in tree.nodes()]
+    lists.insert(len(lists) // 2, [])
+    elems, slots, start = assembly.element_tables(mesh, kind, lists)
+    assert len(start) == len(lists) + 1 and start[0] == 0
+    for k, indices in enumerate(lists):
+        tris, want = _table_alone(mesh, kind, indices)
+        assert np.array_equal(elems[start[k]:start[k + 1]], tris)
+        assert np.array_equal(slots[start[k]:start[k + 1]], want)
+
+
+@pytest.mark.parametrize("kind", ["constant", "linear"])
+def test_element_tables_reject_a_duplicate_in_one_list(sphere2, kind):
+    """An index may sit in several lists, but only once in each."""
+    assembly.element_tables(sphere2, kind, [[1, 2], [2, 3]])
+    with pytest.raises(ConfigError):
+        assembly.element_tables(sphere2, kind, [[1, 2], [3, 4, 3]])
 
 
 @pytest.mark.parametrize("level, curved, count", [
@@ -168,9 +208,10 @@ def test_green_factor_convergence(sphere3, dense_slp3):
     rels = []
     for m in range(2, 7):
         rule = green_box_rule(blk.row.box, 0.5 * blk.row.box.diameter(), m)
-        a = assembly.green_row_factor(blk.row, rule, sphere3, "constant")
-        b = assembly.green_col_factor((blk.row, blk.col), rule, sphere3,
-                                      "constant")
+        a = assembly.green_row_factor([(blk.row.indices, blk.row.box)],
+                                      one_box(rule), sphere3, "constant")
+        b = assembly.green_col_factor([(blk.col.indices, blk.row.box)],
+                                      one_box(rule), sphere3, "constant")
         assert a.shape == (blk.row.size, 2 * rule.k)
         assert b.shape == (blk.col.size, 2 * rule.k)
         rels.append(np.linalg.norm(a @ b.T - g) / ng)
@@ -217,9 +258,10 @@ def test_green_factor_scaling_invariance(sphere3):
         half = 0.5 * scale * (blk.row.box.upper - blk.row.box.lower)
         stub = SimpleNamespace(box=BoundingBox(center - half, center + half),
                                indices=blk.row.indices)
-        a = assembly.green_row_factor(stub, rule, sphere3, "constant")
-        b = assembly.green_col_factor((stub, blk.col), rule, sphere3,
-                                      "constant")
+        a = assembly.green_row_factor([(stub.indices, stub.box)],
+                                      one_box(rule), sphere3, "constant")
+        b = assembly.green_col_factor([(blk.col.indices, stub.box)],
+                                      one_box(rule), sphere3, "constant")
         prods.append(a @ b.T)
     diff = np.linalg.norm(prods[0] - prods[1]) / np.linalg.norm(prods[0])
     assert diff < 1e-13
@@ -229,8 +271,8 @@ def test_green_col_factor_rejects_collocation(sphere3):
     blk = _best_separated_block(sphere3)
     rule = green_box_rule(blk.row.box, 0.5 * blk.row.box.diameter(), 2)
     with pytest.raises(ConfigError):
-        assembly.green_col_factor((blk.row, blk.col), rule, sphere3,
-                                  "collocation")
+        assembly.green_col_factor([(blk.col.indices, blk.row.box)],
+                                  one_box(rule), sphere3, "collocation")
 
 
 @pytest.mark.parametrize("geometry", ["plane", "curved"])
@@ -261,11 +303,13 @@ def test_stacked_green_factors_match_one_box_factors(geometry):
         first = np.cumsum([0] + [c.size for c in nodes])
         for n, c in enumerate(nodes):
             rule = green_box_rule(c.box, 0.5 * c.box.diameter(), 2)
-            one = {"row": assembly.green_row_factor(c, rule, mesh, basis,
+            rule = one_box(rule)
+            one = {"row": assembly.green_row_factor([(c.indices, c.box)],
+                                                    rule, mesh, basis,
                                                     (2, 4))}
             for kind in set(stacked) - {"row"}:
-                one[kind] = assembly.green_col_factor((c, c), rule, mesh,
-                                                      basis, (2, 4), kind)
+                one[kind] = assembly.green_col_factor(
+                    [(c.indices, c.box)], rule, mesh, basis, (2, 4), kind)
             for key, a in one.items():
                 assert np.array_equal(a, stacked[key][first[n]:first[n + 1]])
 
@@ -275,7 +319,8 @@ def test_collocation_green_row_factor(sphere3):
     tree = build_cluster_tree(sphere3, "linear", leaf_size=16)
     leaf = tree.leaves()[0]
     rule = green_box_rule(leaf.box, 0.5 * leaf.box.diameter(), 3)
-    a = assembly.green_row_factor(leaf, rule, sphere3, "collocation")
+    a = assembly.green_row_factor([(leaf.indices, leaf.box)], one_box(rule),
+                                  sphere3, "collocation")
     x = sphere3.vertices[leaf.indices]
     r = np.linalg.norm(x[:, None, :] - rule.points[None, :, :], axis=2)
     expected = np.sqrt(rule.weights)[None, :] / (FOUR_PI * r)

@@ -169,8 +169,8 @@ def test_slot_permutation_routing():
         return np.broadcast_to(10.0 * a[:, None] + a, (len(rows), 1, 3, 3))
 
     out = np.zeros((3, 3))
-    ex = BatchExecutor(_classify_all_zero, evaluator, out, row_width=3,
-                       col_width=3, capacity=8, threads=1)
+    ex = BatchExecutor(_classify_all_zero, evaluator, out, capacity=8,
+                       threads=1)
     ex.enqueue_many([0], [0], out, [[2, 0, 1]], [[1, 2, 0]])
     ex.finalize()
     a = np.arange(3.0)
@@ -276,8 +276,8 @@ def _run_blocks(capacity=16, threads=2, seed=31):
     buf = np.zeros(2 * 6 * 20)
     mats = buf.reshape(2, 6, 20)
     blocks = [mats[k // 4][:, 5 * (k % 4):5 * (k % 4) + 5] for k in range(8)]
-    ex = BatchExecutor(_classify_rotating, _eval_slots, buf, row_width=3,
-                       col_width=3, capacity=capacity, threads=threads)
+    ex = BatchExecutor(_classify_rotating, _eval_slots, buf,
+                       capacity=capacity, threads=threads)
     for k in range(8):
         nr, nc = (int(x) for x in rng.integers(1, 12, size=2))
         rs = rng.integers(-1, 6, size=(nr, 3))
@@ -357,8 +357,7 @@ def test_classify_once_per_flush(monkeypatch):
         return _classify_parity(rows, cols)
 
     out = np.zeros((10, 30))
-    ex = BatchExecutor(classify, _eval_pairfn3, out, row_width=3, col_width=3,
-                       capacity=8, threads=1)
+    ex = BatchExecutor(classify, _eval_pairfn3, out, capacity=8, threads=1)
     i, j = np.arange(10), np.arange(30)
     # slot 0 only, so each pair adds one value to one entry
     rs = np.c_[i, np.full((10, 2), -1)]
@@ -389,8 +388,8 @@ def test_pairs_shared_by_blocks_evaluated_once():
         # the blocks side by side in one block row
         mat = np.zeros((4, 6 * len(parts)))
         blocks = [mat[:, 6 * k:6 * k + 6] for k in range(len(parts))]
-        ex = BatchExecutor(_classify_rotating, evaluator, mat, row_width=3,
-                           col_width=3, capacity=5, threads=2)
+        ex = BatchExecutor(_classify_rotating, evaluator, mat, capacity=5,
+                           threads=2)
         rows, cols = np.arange(4), np.arange(6)
         for r, block in zip(parts, blocks):
             slots = np.full((4, 3), -1)
@@ -438,6 +437,13 @@ def test_slots_outside_block_rejected():
     assert np.all(base == 0.0)
 
 
+def _joined(tables):
+    """(elements, slots) tables joined as (elements, slots, start)."""
+    return (np.concatenate([e for e, _ in tables]),
+            np.concatenate([s for _, s in tables]),
+            np.cumsum([0] + [len(e) for e, _ in tables]))
+
+
 @pytest.mark.parametrize("width", [1, 3])
 def test_whole_build_enqueue_matches_block_by_block(width):
     """One enqueue_blocks call over shared element tables gives, bitwise,
@@ -467,11 +473,12 @@ def test_whole_build_enqueue_matches_block_by_block(width):
             return BatchExecutor(_classify_parity, _eval_pairfn, out,
                                  capacity=7, threads=2)
         return BatchExecutor(_classify_rotating, _eval_slots, out,
-                             row_width=3, col_width=3, capacity=7, threads=2)
+                             capacity=7, threads=2)
 
     got = np.zeros(900)
     ex = make(got)
-    ex.enqueue_blocks(tables, tables, row_ids, col_ids, places, cases)
+    joined = _joined(tables)
+    ex.enqueue_blocks(joined, joined, row_ids, col_ids, places, cases)
     ex.finalize()
     ref = np.zeros(900)
     ex = make(ref)
@@ -484,10 +491,29 @@ def test_whole_build_enqueue_matches_block_by_block(width):
     assert all(np.any(block(got, k) != 0.0) for k in range(10))
 
 
+def test_slot_widths_fixed_by_first_call():
+    """Widths are read off the slot arrays, one pair for every call; a
+    call of other widths, or tables not joined, are refused."""
+    out = np.zeros((3, 3))
+    with _make(out, threads=1) as ex:
+        ex.enqueue_many([0], [0], out, [[0]], [[0]])
+        with pytest.raises(ConfigError):
+            ex.enqueue_many([1], [1], out, [[0, 1, 2]], [[1]])
+        with pytest.raises(ConfigError):
+            ex.enqueue_blocks(([1], [[1]], [0, 1]), ([1], [[1, 2, -1]], [0, 1]),
+                              [0], [0], [(0, 3, 3, 3)], [-1])
+        with pytest.raises(ConfigError):  # start does not end the table
+            ex.enqueue_blocks(([1], [[1]], [0, 2]), ([1], [[1]], [0, 1]),
+                              [0], [0], [(0, 3, 3, 3)], [-1])
+        ex.finalize()
+    assert out[0, 0] == np.sin(0.0)
+    assert np.all(out.ravel()[1:] == 0.0)
+
+
 def test_enqueue_blocks_rejects_mismatched_blocks():
     out = np.zeros((2, 2))
     with _make(out, threads=1) as ex:
-        table = [([0, 1], [[0], [1]])]
+        table = ([0, 1], [[0], [1]], [0, 2])
         with pytest.raises(ConfigError):
             ex.enqueue_blocks(table, table, [0, 0], [0], [(0, 2, 2, 2)],
                               [-1])
@@ -526,7 +552,8 @@ def test_blocks_of_two_kernels_share_pair_evaluations():
     outs = [np.zeros(36 * len(blocks)), np.zeros(36 * len(blocks))]
     ex = BatchExecutor(_classify_parity, evaluator, outs, capacity=4,
                        threads=2)
-    ex.enqueue_blocks(tables, tables, [r for r, _, _ in blocks],
+    joined = _joined(tables)
+    ex.enqueue_blocks(joined, joined, [r for r, _, _ in blocks],
                       [c for _, c, _ in blocks],
                       [places(k, m) for k, (_, _, m) in enumerate(blocks)],
                       [-1] * len(blocks))
@@ -561,7 +588,7 @@ def test_blocks_of_two_kernels_share_pair_evaluations():
 
 def test_kernel_places_validated():
     outs = [np.zeros(4), np.zeros(8)]
-    table = [([0, 1], [[0], [1]])]
+    table = ([0, 1], [[0], [1]], [0, 2])
     with BatchExecutor(_classify_all_zero, _eval_kernels, outs,
                        threads=1) as ex:
         with pytest.raises(ConfigError):  # a block taking no kernel

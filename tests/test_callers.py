@@ -1,0 +1,55 @@
+"""Every public module-level function of the program has a caller in it.
+
+A function that only the tests call is code the program carries for no
+run of its own. A reference by name anywhere in ``src/greencross``
+(outside the function's own body) counts as a caller, a call or a
+function passed on alike. The few that stay without one are kept below,
+each with its reason.
+"""
+import ast
+import os
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src", "greencross")
+
+# module.function -> why it stays without a caller in src
+KEEP = {
+    "assembly.mass_block": "the benchmark's assembly.mass_s span times it",
+}
+
+
+def _modules():
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                yield name[:-3], ast.parse(fh.read())
+
+
+def _uncalled():
+    public, used = [], set()
+    for module, tree in _modules():
+        for top in tree.body:
+            own = None
+            if isinstance(top, ast.FunctionDef):
+                own = top.name
+                if not own.startswith("_"):
+                    public.append((module, own))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    return ["%s.%s" % key for key in public if key[1] not in used]
+
+
+def test_public_functions_have_callers_in_src():
+    assert sorted(set(_uncalled()) - set(KEEP)) == []
+
+
+def test_kept_functions_still_lack_callers():
+    """A kept function that gained a caller leaves the list."""
+    assert sorted(set(KEEP) - set(_uncalled())) == []

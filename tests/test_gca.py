@@ -814,6 +814,36 @@ def test_fused_blocks_independent_of_capacity_and_threads(sphere3):
             assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
+def test_fused_build_asks_slp_on_v_alone_pairs(sphere3, monkeypatch):
+    """A fused plane L3 constant build asks the evaluator for the single
+    layer on exactly the pairs a V-alone build asks for: of a diagonal
+    leaf, its upper triangle; K's other pairs are dlp only."""
+    real = assembly.galerkin_pair_evaluator
+
+    def asked(dlp):
+        seen = []
+
+        def spy(kinds, *args):
+            evaluate = real(kinds, *args)
+            slp = ((kinds,) if isinstance(kinds, str) else kinds).index("slp")
+
+            def spied(case, rows, cols, kernels=None):
+                if kernels is None or slp in kernels:
+                    seen.append(rows * sphere3.nt + cols)
+                return evaluate(case, rows, cols, kernels)
+
+            return spied
+
+        monkeypatch.setattr(assembly, "galerkin_pair_evaluator", spy)
+        cli.build_h2_operator(sphere3, _solve_config(3, "plane", "constant"),
+                              dlp=dlp)
+        return np.sort(np.concatenate(seen))
+
+    fused = asked(True)
+    assert len(fused) == 125760
+    assert np.array_equal(fused, asked(False))
+
+
 @pytest.mark.parametrize("level,bound", [(2, 2e-5), (3, 5e-6)])
 def test_interior_gauss_identity_compressed(level, bound):
     """(M/2 + K) 1 = 0 with the K of the fused build and M summed over
