@@ -302,8 +302,7 @@ def test_stacked_green_factors_match_one_box_factors(geometry):
                     segments, rules, mesh, basis, (2, 4), kind)
         first = np.cumsum([0] + [c.size for c in nodes])
         for n, c in enumerate(nodes):
-            rule = green_box_rule(c.box, 0.5 * c.box.diameter(), 2)
-            rule = one_box(rule)
+            rule = one_box(green_box_rule(c.box, 0.5 * c.box.diameter(), 2))
             one = {"row": assembly.green_row_factor([(c.indices, c.box)],
                                                     rule, mesh, basis,
                                                     (2, 4))}
