@@ -31,6 +31,12 @@ that matrix is bitwise symmetric.
 An evaluator computes the single layer, the double layer or both, with
 one value per pair and kernel, so one executor pass assembles V and K.
 
+Every regular surface integral reads one rule, :func:`surface_rule`: the
+order-q triangle rule's points, unnormalized normals and Gramians on any
+listed charts, coordinate-major. The disjoint-pair tables of both
+evaluators, the Green factors, the mass matrices, the curved surface
+areas and the solution error of the command line are built from it.
+
 The pair evaluator takes a whole case-homogeneous batch at a time, in chunks
 of a fixed number of quadrature points. Disjoint pairs, the bulk of the
 work, read per-triangle tables of the regular rule (points, Gram-weighted
@@ -45,8 +51,8 @@ numpy reductions and call no BLAS. Either way the value of a pair depends
 on its own data only, never on the rest of its chunk.
 
 The Green factors A_tau, B_sigma sample the kernel at points of the box
-boundary rule; all their integrands are regular, so plain triangle Gauss
-rules apply; the double layer reuses A_tau.
+boundary rule; all their integrands are regular, so the surface rule
+applies; the double layer reuses A_tau.
 """
 
 from collections import namedtuple
@@ -194,6 +200,32 @@ def _singular_rule(case, q_sing, basis):
     return _SingularRule(*sides, w)
 
 
+SurfaceRule = namedtuple("SurfaceRule", "x n gram pts wts")
+
+
+def surface_rule(mesh, q, tris=None):
+    """The order-q triangle rule (``quadrature.triangle_gauss``) on the
+    listed charts (default: all), gathering only those.
+
+    x and n are the T charts' M points and unnormalized normals,
+    coordinate-major (3, T, M); gram (T, M) the Gramians, |n| on curved
+    charts and the plane charts' constant ones; pts (M, 2) and wts (M,)
+    the reference points and weights.  The charts are interpolated by one
+    einsum reduction over the six nodes of a contiguous (3 T, 6) gather,
+    so a chart's values do not depend on which other charts are listed.
+    """
+    pts, wts = quad.triangle_gauss(q)
+    pack = chart_pack(mesh)
+    tris = np.arange(mesh.nt) if tris is None else np.asarray(tris)
+    n6t = shape_functions(pts).T.copy()
+    x, n = (np.einsum("ba,am->bm", np.moveaxis(a[tris], 2, 0).reshape(-1, 6),
+                      n6t).reshape(3, len(tris), -1)
+            for a in (pack.nodes, pack.normals))
+    gram = (_norm3(n, axis=0) if pack.curved
+            else np.repeat(pack.gram[tris][:, None], len(wts), axis=1))
+    return SurfaceRule(x, n, gram, pts, wts)
+
+
 _FarTables = namedtuple("_FarTables", "x wr wc n")
 
 
@@ -205,8 +237,9 @@ def _kinds(kinds):
     return kinds
 
 
-def _far_tables(pack, nodes, normals, q_reg, linear, kinds):
-    """Per-triangle regular-rule data for disjoint pairs, built once.
+def _far_tables(mesh, q_reg, linear, kinds):
+    """Per-triangle regular-rule data for disjoint pairs, built once from
+    :func:`surface_rule`.
 
     x holds the M rule points of every triangle, coordinate-major (3, nt, M).
     Row weights wr are the Gram-weighted weights times, for the linear
@@ -214,22 +247,13 @@ def _far_tables(pack, nodes, normals, q_reg, linear, kinds):
     (one per kernel) are the same for slp; dlp leaves out the column
     Gramian, which the unnormalized interpolated normals n (3, nt, M) carry.
     """
-    pts, wts = quad.triangle_gauss(q_reg)
-    n6t = shape_functions(pts).T.copy()
-    nt = len(pack.nodes)
-    tris, ident = np.arange(nt), np.zeros(nt, dtype=np.int64)
-    x = _chart_points(nodes, tris, ident, n6t)
-    nrm = _chart_points(normals, tris, ident, n6t)
-    if pack.curved:
-        gram = _norm3(nrm, axis=0)
-    else:
-        gram = pack.gram[:, None]
-    gw = gram * wts
-    slots = _bary(pts).T if linear else np.ones((1, len(wts)))
+    rule = surface_rule(mesh, q_reg)
+    gw = rule.gram * rule.wts
+    slots = _bary(rule.pts).T if linear else np.ones((1, len(rule.wts)))
     wr = gw[:, None, :] * slots
-    wc = [np.broadcast_to(wts, gw.shape)[:, None, :] * slots
+    wc = [np.broadcast_to(rule.wts, gw.shape)[:, None, :] * slots
           if k == "dlp" else wr for k in kinds]
-    return _FarTables(x, wr, wc, nrm if "dlp" in kinds else None)
+    return _FarTables(rule.x, wr, wc, rule.n if "dlp" in kinds else None)
 
 
 def galerkin_classify(mesh):
@@ -300,7 +324,7 @@ def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
     tris = mesh.triangles
     nodes = _coordinate_major(pack.nodes)
     normals = _coordinate_major(pack.normals)
-    far = _far_tables(pack, nodes, normals, q_reg, basis == "linear", kinds)
+    far = _far_tables(mesh, q_reg, basis == "linear", kinds)
     slp = kinds.index("slp") if basis == "constant" and "slp" in kinds \
         else None
 
@@ -436,27 +460,24 @@ def collocation_evaluator(kinds, mesh, q_reg, q_sing):
     verts = np.ascontiguousarray(mesh.vertices.T)
     nodes = _coordinate_major(pack.nodes)
     normals = _coordinate_major(pack.normals)
-    rules = []
-    for pts, wts in (quad.triangle_gauss(q_reg), quad.duffy_rule(0, q_sing)):
-        n6t = shape_functions(pts).T.copy()
-        wb = wts[None, :] * _bary(pts).T  # (3, M)
-        rules.append((n6t, wb))
-    # a disjoint pair reads its triangle's regular-rule points and normals,
-    # interpolated once per triangle (per point, so the bits are the same)
-    every = np.arange(len(pack.nodes))
-    far = [_chart_points(c, every, np.zeros_like(every), rules[0][0])
-           for c in (nodes, normals)]
+    # a disjoint pair reads its triangle's regular-rule points and normals
+    far = surface_rule(mesh, q_reg)
+    pts, wts = quad.duffy_rule(0, q_sing)
+    n6t = shape_functions(pts).T.copy()
+    # per case, the rule's weights times the three slots' factors, (3, M)
+    wbs = [w[None, :] * _bary(p).T for p, w in ((far.pts, far.wts),
+                                                 (pts, wts))]
 
     def evaluate(case, rows, cols, kernels=None):
         kernels = list(range(len(kinds)) if kernels is None else kernels)
-        n6t, wb = rules[int(case)]
+        wb = wbs[int(case)]
         if case:
             # the rotation putting the point's vertex first
             rot = np.argmax(tris[cols] == rows[:, None], axis=1)
         out = np.empty((len(rows), len(kernels), 1, 3))
-        for sl in _chunks(len(rows), n6t.shape[1]):
+        for sl in _chunks(len(rows), wb.shape[1]):
             if case == 0:
-                y, ny = (a.take(cols[sl], axis=1) for a in far)
+                y, ny = (a.take(cols[sl], axis=1) for a in (far.x, far.n))
             else:
                 y, ny = (_chart_points(a, cols[sl], rot[sl], n6t)
                          for a in (nodes, normals))
@@ -508,12 +529,10 @@ def _assemble(kind, mesh, basis, disc, rows, cols, orders, capacity,
     values = np.zeros((len(rows), len(cols)))
     ex, kinds = make_executor(kind, mesh, basis, disc, values, orders,
                               capacity, threads)
-    with ex:
-        (tri_r, rslots, _), (tri_c, cslots, _) = (
-            element_tables(mesh, k, [idx])
-            for k, idx in zip(kinds, (rows, cols)))
-        ex.enqueue_many(tri_r, tri_c, values, rslots, cslots)
-        ex.finalize()
+    (tri_r, rslots, _), (tri_c, cslots, _) = (
+        element_tables(mesh, k, [idx]) for k, idx in zip(kinds, (rows, cols)))
+    ex.enqueue_many(tri_r, tri_c, values, rslots, cslots)
+    ex.finalize()
     return DenseBlock(np.asarray(rows), np.asarray(cols), values)
 
 
@@ -537,34 +556,22 @@ def _touch_guard(r):
                             "enlarge delta or the cluster box")
 
 
-def _surface_quadrature(mesh, tris, q):
-    """Points and gram-weighted weights on the listed charts: (T,M,3), (T,M)."""
-    pts, wts = quad.triangle_gauss(q)
-    pack = chart_pack(mesh)
-    n6 = shape_functions(pts)
-    xq = np.einsum("ma,tac->tmc", n6, pack.nodes[tris])
-    if pack.curved:
-        gram = _norm3(np.einsum("ma,tac->tmc", n6, pack.normals[tris]))
-    else:
-        gram = np.repeat(pack.gram[tris][:, None], len(wts), axis=1)
-    return xq, gram * wts[None, :]
-
-
-def _green_kernels(xq, z, nz, nx=None):
-    """g(x, z_nu) and dg/dn_z(x, z_nu) = <x - z_nu, n_nu>/(4 pi r^3) for all
-    points of each triangle and the rule points z (T, K, 3) of its box;
-    given the unnormalized surface normals nx at the points, their
-    derivatives along nx instead: dg/dn_x and d2g/dn_x dn_z.  Worked out
-    coordinate-major, (3, T, M, K); the box normals nz are axis-parallel,
-    so sums with them are exact in any order."""
-    d = (_coordinate_major(xq)[:, :, :, None]
-         - _coordinate_major(z)[:, :, None, :])
+def _green_kernels(x, z, nz, nx=None):
+    """g(x, z_nu) and dg/dn_z(x, z_nu) = <x - z_nu, n_nu>/(4 pi r^3) for the
+    points x (3, T, M) of each triangle and the rule points z (T, K, 3) of
+    its box; given the unnormalized surface normals nx (3, T, M) at the
+    points, their derivatives along nx instead: dg/dn_x and d2g/dn_x dn_z.
+    Worked out coordinate-major, (3, T, M, K); the box normals nz are
+    axis-parallel, so sums with them are exact in any order."""
+    d = x[:, :, :, None] - _coordinate_major(z)[:, :, None, :]
     r = _norm3(d, axis=0)
     _touch_guard(r)
     dz = d[0] * nz[:, 0] + d[1] * nz[:, 1] + d[2] * nz[:, 2]
     if nx is None:
         return 1.0 / (FOUR_PI * r), dz / (FOUR_PI * r ** 3)
-    # sums with the surface normals keep np.einsum's order over (T, M, K, 3)
+    # sums with the surface normals keep np.einsum's order over contiguous
+    # (T, M, K, 3) and (T, M, 3) copies; other layouts sum in other orders
+    nx = np.ascontiguousarray(np.moveaxis(nx, 0, -1))
     dx = np.einsum("tmkc,tmc->tmk",
                    np.ascontiguousarray(np.moveaxis(d, 0, -1)), nx)
     return (-dx / (FOUR_PI * r ** 3),
@@ -595,14 +602,14 @@ def _green_factor(segments, rule, mesh, basis, q, kind, row):
             tris, slots, start = element_tables(mesh, "linear", rows[s0:s1])
             tseg = np.repeat(np.arange(s0, s1), np.diff(start))
         if basis == "collocation":  # each row one point, of weight 1
-            xq, gw = mesh.vertices[tris][:, None, :], np.ones((len(tris), 1))
+            xq, gw = mesh.vertices.T[:, tris, None], np.ones((len(tris), 1))
         else:
-            xq, gw = _surface_quadrature(mesh, tris, q)
+            surf = surface_rule(mesh, q, tris)
+            xq, gw = surf.x, surf.gram * surf.wts
         if kind == "dlp":
             # the unnormalized normals carry the Gramian
-            nx = np.einsum("ma,tac->tmc", shape_functions(pts),
-                           chart_pack(mesh).normals[tris])
-            g, h = _green_kernels(xq, rule.points[tseg], rule.normals, nx)
+            g, h = _green_kernels(xq, rule.points[tseg], rule.normals,
+                                  surf.n)
             gw = np.broadcast_to(wts, gw.shape)
         else:
             g, h = _green_kernels(xq, rule.points[tseg], rule.normals)
@@ -652,21 +659,20 @@ def green_col_factor(segments, rule, mesh, basis, orders=(3, 5),
 
 
 def triangle_areas(mesh, q=3):
-    pts, wts = quad.triangle_gauss(q)
     pack = chart_pack(mesh)
     if pack.curved:
-        n6 = shape_functions(pts)
-        gram = _norm3(np.einsum("ma,tac->tmc", n6, pack.normals))
-        return gram @ wts
-    return pack.gram * wts.sum()
+        rule = surface_rule(mesh, q)
+        return rule.gram @ rule.wts
+    # one product per chart: a sum over the rule's repeated Gramians
+    # would round differently
+    return pack.gram * quad.triangle_gauss(q)[1].sum()
 
 
 def _local_mass(mesh, tris, order):
     """Linear-basis mass matrices (T, 3, 3) of the listed triangles."""
-    pts, _ = quad.triangle_gauss(order)
-    _, gw = _surface_quadrature(mesh, tris, order)
-    n3 = _bary(pts)
-    return np.einsum("tm,ma,mb->tab", gw, n3, n3)
+    rule = surface_rule(mesh, order, tris)
+    n3 = _bary(rule.pts)
+    return np.einsum("tm,ma,mb->tab", rule.gram * rule.wts, n3, n3)
 
 
 def mass_apply(mesh, basis, v, order=3):

@@ -60,9 +60,10 @@ the assembly module cut each batch into chunks of a fixed number of
 quadrature points, a function of the rule alone, and compute each pair's
 value from its own data only.
 
-An executor whose ``finalize`` failed (an evaluator raised), or that was
-closed before finalizing, refuses further work: the enqueue methods and
-``finalize`` raise StateError, and the buffer holds incomplete sums.
+An executor whose ``finalize`` failed (an evaluator raised) refuses
+further work: the enqueue methods and ``finalize`` raise StateError, and
+the buffer holds incomplete sums.  An executor holds no resource between
+calls (its worker pool lives inside ``finalize``), so it needs no closing.
 """
 
 import os
@@ -231,7 +232,7 @@ class BatchExecutor:
         classification.
         """
         if not self._open:
-            raise StateError("enqueue after finalize or close")
+            raise StateError("enqueue after finalize")
         rows, cols = _tables(rows), _tables(cols)
         widths = (rows[1].shape[1], cols[1].shape[1])
         if self._widths not in (None, widths):
@@ -245,6 +246,10 @@ class BatchExecutor:
         if not len(row_ids) == len(col_ids) == len(places) == len(cases):
             raise ConfigError("one row table, column table, place and case "
                               "per block")
+        for ids, (_, _, start) in ((row_ids, rows), (col_ids, cols)):
+            if np.any((ids < 0) | (ids >= len(start) - 1)):
+                raise ConfigError("table id outside the %d tables of the call"
+                                  % (len(start) - 1))
         bad = (cases < -1) | (cases >= self._num_cases)
         if bad.any():
             raise ConfigError("unknown case %r" % (cases[bad][0],))
@@ -278,7 +283,7 @@ class BatchExecutor:
         in it. ``case``, when given, is the singularity case of every pair.
         """
         if not self._open:
-            raise StateError("enqueue after finalize or close")
+            raise StateError("enqueue after finalize")
         places = np.full((self.kernels, 4), -1)
         places[0] = self._place(target) + target.shape
         self.enqueue_blocks((rows, row_slots, [0, len(rows)]),
@@ -288,13 +293,12 @@ class BatchExecutor:
     def finalize(self):
         """Evaluate the recorded tasks and add their values into the buffer.
 
-        Idempotent; a second call is a no-op. If an evaluator raised or the
-        executor was closed first, the buffer is incomplete and this and
-        every later call raise StateError.
+        Idempotent; a second call is a no-op. If an evaluator raised, the
+        buffer is incomplete and every later call raises StateError.
         """
         if self._failed:
-            raise StateError("executor failed or was closed before "
-                             "finalize; its buffer is incomplete")
+            raise StateError("executor failed in finalize; its buffer is "
+                             "incomplete")
         if self._open:
             self._open = False
             try:
@@ -463,23 +467,6 @@ class BatchExecutor:
             return values
 
         return wait
-
-    def close(self):
-        """Mark the executor closed; safe to call more than once.
-
-        Closing an executor that was not finalized drops its recorded tasks
-        and leaves its buffer incomplete (finalize raises StateError).
-        """
-        if self._open:
-            self._open = False
-            self._failed = True
-            self._records = []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
     def stats(self):
         """Per-case evaluated pairs ("tasks"), batches and evaluator wall."""

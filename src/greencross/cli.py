@@ -33,7 +33,7 @@ from .errors import ConfigError, GreencrossError, SizeLimitError
 from . import assembly, gca, geometry, h2
 from .batchexec import DEFAULT_CAPACITY
 from .clustering import build_block_tree, build_cluster_tree
-from .quadrature import KIND_NAMES, triangle_gauss
+from .quadrature import KIND_NAMES
 
 # memory budget of compress's dense oracle matrix (n = 8192)
 DENSE_BYTES = 1 << 29
@@ -230,9 +230,6 @@ def assemble_dense(kind, mesh, cfg, capacity=DEFAULT_CAPACITY, threads=None):
 
 
 def cmd_mesh(args):
-    if not 0 <= args.level <= geometry.LEVEL_CAP:
-        raise SizeLimitError("mesh level must lie in 0..%d, got %d"
-                             % (geometry.LEVEL_CAP, args.level))
     mesh = geometry.build_sphere_mesh(args.level)
     if args.geometry == "curved":
         mesh = geometry.to_curved(mesh, project_to_unit_sphere=True)
@@ -332,17 +329,18 @@ def solution_l2_error(mesh, basis, u_dofs, source, q=4):
     discrete surface by radial projection, so plane meshes pay their
     geometry error.
     """
-    xq, w = assembly._surface_quadrature(mesh, np.arange(mesh.nt), q)
+    rule = assembly.surface_rule(mesh, q)
+    xq = np.ascontiguousarray(np.moveaxis(rule.x, 0, -1))
     proj = xq / np.linalg.norm(xq, axis=-1, keepdims=True)
     u_ex = np.einsum("tmc,tmc->tm", point_source_gradient(proj, source),
                      proj)
     if basis == "constant":
         u_h = u_dofs[:, None]
     else:
-        pts, _ = triangle_gauss(q)
-        u_h = np.einsum("ma,ta->tm", assembly._bary(pts),
+        u_h = np.einsum("ma,ta->tm", assembly._bary(rule.pts),
                         u_dofs[mesh.triangles])
-    return np.sqrt(np.einsum("tm,tm->", w, (u_h - u_ex) ** 2))
+    return np.sqrt(np.einsum("tm,tm->", rule.gram * rule.wts,
+                             (u_h - u_ex) ** 2))
 
 
 def dirichlet_rhs(hm, mesh, cfg, v_h):

@@ -516,21 +516,20 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     ex, kinds = assembly.make_executor(
         (kind, "dlp")[:len(layouts)], mesh, basis, disc,
         [p.blocks.data for p, *_ in layouts], orders, capacity, threads)
-    with ex:
-        rows, row_ids = _tables(mesh, kinds[0],
-                                [side(row_basis, k, leaves[k].row)
-                                 for k in blocks])
-        cols, col_ids = _tables(mesh, kinds[1],
-                                [side(col_bases[j], k, leaves[k].col)
-                                 for k, j in zip(blocks, owner)])
-        ex.enqueue_blocks(rows, cols, row_ids, col_ids, places, cases[blocks])
-        if diagonal:
-            # V's place only: K, if built, takes these leaves whole above
-            upper = np.full((len(diagonal), len(layouts), 4), -1)
-            upper[:, 0] = layouts[0][3][diagonal]
-            ex.enqueue_blocks(*_upper_triangles(
-                [leaves[k].row for k in diagonal], upper))
-        ex.finalize()
+    rows, row_ids = _tables(mesh, kinds[0],
+                            [side(row_basis, k, leaves[k].row)
+                             for k in blocks])
+    cols, col_ids = _tables(mesh, kinds[1],
+                            [side(col_bases[j], k, leaves[k].col)
+                             for k, j in zip(blocks, owner)])
+    ex.enqueue_blocks(rows, cols, row_ids, col_ids, places, cases[blocks])
+    if diagonal:
+        # V's place only: K, if built, takes these leaves whole above
+        upper = np.full((len(diagonal), len(layouts), 4), -1)
+        upper[:, 0] = layouts[0][3][diagonal]
+        ex.enqueue_blocks(*_upper_triangles(
+            [leaves[k].row for k in diagonal], upper))
+    ex.finalize()
     views = layouts[0][1] + layouts[0][2]
     for k, p in mirrored:
         views[k][...] = views[p].T

@@ -2,7 +2,9 @@
 
 Plane meshes, quadratic curved triangles (vertices plus edge midpoints),
 octahedron-based sphere meshes, chart packs for batched evaluation, and the
-text file format.
+text file format.  A curved mesh is a :class:`TriangleMesh` with one
+midpoint per edge: the topology (triangles, edges, vertex stars) is the
+plane mesh's, and only :func:`chart_pack` reads the midpoints.
 """
 
 import numpy as np
@@ -19,7 +21,8 @@ CHART_NODES_REF = np.array(
 
 
 class TriangleMesh:
-    """Closed oriented surface mesh with plane triangles.
+    """Closed oriented surface mesh, plane triangles unless curved (see
+    :class:`CurvedTriangleMesh`).
 
     vertices : (nv, 3) float array
     triangles : (nt, 3) int array, counterclockwise seen from outside
@@ -66,8 +69,13 @@ class TriangleMesh:
         return self.vertices[self.triangles].mean(axis=1)
 
 
-class CurvedTriangleMesh:
+class CurvedTriangleMesh(TriangleMesh):
     """Mesh whose triangles carry one curved midpoint per edge.
+
+    base : the TriangleMesh of the vertices and triangles; its validated
+        arrays (vertices, triangles, edges, tri_edges) are shared, not
+        derived again
+    midpoints : (ne, 3) float array, one point per edge of ``edges``
 
     With midpoints equal to the straight edge midpoints the quadratic chart
     degenerates to the plane chart exactly.
@@ -79,39 +87,11 @@ class CurvedTriangleMesh:
             raise MeshFormatError(
                 "expected %d midpoints, got %d" % (base.ne, len(midpoints))
             )
-        self.base = base
+        self.vertices, self.triangles = base.vertices, base.triangles
+        self.edges, self.tri_edges = base.edges, base.tri_edges
         self.midpoints = midpoints
+        self._stars = None
         self._pack = None
-
-    @property
-    def vertices(self):
-        return self.base.vertices
-
-    @property
-    def triangles(self):
-        return self.base.triangles
-
-    @property
-    def edges(self):
-        return self.base.edges
-
-    @property
-    def nv(self):
-        return self.base.nv
-
-    @property
-    def nt(self):
-        return self.base.nt
-
-    @property
-    def ne(self):
-        return self.base.ne
-
-    def vertex_stars(self):
-        return self.base.vertex_stars()
-
-    def centroids(self):
-        return self.base.centroids()
 
 
 def _check_indices(triangles, nv):
@@ -262,7 +242,7 @@ def chart_pack(mesh):
     nodes[:, :3] = verts[tris]
     curved = isinstance(mesh, CurvedTriangleMesh)
     if curved:
-        nodes[:, 3:] = mesh.midpoints[mesh.base.tri_edges]
+        nodes[:, 3:] = mesh.midpoints[mesh.tri_edges]
     else:
         nodes[:, 3] = 0.5 * (nodes[:, 0] + nodes[:, 1])
         nodes[:, 4] = 0.5 * (nodes[:, 1] + nodes[:, 2])
@@ -340,7 +320,7 @@ def read_mesh(path):
                 out.append([conv(t) for t in tok])
             except ValueError:
                 raise MeshFormatError("bad %s value" % what, line=lineno) from None
-        return out, (rows[cursor - 1][0] if n else rows[cursor - 1][0])
+        return out
 
     lineno, header = rows[0]
     cursor = 1
@@ -352,14 +332,14 @@ def read_mesh(path):
         raise MeshFormatError("header must be 'nv nt ne'", line=lineno) from None
     if min(nv, nt, ne) < 0:
         raise MeshFormatError("negative count in header", line=lineno)
-    verts, _ = take(nv, "vertex", float, 3)
-    tris, _ = take(nt, "triangle", int, 3)
+    verts = take(nv, "vertex", float, 3)
+    tris = take(nt, "triangle", int, 3)
     first_tri_line = rows[1 + nv][0] if nt else lineno
     for k, t in enumerate(tris):
         if min(t) < 0 or max(t) >= nv:
             raise MeshFormatError("triangle vertex index out of range",
                                   line=rows[1 + nv + k][0])
-    edges, _ = take(ne, "edge", int, 2)
+    edges = take(ne, "edge", int, 2)
     for k, e in enumerate(edges):
         if e[0] >= e[1] or e[0] < 0 or e[1] >= nv:
             raise MeshFormatError("edge endpoints must satisfy 0 <= a < b < nv",
@@ -367,7 +347,7 @@ def read_mesh(path):
     curved = cursor < len(rows)
     mids = None
     if curved:
-        mids, _ = take(ne, "midpoint", float, 3)
+        mids = take(ne, "midpoint", float, 3)
         if cursor < len(rows):
             raise MeshFormatError("trailing content after midpoint section",
                                   line=rows[cursor][0])

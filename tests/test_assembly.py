@@ -162,7 +162,7 @@ def test_mass_linear_partition_of_unity(sphere2):
 def test_interior_gauss_identity_galerkin(level, bound):
     """(M/2 + K) 1 = 0 for the double-layer operator on a closed surface."""
     mesh = to_curved(build_sphere_mesh(level), project_to_unit_sphere=True)
-    nv = mesh.base.nv
+    nv = mesh.nv
     dofs = np.arange(nv)
     k = assembly.assemble_galerkin_block("dlp", mesh, "linear", dofs, dofs,
                                          (3, 5)).values
@@ -177,7 +177,7 @@ def test_interior_gauss_identity_collocation():
     residuals = []
     for level in (2, 3):
         mesh = to_curved(build_sphere_mesh(level), project_to_unit_sphere=True)
-        dofs = np.arange(mesh.base.nv)
+        dofs = np.arange(mesh.nv)
         k = assembly.assemble_collocation_block("dlp", mesh, "linear", dofs,
                                                 dofs, (3, 5)).values
         residuals.append(np.abs(k.sum(axis=1) + 0.5).max())
@@ -390,6 +390,35 @@ def _pairs_by_case(mesh, per_case, seed=3):
         pick = rng.permutation(np.nonzero(case == c)[0])[:per_case]
         out[c] = (t[pick], s[pick], px[pick], py[pick])
     return out
+
+
+@pytest.mark.parametrize("geometry", ["plane", "curved"])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_surface_rule_matches_chart_reference(geometry, q):
+    """surface_rule's points, normals and Gramians equal chart_eval's at
+    every rule point to 1e-15 relative, on all charts and on a subset;
+    the subset's values are bitwise those of its charts in the full rule."""
+    mesh = _mesh(geometry, 2)
+    pts, wts = quad.triangle_gauss(q)
+    full = assembly.surface_rule(mesh, q)
+    assert np.array_equal(full.pts, pts) and np.array_equal(full.wts, wts)
+    subset = np.random.default_rng(4).permutation(mesh.nt)[:23]
+    part = assembly.surface_rule(mesh, q, subset)
+    for rule, tris in ((full, np.arange(mesh.nt)), (part, subset)):
+        assert rule.x.shape == rule.n.shape == (3, len(tris), len(wts))
+        assert rule.gram.shape == (len(tris), len(wts))
+        for i, t in enumerate(tris):
+            for m, xh in enumerate(pts):
+                ref = chart_eval(mesh, t, xh)
+                for got, want in ((rule.x[:, i, m], ref.point),
+                                  (rule.n[:, i, m], ref.normal)):
+                    assert (np.linalg.norm(got - want)
+                            <= 1e-15 * np.linalg.norm(want))
+                assert abs(rule.gram[i, m] - ref.gramian) \
+                    <= 1e-15 * ref.gramian
+    for got, want in ((part.x, full.x[:, subset]), (part.n, full.n[:, subset]),
+                      (part.gram, full.gram[subset])):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("geometry,basis,kind", _VARIANTS)

@@ -117,6 +117,16 @@ def test_finalize_idempotent_and_empty():
     assert ex.finalize() is None
     assert np.all(out == 0.0)
     assert all(s["tasks"] == 0 and s["batches"] == 0 for s in ex.stats())
+    # a second finalize keeps the blocks of the first
+    out = np.zeros((3, 4))
+    ex = _make(out, capacity=4, threads=2)
+    _fill_block(ex, out)
+    ex.finalize()
+    first = out.copy()
+    assert ex.finalize() is None
+    assert np.array_equal(out, first)
+    expected = np.sin(1.3 * np.arange(3)[:, None] + 0.7 * np.arange(4)[None, :])
+    assert np.array_equal(out, expected)
 
 
 def test_invalid_configuration():
@@ -195,32 +205,6 @@ def test_failed_finalize_releases_pool_and_refuses_blocks():
         ex.finalize()
 
 
-def test_with_block_closes_pool_on_error():
-    baseline = threading.active_count()
-    out = np.zeros((5, 5))
-    with pytest.raises(ValueError):
-        with _make(out, capacity=4, threads=2) as ex:
-            _fill_block(ex, out)
-            raise ValueError("caller failure mid-enqueue")
-    assert threading.active_count() == baseline
-    with pytest.raises(StateError):
-        ex.finalize()
-    with pytest.raises(StateError):
-        ex.enqueue_many([0], [0], out, [[0]], [[0]])
-
-
-def test_close_after_finalize_keeps_blocks():
-    out = np.zeros((3, 4))
-    with _make(out, capacity=4, threads=2) as ex:
-        _fill_block(ex, out)
-        ex.finalize()
-        first = out.copy()
-    assert ex.finalize() is None
-    assert np.array_equal(out, first)
-    expected = np.sin(1.3 * np.arange(3)[:, None] + 0.7 * np.arange(4)[None, :])
-    assert np.array_equal(out, expected)
-
-
 def test_known_case_skips_classification():
     def classify(rows, cols):
         raise AssertionError("classified a task of known case")
@@ -253,9 +237,9 @@ def test_known_case_matches_classified():
 
 def test_unknown_case_rejected():
     out = np.zeros((1, 1))
-    with _make(out, threads=1) as ex:
-        with pytest.raises(ConfigError):
-            ex.enqueue_many([0], [0], out, [[0]], [[0]], case=4)
+    ex = _make(out, threads=1)
+    with pytest.raises(ConfigError):
+        ex.enqueue_many([0], [0], out, [[0]], [[0]], case=4)
 
 
 def _classify_rotating(rows, cols):
@@ -410,30 +394,30 @@ def test_pairs_shared_by_blocks_evaluated_once():
 def test_slots_outside_block_rejected():
     base = np.zeros(18)
     buf = base[6:]
-    with _make(buf, threads=1) as ex:
-        block = buf[:6].reshape(2, 3)
-        with pytest.raises(ConfigError):
-            ex.enqueue_many([0], [0], block, [[2]], [[0]])
-        with pytest.raises(ConfigError):
-            ex.enqueue_many([0], [0], block, [[0]], [[3]])
-        # slots outside the view's shape, though inside the buffer
-        with pytest.raises(ConfigError):
-            ex.enqueue_many([0], [0], block[:, :2], [[0]], [[2]])
-        # a view that is not inside the executor's buffer
-        with pytest.raises(ConfigError):
-            ex.enqueue_many([0], [0], np.zeros((2, 3)), [[0]], [[0]])
-        with pytest.raises(ConfigError):
-            ex.enqueue_many([0], [0], base[:6].reshape(2, 3), [[0]], [[0]])
-        with pytest.raises(ConfigError):
-            ex.enqueue_many([0], [0], base[4:10].reshape(2, 3), [[0]],
-                            [[0]])
-        # a view whose columns are not unit-stride
-        with pytest.raises(ConfigError):
-            ex.enqueue_many([0], [0], buf.reshape(2, 6)[:, ::2], [[0]],
-                            [[0]])
-        with pytest.raises(ConfigError):
-            ex.enqueue_many([0], [0], block.T, [[0]], [[0]])
-        assert ex.finalize() is None
+    ex = _make(buf, threads=1)
+    block = buf[:6].reshape(2, 3)
+    with pytest.raises(ConfigError):
+        ex.enqueue_many([0], [0], block, [[2]], [[0]])
+    with pytest.raises(ConfigError):
+        ex.enqueue_many([0], [0], block, [[0]], [[3]])
+    # slots outside the view's shape, though inside the buffer
+    with pytest.raises(ConfigError):
+        ex.enqueue_many([0], [0], block[:, :2], [[0]], [[2]])
+    # a view that is not inside the executor's buffer
+    with pytest.raises(ConfigError):
+        ex.enqueue_many([0], [0], np.zeros((2, 3)), [[0]], [[0]])
+    with pytest.raises(ConfigError):
+        ex.enqueue_many([0], [0], base[:6].reshape(2, 3), [[0]], [[0]])
+    with pytest.raises(ConfigError):
+        ex.enqueue_many([0], [0], base[4:10].reshape(2, 3), [[0]],
+                        [[0]])
+    # a view whose columns are not unit-stride
+    with pytest.raises(ConfigError):
+        ex.enqueue_many([0], [0], buf.reshape(2, 6)[:, ::2], [[0]],
+                        [[0]])
+    with pytest.raises(ConfigError):
+        ex.enqueue_many([0], [0], block.T, [[0]], [[0]])
+    assert ex.finalize() is None
     assert np.all(base == 0.0)
 
 
@@ -495,32 +479,48 @@ def test_slot_widths_fixed_by_first_call():
     """Widths are read off the slot arrays, one pair for every call; a
     call of other widths, or tables not joined, are refused."""
     out = np.zeros((3, 3))
-    with _make(out, threads=1) as ex:
-        ex.enqueue_many([0], [0], out, [[0]], [[0]])
-        with pytest.raises(ConfigError):
-            ex.enqueue_many([1], [1], out, [[0, 1, 2]], [[1]])
-        with pytest.raises(ConfigError):
-            ex.enqueue_blocks(([1], [[1]], [0, 1]), ([1], [[1, 2, -1]], [0, 1]),
-                              [0], [0], [(0, 3, 3, 3)], [-1])
-        with pytest.raises(ConfigError):  # start does not end the table
-            ex.enqueue_blocks(([1], [[1]], [0, 2]), ([1], [[1]], [0, 1]),
-                              [0], [0], [(0, 3, 3, 3)], [-1])
-        ex.finalize()
+    ex = _make(out, threads=1)
+    ex.enqueue_many([0], [0], out, [[0]], [[0]])
+    with pytest.raises(ConfigError):
+        ex.enqueue_many([1], [1], out, [[0, 1, 2]], [[1]])
+    with pytest.raises(ConfigError):
+        ex.enqueue_blocks(([1], [[1]], [0, 1]), ([1], [[1, 2, -1]], [0, 1]),
+                          [0], [0], [(0, 3, 3, 3)], [-1])
+    with pytest.raises(ConfigError):  # start does not end the table
+        ex.enqueue_blocks(([1], [[1]], [0, 2]), ([1], [[1]], [0, 1]),
+                          [0], [0], [(0, 3, 3, 3)], [-1])
+    ex.finalize()
     assert out[0, 0] == np.sin(0.0)
     assert np.all(out.ravel()[1:] == 0.0)
 
 
 def test_enqueue_blocks_rejects_mismatched_blocks():
     out = np.zeros((2, 2))
-    with _make(out, threads=1) as ex:
-        table = ([0, 1], [[0], [1]], [0, 2])
-        with pytest.raises(ConfigError):
-            ex.enqueue_blocks(table, table, [0, 0], [0], [(0, 2, 2, 2)],
-                              [-1])
-        with pytest.raises(ConfigError):  # a block past the buffer's end
-            ex.enqueue_blocks(table, table, [0], [0], [(1, 2, 2, 2)], [-1])
-        with pytest.raises(ConfigError):
-            ex.enqueue_blocks(table, table, [0], [0], [(0, 2, 2, 2)], [4])
+    ex = _make(out, threads=1)
+    table = ([0, 1], [[0], [1]], [0, 2])
+    with pytest.raises(ConfigError):
+        ex.enqueue_blocks(table, table, [0, 0], [0], [(0, 2, 2, 2)],
+                          [-1])
+    with pytest.raises(ConfigError):  # a block past the buffer's end
+        ex.enqueue_blocks(table, table, [0], [0], [(1, 2, 2, 2)], [-1])
+    with pytest.raises(ConfigError):
+        ex.enqueue_blocks(table, table, [0], [0], [(0, 2, 2, 2)], [4])
+
+
+def test_table_ids_outside_the_call_rejected():
+    """A row or column table id outside [0, tables in the call) is refused:
+    -1 and -2 do not wrap around to the last tables, and one past the end
+    is a ConfigError, not an IndexError."""
+    out = np.zeros((2, 2))
+    ex = _make(out, threads=1)
+    tables = ([0, 1], [[0], [1]], [0, 1, 2])
+    for bad in (-1, -2, 2):
+        for row_ids, col_ids in (([bad], [0]), ([0], [bad])):
+            with pytest.raises(ConfigError):
+                ex.enqueue_blocks(tables, tables, row_ids, col_ids,
+                                  [(0, 2, 2, 2)], [-1])
+    ex.finalize()
+    assert np.all(out == 0.0)
 
 
 def _eval_kernels(case, rows, cols, kernels):
@@ -589,16 +589,15 @@ def test_blocks_of_two_kernels_share_pair_evaluations():
 def test_kernel_places_validated():
     outs = [np.zeros(4), np.zeros(8)]
     table = ([0, 1], [[0], [1]], [0, 2])
-    with BatchExecutor(_classify_all_zero, _eval_kernels, outs,
-                       threads=1) as ex:
-        with pytest.raises(ConfigError):  # a block taking no kernel
-            ex.enqueue_blocks(table, table, [0], [0],
-                              [[(-1, 0, 0, 0), (-1, 0, 0, 0)]], [-1])
-        with pytest.raises(ConfigError):  # fits kernel 1's buffer only
-            ex.enqueue_blocks(table, table, [0], [0],
-                              [[(4, 2, 2, 2), (4, 2, 2, 2)]], [-1])
+    ex = BatchExecutor(_classify_all_zero, _eval_kernels, outs, threads=1)
+    with pytest.raises(ConfigError):  # a block taking no kernel
         ex.enqueue_blocks(table, table, [0], [0],
-                          [[(-1, 0, 0, 0), (4, 2, 2, 2)]], [-1])
-        ex.enqueue_many([1], [1], outs[0].reshape(2, 2), [[0]], [[0]])
-        ex.finalize()
+                          [[(-1, 0, 0, 0), (-1, 0, 0, 0)]], [-1])
+    with pytest.raises(ConfigError):  # fits kernel 1's buffer only
+        ex.enqueue_blocks(table, table, [0], [0],
+                          [[(4, 2, 2, 2), (4, 2, 2, 2)]], [-1])
+    ex.enqueue_blocks(table, table, [0], [0],
+                      [[(-1, 0, 0, 0), (4, 2, 2, 2)]], [-1])
+    ex.enqueue_many([1], [1], outs[0].reshape(2, 2), [[0]], [[0]])
+    ex.finalize()
     assert np.count_nonzero(outs[1]) == 4 and np.count_nonzero(outs[0]) == 1

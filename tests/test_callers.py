@@ -1,10 +1,11 @@
-"""Every public module-level function of the program has a caller in it.
+"""Every module-level function of the program has a caller in it.
 
 A function that only the tests call is code the program carries for no
-run of its own. A reference by name anywhere in ``src/greencross``
-(outside the function's own body) counts as a caller, a call or a
-function passed on alike. The few that stay without one are kept below,
-each with its reason.
+run of its own, and a private helper left behind by its last caller is
+dead code. A reference by name anywhere in ``src/greencross`` (outside the
+function's own body) counts as a caller, a call or a function passed on
+alike. The few public functions that stay without one are kept below, each
+with its reason; a private function has no such exception.
 """
 import ast
 import os
@@ -25,15 +26,17 @@ def _modules():
                 yield name[:-3], ast.parse(fh.read())
 
 
-def _uncalled():
-    public, used = [], set()
+def _uncalled(private=False):
+    """The public (or, with ``private``, the private) module-level
+    functions that nothing in src references."""
+    defined, used = [], set()
     for module, tree in _modules():
         for top in tree.body:
             own = None
             if isinstance(top, ast.FunctionDef):
                 own = top.name
-                if not own.startswith("_"):
-                    public.append((module, own))
+                if own.startswith("_") == private:
+                    defined.append((module, own))
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
                     name = node.id
@@ -43,11 +46,15 @@ def _uncalled():
                     continue
                 if name != own:
                     used.add(name)
-    return ["%s.%s" % key for key in public if key[1] not in used]
+    return ["%s.%s" % key for key in defined if key[1] not in used]
 
 
 def test_public_functions_have_callers_in_src():
     assert sorted(set(_uncalled()) - set(KEEP)) == []
+
+
+def test_private_functions_have_callers_in_src():
+    assert _uncalled(private=True) == []
 
 
 def test_kept_functions_still_lack_callers():

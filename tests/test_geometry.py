@@ -70,7 +70,7 @@ def test_chart_interpolates_nodes():
                     for xh in geometry.CHART_NODES_REF])
     tri = mesh.triangles[0]
     assert np.allclose(pts[:3], mesh.vertices[tri], atol=1e-14)
-    expect = mesh.midpoints[mesh.base.tri_edges[0]]
+    expect = mesh.midpoints[mesh.tri_edges[0]]
     assert np.allclose(pts[3:], expect, atol=1e-14)
 
 
@@ -118,6 +118,31 @@ def test_curved_area_error_drops_per_level():
         errs.append(abs(surface_area(mesh) - FOUR_PI))
     assert errs[0] / errs[1] >= 4.0
     assert errs[1] / errs[2] >= 4.0
+
+
+def test_curved_mesh_shares_its_base_arrays(tmp_path, monkeypatch):
+    """A curved mesh is a TriangleMesh holding its base's own topology
+    arrays, from to_curved and from read_mesh: edges are derived once."""
+    base = build_sphere_mesh(1)
+    curved = to_curved(base, project_to_unit_sphere=True)
+    assert isinstance(curved, geometry.TriangleMesh)
+    for name in ("vertices", "triangles", "edges", "tri_edges"):
+        assert getattr(curved, name) is getattr(base, name)
+    path = tmp_path / "m.txt"
+    write_mesh(curved, path)
+    derived, plain = [], geometry._derive_edges
+
+    def derive(triangles):
+        derived.append(plain(triangles))
+        return derived[-1]
+
+    monkeypatch.setattr(geometry, "_derive_edges", derive)
+    back = read_mesh(path)
+    monkeypatch.undo()
+    assert isinstance(back, geometry.TriangleMesh)
+    assert len(derived) == 1
+    assert back.edges is derived[0][0] and back.tri_edges is derived[0][1]
+    assert np.array_equal(back.midpoints, curved.midpoints)
 
 
 def test_mesh_roundtrip_plane(tmp_path):
