@@ -409,12 +409,10 @@ def test_slots_outside_block_rejected():
     with pytest.raises(ConfigError):
         ex.enqueue_many([0], [0], base[:6].reshape(2, 3), [[0]], [[0]])
     with pytest.raises(ConfigError):
-        ex.enqueue_many([0], [0], base[4:10].reshape(2, 3), [[0]],
-                        [[0]])
+        ex.enqueue_many([0], [0], base[4:10].reshape(2, 3), [[0]], [[0]])
     # a view whose columns are not unit-stride
     with pytest.raises(ConfigError):
-        ex.enqueue_many([0], [0], buf.reshape(2, 6)[:, ::2], [[0]],
-                        [[0]])
+        ex.enqueue_many([0], [0], buf.reshape(2, 6)[:, ::2], [[0]], [[0]])
     with pytest.raises(ConfigError):
         ex.enqueue_many([0], [0], block.T, [[0]], [[0]])
     assert ex.finalize() is None
@@ -499,8 +497,7 @@ def test_enqueue_blocks_rejects_mismatched_blocks():
     ex = _make(out, threads=1)
     table = ([0, 1], [[0], [1]], [0, 2])
     with pytest.raises(ConfigError):
-        ex.enqueue_blocks(table, table, [0, 0], [0], [(0, 2, 2, 2)],
-                          [-1])
+        ex.enqueue_blocks(table, table, [0, 0], [0], [(0, 2, 2, 2)], [-1])
     with pytest.raises(ConfigError):  # a block past the buffer's end
         ex.enqueue_blocks(table, table, [0], [0], [(1, 2, 2, 2)], [-1])
     with pytest.raises(ConfigError):
