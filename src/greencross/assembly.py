@@ -43,12 +43,15 @@ work, read per-triangle tables of the regular rule (points, Gram-weighted
 weights, basis factors, normals) built once per evaluator; vertex, edge and
 identical pairs interpolate the two charts at the distinct points of each
 side of the regularized rule, then gather them to the rule's M points in
-coordinate-major (b, M) arrays. The linear basis contracts with stacked
-matmuls, small products per pair: a disjoint pair's M x M kernel matrix
-between the row and column slot weights, a singular pair's M kernel values
-with the (M, 9) slot weights. The constant basis and collocation sum with
-numpy reductions and call no BLAS. Either way the value of a pair depends
-on its own data only, never on the rest of its chunk.
+coordinate-major (b, M) arrays. On a plane mesh the rule keeps only its
+points at radial coordinate 1, q_sing times fewer, with the radial sum in
+per-kernel weights (see :func:`_singular_rule`). The linear basis
+contracts with stacked matmuls, small products per pair: a disjoint pair's
+M x M kernel matrix between the row and column slot weights, a singular
+pair's M kernel values with the (M, 9) slot weights. The constant basis
+and collocation sum with numpy reductions and call no BLAS. Either way the
+value of a pair depends on its own data only, never on the rest of its
+chunk.
 
 The Green factors A_tau, B_sigma sample the kernel at points of the box
 boundary rule; all their integrands are regular, so the surface rule
@@ -172,30 +175,52 @@ def _chunks(n, points):
 
 _SingularRule = namedtuple("_SingularRule", "n6x ix n6y iy w")
 
+# on a plane chart x - y = xi (J_t f_x - J_s f_y) along a singular rule's
+# radial variable xi, and each kernel is homogeneous in x - y: k(xi d) =
+# xi^-p k(d), of this degree p
+_DEGREE = {"slp": 1, "dlp": 2}
+
 
 @lru_cache(maxsize=None)
-def _singular_rule(case, q_sing, basis):
+def _singular_rule(case, q_sing, basis, curved):
     """The regularized rule of a singular case, ready to interpolate.
 
-    Each side's M points repeat heavily (56 distinct of 512 per side for the
-    vertex rule at q_sing 4, 800 of 1536 for the identical rule), so a side
-    keeps the shape functions (6, U) at its U distinct points, n6x or n6y,
-    and the index (M,) of every rule point among them, ix or iy. The
-    weights w are (M,) for the constant basis; for the linear basis they
-    carry the barycentric factors, (M, 9) with column 3 a + c for the slots
-    (a, c). Every array is read-only: the cache shares them among threads.
+    Curved charts take the whole rule (``quadrature.sauter_rule``), with
+    one weight array for both kernels. Plane (affine) charts take its
+    points at xi = 1 only (``quadrature.radial_rule``), q_sing times fewer,
+    and each kernel its own weights: the radial sum is done here, once per
+    rule, by the kernel's homogeneity (see _DEGREE), as w_p(eta) = sum
+    over xi of w xi^-p times the slot factors. That is the same sum
+    regrouped, so values move at rounding level only.
+
+    Each side's M points repeat heavily, so a side keeps the shape
+    functions (6, U) at its U distinct points, n6x or n6y, and the index
+    (M,) of every rule point among them, ix or iy. At q_sing 4, U of M
+    per side is 56 of 512 for the curved vertex rule, about 1,000 of 2,560
+    for the edge rule and 800 of 1,536 for the identical rule; 20 of 128,
+    212 of 640 and 204 of 384 for the plane rules. The weights w map each
+    kernel ("slp", "dlp") to (M,) for the constant basis; for the linear
+    basis they carry the barycentric factors, (M, 9) with column 3 a + c
+    for the slots (a, c). Every array is read-only: the cache shares them
+    among threads.
     """
-    rule = quad.sauter_rule(quad.KIND_NAMES[case], q_sing)
+    name = quad.KIND_NAMES[case]
+    rule = quad.sauter_rule(name, q_sing)
+    w = rule.w.copy() if basis == "constant" else np.einsum(
+        "m,ma,mb->mab", rule.w, _bary(rule.x), _bary(rule.y)).reshape(-1, 9)
+    if curved:
+        x, y, w = rule.x, rule.y, dict.fromkeys(_DEGREE, w)
+    else:
+        x, y, xi = quad.radial_rule(name, q_sing)
+        # each subdomain's points run xi-major: sum over the xi axis
+        lead = w.reshape((-1, q_sing, q_sing ** 3) + w.shape[1:])
+        w = {k: np.einsum("si...,i->s...", lead, xi ** -p)
+             .reshape((len(x),) + w.shape[1:]) for k, p in _DEGREE.items()}
     sides = []
-    for pts in (rule.x, rule.y):
+    for pts in (x, y):
         distinct, index = np.unique(pts, axis=0, return_inverse=True)
         sides += [shape_functions(distinct).T.copy(), index.reshape(-1)]
-    if basis == "constant":
-        w = rule.w.copy()
-    else:
-        w = np.einsum("m,ma,mb->mab", rule.w, _bary(rule.x),
-                      _bary(rule.y)).reshape(-1, 9)
-    for a in (*sides, w):
+    for a in (*sides, *w.values()):
         a.flags.writeable = False
     return _SingularRule(*sides, w)
 
@@ -300,7 +325,11 @@ def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
     no chart is interpolated per pair: the value is the sum over the M*M
     point pairs of wr_a wc_b K(x_a, y_b). Singular pairs interpolate both
     charts at the distinct points of :func:`_singular_rule`, coordinate-major,
-    and gather them to the rule's points.
+    and gather them to the rule's points, and each kernel sums with its own
+    weights of the rule: on a curved mesh the whole regularized rule, the
+    same weights for both; on a plane mesh (chosen by ``chart_pack``, no
+    option) its points at xi = 1, the radial variable summed into the
+    weights of each kernel's homogeneity degree.
 
     Vertex order, known here only: a singular batch classifies its own
     pairs (``quadrature.classify_pairs``) and reads both charts' nodes and
@@ -353,7 +382,7 @@ def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
                 _disjoint_chunk(out[sl], rows[sl], cols[sl], todo)
             return out
         _, px, py = quad.classify_pairs(tris[rows], tris[cols])
-        rule = _singular_rule(int(case), q_sing, basis)
+        rule = _singular_rule(int(case), q_sing, basis, pack.curved)
         for sl in _chunks(len(rows), len(rule.ix)):
             _singular_chunk(out[sl], rows[sl], cols[sl], px[sl], py[sl],
                             rule, todo)
@@ -426,12 +455,13 @@ def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
                     gy = pack.gram[cols][:, None]
                 r *= FOUR_PI
                 kg = np.divide(gx * gy, r, out=r)
+            w = rule.w[kinds[k]]
             if width > 1:
                 # the nine slot weights of a pair in one small product per
                 # pair
-                out[:, j] = np.matmul(kg[:, None, :], rule.w).reshape(-1, 3, 3)
+                out[:, j] = np.matmul(kg[:, None, :], w).reshape(-1, 3, 3)
             else:
-                kg *= rule.w
+                kg *= w
                 out[:, j, 0, 0] = np.sum(kg, axis=1)
 
     return evaluate

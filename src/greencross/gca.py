@@ -31,7 +31,7 @@ import numpy as np
 
 from . import assembly, h2
 from .batchexec import DEFAULT_CAPACITY
-from .errors import ConfigError, StateError
+from .errors import ConfigError, SizeLimitError, StateError
 from .quadrature import DISJOINT, green_box_rule
 
 __all__ = [
@@ -46,6 +46,11 @@ Interpolation = namedtuple("Interpolation", "pivots v")
 # blocks whose B^T the Green baseline evaluates per call: about 2 MiB at
 # plane L4 (leaf 16, 2k = 108)
 _FACTOR_BLOCKS = 64
+
+# memory budget of the packed blocks of one compressed build, V's and K's
+# together: 1 GiB is the plane L6 constant solve's 614 MiB (V + K, default
+# flags) with room, and refuses an L7 build before any integral
+PACK_BYTES = 1 << 30
 
 
 def aca_interpolation(a, eps, max_rank=None):
@@ -488,6 +493,11 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     layouts = [h2.pack(row_basis, col_bases[0], far, near, shape)]
     layouts += [h2.pack(row_basis, cb, far, near, shape, layouts[0][0].row)
                 for cb in col_bases[1:]]
+    nbytes = sum(p.blocks.data.nbytes for p, *_ in layouts)
+    if nbytes > PACK_BYTES:
+        raise SizeLimitError(
+            "compressed build refused: its blocks take %d MiB, over the %d "
+            "MiB budget" % (nbytes >> 20, PACK_BYTES >> 20))
     # every leaf's place in each operator, offset -1 where it is not
     # evaluated whole (V's mirrored and diagonal leaves)
     place = np.full((len(leaves), len(layouts), 4), -1)

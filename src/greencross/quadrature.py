@@ -196,28 +196,9 @@ _IDENTICAL_MATS = (
 )
 
 
-@lru_cache(maxsize=None)
-def sauter_rule(kind, q):
-    """Regularized tensor rule on t-hat x t-hat for one singularity case.
-
-    kind is a KIND_NAMES entry or its code. Node counts are 6 q^4 / 10 q^4 /
-    2 q^4 / q^4 for identical / edge / vertex / disjoint (the edge rule is
-    symmetrized, see below). Points are given in simplex coordinates; the
-    construction works in the 'relative' coordinates 0 <= r2 <= r1 <= 1 and
-    shears the result, which leaves the weights untouched.
-    """
-    if q < 1:
-        raise ValueError("quadrature order must be positive")
-    code = KIND_CODES[kind] if isinstance(kind, str) else int(kind)
-    if code == DISJOINT:
-        px, wx = triangle_gauss(q)
-        py, wy = triangle_gauss(q)
-        nx = len(px)
-        x = np.repeat(px, nx, axis=0)
-        y = np.tile(py, (nx, 1))
-        return PairRule(x, y, np.outer(wx, wy).ravel())
-
-    xi, e1, e2, e3, w4 = _grid4(q)
+def _regularized(code, xi, e1, e2, e3, w4):
+    """Points and weights of the singular rule of case ``code`` at the
+    coordinates (xi, e1, e2, e3) of the unit 4-cube, weights w4 there."""
     xs, ys, ws = [], [], []
 
     def add(rx1, rx2, ry1, ry2, jac):
@@ -253,7 +234,7 @@ def sauter_rule(kind, q):
         for (w0, w1, w2, w3), jac in specs:
             add(w0, w3, w0 + w1, w2, jac)
     else:
-        raise ValueError("unknown singularity kind %r" % (kind,))
+        raise ValueError("unknown singularity kind %r" % (code,))
     x = np.concatenate(xs)
     y = np.concatenate(ys)
     w = np.concatenate(ws)
@@ -269,4 +250,59 @@ def sauter_rule(kind, q):
         x = np.concatenate([x, sy])
         y = np.concatenate([y, sx])
         w = np.concatenate([0.5 * w, 0.5 * w])
-    return PairRule(x, y, w)
+    return x, y, w
+
+
+@lru_cache(maxsize=None)
+def sauter_rule(kind, q):
+    """Regularized tensor rule on t-hat x t-hat for one singularity case.
+
+    kind is a KIND_NAMES entry or its code. Node counts are 6 q^4 / 10 q^4 /
+    2 q^4 / q^4 for identical / edge / vertex / disjoint (the edge rule is
+    symmetrized, see below). Points are given in simplex coordinates; the
+    construction works in the 'relative' coordinates 0 <= r2 <= r1 <= 1 and
+    shears the result, which leaves the weights untouched.
+
+    A singular rule is S subdomains (6 / 10 / 2) of q^4 points each, in
+    order; a subdomain's points run radial-major: q^3 points eta for each
+    Gauss node xi in turn. Both sides' points are c + xi f(eta), with
+    f(eta) the point at xi = 1 (see :func:`radial_rule`) and the centre
+    c = (0, 0), a shared vertex, except in the mirrored half of the edge
+    rule, where c = (1, 0), the other shared vertex. A weight is the Gauss
+    weight of xi times xi^3 times a factor of eta.
+    """
+    if q < 1:
+        raise ValueError("quadrature order must be positive")
+    code = KIND_CODES[kind] if isinstance(kind, str) else int(kind)
+    if code == DISJOINT:
+        px, wx = triangle_gauss(q)
+        py, wy = triangle_gauss(q)
+        nx = len(px)
+        x = np.repeat(px, nx, axis=0)
+        y = np.tile(py, (nx, 1))
+        return PairRule(x, y, np.outer(wx, wy).ravel())
+    return PairRule(*_regularized(code, *_grid4(q)))
+
+
+RadialRule = namedtuple("RadialRule", "x y xi")
+
+
+@lru_cache(maxsize=None)
+def radial_rule(kind, q):
+    """The points of the singular rule ``sauter_rule(kind, q)`` at xi = 1,
+    from the rule's own formulas: x and y (S q^3, 2), subdomain-major, and
+    the radial Gauss nodes xi (q,). Point (s q + i) q^3 + m of the full
+    rule is c + xi[i] (x[s q^3 + m] - c) (see :func:`sauter_rule`), and
+    the same of y. The arrays are read-only: the cache shares them.
+    """
+    code = KIND_CODES[kind] if isinstance(kind, str) else int(kind)
+    if code == DISJOINT or q < 1:
+        raise ValueError("no radial rule of kind %r, order %r" % (kind, q))
+    # the grid is xi-major: its first q^3 points hold every eta
+    _, e1, e2, e3, _ = _grid4(q)
+    m = q ** 3
+    x, y, _ = _regularized(code, np.ones(m), e1[:m], e2[:m], e3[:m], 1.0)
+    rule = RadialRule(x, y, _gauss01(q)[0].copy())
+    for a in rule:
+        a.flags.writeable = False
+    return rule

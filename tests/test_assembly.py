@@ -9,7 +9,8 @@ from greencross import quadrature as quad
 from greencross.clustering import (BoundingBox, build_block_tree,
                                    build_cluster_tree)
 from greencross.errors import ConfigError
-from greencross.geometry import build_sphere_mesh, shape_functions, to_curved
+from greencross.geometry import (build_sphere_mesh, chart_pack,
+                                 shape_functions, to_curved)
 from greencross.quadrature import green_box_rule
 from oracles import chart_eval, one_box, surface_area
 
@@ -446,21 +447,50 @@ def test_pair_values_independent_of_chunking(monkeypatch, geometry, basis,
 def test_singular_rule_distinct_point_tables(kind):
     """Each side's distinct points, and the shape functions there, gathered
     by the stored indices give the rule's points and their shape functions
-    bitwise; the cached tables refuse writes."""
+    bitwise: the whole rule's on curved charts, its points at xi = 1 on
+    plane ones. Each kernel has its weights, one array for both on curved
+    charts; the cached tables refuse writes."""
     for q in range(2, 6):
-        rule = quad.sauter_rule(kind, q)
-        for basis in ("constant", "linear"):
-            tab = assembly._singular_rule(quad.KIND_CODES[kind], q, basis)
-            for pts, n6, index in ((rule.x, tab.n6x, tab.ix),
-                                   (rule.y, tab.n6y, tab.iy)):
-                distinct = np.unique(pts, axis=0)
-                assert n6.shape == (6, len(distinct))
-                assert len(distinct) < len(pts)
-                assert np.array_equal(distinct[index], pts)
-                assert np.array_equal(n6[:, index], shape_functions(pts).T)
-            for a in tab:
-                with pytest.raises(ValueError, match="read-only"):
-                    np.multiply(a, 1, out=a)
+        for curved in (True, False):
+            rule = (quad.sauter_rule(kind, q) if curved
+                    else quad.radial_rule(kind, q))
+            for basis in ("constant", "linear"):
+                tab = assembly._singular_rule(quad.KIND_CODES[kind], q, basis,
+                                              curved)
+                for pts, n6, index in ((rule.x, tab.n6x, tab.ix),
+                                       (rule.y, tab.n6y, tab.iy)):
+                    distinct = np.unique(pts, axis=0)
+                    assert n6.shape == (6, len(distinct))
+                    assert len(distinct) < len(pts)
+                    assert np.array_equal(distinct[index], pts)
+                    assert np.array_equal(n6[:, index], shape_functions(pts).T)
+                assert sorted(tab.w) == ["dlp", "slp"]
+                width = () if basis == "constant" else (9,)
+                for w in tab.w.values():
+                    assert w.shape == (len(rule.x),) + width
+                assert (tab.w["slp"] is tab.w["dlp"]) == curved
+                for a in (tab.n6x, tab.ix, tab.n6y, tab.iy,
+                          *tab.w.values()):
+                    with pytest.raises(ValueError, match="read-only"):
+                        np.multiply(a, 1, out=a)
+
+
+@pytest.mark.parametrize("kind", ["vertex", "edge", "identical"])
+def test_plane_singular_weights_sum_the_radial_variable(kind):
+    """A plane rule's weight at eta, for a kernel of degree p, is the sum
+    over the whole rule's radial nodes xi of w xi^-p, point by point."""
+    for q in range(2, 6):
+        full = quad.sauter_rule(kind, q)
+        xi = quad.radial_rule(kind, q).xi
+        tab = assembly._singular_rule(quad.KIND_CODES[kind], q, "constant",
+                                      False)
+        for k, p in (("slp", 1), ("dlp", 2)):
+            w = tab.w[k]
+            for at in range(len(w)):
+                sub, m = divmod(at, q ** 3)
+                ref = sum(full.w[(sub * q + i) * q ** 3 + m] / xi[i] ** p
+                          for i in range(q))
+                assert abs(w[at] - ref) <= 1e-15 * ref
 
 
 def _reference_pair(mesh, kind, basis, rule, t, s, p, q):
@@ -512,6 +542,62 @@ def test_pair_values_match_chart_reference(geometry, basis, kind):
             ref, mag = _reference_pair(mesh, kind, basis, rule, t[i], s[i],
                                        px[i], py[i])
             assert np.abs(got[i] - ref).max() <= 1e-13 * mag.max()
+
+
+def _plane_magnitudes(mesh, basis, rule, t, s, px, py):
+    """The rounding scales of :func:`_reference_pair` on a plane mesh, the
+    largest slot of each pair, slp's and dlp's (2, pairs): the sum over
+    the rule of w g_t g_s / (4 pi r^p), p 1 or 2, times the slot factors.
+    A plane chart is affine, so a local point maps through the pair's
+    permuted vertices."""
+    gram = chart_pack(mesh).gram
+    bx, by = (np.stack([1.0 - p[:, 0] - p[:, 1], p[:, 0], p[:, 1]], axis=1)
+              for p in (rule.x, rule.y))
+    out = np.empty((2, len(t)))
+    for at in range(0, len(t), 256):
+        sl = slice(at, at + 256)
+        x, y = (b @ mesh.vertices[mesh.triangles[tri[:, None],
+                                                 quad.PERMS3[perm]]]
+                for b, tri, perm in ((bx, t[sl], px[sl]), (by, s[sl], py[sl])))
+        r = np.linalg.norm(x - y, axis=2)
+        f = (gram[t[sl]] * gram[s[sl]])[:, None] * rule.w / (FOUR_PI * r)
+        for p in (0, 1):
+            out[p, sl] = (f.sum(axis=1) if basis == "constant" else (
+                (f[:, :, None] * bx).transpose(0, 2, 1) @ by).max(axis=(1, 2)))
+            f /= r
+    return out
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("basis", ["constant", "linear"])
+def test_plane_singular_pairs_match_full_rule(level, basis):
+    """Every vertex, edge and identical pair of a plane mesh, summed over
+    the radial rule's points at xi = 1, agrees with the whole rule on the
+    same mesh given straight midpoints (a curved mesh, which takes every
+    point) to 1e-13 of the magnitude scale of :func:`_reference_pair`:
+    slp, dlp and both fused, at q_sing 2-5. (The whole rule's fused
+    values are its single-kernel ones bitwise, see
+    test_fused_kernels_keep_single_kernel_bits.)"""
+    plane = build_sphere_mesh(level)
+    straight = to_curved(plane)
+    t, s = np.divmod(np.arange(plane.nt ** 2), plane.nt)
+    case, px, py = quad.classify_pairs(plane.triangles[t], plane.triangles[s])
+    for q_sing in range(2, 6):
+        for c in (quad.VERTEX, quad.EDGE, quad.IDENTICAL):
+            sel = np.flatnonzero(case == c)
+            args = (c, t[sel], s[sel])
+            rule = quad.sauter_rule(quad.KIND_NAMES[c], q_sing)
+            mag = _plane_magnitudes(plane, basis, rule, t[sel], s[sel],
+                                    px[sel], py[sel])
+            ref = np.concatenate([assembly.galerkin_pair_evaluator(
+                k, straight, basis, 2, q_sing)(*args) for k in ("slp", "dlp")],
+                axis=1)
+            for kinds, at in (("slp", [0]), ("dlp", [1]),
+                              (("slp", "dlp"), [0, 1])):
+                got = assembly.galerkin_pair_evaluator(
+                    kinds, plane, basis, 2, q_sing)(*args)
+                err = np.abs(got - ref[:, at]).max(axis=(2, 3))
+                assert np.all(err <= 1e-13 * mag[at].T)
 
 
 @pytest.mark.parametrize("geometry", ["plane", "curved"])
@@ -607,14 +693,16 @@ def test_collocation_vertex_values_match_duffy_reference(geometry, kind):
         assert np.abs(got[i] - ref).max() <= 1e-13 * mag.max()
 
 
-# sha256 prefixes of _all_pair_values before the orientation rule
-# (numpy 2.4.6, x86_64): constant slp over the pairs t < s, the others
-# over all pairs
+# sha256 prefixes of _all_pair_values (numpy 2.4.6, x86_64): constant slp
+# over the pairs t < s, the others over all pairs. The curved ones were
+# taken before the orientation rule; the plane ones with the radial sum
+# of the plane singular rules, whose values agree with the whole rule to
+# rounding (see test_plane_singular_pairs_match_full_rule)
 _SEED_VALUES = {
-    ("plane", "slp", "constant"): "0436163bac63236e",
-    ("plane", "dlp", "constant"): "36075405c59a528f",
-    ("plane", "slp", "linear"): "227a67b819b971ff",
-    ("plane", "dlp", "linear"): "d2ee8508796122b9",
+    ("plane", "slp", "constant"): "2047fb55fc6031b7",
+    ("plane", "dlp", "constant"): "a2ea49389d557a90",
+    ("plane", "slp", "linear"): "51946a0ec041256d",
+    ("plane", "dlp", "linear"): "36b5075d6443efab",
     ("curved", "slp", "constant"): "7498f4af735fedd9",
     ("curved", "dlp", "constant"): "895aeee7070e02b3",
     ("curved", "slp", "linear"): "04963781e928c29a",
@@ -627,7 +715,8 @@ _SEED_VALUES = {
 @pytest.mark.parametrize("geometry,kind,basis", sorted(_SEED_VALUES))
 def test_pair_values_keep_seed_bits(geometry, kind, basis):
     """The orientation rule leaves the constant slp values of pairs t < s
-    and every dlp and linear value bitwise as they were before it."""
+    and every dlp and linear value bitwise as they were before it (on
+    plane meshes, as they were since the radial sum)."""
     upper = (kind, basis) == ("slp", "constant")
     values = _all_pair_values(_mesh(geometry, 2), kind, basis, upper)
     digest = hashlib.sha256(b"".join(v.tobytes() for v in values))

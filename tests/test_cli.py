@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from greencross import cli
+from greencross import assembly, cli, gca
 from greencross import quadrature as quad
 from greencross.geometry import CurvedTriangleMesh, read_mesh
 
@@ -131,6 +131,23 @@ def test_compress_dense_guard_is_a_memory_estimate(mesh2_file, tmp_path,
     assert "--no-dense" in capsys.readouterr().err
     assert cli.main(["compress", "--mesh", mesh2_file, "--out", out,
                      "--no-dense"]) == 0
+
+
+@pytest.mark.parametrize("command", [["solve"], ["compress", "--no-dense"]])
+def test_compressed_build_refused_over_its_byte_budget(mesh2_file, tmp_path,
+                                                       monkeypatch, capsys,
+                                                       command):
+    """A build whose packed blocks exceed gca.PACK_BYTES is refused with
+    exit 3 once laid out, before any pair integral is evaluated."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair evaluator built")
+
+    monkeypatch.setattr(assembly, "galerkin_pair_evaluator", refuse)
+    monkeypatch.setattr(gca, "PACK_BYTES", 1024)
+    out = str(tmp_path / "refused.csv")
+    assert cli.main([command[0], "--mesh", mesh2_file, "--out", out]
+                    + command[1:]) == 3
+    assert "budget" in capsys.readouterr().err
 
 
 def test_solve_galerkin_constant(mesh2_file, tmp_path):

@@ -651,14 +651,15 @@ def test_diagonal_leaves_evaluated_once_keep_blocks():
     """Plane L4 constant V alone (orders (2,4), m 3, eps 1e-4, leaf 16):
     diagonal leaves evaluate each unordered pair once, which cuts the
     singular pairs to these counts, and every block keeps its pinned bits
-    (sha256 prefix, numpy 2.4.6, x86_64)."""
+    (sha256 prefix, numpy 2.4.6, x86_64; re-pinned when the plane singular
+    rules took the radial sum, a rounding-level change)."""
     cfg = _solve_config(4, "plane", "constant")
     hm = cli.build_h2_operator(build_sphere_mesh(4), cfg)[0]
     tasks = {st["case"]: st["tasks"] for st in hm.exec_stats}
     assert [tasks[c] for c in (quad.VERTEX, quad.EDGE, quad.IDENTICAL)] \
         == [9192, 3072, 2048]
     digest = hashlib.sha256(hm.packed.blocks.data.tobytes()).hexdigest()
-    assert digest[:16] == "9301207d285d8bd3"
+    assert digest[:16] == "71835cdad5f6d4d0"
     for blk in hm.nearfield:
         if blk.row.index == blk.col.index:
             assert np.array_equal(blk.values, blk.values.T)

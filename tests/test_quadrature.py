@@ -86,6 +86,38 @@ def test_sauter_rule_sizes(kind, subdomains):
         assert abs(rule.w.sum() - 0.25) < 1e-13
 
 
+@pytest.mark.parametrize("kind,subdomains", [
+    ("identical", 6), ("edge", 10), ("vertex", 2),
+])
+def test_sauter_rule_is_radial(kind, subdomains):
+    """The layout the plane singular rules rest on: each subdomain's q^4
+    points run xi-major, the point at the Gauss node xi_i is c + xi_i (f -
+    c) with f the radial rule's point at xi = 1 and c the shared vertex
+    (1, 0) in the mirrored half of the edge rule, (0, 0) elsewhere; every
+    weight over xi_i^3 and the Gauss weight of xi_i depends on eta only. The radial rule has S q^3
+    points, and its cached arrays refuse writes."""
+    for q in range(2, 6):
+        full = quad.sauter_rule(kind, q)
+        rad = quad.radial_rule(kind, q)
+        n = q ** 3
+        assert rad.x.shape == rad.y.shape == (subdomains * n, 2)
+        assert np.array_equal(rad.xi, np.sort(rad.xi))
+        c = np.zeros((subdomains, 1, 1, 2))
+        if kind == "edge":
+            c[subdomains // 2:, ..., 0] = 1.0
+        xi = rad.xi[:, None, None]
+        for side, f in ((full.x, rad.x), (full.y, rad.y)):
+            want = c + xi * (f.reshape(subdomains, 1, n, 2) - c)
+            assert np.abs(side.reshape(subdomains, q, n, 2) - want).max() \
+                <= 1e-15
+        radial = 0.5 * quad.gauss_legendre(q).weights * rad.xi ** 3
+        w = full.w.reshape(subdomains, q, n) / radial[:, None]
+        assert np.abs(w - w[:, :1]).max() <= 1e-15 * np.abs(w).max()
+        for a in rad:
+            with pytest.raises(ValueError, match="read-only"):
+                np.multiply(a, 1, out=a)
+
+
 @pytest.mark.parametrize("kind", ["identical", "edge", "vertex", "disjoint"])
 def test_sauter_frozen_oracles(kind):
     t2, target = PAIR_ORACLES[kind]
