@@ -94,8 +94,9 @@ def test_sauter_rule_is_radial(kind, subdomains):
     points run xi-major, the point at the Gauss node xi_i is c + xi_i (f -
     c) with f the radial rule's point at xi = 1 and c the shared vertex
     (1, 0) in the mirrored half of the edge rule, (0, 0) elsewhere; every
-    weight over xi_i^3 and the Gauss weight of xi_i depends on eta only. The radial rule has S q^3
-    points, and its cached arrays refuse writes."""
+    weight over xi_i^3 and the Gauss weight of xi_i depends on eta only.
+    The radial rule has S q^3 points, and its cached arrays refuse
+    writes."""
     for q in range(2, 6):
         full = quad.sauter_rule(kind, q)
         rad = quad.radial_rule(kind, q)
