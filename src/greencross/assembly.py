@@ -10,26 +10,24 @@ all in one call per side, and shares each among all blocks that list it;
 :func:`make_executor` makes the executor of a discretization and names
 the table kinds of its rows and columns.
 Blocks record these products with the batch executor, which integrates a
-triangle pair shared by several blocks once and scatters it to all of them
-(a constant-basis pair is one entry of one block, so that path skips the
-dedupe). Pairs of unknown case are classified by :func:`galerkin_classify`,
-which looks each pair up among the mesh's vertex-sharing pairs (a sorted
-key array from the vertex stars) and counts the shared vertices of only
-those; every other pair is disjoint. Each entry sums in a fixed order:
-ascending row triangle, then column slot, then column triangle. So
-assembly is bitwise reproducible for any capacity and thread count, and a
-block equals the same rows and columns of any larger block. A collocation
-block is the product of its row points and its column triangle table,
-with the same order per entry.
+triangle pair shared by several blocks, or by (t, s) and (s, t), once and
+scatters it to all of them (a constant single-layer pair is one entry of
+one block, so that path skips the dedupe). Pairs of unknown case are
+classified by :func:`galerkin_classify`, which looks each pair up among
+the mesh's vertex-sharing pairs (a sorted key array from the vertex
+stars) and counts the shared vertices of only those; every other pair is
+disjoint. Each entry sums in the executor's fixed order, by ascending
+smaller triangle of the pair first. So assembly is bitwise reproducible
+for any capacity and thread count, and a block equals the same rows and
+columns of any larger block. A collocation block is the product of its
+row points and its column triangle table.
 
-The evaluators own a pair's local vertex order and its orientation (see
+The evaluators own a pair's local vertex order (see
 :func:`galerkin_pair_evaluator`): they rotate a singular pair for its
-rule and return values in each element's own slots, and evaluate a
-constant-basis single-layer pair row triangle below column triangle, so
-that matrix is bitwise symmetric.
-
-An evaluator computes the single layer, the double layer or both, with
-one value per pair and kernel, so one executor pass assembles V and K.
+rule and return values in each element's own slots. An evaluator
+computes the single layer, the double layer or both, so one executor
+pass assembles V and K; a Galerkin one also the adjoint double layer,
+which K's lower pairs read.
 
 Every regular surface integral reads one rule, :func:`surface_rule`: the
 order-q triangle rule's points, unnormalized normals and Gramians on any
@@ -177,7 +175,7 @@ _SingularRule = namedtuple("_SingularRule", "n6x ix n6y iy w")
 
 # on a plane chart x - y = xi (J_t f_x - J_s f_y) along a singular rule's
 # radial variable xi, and each kernel is homogeneous in x - y: k(xi d) =
-# xi^-p k(d), of this degree p
+# xi^-p k(d), of this degree p (adlp reads the dlp weights)
 _DEGREE = {"slp": 1, "dlp": 2}
 
 
@@ -251,13 +249,13 @@ def surface_rule(mesh, q, tris=None):
     return SurfaceRule(x, n, gram, pts, wts)
 
 
-_FarTables = namedtuple("_FarTables", "x wr wc n")
+_FarTables = namedtuple("_FarTables", "x w n")
 
 
-def _kinds(kinds):
-    """One kernel name or several, as a tuple."""
+def _kinds(kinds, known=("slp", "dlp")):
+    """One kernel name or several, distinct and ``known``, as a tuple."""
     kinds = (kinds,) if isinstance(kinds, str) else tuple(kinds)
-    if sorted(kinds) not in (["slp"], ["dlp"], ["dlp", "slp"]):
+    if not kinds or len(set(kinds)) < len(kinds) or set(kinds) - set(known):
         raise ConfigError("unknown kernel kinds %r" % (kinds,))
     return kinds
 
@@ -267,18 +265,20 @@ def _far_tables(mesh, q_reg, linear, kinds):
     :func:`surface_rule`.
 
     x holds the M rule points of every triangle, coordinate-major (3, nt, M).
-    Row weights wr are the Gram-weighted weights times, for the linear
-    basis, the barycentric factors: (nt, width, M). The column weights wc
-    (one per kernel) are the same for slp; dlp leaves out the column
-    Gramian, which the unnormalized interpolated normals n (3, nt, M) carry.
+    w maps each kernel to its (row, column) weights, (nt, width, M) each:
+    the Gram-weighted weights times, for the linear basis, the barycentric
+    factors, except that dlp leaves out the column Gramian and adlp the
+    row Gramian, which the unnormalized interpolated normals n (3, nt, M)
+    carry.
     """
     rule = surface_rule(mesh, q_reg)
     gw = rule.gram * rule.wts
     slots = _bary(rule.pts).T if linear else np.ones((1, len(rule.wts)))
-    wr = gw[:, None, :] * slots
-    wc = [np.broadcast_to(rule.wts, gw.shape)[:, None, :] * slots
-          if k == "dlp" else wr for k in kinds]
-    return _FarTables(rule.x, wr, wc, rule.n if "dlp" in kinds else None)
+    gram = gw[:, None, :] * slots
+    plain = (np.broadcast_to(rule.wts, gw.shape)[:, None, :] * slots
+             if set(kinds) - {"slp"} else None)
+    w = {"slp": (gram, gram), "dlp": (gram, plain), "adlp": (plain, gram)}
+    return _FarTables(rule.x, w, None if plain is None else rule.n)
 
 
 def galerkin_classify(mesh):
@@ -311,7 +311,7 @@ def galerkin_classify(mesh):
 
 def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
     """Batched pair-integral evaluator for the executor, of one kernel
-    ("slp", "dlp") or a tuple of them.
+    ("slp", "dlp", "adlp") or a tuple of them.
 
     ``evaluate(case, rows, cols, kernels=None)`` returns, for the triangle
     pairs (rows[i], cols[i]), all of singularity case ``case``, the kernels
@@ -319,7 +319,9 @@ def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
     len(kernels), width, width): entry [i, j, a, b] pairs the basis
     functions of vertex a of rows[i] and vertex b of cols[i], each in its
     triangle's own vertex order. Kernels share each pair's points,
-    distances and Gramians; every value is bitwise the one-kernel value.
+    differences, distances and Gramians; every value is bitwise the
+    one-kernel value. "adlp", the adjoint double layer -(x - y).n_x /
+    (4 pi r^3), at (s, t), transposed, is the dlp value at (t, s).
 
     Disjoint pairs read the per-triangle tables of :func:`_far_tables`, so
     no chart is interpolated per pair: the value is the sum over the M*M
@@ -327,7 +329,7 @@ def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
     charts at the distinct points of :func:`_singular_rule`, coordinate-major,
     and gather them to the rule's points, and each kernel sums with its own
     weights of the rule: on a curved mesh the whole regularized rule, the
-    same weights for both; on a plane mesh (chosen by ``chart_pack``, no
+    same weights for all; on a plane mesh (chosen by ``chart_pack``, no
     option) its points at xi = 1, the radial variable summed into the
     weights of each kernel's homogeneity degree.
 
@@ -337,15 +339,9 @@ def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
     as the regularized rules need. That reproduces the physical point and
     normal fields exactly, so odd permutations need no orientation
     correction; linear values then go back to each triangle's own order.
-
-    Orientation rule: the constant-basis single layer evaluates a pair
-    (t, s) with t > s as (s, t), classified as such (swapping the pair's
-    own permutations would change the rule's vertex order, at quadrature
-    level). So (t, s) gets the bits of (s, t); the linear basis and dlp
-    evaluate pairs as given, so for such a pair a constant slp and a dlp
-    value are evaluated apart.
+    A pair is evaluated as given, in either orientation.
     """
-    kinds = _kinds(kinds)
+    kinds = _kinds(kinds, ("slp", "dlp", "adlp"))
     if basis not in ("constant", "linear"):
         raise ConfigError("unknown basis %r" % (basis,))
     pack = chart_pack(mesh)
@@ -354,29 +350,13 @@ def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
     nodes = _coordinate_major(pack.nodes)
     normals = _coordinate_major(pack.normals)
     far = _far_tables(mesh, q_reg, basis == "linear", kinds)
-    slp = kinds.index("slp") if basis == "constant" and "slp" in kinds \
-        else None
 
     def evaluate(case, rows, cols, kernels=None):
         kernels = list(range(len(kinds)) if kernels is None else kernels)
-        low = np.flatnonzero(rows > cols) if slp in kernels else []
-        if not len(low):
-            return _values(case, rows, cols, kernels)
-        # the orientation rule: slp evaluates (t, s) with t > s as (s, t)
-        if kernels == [slp]:
-            return _values(case, np.minimum(rows, cols),
-                           np.maximum(rows, cols), kernels)
-        # the other kernels read (t, s) as given: its slp value is replaced
-        out = _values(case, rows, cols, kernels)
-        out[low, kernels.index(slp)] = _values(case, cols[low], rows[low],
-                                               [slp])[:, 0]
-        return out
-
-    def _values(case, rows, cols, kernels):
         out = np.empty((len(rows), len(kernels), width, width))
-        # dlp first: the singular chunk divides by r2 in place for dlp
-        # before it scales r in place for slp
-        todo = sorted(enumerate(kernels), key=lambda jk: kinds[jk[1]] != "dlp")
+        # the single layer last: the singular chunk scales r in place for
+        # it, after the double layers have divided by r^3
+        todo = sorted(enumerate(kernels), key=lambda jk: kinds[jk[1]] == "slp")
         if case == quad.DISJOINT:
             for sl in _chunks(len(rows), far.x.shape[-1] ** 2):
                 _disjoint_chunk(out[sl], rows[sl], cols[sl], todo)
@@ -400,14 +380,18 @@ def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
              - far.x.take(cols, axis=1)[..., None, :])
         r2 = np.sum(d * d, axis=0)
         r = np.sqrt(r2)
-        wr = far.wr.take(rows, axis=0)
         for j, k in todo:
-            if kinds[k] == "dlp":
+            kind = kinds[k]
+            if kind == "dlp":
                 ny = far.n.take(cols, axis=1)[..., None, :]
                 kern = np.sum(d * ny, axis=0) / (r2 * r)
+            elif kind == "adlp":
+                nx = far.n.take(rows, axis=1)[..., :, None]
+                kern = -np.sum(d * nx, axis=0) / (r2 * r)
             else:
                 kern = 1.0 / r
-            wc = far.wc[k].take(cols, axis=0)
+            wr, wc = (a.take(idx, axis=0)
+                      for a, idx in zip(far.w[kind], (rows, cols)))
             if width > 1:
                 # the slots of a pair: its kernel matrix between the row
                 # and the column weights, two small products per pair
@@ -424,38 +408,40 @@ def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
         # the M rule points; the (3, b, M) temporaries are reused in place
         d = _chart_points(nodes, rows, px, rule.n6x).take(rule.ix, axis=2)
         d -= _chart_points(nodes, cols, py, rule.n6y).take(rule.iy, axis=2)
-        if pack.curved:
-            gx = _norm3(_chart_points(normals, rows, px, rule.n6x),
-                        axis=0).take(rule.ix, axis=1)
-        else:
-            gx = pack.gram[rows][:, None]
-        dlp = kinds[todo[0][1]] == "dlp"
-        if dlp or pack.curved:
-            # the column normals at the distinct points, shared by the
-            # dlp kernel and the curved slp Gramian
-            ny = _chart_points(normals, cols, py, rule.n6y)
-        if dlp:
-            kg = ny.take(rule.iy, axis=2)
-            kg *= d
-            kg = np.sum(kg, axis=0)
+        asked = {kinds[k] for _, k in todo}
+        # per side, x (rows, adlp's) and y (cols, dlp's): the Gramians at
+        # the rule points and, before d is squared in place, the double
+        # layer's numerator, both from the normals at the distinct points
+        gram, num = {}, {}
+        for side, kind, tri, perm, n6, at, sign in (
+                ("x", "adlp", rows, px, rule.n6x, rule.ix, -1.0),
+                ("y", "dlp", cols, py, rule.n6y, rule.iy, 1.0)):
+            if kind in asked or pack.curved:
+                n = _chart_points(normals, tri, perm, n6)
+            gram[side] = (_norm3(n, axis=0).take(at, axis=1) if pack.curved
+                          else pack.gram[tri][:, None])
+            if kind in asked:
+                kg = n.take(at, axis=2)
+                kg *= d
+                num[kind] = sign * np.sum(kg, axis=0)
         d *= d
         r2 = np.sum(d, axis=0)
         r = np.sqrt(r2)
+        if num:
+            r2 *= FOUR_PI
+            r2 *= r
         for j, k in todo:
-            if kinds[k] == "dlp":
-                # |n_y| carries the column Gramian, so only gx multiplies
-                r2 *= FOUR_PI
-                r2 *= r
-                kg /= r2
-                kg *= gx
-            else:
-                if pack.curved:
-                    gy = _norm3(ny, axis=0).take(rule.iy, axis=1)
-                else:
-                    gy = pack.gram[cols][:, None]
+            kind = kinds[k]
+            if kind == "slp":
                 r *= FOUR_PI
-                kg = np.divide(gx * gy, r, out=r)
-            w = rule.w[kinds[k]]
+                kg = np.divide(gram["x"] * gram["y"], r, out=r)
+            else:
+                # |n| carries its own side's Gramian, so only the other
+                # side's multiplies
+                kg = num[kind]
+                kg /= r2
+                kg *= gram["x" if kind == "dlp" else "y"]
+            w = rule.w["slp" if kind == "slp" else "dlp"]
             if width > 1:
                 # the nine slot weights of a pair in one small product per
                 # pair
@@ -536,13 +522,20 @@ def make_executor(kind, mesh, basis, disc, out, orders=(3, 5),
                   capacity=DEFAULT_CAPACITY, threads=None):
     """The executor of one kernel or a tuple of them, with one buffer each,
     for the ``disc`` ("galerkin", "collocation") of ``basis``, and the row
-    and column kinds of its element tables (see :func:`element_tables`)."""
+    and column kinds of its element tables (see :func:`element_tables`).
+    A Galerkin executor's evaluator also computes each kernel's mirror,
+    which its lower halves read (see ``batchexec``)."""
     q_reg, q_sing = orders
     if disc == "galerkin":
+        # a kernel's mirror: its value at (s, t), transposed, is the
+        # kernel's at (t, s)
+        own, mirror = _kinds(kind), {"slp": "slp", "dlp": "adlp"}
+        kinds = own + tuple(mirror[k] for k in own if mirror[k] not in own)
         return (BatchExecutor(
             galerkin_classify(mesh),
-            galerkin_pair_evaluator(kind, mesh, basis, q_reg, q_sing), out,
-            4, capacity, threads), (basis, basis))
+            galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing), out,
+            4, capacity, threads, [kinds.index(mirror[k]) for k in own]),
+                (basis, basis))
     if disc == "collocation":
         if basis != "linear":
             raise ConfigError("collocation rows pair with the linear basis")
@@ -591,22 +584,20 @@ def _green_kernels(x, z, nz, nx=None):
     points x (3, T, M) of each triangle and the rule points z (T, K, 3) of
     its box; given the unnormalized surface normals nx (3, T, M) at the
     points, their derivatives along nx instead: dg/dn_x and d2g/dn_x dn_z.
-    Worked out coordinate-major, (3, T, M, K); the box normals nz are
-    axis-parallel, so sums with them are exact in any order."""
+    Worked out coordinate-major, (3, T, M, K), every sum over the three
+    coordinates in order; the box normals nz are axis-parallel, so sums
+    with them are exact in any order."""
     d = x[:, :, :, None] - _coordinate_major(z)[:, :, None, :]
     r = _norm3(d, axis=0)
     _touch_guard(r)
     dz = d[0] * nz[:, 0] + d[1] * nz[:, 1] + d[2] * nz[:, 2]
     if nx is None:
         return 1.0 / (FOUR_PI * r), dz / (FOUR_PI * r ** 3)
-    # sums with the surface normals keep np.einsum's order over contiguous
-    # (T, M, K, 3) and (T, M, 3) copies; other layouts sum in other orders
-    nx = np.ascontiguousarray(np.moveaxis(nx, 0, -1))
-    dx = np.einsum("tmkc,tmc->tmk",
-                   np.ascontiguousarray(np.moveaxis(d, 0, -1)), nx)
+    nx = nx[..., None]
+    dx = d[0] * nx[0] + d[1] * nx[1] + d[2] * nx[2]
     return (-dx / (FOUR_PI * r ** 3),
-            (np.einsum("tmc,kc->tmk", nx, nz) - 3.0 * dx * dz / r ** 2)
-            / (FOUR_PI * r ** 3))
+            (nx[0] * nz[:, 0] + nx[1] * nz[:, 1] + nx[2] * nz[:, 2]
+             - 3.0 * dx * dz / r ** 2) / (FOUR_PI * r ** 3))
 
 
 def _green_factor(segments, rule, mesh, basis, q, kind, row):

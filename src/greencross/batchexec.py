@@ -1,31 +1,37 @@
 """Pair-major batched execution of quadrature tasks.
 
 Work is described block by block, in buffers laid out by the caller, one
-per kernel the evaluator computes. A block is a row-major region of the
-buffer of each kernel it takes, given by its place there (offset, row
-stride, rows, columns), and one product of tasks: every element of a row
-table paired with every element of a column table. A table lists elements,
-each carrying the local slots its values scatter to (-1: unused), and one
-table serves every block that names it, so a caller builds it once per
-distinct index list. Tables come joined, (elements, slots, start) with
-table t at rows start[t]:start[t + 1], and the slot arrays' widths are
-those of the evaluator's values, the same in every call. ``enqueue_blocks``
-records any number of blocks in one call, as a few arrays; ``enqueue_many``
-is its one-block case, one table per side, the block given as a 2-D view
-into the first buffer. Nothing is evaluated before ``finalize``, which
-sorts the row entries of all blocks (the entries of their row tables) by
-element and walks them in ascending order, window by window:
+per kernel. A block is a row-major region of the buffer of each kernel it
+takes, given by its place there (offset, row stride, rows, columns), and
+one product of tasks: every element of a row table paired with every
+element of a column table. A table lists elements, each carrying the local
+slots its values scatter to (-1: unused), and one table serves every block
+that names it, so a caller builds it once per distinct index list. Tables
+come joined, (elements, slots, start) with table t at rows
+start[t]:start[t + 1], and the slot arrays' widths are those of the
+evaluator's values, the same in every call. ``enqueue_blocks`` records any
+number of blocks in one call, as a few arrays; ``enqueue_many`` is its
+one-block case, one table per side, the block given as a 2-D view into the
+first buffer. A Galerkin executor (made with ``mirror``) splits every
+block into its upper half, the pairs whose column element is >= the row
+element, and its strict lower half, recorded transposed (tables and
+place transposed, each kernel read through its mirror, the kernel whose
+value at (s, t), transposed, is its own at (t, s)). Nothing is evaluated
+before ``finalize``, which sorts the row entries of all halves (the
+entries of their row tables) by element and walks them in ascending
+order, window by window:
 
-1. a window holds whole row elements (all the blocks that list them), so
-   every (row, col) element pair of the build lives in exactly one window;
-   it closes once its tasks reach ``_WINDOW``, so the memory in flight is
+1. a window holds whole row elements (all the halves that list them), so
+   every unordered pair of the build lives in exactly one window; it
+   closes once its tasks reach ``_WINDOW``, so the memory in flight is
    bounded, independent of the build's size, the capacity and the number
    of workers; the window's tasks are expanded from its row entries and
-   their blocks' column tables, and nothing larger is ever expanded;
+   their halves' column tables, and nothing larger is ever expanded;
 2. the window's tasks are reduced to distinct pairs, so a pair shared by
-   several blocks is classified and evaluated once, for every kernel its
-   blocks take (skipped when one kernel and both widths are 1, as for the
-   constant-basis single layer, where a pair is one entry of one block);
+   several blocks, or by (t, s) and (s, t), is classified and evaluated
+   once, for every evaluator kernel its halves read (skipped for one
+   kernel of widths 1, the constant single layer, where a pair is one
+   entry of one block, or of two evaluated apart);
 3. the pairs of unknown singularity case are classified in one call (a
    block may carry the known case of all its pairs instead: an admissible
    block holds only disjoint pairs; a pair known in one block takes that
@@ -37,7 +43,7 @@ element and walks them in ascending order, window by window:
    pair arrays they read and the values they write sit in buffers kept
    from window to window;
 5. while the workers evaluate, the main thread maps every used (row slot,
-   column slot) of every task and kernel of its block to its flat target
+   column slot) of every task and kernel of its half to its flat target
    in that kernel's buffer and to its pair's value, in the order below; an
    unused slot takes no entry. One ``np.add.at`` per buffer then scatters
    the window.
@@ -48,13 +54,15 @@ order it integrates in (the vertex order a singular rule needs) is its
 own to undo.
 
 Order contract: a block entry sums its contributions by ascending row
-element, then block, in the order the blocks were recorded, then column
-slot b (the column element's own slot in its table), then position in the
-column table, then row slot a. Recording blocks in one call or one call
-each gives the same sums. Windows split only between row elements, so
-every entry is bitwise independent of the capacity, the number of workers
-and the window size, and of which other blocks (of any kernel) the build
-holds. The evaluator must likewise produce per-pair values independent
+element of the half, then half, in the order the blocks were recorded,
+all upper halves first, then column slot b (the column element's own slot
+in its table), then position in the column table (ascending element, in
+a Galerkin executor), then row slot a. Recording blocks in one call or one
+call each gives the same sums. Windows split only between row elements,
+so every entry is bitwise independent of the capacity, the number of
+workers and the window size, and of which other blocks (of any kernel)
+the build holds; a block equals the same rows and columns of any larger
+block. The evaluator must likewise produce per-pair values independent
 of how pairs are batched and of the other kernels asked for; the ones in
 the assembly module cut each batch into chunks of a fixed number of
 quadrature points, a function of the rule alone, and compute each pair's
@@ -88,11 +96,11 @@ _WINDOW = 1 << 17
 _UNUSED = -(1 << 61)
 
 
-# the recorded tasks of a build: row entries (element, record, slots) sorted
-# by element; per record its column entries' offset and count, known case,
-# and per kernel its target offset (-1: not taken) and row stride
-_Layout = namedtuple("_Layout", "rows rec rs cols cs coff ncol case offset "
-                                "stride span")
+# the recorded tasks: row entries (index into the row tables, half, offset
+# and count of its columns) sorted by element; per half its known case,
+# and per kernel its offset (-1: not taken), strides and evaluator kernel
+_Layout = namedtuple("_Layout", "ent half coff ncol rows rs cols cs case "
+                                "offset stride cstride kernel span")
 
 
 def _tables(tables):
@@ -131,8 +139,7 @@ def _join(tables, ids):
 
 class _Scratch:
     """Buffers kept from window to window: ``scratch(name, n, dtype)`` is
-    the first n entries of the named buffer, which grows to the largest n
-    asked for."""
+    the first n entries of the named buffer, grown to 1.5 n when short."""
 
     def __init__(self):
         self._bufs = {}
@@ -140,7 +147,7 @@ class _Scratch:
     def __call__(self, name, n, dtype=np.int64):
         buf = self._bufs.get(name)
         if buf is None or len(buf) < n:
-            buf = self._bufs[name] = np.empty(n, dtype=dtype)
+            buf = self._bufs[name] = np.empty(n + n // 2, dtype=dtype)
         return buf[:n]
 
 
@@ -148,7 +155,7 @@ def _windows(elems, cost):
     """(start, stop) ranges of the sorted row entries, cut between
     elements once the summed cost (tasks) reaches _WINDOW, or after one
     element if that alone costs more."""
-    cum = np.cumsum(cost)
+    cum = np.cumsum(cost, dtype=np.int64)
     bounds = np.r_[np.flatnonzero(np.r_[True, elems[1:] != elems[:-1]]),
                    len(elems)]
     out = []
@@ -176,11 +183,13 @@ class BatchExecutor:
     of such buffers, one per kernel: a block takes one kernel or several,
     and is a 2-D region of the buffer of each. Slot arrays give the target
     position inside the block for each local index, -1 marking an unused
-    slot.
+    slot. Buffer k reads evaluator kernel k, and a lower half evaluator
+    kernel mirror[k] (equal widths; None: no lower halves, as for
+    collocation).
     """
 
     def __init__(self, classify, evaluator, out, num_cases=4,
-                 capacity=DEFAULT_CAPACITY, threads=None):
+                 capacity=DEFAULT_CAPACITY, threads=None, mirror=None):
         if capacity < 1:
             raise ConfigError("capacity must be >= 1")
         if threads is None:
@@ -197,6 +206,11 @@ class BatchExecutor:
         self._evaluator = evaluator
         self._outs = [o.reshape(-1) for o in outs]
         self.kernels = len(outs)
+        if mirror is not None and (len(mirror) != len(outs) or min(mirror) < 0
+                                   or len(set(mirror)) < len(mirror)):
+            raise ConfigError("one distinct mirror kernel per buffer")
+        self._mirror = mirror
+        self._evals = max([len(outs)] + [m + 1 for m in mirror or ()])
         self._widths = None  # (row, column) slot widths, from the first call
         self._num_cases = num_cases
         self._records = []
@@ -235,9 +249,10 @@ class BatchExecutor:
             raise StateError("enqueue after finalize")
         rows, cols = _tables(rows), _tables(cols)
         widths = (rows[1].shape[1], cols[1].shape[1])
-        if self._widths not in (None, widths):
-            raise ConfigError("slot widths %r, but %r in earlier calls"
-                              % (widths, self._widths))
+        if self._widths not in (None, widths) or (
+                self._mirror is not None and widths[0] != widths[1]):
+            raise ConfigError("slot widths %r, but %r in earlier calls, or "
+                              "unequal with a mirror" % (widths, self._widths))
         row_ids = np.asarray(row_ids, dtype=np.int64).reshape(-1)
         col_ids = np.asarray(col_ids, dtype=np.int64).reshape(-1)
         places = np.asarray(places, dtype=np.int64).reshape(
@@ -312,42 +327,82 @@ class BatchExecutor:
     def _run(self):
         if not self._records:
             return
-        rows, cols, row_ids, col_ids, places, case = zip(*self._records)
-        self._records = []  # the joined copies below replace them
-        relems, rslots, rstart, row_ids = _join(rows, row_ids)
-        celems, cslots, cstart, col_ids = _join(cols, col_ids)
-        places = np.concatenate(places)
-        # row entries: every record's row table, sorted by element
-        nrow = np.diff(rstart)[row_ids]
-        rec = np.repeat(np.arange(len(nrow)), nrow)
-        ent = np.arange(len(rec)) + np.repeat(
-            rstart[row_ids] - (np.cumsum(nrow) - nrow), nrow)
-        order = np.argsort(relems[ent], kind="stable")
-        rec, ent = rec[order], ent[order]
-        ncol = np.diff(cstart)[col_ids]
-        layout = _Layout(relems[ent], rec, np.take(rslots, ent, axis=0),
-                         celems, cslots, cstart[col_ids], ncol,
-                         np.concatenate(case), places[..., 0],
-                         places[..., 1], celems.max() + 1)
+        layout = self._layout()
         scratch = _Scratch()
         with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            for start, stop in _windows(layout.rows, ncol[rec]):
+            for start, stop in _windows(layout.rows[layout.ent], layout.ncol):
                 self._run_window(pool, layout, start, stop, scratch)
 
+    def _layout(self):
+        """The recorded blocks as a _Layout of halves; its temporaries die
+        with the call, before the first window."""
+        rows, cols, row_ids, col_ids, places, case = zip(*self._records)
+        self._records = []  # the joined copies below replace them
+        offset, stride = np.moveaxis(np.concatenate(places), 2, 0)
+        stride = np.where(offset >= 0, stride, 0)  # a kernel not taken
+        case, cstride = np.concatenate(case), np.ones_like(stride)
+        kernel = np.broadcast_to(np.arange(self.kernels), offset.shape)
+        if self._mirror is None:
+            relems, rslots, rstart, row_ids = _join(rows, row_ids)
+            celems, cslots, cstart, col_ids = _join(cols, col_ids)
+            halves = [(row_ids, col_ids, None)]
+        else:
+            # one set of tables, each sorted by element, for both halves:
+            # the lower halves follow the upper ones, sides swapped
+            relems, rslots, rstart, ids = _join(rows + cols, row_ids + col_ids)
+            span = relems.max() + 1
+            key = np.repeat(np.arange(len(rstart) - 1) * span,
+                            np.diff(rstart)) + relems
+            order = np.argsort(key, kind="stable")
+            key, relems, rslots = key[order], relems[order], rslots[order]
+            celems, cslots, cstart = relems, rslots, rstart
+            n = len(case)
+            halves = [(ids[:n], ids[n:], 0), (ids[n:], ids[:n], 1)]
+            case, offset = np.r_[case, case], np.r_[offset, offset]
+            stride, cstride = np.r_[stride, cstride], np.r_[cstride, stride]
+            kernel = np.r_[kernel, np.broadcast_to(self._mirror, kernel.shape)]
+        # row entries, sorted by element: each element of a half's row
+        # table that has columns at or above it, with those; made by chunks
+        # and kept as int32, as the largest memory before the windows
+        parts = []
+        for h, (rids, cids, above) in enumerate(halves):
+            nrow = np.diff(rstart)[rids]
+            if above is not None:
+                top = celems[cstart[cids + 1] - 1]
+                nrow = np.searchsorted(key, rids * span + top + 1 - above) \
+                    - rstart[rids]
+            for recs in np.array_split(np.arange(len(rids)),
+                                       1 + nrow.sum() // _WINDOW):
+                n = nrow[recs]
+                half = np.repeat(recs, n)
+                ent = np.arange(len(half)) + np.repeat(
+                    rstart[rids[recs]] - (np.cumsum(n) - n), n)
+                coff = (cstart[cids][half] if above is None else
+                        np.searchsorted(key, (cids * span + above)[half]
+                                        + relems[ent]))
+                parts.append([a.astype(np.int32) for a in (
+                    ent, half + h * len(rids), coff,
+                    cstart[cids + 1][half] - coff)])
+        order = np.argsort(relems[np.concatenate([p[0] for p in parts])],
+                           kind="stable")
+        rows = [np.concatenate([p.pop(0) for p in parts])[order]
+                for _ in range(4)]
+        return _Layout(*rows, relems, rslots, celems, cslots, case, offset,
+                       stride, cstride, kernel, celems.max() + 1)
+
     def _run_window(self, pool, lay, start, stop, buf):
-        (rw, cw), nk = self._widths, self.kernels
-        rec = lay.rec[start:stop]
-        length = lay.ncol[rec]
+        (rw, cw), nk, ne = self._widths, self.kernels, self._evals
+        ent, half = lay.ent[start:stop], lay.half[start:stop]
+        length = lay.ncol[start:stop]
         first = np.cumsum(length) - length
         n = int(first[-1] + length[-1])
         run = np.repeat(np.arange(stop - start), length)  # task -> row entry
-        pos = np.arange(n) - first[run]  # position in the record's columns
-        col = lay.coff[rec][run] + pos
+        col = lay.coff[start:stop][run] + (np.arange(n) - first[run])
         # the pairs' arrays, read by the workers through the window
-        rows = np.take(lay.rows[start:stop], run, out=buf("rows", n))
+        rows = np.take(lay.rows[ent], run, out=buf("rows", n))
         cols = np.take(lay.cols, col, out=buf("cols", n))
-        case = np.take(lay.case[rec], run, out=buf("case", n))
-        if nk * rw * cw > 1:  # else a pair is one entry of one block
+        case = np.take(lay.case[half], run, out=buf("case", n))
+        if ne * rw * cw > 1:  # else a pair is one entry of a block
             _, pick, pair = np.unique(rows * lay.span + cols,
                                       return_index=True, return_inverse=True)
             known = np.flatnonzero(case >= 0)
@@ -358,23 +413,22 @@ class BatchExecutor:
             cols = np.take(cols, pick, out=buf("pair_cols", len(pick)))
         else:
             pair = np.arange(n)
-        # the kernels each pair is needed for, as a bit mask
+        # the evaluator kernels each pair is needed for, as a bit mask
         need = 1
-        if nk > 1:
+        if ne > 1:
             need = np.zeros(len(rows), dtype=np.int64)
-            for k in range(nk):
-                takes = np.repeat(lay.offset[rec, k] >= 0, length)
-                need[pair[takes]] |= 1 << k
+            reads = ((lay.offset[half] >= 0) << lay.kernel[half]).sum(axis=1)
+            np.bitwise_or.at(need, pair, np.repeat(reads, length))
         unknown = np.flatnonzero(case < 0)
         if len(unknown):
             case[unknown] = self._classify(rows[unknown], cols[unknown])
         values = self._evaluate(
             pool, case, need, rows, cols,
-            buf("values", len(rows) * nk * rw * cw, np.float64))
+            buf("values", len(rows) * ne * rw * cw, np.float64))
 
         # scatter map, built while the workers evaluate: per task its
         # target columns (-1 unused), and per kernel its target rows in
-        # that kernel's buffer (an unused slot, or a kernel the block does
+        # that kernel's buffer (an unused slot, or a kernel the half does
         # not take, far below zero)
         colt = np.take(lay.cs, col, axis=0)
         # segments seg = task * cw + b in scatter order: row entry, then
@@ -390,19 +444,22 @@ class BatchExecutor:
         seg, c = np.compress(used, seg), np.compress(used, c)
         task = seg // cw
         entry = run[task]
-        rs = lay.rs[start:stop]
+        rs = np.take(lay.rs, ent, axis=0)
         scatter = []
         for k in range(nk):
-            offset, stride = lay.offset[rec, k], lay.stride[rec, k]
+            offset, stride, cstride, kernel = (
+                a[half, k] for a in (lay.offset, lay.stride, lay.cstride,
+                                     lay.kernel))
             tgt = np.take(np.where((rs >= 0) & (offset >= 0)[:, None],
                                    offset[:, None] + rs * stride[:, None],
                                    _UNUSED), entry, axis=0)
-            tgt += c[:, None]
+            tgt += (np.take(cstride, entry) * c)[:, None]
             keep = (tgt >= 0).reshape(-1)
             tgt = np.compress(keep, tgt)
-            src = np.compress(keep, (pair[task] * (nk * rw * cw) + seg
-                                     - task * cw)[:, None]
-                              + (k * rw + np.arange(rw)) * cw)
+            # the value of the half's evaluator kernel for the task's pair
+            src = np.take(kernel * (rw * cw), entry)
+            src += pair[task] * (ne * rw * cw) + seg - task * cw
+            src = np.compress(keep, src[:, None] + np.arange(rw) * cw)
             scatter.append((tgt, src))
         vals = values().reshape(-1)
         for out, (tgt, src) in zip(self._outs, scatter):
@@ -415,7 +472,7 @@ class BatchExecutor:
         is left unset); returns a function that waits for and returns the
         values.
         """
-        (rw, cw), nk = self._widths, self.kernels
+        (rw, cw), nk = self._widths, self._evals
         sets = (1 << nk) - 1  # kernel sets, by bit mask
         key = case if nk == 1 else case * sets + need - 1
         by_key = np.argsort(key, kind="stable")

@@ -10,8 +10,9 @@ solve     assemble and solve the single-layer Dirichlet system with the
           compressed K built in the same pass, report the surface L2 error
 stats     batch-executor statistics for one compressed build, per
           singularity case: batches, tasks (pair integrals evaluated;
-          a pair shared by several blocks is evaluated and counted
-          once) and evaluator wall time
+          an unordered pair, shared by several blocks or in both
+          orientations, is evaluated and counted once) and evaluator
+          wall time
 
 All reports are RFC 4180 CSV with one fixed column set, so rows from
 different runs concatenate cleanly.  Every row echoes the full experiment
@@ -501,9 +502,8 @@ def build_parser():
     p = sub.add_parser("stats",
                        help="batch executor statistics for one H2 build: "
                             "per singularity case, the batches, the pair "
-                            "integrals evaluated (tasks; a pair shared by "
-                            "several blocks counts once) and the "
-                            "evaluator wall time")
+                            "integrals evaluated (tasks; an unordered pair "
+                            "counts once) and the evaluator wall time")
     p.add_argument("--mesh", required=True)
     p.add_argument("--out", required=True)
     _add_config_flags(p)

@@ -449,24 +449,25 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     Laid out first (``h2.pack``), admissible leaves get exact entries at
     pivot rows x pivot columns in place, all from disjoint pairs (see
     :func:`_far_cases`), inadmissible leaves dense blocks, classified pair
-    by pair.  Every entry request is routed through one batch executor, so
-    results do not depend on capacity or thread count.
+    by pair.  Every entry request is routed through one batch executor,
+    which integrates each unordered triangle pair once (see
+    ``batchexec``), so results do not depend on capacity or thread count.
 
     A constant-basis slp Galerkin build with one basis is symmetric,
-    bitwise so under the evaluator's orientation rule.  It evaluates only
-    the leaves with row cluster <= column cluster and writes every other
-    leaf as its partner's transpose.  Of a diagonal leaf it evaluates the
-    upper triangle only, as one product per row element (see
+    bitwise so under the executor's mirror.  It evaluates only the leaves
+    with row cluster <= column cluster and writes every other leaf as its
+    partner's transpose.  Of a diagonal leaf it evaluates the upper
+    triangle only, as one product per row element (see
     :func:`_upper_triangles`), and writes its strict lower triangle as the
-    transpose; so each unordered triangle pair is integrated once.  Other
-    builds evaluate every leaf whole.
+    transpose.  Other builds evaluate every leaf whole.
 
     Given ``dlp_basis``, a dlp column basis, an slp build also assembles
     the dlp operator K, returned as the matrix's ``dlp``, in the same
     executor pass: exact couplings at the row x dlp column pivots, the
-    same nearfield leaves, K's whole, each shared triangle pair evaluated
-    once for the kernels it is needed for.  V's blocks stay bitwise the
-    same, and V asks for the single layer on the pairs it alone would.
+    same nearfield leaves, K's whole (its lower pairs through the adjoint
+    double layer), each pair evaluated once for the kernels it needs.
+    V's blocks stay bitwise the same, and V asks for the single layer on
+    the pairs it alone would.
 
     The tables of all blocks come joined (see ``assembly.element_tables``),
     one call per side, and all blocks go to the executor in one call, the

@@ -15,6 +15,14 @@ Rule1D = namedtuple("Rule1D", "points weights")
 GreenRule = namedtuple("GreenRule", "points weights normals k")
 PairRule = namedtuple("PairRule", "x y w")
 
+
+def _read_only(rule):
+    """``rule``, its arrays marked read-only: a cache shares them."""
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 # a pair's case code is the number of vertices its triangles share
 DISJOINT, VERTEX, EDGE, IDENTICAL = 0, 1, 2, 3
 KIND_NAMES = ("disjoint", "vertex", "edge", "identical")
@@ -50,14 +58,13 @@ def gauss_legendre(m):
     """m-point Gauss-Legendre rule on [-1, 1]."""
     if not 1 <= m <= 32:
         raise ValueError("Gauss order %r outside [1, 32]" % (m,))
-    points, weights = np.polynomial.legendre.leggauss(m)
-    return Rule1D(points, weights)
+    return _read_only(Rule1D(*np.polynomial.legendre.leggauss(m)))
 
 
 @lru_cache(maxsize=None)
 def _gauss01(m):
     rule = gauss_legendre(m)
-    return 0.5 * (rule.points + 1.0), 0.5 * rule.weights
+    return _read_only((0.5 * (rule.points + 1.0), 0.5 * rule.weights))
 
 
 @lru_cache(maxsize=None)
@@ -65,14 +72,14 @@ def triangle_gauss(q):
     """Collapsed tensor rule on t-hat with q*q nodes.
 
     (x, y) = (s (1 - t), s t) maps the unit square onto the triangle with
-    Jacobian s; nodes cluster toward the vertex (0, 0).
+    Jacobian s; nodes cluster toward the vertex (0, 0). Read-only arrays.
     """
     s, ws = _gauss01(q)
     t, wt = _gauss01(q)
     ss, tt = np.meshgrid(s, t, indexing="ij")
     ww = np.outer(ws, wt)
     pts = np.column_stack([(ss * (1.0 - tt)).ravel(), (ss * tt).ravel()])
-    return pts, (ww * ss).ravel()
+    return _read_only((pts, (ww * ss).ravel()))
 
 
 # barycentric rotations sending the clustered vertex (0,0) of the base rule
@@ -280,8 +287,8 @@ def sauter_rule(kind, q):
         nx = len(px)
         x = np.repeat(px, nx, axis=0)
         y = np.tile(py, (nx, 1))
-        return PairRule(x, y, np.outer(wx, wy).ravel())
-    return PairRule(*_regularized(code, *_grid4(q)))
+        return _read_only(PairRule(x, y, np.outer(wx, wy).ravel()))
+    return _read_only(PairRule(*_regularized(code, *_grid4(q))))
 
 
 RadialRule = namedtuple("RadialRule", "x y xi")
@@ -302,7 +309,4 @@ def radial_rule(kind, q):
     _, e1, e2, e3, _ = _grid4(q)
     m = q ** 3
     x, y, _ = _regularized(code, np.ones(m), e1[:m], e2[:m], e3[:m], 1.0)
-    rule = RadialRule(x, y, _gauss01(q)[0].copy())
-    for a in rule:
-        a.flags.writeable = False
-    return rule
+    return _read_only(RadialRule(x, y, _gauss01(q)[0].copy()))

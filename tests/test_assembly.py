@@ -369,7 +369,7 @@ def test_collocation_block_subset_consistency(geometry):
 
 
 _VARIANTS = [(g, b, k) for g in ("plane", "curved")
-             for b in ("constant", "linear") for k in ("slp", "dlp")]
+             for b in ("constant", "linear") for k in ("slp", "dlp", "adlp")]
 
 
 def _mesh(geometry, level):
@@ -496,7 +496,8 @@ def test_plane_singular_weights_sum_the_radial_variable(kind):
 def _reference_pair(mesh, kind, basis, rule, t, s, p, q):
     """Pair integral summed point by point from geometry.chart_eval, plus
     the rounding scale: the same sum with the kernel replaced by the bound
-    |d| |n_y| / (4 pi r^3) for dlp, where <d, n_y> may cancel to noise.
+    |d| |n| / (4 pi r^3) for dlp and adlp, where <d, n> may cancel to
+    noise.
 
     The rule's local point xi of a chart permuted by p, q (the pair's
     classify_pairs permutations) is the original chart at the barycentric
@@ -517,8 +518,9 @@ def _reference_pair(mesh, kind, basis, rule, t, s, p, q):
         if kind == "slp":
             f = bound = cx.gramian * cy.gramian / (FOUR_PI * r)
         else:
-            f = cx.gramian * (d @ cy.normal) / (FOUR_PI * r ** 3)
             bound = cx.gramian * cy.gramian / (FOUR_PI * r ** 2)
+            f = (cx.gramian * (d @ cy.normal) if kind == "dlp"
+                 else -cy.gramian * (d @ cx.normal)) / (FOUR_PI * r ** 3)
         phi = np.ones((1, 1)) if basis == "constant" \
             else np.outer(phi_x, phi_y)
         val += w * f * phi
@@ -603,8 +605,8 @@ def test_plane_singular_pairs_match_full_rule(level, basis):
 @pytest.mark.parametrize("geometry", ["plane", "curved"])
 @pytest.mark.parametrize("orders", [(2, 4), (3, 5)])
 def test_constant_slp_galerkin_bitwise_symmetric(geometry, orders):
-    """The orientation rule makes the dense constant single-layer matrix
-    symmetric to the last bit."""
+    """The executor's lower halves, read through the mirror, make the dense
+    constant single-layer matrix symmetric to the last bit."""
     mesh = _mesh(geometry, 2)
     dofs = np.arange(mesh.nt)
     a = assembly.assemble_galerkin_block("slp", mesh, "constant", dofs, dofs,
@@ -635,19 +637,65 @@ def _all_pair_values(mesh, kind, basis, upper):
     return out
 
 
-def test_orientation_rule_mirrors_lower_pairs(sphere2):
-    """A pair (t, s) with t > s gets, bitwise, the value of (s, t), and
-    mixing such pairs into a batch leaves the t < s values untouched."""
-    for mesh in (sphere2, _mesh("curved", 2)):
-        pairs = _pairs_by_case(mesh, 60)
-        ev = assembly.galerkin_pair_evaluator("slp", mesh, "constant", 2, 4)
-        for case, (t, s, _, _) in pairs.items():
-            lower = t > s
-            assert case == quad.IDENTICAL or 0 < lower.sum() < len(t)
-            mixed = ev(case, t, s)
-            assert np.array_equal(mixed, ev(case, s, t))
-            up = ~lower
-            assert np.array_equal(mixed[up], ev(case, t[up], s[up]))
+@pytest.mark.parametrize("kind,mirror", [("slp", "slp"), ("dlp", "adlp")])
+def test_lower_pairs_read_their_mirror(monkeypatch, kind, mirror):
+    """Through the executor, a dense constant block asks the evaluator for
+    pairs (t, s) with t <= s only, and its entry (t, s) with t > s is
+    bitwise the mirror kernel's value of (s, t); the others the kernel's
+    own. The single layer's mirror is itself, the double layer's the
+    adjoint double layer."""
+    real = assembly.galerkin_pair_evaluator
+    asked = []
+
+    def spy(*args):
+        evaluate = real(*args)
+
+        def spied(case, rows, cols, kernels=None):
+            asked.append(rows <= cols)
+            return evaluate(case, rows, cols, kernels)
+
+        return spied
+
+    for mesh in (_mesh("plane", 2), _mesh("curved", 2)):
+        monkeypatch.setattr(assembly, "galerkin_pair_evaluator", spy)
+        dofs = np.arange(mesh.nt)
+        got = assembly.assemble_galerkin_block(kind, mesh, "constant", dofs,
+                                               dofs, (2, 4)).values
+        monkeypatch.undo()
+        assert np.concatenate(asked).all()
+        kinds = tuple(dict.fromkeys((kind, mirror)))
+        ev = real(kinds, mesh, "constant", 2, 4)
+        t, s = np.divmod(np.arange(mesh.nt ** 2), mesh.nt)
+        up = t <= s
+        lo, hi = np.where(up, t, s), np.where(up, s, t)
+        case = assembly.galerkin_classify(mesh)(lo, hi)
+        want = np.empty(len(t))
+        for c in range(4):
+            sel = np.flatnonzero(case == c)
+            v = ev(c, lo[sel], hi[sel])[:, :, 0, 0]
+            want[sel] = np.where(up[sel], v[:, 0], v[:, kinds.index(mirror)])
+        assert np.array_equal(got.ravel(), want)
+
+
+@pytest.mark.parametrize("geometry", ["plane", "curved"])
+@pytest.mark.parametrize("basis", ["constant", "linear"])
+def test_mirror_kernels_agree_with_direct_values(geometry, basis):
+    """For every ordered triangle pair (t, s) of an L2 mesh, in every case,
+    slp(s, t) transposed agrees with slp(t, s), and adlp(s, t) transposed
+    with dlp(t, s), to 1e-13 of the case's largest magnitude: the
+    executor's lower halves read these mirrors."""
+    mesh = _mesh(geometry, 2)
+    t, s = np.divmod(np.arange(mesh.nt ** 2), mesh.nt)
+    case = quad.classify_pairs(mesh.triangles[t], mesh.triangles[s])[0]
+    ev = assembly.galerkin_pair_evaluator(("slp", "dlp", "adlp"), mesh, basis,
+                                          2, 4)
+    for c in range(4):
+        sel = np.flatnonzero(case == c)
+        direct = ev(c, t[sel], s[sel])
+        mirror = ev(c, s[sel], t[sel]).transpose(0, 1, 3, 2)
+        for got, want in ((mirror[:, 0], direct[:, 0]),
+                          (mirror[:, 2], direct[:, 1])):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("geometry", ["plane", "curved"])
@@ -695,9 +743,10 @@ def test_collocation_vertex_values_match_duffy_reference(geometry, kind):
 
 # sha256 prefixes of _all_pair_values (numpy 2.4.6, x86_64): constant slp
 # over the pairs t < s, the others over all pairs. The curved ones were
-# taken before the orientation rule; the plane ones with the radial sum
-# of the plane singular rules, whose values agree with the whole rule to
-# rounding (see test_plane_singular_pairs_match_full_rule)
+# taken before the evaluator's orientation rule (since gone: the executor
+# reads lower pairs through their mirror); the plane ones with the radial
+# sum of the plane singular rules, whose values agree with the whole rule
+# to rounding (see test_plane_singular_pairs_match_full_rule)
 _SEED_VALUES = {
     ("plane", "slp", "constant"): "2047fb55fc6031b7",
     ("plane", "dlp", "constant"): "a2ea49389d557a90",
@@ -714,9 +763,9 @@ _SEED_VALUES = {
                     reason="seed fingerprints were taken with numpy 2.4.6")
 @pytest.mark.parametrize("geometry,kind,basis", sorted(_SEED_VALUES))
 def test_pair_values_keep_seed_bits(geometry, kind, basis):
-    """The orientation rule leaves the constant slp values of pairs t < s
-    and every dlp and linear value bitwise as they were before it (on
-    plane meshes, as they were since the radial sum)."""
+    """The evaluator's values of the constant slp pairs t < s and of every
+    dlp and linear pair keep their bits (on plane meshes, those since the
+    radial sum)."""
     upper = (kind, basis) == ("slp", "constant")
     values = _all_pair_values(_mesh(geometry, 2), kind, basis, upper)
     digest = hashlib.sha256(b"".join(v.tobytes() for v in values))
@@ -726,22 +775,24 @@ def test_pair_values_keep_seed_bits(geometry, kind, basis):
 @pytest.mark.parametrize("geometry", ["plane", "curved"])
 @pytest.mark.parametrize("basis", ["constant", "linear"])
 def test_fused_kernels_keep_single_kernel_bits(geometry, basis):
-    """An evaluator of both kernels gives, for every triangle pair of an
-    L2 mesh in both orientations, bitwise the values of the one-kernel
+    """An evaluator of several kernels gives, for every triangle pair of
+    an L2 mesh in both orientations, bitwise the values of the one-kernel
     evaluators, whichever kernels a call asks for and in whichever order
-    the evaluator lists them."""
+    the evaluator lists them: slp and dlp, and those with adlp."""
     mesh = _mesh(geometry, 2)
     t, s = np.divmod(np.arange(mesh.nt ** 2), mesh.nt)
     case = quad.classify_pairs(mesh.triangles[t], mesh.triangles[s])[0]
     single = {k: assembly.galerkin_pair_evaluator(k, mesh, basis, 2, 4)
-              for k in ("slp", "dlp")}
+              for k in ("slp", "dlp", "adlp")}
     both = assembly.galerkin_pair_evaluator(("slp", "dlp"), mesh, basis, 2, 4)
     swapped = assembly.galerkin_pair_evaluator(("dlp", "slp"), mesh, basis,
                                                2, 4)
+    three = assembly.galerkin_pair_evaluator(("adlp", "slp", "dlp"), mesh,
+                                             basis, 2, 4)
     for c in range(4):
         sel = np.flatnonzero(case == c)
         args = (c, t[sel], s[sel])
-        ref = [single[k](*args)[:, 0] for k in ("slp", "dlp")]
+        ref = [single[k](*args)[:, 0] for k in ("slp", "dlp", "adlp")]
         got = both(*args)
         assert got.shape == (len(sel), 2) + ref[0].shape[1:]
         assert np.array_equal(got[:, 0], ref[0])
@@ -750,6 +801,13 @@ def test_fused_kernels_keep_single_kernel_bits(geometry, basis):
         assert np.array_equal(both(*args, kernels=[1, 0])[:, ::-1], got)
         for k in (0, 1):
             assert np.array_equal(both(*args, kernels=[k])[:, 0], ref[k])
+        all3 = three(*args)
+        for j, k in enumerate((2, 0, 1)):
+            assert np.array_equal(all3[:, j], ref[k])
+        for kernels in ([0], [0, 2], [1, 0], [2, 1]):
+            sub = three(*args, kernels=kernels)
+            for j, k in enumerate(kernels):
+                assert np.array_equal(sub[:, j], all3[:, k])
 
 
 @pytest.mark.parametrize("geometry", ["plane", "curved"])
@@ -770,11 +828,14 @@ def test_fused_collocation_kernels_keep_single_kernel_bits(geometry):
 
 
 def test_unknown_kernel_kinds_rejected(sphere2):
-    for kinds in ("hyp", (), ("slp", "slp"), ("slp", "hyp")):
+    for kinds in ("hyp", (), ("slp", "slp"), ("slp", "hyp"), ("adlp", "adlp")):
         with pytest.raises(ConfigError):
             assembly.galerkin_pair_evaluator(kinds, sphere2, "constant", 2, 4)
         with pytest.raises(ConfigError):
             assembly.collocation_evaluator(kinds, sphere2, 2, 4)
+    # the adjoint double layer is a Galerkin kernel only
+    with pytest.raises(ConfigError):
+        assembly.collocation_evaluator("adlp", sphere2, 2, 4)
 
 
 @pytest.mark.parametrize("geometry", ["plane", "curved"])

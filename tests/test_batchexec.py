@@ -598,3 +598,126 @@ def test_kernel_places_validated():
     ex.enqueue_many([1], [1], outs[0].reshape(2, 2), [[0]], [[0]])
     ex.finalize()
     assert np.count_nonzero(outs[1]) == 4 and np.count_nonzero(outs[0]) == 1
+
+
+def _eval_codes(case, rows, cols, kernels):
+    # kernel e of pair (r, c), slots (a, b), as one exact integer code
+    k = np.asarray(kernels)[None, :, None, None]
+    a = np.arange(3.0)
+    return (1e6 * k + 1e4 * rows[:, None, None, None]
+            + 1e2 * cols[:, None, None, None] + 10.0 * a[:, None] + a)
+
+
+def _mirrored_run(evaluator, capacity=5, threads=2, seed=13):
+    """Two buffers of width-3 blocks over shared tables of unsorted
+    elements, each block a random product taking one kernel or both, run
+    by an executor whose lower halves read buffer 0 through kernel 0 and
+    buffer 1 through kernel 2; returns the buffers, the blocks and the
+    tables."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    for _ in range(4):
+        size = int(rng.integers(2, 9))
+        slots = rng.integers(-1, 6, size=(size, 3))
+        slots[:, 0] = np.arange(size) % 6
+        tables.append((rng.choice(12, size=size, replace=False), slots))
+    blocks = [(int(rng.integers(4)), int(rng.integers(4)), m)
+              for m in (1, 2, 3, 3, 1, 2, 3)]
+    outs = [np.zeros(36 * len(blocks)), np.zeros(36 * len(blocks))]
+    ex = BatchExecutor(_classify_rotating, evaluator, outs, capacity=capacity,
+                       threads=threads, mirror=[0, 2])
+    ex.enqueue_blocks(_joined(tables), _joined(tables),
+                      [r for r, _, _ in blocks], [c for _, c, _ in blocks],
+                      [[(36 * k, 6, 6, 6) if m >> j & 1 else (-1, 0, 0, 0)
+                        for j in range(2)]
+                       for k, (_, _, m) in enumerate(blocks)],
+                      [-1] * len(blocks))
+    ex.finalize()
+    return outs, blocks, tables, ex.stats()
+
+
+def test_lower_halves_read_the_transposed_mirror():
+    """A mirrored executor asks the evaluator for pairs (t, s) with t <= s
+    only, each unordered pair once for all the kernels its halves read;
+    a block entry from (t, s) with t > s is mirror kernel's value of
+    (s, t) transposed, from t <= s the buffer's own kernel's value."""
+    calls = []
+
+    def evaluator(case, rows, cols, kernels):
+        calls.append((rows, cols, tuple(kernels)))
+        return _eval_codes(case, rows, cols, kernels)
+
+    outs, blocks, tables, stats = _mirrored_run(evaluator)
+    rows = np.concatenate([r for r, _, _ in calls])
+    cols = np.concatenate([c for _, c, _ in calls])
+    assert np.all(rows <= cols)
+    keys = rows * 12 + cols
+    assert len(keys) == len(np.unique(keys)) == sum(st["tasks"]
+                                                    for st in stats)
+    need = {}
+    for r, c, m in blocks:
+        for t in tables[r][0]:
+            for s in tables[c][0]:
+                key = min(t, s) * 12 + max(t, s)
+                for j in range(2):
+                    if m >> j & 1:
+                        need[key] = need.get(key, 0) | 1 << (
+                            j if t <= s else (0, 2)[j])
+    assert sorted(need) == sorted(keys.tolist())
+    for r, c, kernels in calls:
+        for q in r * 12 + c:
+            assert sum(1 << k for k in kernels) == need[int(q)]
+    # the reference: each slot pair's code routed by hand; exact integer
+    # sums, so any order gives these bits
+    refs = [np.zeros_like(out) for out in outs]
+    for k, (r, c, m) in enumerate(blocks):
+        (te, ts), (se, ss) = tables[r], tables[c]
+        for j in range(2):
+            if not m >> j & 1:
+                continue
+            for t, rs in zip(te, ts):
+                for s, cs in zip(se, ss):
+                    for a in range(3):
+                        for b in range(3):
+                            if rs[a] < 0 or cs[b] < 0:
+                                continue
+                            if t <= s:
+                                v = _eval_codes(0, np.array([t]),
+                                                np.array([s]), [j])[0, 0, a, b]
+                            else:
+                                v = _eval_codes(0, np.array([s]), np.array(
+                                    [t]), [(0, 2)[j]])[0, 0, b, a]
+                            refs[j][36 * k + 6 * rs[a] + cs[b]] += v
+    for out, ref in zip(outs, refs):
+        assert np.array_equal(out, ref)
+        assert np.any(out != 0.0)
+
+
+def test_mirrored_blocks_independent_of_capacity_threads_window(monkeypatch):
+    """With values whose sums round, a mirrored executor's blocks are
+    bitwise the same for every capacity, thread count and window size."""
+    def evaluator(case, rows, cols, kernels):
+        return np.sin(_eval_codes(case, rows, cols, kernels) * 1e-3)
+
+    ref, *_ = _mirrored_run(evaluator)
+    assert all(np.any(out != 0.0) for out in ref)
+    for window in (1 << 17, 3, 40):
+        monkeypatch.setattr(batchexec, "_WINDOW", window)
+        for capacity in (1, 7, 10 ** 6):
+            for threads in (1, 3):
+                got, *_ = _mirrored_run(evaluator, capacity, threads)
+                assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
+def test_mirror_validated():
+    """One distinct, non-negative mirror kernel per buffer, and equal row
+    and column widths."""
+    outs = [np.zeros(4), np.zeros(4)]
+    for mirror in ([0], [1, 1], [0, -1], [0, 1, 2]):
+        with pytest.raises(ConfigError):
+            BatchExecutor(_classify_all_zero, _eval_kernels, outs,
+                          mirror=mirror)
+    ex = BatchExecutor(_classify_all_zero, _eval_kernels, outs, mirror=[1, 0])
+    with pytest.raises(ConfigError):
+        ex.enqueue_blocks(([0], [[0]], [0, 1]), ([0], [[0, 1, -1]], [0, 1]),
+                          [0], [0], [[(0, 2, 2, 2), (-1, 0, 0, 0)]], [-1])

@@ -514,9 +514,15 @@ def test_linear_h2_blocks_match_dense_assembly(linear_l3):
         assert np.array_equal(blk.values, ref)
 
 
+def _unordered(t, s, nt):
+    """Keys lo * nt + hi of the pairs of t x s, lo <= hi, once each."""
+    return np.unique(np.minimum.outer(t, s) * nt + np.maximum.outer(t, s))
+
+
 def test_linear_build_evaluates_each_pair_once(monkeypatch):
-    """Triangle pairs shared by several blocks are integrated once, and
-    exactly the vertex-sharing ones among them are classified."""
+    """Triangle pairs shared by several blocks, in either orientation, are
+    integrated once, as (t, s) with t <= s, and exactly the vertex-sharing
+    ones among them are classified."""
     mesh = to_curved(build_sphere_mesh(3), project_to_unit_sphere=True)
     seen = []
     classified = []
@@ -543,6 +549,7 @@ def test_linear_build_evaluates_each_pair_once(monkeypatch):
     hm = _build_h2(mesh, tree, btree, 3, 1e-4, (2, 4), basis="linear")
     evaluated = np.concatenate(seen)
     assert len(np.unique(evaluated)) == len(evaluated)
+    assert np.all(evaluated // mesh.nt <= evaluated % mesh.nt)
 
     needed = []
     for leaf in btree.leaves():
@@ -553,7 +560,7 @@ def test_linear_build_evaluates_each_pair_once(monkeypatch):
             rows, cols = leaf.row.indices, leaf.col.indices
         t = assembly.triangle_table(rows, mesh).rows[:, 0]
         s = assembly.triangle_table(cols, mesh).rows[:, 0]
-        needed.append((t[:, None] * mesh.nt + s[None, :]).ravel())
+        needed.append(_unordered(t, s, mesh.nt))
     needed = np.unique(np.concatenate(needed))
     assert np.array_equal(np.sort(evaluated), needed)
     tasks = sum(st["tasks"] for st in hm.exec_stats)
@@ -676,29 +683,35 @@ def test_mirror_blocks_independent_of_capacity_and_threads(mirror_l3):
 
 
 def test_other_builds_evaluate_every_entry(sphere3, l3_setup, mirror_l3):
-    """Two bases or the dlp kernel: one evaluated pair per entry of every
-    leaf, as before the mirror."""
+    """Two bases: one evaluated pair per entry of every leaf, as before the
+    leaf mirror (a constant single-layer pair, one kernel of width 1,
+    skips the executor's dedupe). The dlp kernel: each unordered triangle
+    pair of the leaves' entries once, (t, s) and (s, t) together."""
     build, _ = mirror_l3
     tree, btree = l3_setup
     two = _build_h2(sphere3, tree, btree, 2, 1e-4, (2, 4))
     dlp = build(kind="dlp")
     assert two.row_basis is not two.col_basis
     assert dlp.row_basis is dlp.col_basis
-    for hm in (two, dlp):
-        assert _tasks(hm) == sum(v.size for _, _, v
-                                 in _leaf_blocks(hm).values())
+    assert _tasks(two) == sum(v.size for _, _, v in _leaf_blocks(two).values())
+    pairs = np.unique(np.concatenate([
+        _unordered(rows, cols, sphere3.nt)
+        for rows, cols, _ in _leaf_blocks(dlp).values()]))
+    assert _tasks(dlp) == len(pairs) < sum(
+        v.size for _, _, v in _leaf_blocks(dlp).values())
 
 
 def test_linear_one_basis_build_evaluates_every_pair(sphere3):
-    """The linear basis keeps its path with one basis: every distinct
-    triangle pair of every leaf is evaluated, in both orientations."""
+    """The linear basis keeps its path with one basis: every leaf is
+    evaluated whole, and each distinct unordered triangle pair of all
+    leaves once, (t, s) and (s, t) together."""
     hm = cli.build_h2_operator(sphere3, _config("linear"))[0]
     assert hm.row_basis is hm.col_basis and len(hm.coupling) > 0
     needed = []
     for rows, cols, _ in _leaf_blocks(hm).values():
         t = assembly.triangle_table(rows, sphere3).rows[:, 0]
         s = assembly.triangle_table(cols, sphere3).rows[:, 0]
-        needed.append((t[:, None] * sphere3.nt + s[None, :]).ravel())
+        needed.append(_unordered(t, s, sphere3.nt))
     assert _tasks(hm) == len(np.unique(np.concatenate(needed)))
 
 
@@ -755,12 +768,40 @@ def test_fused_build_all_nearfield_is_dense_dlp(disc):
                     reason="the fingerprint was taken with numpy 2.4.6")
 def test_fused_build_keeps_seed_v_bits():
     """V of the curved L3 linear Galerkin solve, built with K, keeps its
-    pinned bits (sha256 prefix, numpy 2.4.6, x86_64)."""
+    pinned bits (sha256 prefix, numpy 2.4.6, x86_64; re-pinned when the
+    executor read lower pairs through their mirror, a rounding-level
+    change, see test_assembly.py's
+    test_mirror_kernels_agree_with_direct_values)."""
     hm = cli.build_h2_operator(_curved(3), _solve_config(3, "curved",
                                                          "linear"),
                                dlp=True)[0]
     digest = hashlib.sha256(hm.packed.blocks.data.tobytes()).hexdigest()
-    assert digest[:16] == "82896840cf59f157"
+    assert digest[:16] == "7c52368c4253c299"
+
+
+def test_solve_build_integrates_each_unordered_pair_once():
+    """The curved L3 linear V + K build (all nearfield, 512 triangles)
+    evaluates each of the 512 * 513 / 2 unordered triangle pairs once,
+    for all the kernels it needs: 131,328 pairs, not 512^2."""
+    hm = cli.build_h2_operator(_curved(3), _solve_config(3, "curved",
+                                                         "linear"),
+                               dlp=True)[0]
+    assert [st["tasks"] for st in hm.exec_stats] == [127768, 2280, 768, 512]
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6",
+                    reason="the fingerprint was taken with numpy 2.4.6")
+def test_fused_collocation_build_keeps_seed_bits():
+    """Collocation has no lower half: V and K of the curved L3 collocation
+    solve keep their pinned bits (sha256 prefixes, numpy 2.4.6, x86_64),
+    at the default capacity and at capacity 7 on one thread."""
+    cfg = _solve_config(3, "curved", "linear", disc="collocation")
+    for capacity, threads in ((4096, None), (7, 1)):
+        hm = cli.build_h2_operator(_curved(3), cfg, capacity=capacity,
+                                   threads=threads, dlp=True)[0]
+        assert [hashlib.sha256(op.packed.blocks.data.tobytes())
+                .hexdigest()[:16] for op in (hm, hm.dlp)] \
+            == ["048557d49085ba74", "daebac2cad5a4cae"]
 
 
 @pytest.fixture(scope="module")

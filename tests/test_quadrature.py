@@ -119,6 +119,25 @@ def test_sauter_rule_is_radial(kind, subdomains):
                 np.multiply(a, 1, out=a)
 
 
+@pytest.mark.parametrize("rule", [
+    lambda: quad.gauss_legendre(4), lambda: quad._gauss01(4),
+    lambda: quad.triangle_gauss(4), lambda: quad.sauter_rule("identical", 3),
+    lambda: quad.sauter_rule("edge", 3), lambda: quad.sauter_rule("vertex", 3),
+    lambda: quad.sauter_rule("disjoint", 3), lambda: quad.radial_rule("edge", 3),
+], ids=["gauss_legendre", "gauss01", "triangle_gauss", "sauter-identical",
+        "sauter-edge", "sauter-vertex", "sauter-disjoint", "radial"])
+def test_cached_rules_are_read_only(rule):
+    """Every array a cached rule hands out refuses writes, so no caller can
+    change it for the later ones; the cache returns the same arrays."""
+    arrays = rule()
+    assert all(a is b for a, b in zip(arrays, rule()))
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            np.multiply(a, 1, out=a)
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+
+
 @pytest.mark.parametrize("kind", ["identical", "edge", "vertex", "disjoint"])
 def test_sauter_frozen_oracles(kind):
     t2, target = PAIR_ORACLES[kind]
