@@ -20,36 +20,38 @@ disjoint. Each entry sums in the executor's fixed order, by ascending
 smaller triangle of the pair first. So assembly is bitwise reproducible
 for any capacity and thread count, and a block equals the same rows and
 columns of any larger block. A collocation block is the product of its
-row points and its column triangle table.
+row points and its column triangle table, classified by
+:func:`collocation_classify`.
 
-The evaluators own a pair's local vertex order (see
-:func:`galerkin_pair_evaluator`): they rotate a singular pair for its
-rule and return values in each element's own slots. An evaluator
-computes the single layer, the double layer or both, so one executor
-pass assembles V and K; a Galerkin one also the adjoint double layer,
-which K's lower pairs read.
+One evaluator, :func:`pair_evaluator`, serves both: a collocation row is
+the one-point case of a row element, a point of weight 1. It owns a
+pair's local vertex order: it rotates a singular pair for its rule and
+returns values in each element's own slots. It computes the single
+layer, the double layer or both, so one executor pass assembles V and
+K; for triangle rows also the adjoint double layer, which K's lower
+pairs read.
 
 Every regular surface integral reads one rule, :func:`surface_rule`: the
 order-q triangle rule's points, unnormalized normals and Gramians on any
-listed charts, coordinate-major. The disjoint-pair tables of both
-evaluators, the Green factors, the mass matrices, the curved surface
-areas and the solution error of the command line are built from it.
+listed charts, coordinate-major. The evaluator's disjoint-pair tables,
+the Green factors, the mass matrices, the curved surface areas and the
+solution error of the command line are built from it.
 
 The pair evaluator takes a whole case-homogeneous batch at a time, in chunks
 of a fixed number of quadrature points. Disjoint pairs, the bulk of the
-work, read per-triangle tables of the regular rule (points, Gram-weighted
-weights, basis factors, normals) built once per evaluator; vertex, edge and
-identical pairs interpolate the two charts at the distinct points of each
-side of the regularized rule, then gather them to the rule's M points in
-coordinate-major (b, M) arrays. On a plane mesh the rule keeps only its
-points at radial coordinate 1, q_sing times fewer, with the radial sum in
-per-kernel weights (see :func:`_singular_rule`). The linear basis
-contracts with stacked matmuls, small products per pair: a disjoint pair's
-M x M kernel matrix between the row and column slot weights, a singular
-pair's M kernel values with the (M, 9) slot weights. The constant basis
-and collocation sum with numpy reductions and call no BLAS. Either way the
-value of a pair depends on its own data only, never on the rest of its
-chunk.
+work, read per-element tables of the regular rule (points, Gram-weighted
+weights, basis factors, normals) built once per evaluator and side;
+vertex, edge and identical pairs interpolate the two charts at the
+distinct points of each side of the regularized rule, then gather them to
+the rule's M points in coordinate-major (b, M) arrays. On a plane mesh
+the rule keeps only its points at radial coordinate 1, q_sing times
+fewer, with the radial sum in per-kernel weights (see
+:func:`_singular_rule`). The linear basis contracts with stacked matmuls,
+small products per pair: a disjoint pair's Mr x Mc kernel matrix between
+the row and column slot weights, a singular pair's M kernel values with
+the (M, 9) or (M, 3) slot weights. The constant basis sums with numpy
+reductions and calls no BLAS. Either way the value of a pair depends on
+its own data only, never on the rest of its chunk.
 
 The Green factors A_tau, B_sigma sample the kernel at points of the box
 boundary rule; all their integrands are regular, so the surface rule
@@ -180,8 +182,9 @@ _DEGREE = {"slp": 1, "dlp": 2}
 
 
 @lru_cache(maxsize=None)
-def _singular_rule(case, q_sing, basis, curved):
-    """The regularized rule of a singular case, ready to interpolate.
+def _singular_rule(case, q_sing, tables, curved):
+    """The regularized rule of a singular case for the (row, column)
+    table kinds ``tables``, ready to interpolate.
 
     Curved charts take the whole rule (``quadrature.sauter_rule``), with
     one weight array for both kernels. Plane (affine) charts take its
@@ -189,7 +192,9 @@ def _singular_rule(case, q_sing, basis, curved):
     and each kernel its own weights: the radial sum is done here, once per
     rule, by the kernel's homogeneity (see _DEGREE), as w_p(eta) = sum
     over xi of w xi^-p times the slot factors. That is the same sum
-    regrouped, so values move at rounding level only.
+    regrouped, so values move at rounding level only. A point row (vertex
+    case only) is the column chart's (0, 0), against the whole Duffy rule
+    ``quadrature.duffy_rule(0, q_sing)`` on both geometries.
 
     Each side's M points repeat heavily, so a side keeps the shape
     functions (6, U) at its U distinct points, n6x or n6y, and the index
@@ -199,17 +204,20 @@ def _singular_rule(case, q_sing, basis, curved):
     212 of 640 and 204 of 384 for the plane rules. The weights w map each
     kernel ("slp", "dlp") to (M,) for the constant basis; for the linear
     basis they carry the barycentric factors, (M, 9) with column 3 a + c
-    for the slots (a, c). Every array is read-only: the cache shares them
-    among threads.
+    for the slots (a, c), and (M, 3) for a point row. Every array is
+    read-only: the cache shares them among threads.
     """
-    name = quad.KIND_NAMES[case]
-    rule = quad.sauter_rule(name, q_sing)
-    w = rule.w.copy() if basis == "constant" else np.einsum(
-        "m,ma,mb->mab", rule.w, _bary(rule.x), _bary(rule.y)).reshape(-1, 9)
-    if curved:
-        x, y, w = rule.x, rule.y, dict.fromkeys(_DEGREE, w)
+    if tables[0] == "collocation":
+        y, wy = quad.duffy_rule(0, q_sing)
+        x, w = np.zeros_like(y), wy[:, None] * _bary(y)
     else:
-        x, y, xi = quad.radial_rule(name, q_sing)
+        x, y, w = quad.sauter_rule(quad.KIND_NAMES[case], q_sing)
+        w = w.copy() if tables[0] == "constant" else np.einsum(
+            "m,ma,mb->mab", w, _bary(x), _bary(y)).reshape(-1, 9)
+    if curved or tables[0] == "collocation":
+        w = dict.fromkeys(_DEGREE, w)
+    else:
+        x, y, xi = quad.radial_rule(quad.KIND_NAMES[case], q_sing)
         # each subdomain's points run xi-major: sum over the xi axis
         lead = w.reshape((-1, q_sing, q_sing ** 3) + w.shape[1:])
         w = {k: np.einsum("si...,i->s...", lead, xi ** -p)
@@ -249,7 +257,7 @@ def surface_rule(mesh, q, tris=None):
     return SurfaceRule(x, n, gram, pts, wts)
 
 
-_FarTables = namedtuple("_FarTables", "x w n")
+_FarTables = namedtuple("_FarTables", "x n gram plain")
 
 
 def _kinds(kinds, known=("slp", "dlp")):
@@ -260,25 +268,25 @@ def _kinds(kinds, known=("slp", "dlp")):
     return kinds
 
 
-def _far_tables(mesh, q_reg, linear, kinds):
-    """Per-triangle regular-rule data for disjoint pairs, built once from
-    :func:`surface_rule`.
+def _far_tables(mesh, q_reg, kind):
+    """One side's regular-rule data for disjoint pairs, per element of a
+    table of ``kind``, built once from :func:`surface_rule`.
 
-    x holds the M rule points of every triangle, coordinate-major (3, nt, M).
-    w maps each kernel to its (row, column) weights, (nt, width, M) each:
-    the Gram-weighted weights times, for the linear basis, the barycentric
-    factors, except that dlp leaves out the column Gramian and adlp the
-    row Gramian, which the unnormalized interpolated normals n (3, nt, M)
-    carry.
+    x holds the M rule points of every triangle, coordinate-major (3, nt,
+    M), n their unnormalized normals; gram and plain are the Gram-weighted
+    and the plain weights (nt, width, M), times the barycentric factors for
+    the linear basis. A collocation row is its vertex, one point of weight
+    1 (nv, 1, 1), with no normal.
     """
+    if kind == "collocation":
+        one = np.ones((mesh.nv, 1, 1))
+        return _FarTables(mesh.vertices.T[:, :, None], None, one, one)
     rule = surface_rule(mesh, q_reg)
     gw = rule.gram * rule.wts
-    slots = _bary(rule.pts).T if linear else np.ones((1, len(rule.wts)))
-    gram = gw[:, None, :] * slots
-    plain = (np.broadcast_to(rule.wts, gw.shape)[:, None, :] * slots
-             if set(kinds) - {"slp"} else None)
-    w = {"slp": (gram, gram), "dlp": (gram, plain), "adlp": (plain, gram)}
-    return _FarTables(rule.x, w, None if plain is None else rule.n)
+    slots = (_bary(rule.pts).T if kind == "linear"
+             else np.ones((1, len(rule.wts))))
+    plain = np.broadcast_to(rule.wts, gw.shape)[:, None, :] * slots
+    return _FarTables(rule.x, rule.n, gw[:, None, :] * slots, plain)
 
 
 def galerkin_classify(mesh):
@@ -309,95 +317,113 @@ def galerkin_classify(mesh):
     return classify
 
 
-def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
+def pair_evaluator(kinds, mesh, tables, q_reg, q_sing):
     """Batched pair-integral evaluator for the executor, of one kernel
-    ("slp", "dlp", "adlp") or a tuple of them.
+    ("slp", "dlp", "adlp") or a tuple of them, for the (row, column) table
+    kinds ``tables``: ("constant", "constant") or ("linear", "linear") for
+    triangle pairs, ("collocation", "linear") for a point and a triangle.
+    A point row is the one-point case of a row element: weight 1, Gramian
+    1 and no normal, so no "adlp".
 
-    ``evaluate(case, rows, cols, kernels=None)`` returns, for the triangle
-    pairs (rows[i], cols[i]), all of singularity case ``case``, the kernels
-    at these positions in ``kinds`` (default: all), shape (npairs,
-    len(kernels), width, width): entry [i, j, a, b] pairs the basis
-    functions of vertex a of rows[i] and vertex b of cols[i], each in its
-    triangle's own vertex order. Kernels share each pair's points,
-    differences, distances and Gramians; every value is bitwise the
-    one-kernel value. "adlp", the adjoint double layer -(x - y).n_x /
-    (4 pi r^3), at (s, t), transposed, is the dlp value at (t, s).
+    ``evaluate(case, rows, cols, kernels=None)`` returns, for the pairs
+    (rows[i], cols[i]), all of singularity case ``case``, the kernels at
+    these positions in ``kinds`` (default: all), shape (npairs,
+    len(kernels), row width, column width): entry [i, j, a, b] pairs slot
+    a of rows[i] and slot b of cols[i], each in its element's own vertex
+    order. Kernels share each pair's points, differences, distances and
+    Gramians; every value is bitwise the one-kernel value. "adlp", the
+    adjoint double layer -(x - y).n_x / (4 pi r^3), at (s, t), transposed,
+    is the dlp value at (t, s).
 
-    Disjoint pairs read the per-triangle tables of :func:`_far_tables`, so
-    no chart is interpolated per pair: the value is the sum over the M*M
-    point pairs of wr_a wc_b K(x_a, y_b). Singular pairs interpolate both
-    charts at the distinct points of :func:`_singular_rule`, coordinate-major,
-    and gather them to the rule's points, and each kernel sums with its own
-    weights of the rule: on a curved mesh the whole regularized rule, the
-    same weights for all; on a plane mesh (chosen by ``chart_pack``, no
-    option) its points at xi = 1, the radial variable summed into the
-    weights of each kernel's homogeneity degree.
+    Disjoint pairs read each side's tables of :func:`_far_tables`, so
+    no chart is interpolated per pair: the value is the sum over the
+    Mr*Mc point pairs of wr_a wc_b K(x_a, y_b). Singular pairs interpolate
+    both charts at the distinct points of :func:`_singular_rule`,
+    coordinate-major, and gather them to the rule's points, and each
+    kernel sums with its own weights of the rule: on a curved mesh the
+    whole regularized rule, the same weights for all; on a plane mesh
+    (chosen by ``chart_pack``, no option) its points at xi = 1, the radial
+    variable summed into the weights of each kernel's homogeneity degree.
 
     Vertex order, known here only: a singular batch classifies its own
     pairs (``quadrature.classify_pairs``) and reads both charts' nodes and
     normals through the permutations that put the shared vertices first,
-    as the regularized rules need. That reproduces the physical point and
-    normal fields exactly, so odd permutations need no orientation
-    correction; linear values then go back to each triangle's own order.
-    A pair is evaluated as given, in either orientation.
+    as the regularized rules need; a point row reads the column chart,
+    rotated to start at the point's vertex, at (0, 0). That reproduces the
+    physical point and normal fields exactly, so odd permutations need no
+    orientation correction; linear values then go back to each triangle's
+    own order. A pair is evaluated as given, in either orientation.
     """
-    kinds = _kinds(kinds, ("slp", "dlp", "adlp"))
-    if basis not in ("constant", "linear"):
-        raise ConfigError("unknown basis %r" % (basis,))
+    if tables not in (("constant", "constant"), ("linear", "linear"),
+                      ("collocation", "linear")):
+        raise ConfigError("unknown table kinds %r" % (tables,))
+    points = tables[0] == "collocation"
+    kinds = _kinds(kinds, ("slp", "dlp") + ("adlp",) * (not points))
     pack = chart_pack(mesh)
-    width = 1 if basis == "constant" else 3
+    rw, cw = (3 if k == "linear" else 1 for k in tables)
     tris = mesh.triangles
     nodes = _coordinate_major(pack.nodes)
     normals = _coordinate_major(pack.normals)
-    far = _far_tables(mesh, q_reg, basis == "linear", kinds)
+    col = _far_tables(mesh, q_reg, tables[1])
+    row = _far_tables(mesh, q_reg, tables[0]) if points else col
+    # a double layer weights its normal's side plainly: the unnormalized
+    # normal carries that side's Gramian
+    weights = {"slp": (row.gram, col.gram), "dlp": (row.gram, col.plain),
+               "adlp": (row.plain, col.gram)}
 
     def evaluate(case, rows, cols, kernels=None):
         kernels = list(range(len(kinds)) if kernels is None else kernels)
-        out = np.empty((len(rows), len(kernels), width, width))
+        out = np.empty((len(rows), len(kernels), rw, cw))
         # the single layer last: the singular chunk scales r in place for
         # it, after the double layers have divided by r^3
         todo = sorted(enumerate(kernels), key=lambda jk: kinds[jk[1]] == "slp")
         if case == quad.DISJOINT:
-            for sl in _chunks(len(rows), far.x.shape[-1] ** 2):
+            for sl in _chunks(len(rows), row.x.shape[-1] * col.x.shape[-1]):
                 _disjoint_chunk(out[sl], rows[sl], cols[sl], todo)
             return out
-        _, px, py = quad.classify_pairs(tris[rows], tris[cols])
-        rule = _singular_rule(int(case), q_sing, basis, pack.curved)
+        if points:
+            # the rotation putting the point's vertex first on both sides
+            px = py = np.argmax(tris[cols] == rows[:, None], axis=1)
+            rows = cols
+        else:
+            _, px, py = quad.classify_pairs(tris[rows], tris[cols])
+        rule = _singular_rule(int(case), q_sing, tables, pack.curved)
         for sl in _chunks(len(rows), len(rule.ix)):
             _singular_chunk(out[sl], rows[sl], cols[sl], px[sl], py[sl],
                             rule, todo)
-        if width > 1:
-            # from the rule's vertex order back to each triangle's own
+        # from the rule's vertex order back to each triangle's own
+        if rw > 1:
             out = np.take_along_axis(
                 out, quad.INV_PERMS3[px][:, None, :, None], axis=2)
+        if cw > 1:
             out = np.take_along_axis(
                 out, quad.INV_PERMS3[py][:, None, None, :], axis=3)
         return out
 
     def _disjoint_chunk(out, rows, cols, todo):
-        # point pairs (a, b) of each triangle pair on the two trailing axes
-        d = (far.x.take(rows, axis=1)[..., :, None]
-             - far.x.take(cols, axis=1)[..., None, :])
+        # point pairs (a, b) of each pair on the two trailing axes
+        d = (row.x.take(rows, axis=1)[..., :, None]
+             - col.x.take(cols, axis=1)[..., None, :])
         r2 = np.sum(d * d, axis=0)
         r = np.sqrt(r2)
         for j, k in todo:
             kind = kinds[k]
             if kind == "dlp":
-                ny = far.n.take(cols, axis=1)[..., None, :]
+                ny = col.n.take(cols, axis=1)[..., None, :]
                 kern = np.sum(d * ny, axis=0) / (r2 * r)
             elif kind == "adlp":
-                nx = far.n.take(rows, axis=1)[..., :, None]
+                nx = row.n.take(rows, axis=1)[..., :, None]
                 kern = -np.sum(d * nx, axis=0) / (r2 * r)
             else:
                 kern = 1.0 / r
             wr, wc = (a.take(idx, axis=0)
-                      for a, idx in zip(far.w[kind], (rows, cols)))
-            if width > 1:
+                      for a, idx in zip(weights[kind], (rows, cols)))
+            if rw * cw > 1:
                 # the slots of a pair: its kernel matrix between the row
                 # and the column weights, two small products per pair
                 out[:, j] = wr @ kern @ wc.transpose(0, 2, 1) / FOUR_PI
             else:
-                # one contiguous M*M sum per pair
+                # one contiguous Mr*Mc sum per pair
                 out[:, j, 0, 0] = np.sum(
                     (kern * wc[:, 0, None, :]
                      * wr[:, 0, :, None]).reshape(len(rows), -1),
@@ -411,15 +437,18 @@ def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
         asked = {kinds[k] for _, k in todo}
         # per side, x (rows, adlp's) and y (cols, dlp's): the Gramians at
         # the rule points and, before d is squared in place, the double
-        # layer's numerator, both from the normals at the distinct points
-        gram, num = {}, {}
+        # layer's numerator, both from the normals at the distinct points;
+        # a point row has Gramian 1
+        gram, num = ({"x": 1.0} if points else {}), {}
         for side, kind, tri, perm, n6, at, sign in (
                 ("x", "adlp", rows, px, rule.n6x, rule.ix, -1.0),
                 ("y", "dlp", cols, py, rule.n6y, rule.iy, 1.0)):
-            if kind in asked or pack.curved:
+            own = side not in gram
+            if kind in asked or (own and pack.curved):
                 n = _chart_points(normals, tri, perm, n6)
-            gram[side] = (_norm3(n, axis=0).take(at, axis=1) if pack.curved
-                          else pack.gram[tri][:, None])
+            if own:
+                gram[side] = (_norm3(n, axis=0).take(at, axis=1)
+                              if pack.curved else pack.gram[tri][:, None])
             if kind in asked:
                 kg = n.take(at, axis=2)
                 kg *= d
@@ -442,10 +471,9 @@ def galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing):
                 kg /= r2
                 kg *= gram["x" if kind == "dlp" else "y"]
             w = rule.w["slp" if kind == "slp" else "dlp"]
-            if width > 1:
-                # the nine slot weights of a pair in one small product per
-                # pair
-                out[:, j] = np.matmul(kg[:, None, :], w).reshape(-1, 3, 3)
+            if rw * cw > 1:
+                # the slot weights of a pair in one small product per pair
+                out[:, j] = np.matmul(kg[:, None, :], w).reshape(-1, rw, cw)
             else:
                 kg *= w
                 out[:, j, 0, 0] = np.sum(kg, axis=1)
@@ -464,86 +492,30 @@ def collocation_classify(mesh):
     return classify
 
 
-def collocation_evaluator(kinds, mesh, q_reg, q_sing):
-    """Single-integral evaluator: rows are surface points, columns the
-    linear basis. Case 0 is a regular triangle rule, case 1 the vertex
-    Duffy rule, read with the point's vertex rotated to local slot 0.
-    Values, in each triangle's own vertex order, and kernels as in
-    :func:`galerkin_pair_evaluator`."""
-    kinds = _kinds(kinds)
-    pack = chart_pack(mesh)
-    tris = mesh.triangles
-    verts = np.ascontiguousarray(mesh.vertices.T)
-    nodes = _coordinate_major(pack.nodes)
-    normals = _coordinate_major(pack.normals)
-    # a disjoint pair reads its triangle's regular-rule points and normals
-    far = surface_rule(mesh, q_reg)
-    pts, wts = quad.duffy_rule(0, q_sing)
-    n6t = shape_functions(pts).T.copy()
-    # per case, the rule's weights times the three slots' factors, (3, M)
-    wbs = [w[None, :] * _bary(p).T for p, w in ((far.pts, far.wts),
-                                                 (pts, wts))]
-
-    def evaluate(case, rows, cols, kernels=None):
-        kernels = list(range(len(kinds)) if kernels is None else kernels)
-        wb = wbs[int(case)]
-        if case:
-            # the rotation putting the point's vertex first
-            rot = np.argmax(tris[cols] == rows[:, None], axis=1)
-        out = np.empty((len(rows), len(kernels), 1, 3))
-        for sl in _chunks(len(rows), wb.shape[1]):
-            if case == 0:
-                y, ny = (a.take(cols[sl], axis=1) for a in (far.x, far.n))
-            else:
-                y, ny = (_chart_points(a, cols[sl], rot[sl], n6t)
-                         for a in (nodes, normals))
-            d = verts[:, rows[sl], None] - y
-            r2 = np.sum(d * d, axis=0)
-            r = np.sqrt(r2)
-            for j, k in enumerate(kernels):
-                if kinds[k] == "dlp":
-                    kg = np.sum(d * ny, axis=0) / (FOUR_PI * r2 * r)
-                elif pack.curved:
-                    kg = _norm3(ny, axis=0) / (FOUR_PI * r)
-                else:
-                    kg = pack.gram[cols[sl]][:, None] / (FOUR_PI * r)
-                for c in range(3):
-                    out[sl, j, 0, c] = np.sum(kg * wb[c][None, :], axis=1)
-        if case:
-            # back to each triangle's own vertex order
-            out = np.take_along_axis(
-                out, quad.INV_PERMS3[rot][:, None, None, :], axis=3)
-        return out
-
-    return evaluate
-
-
 def make_executor(kind, mesh, basis, disc, out, orders=(3, 5),
                   capacity=DEFAULT_CAPACITY, threads=None):
     """The executor of one kernel or a tuple of them, with one buffer each,
     for the ``disc`` ("galerkin", "collocation") of ``basis``, and the row
     and column kinds of its element tables (see :func:`element_tables`).
     A Galerkin executor's evaluator also computes each kernel's mirror,
-    which its lower halves read (see ``batchexec``)."""
-    q_reg, q_sing = orders
+    which its lower halves read (see ``batchexec``); collocation has no
+    lower halves."""
+    kinds = own = _kinds(kind)
+    mirror = None
     if disc == "galerkin":
         # a kernel's mirror: its value at (s, t), transposed, is the
         # kernel's at (t, s)
-        own, mirror = _kinds(kind), {"slp": "slp", "dlp": "adlp"}
-        kinds = own + tuple(mirror[k] for k in own if mirror[k] not in own)
-        return (BatchExecutor(
-            galerkin_classify(mesh),
-            galerkin_pair_evaluator(kinds, mesh, basis, q_reg, q_sing), out,
-            4, capacity, threads, [kinds.index(mirror[k]) for k in own]),
-                (basis, basis))
-    if disc == "collocation":
-        if basis != "linear":
-            raise ConfigError("collocation rows pair with the linear basis")
-        return (BatchExecutor(
-            collocation_classify(mesh),
-            collocation_evaluator(kind, mesh, q_reg, q_sing), out, 2,
-            capacity, threads), ("collocation", "linear"))
-    raise ConfigError("unknown discretization %r" % (disc,))
+        twin = {"slp": "slp", "dlp": "adlp"}
+        kinds = own + tuple(twin[k] for k in own if twin[k] not in own)
+        mirror = [kinds.index(twin[k]) for k in own]
+        tables, classify, cases = (basis, basis), galerkin_classify, 4
+    elif disc == "collocation":
+        tables, classify, cases = (disc, basis), collocation_classify, 2
+    else:
+        raise ConfigError("unknown discretization %r" % (disc,))
+    evaluate = pair_evaluator(kinds, mesh, tables, *orders)
+    return (BatchExecutor(classify(mesh), evaluate, out, cases, capacity,
+                          threads, mirror), tables)
 
 
 def _assemble(kind, mesh, basis, disc, rows, cols, orders, capacity,

@@ -18,8 +18,9 @@ All reports are RFC 4180 CSV with one fixed column set, so rows from
 different runs concatenate cleanly.  Every row echoes the full experiment
 configuration; re-running with the same config and seed reproduces all
 non-timing columns.  Exit codes: 0 success, 2 invalid configuration,
-3 size guard refusal (a mesh level out of range, or a dense oracle
-whose matrix would not fit its memory budget).
+3 size guard refusal (a mesh level out of range, a dense oracle whose
+matrix would not fit its memory budget, or a compressed build whose
+packed blocks exceed ``gca.PACK_BYTES``).
 """
 
 import argparse
@@ -65,12 +66,14 @@ def validate_config(cfg):
         if not 0.0 < value < np.inf:
             raise ConfigError("%s must be positive and finite, got %g"
                               % (name, value))
-    if cfg.m < 1:
-        raise ConfigError("green order m must be at least 1")
+    orders = cfg.m, cfg.q_reg, cfg.q_sing
+    if not all(1 <= q <= 32 for q in orders):
+        raise ConfigError("Gauss orders m, q_reg and q_sing must lie in "
+                          "[1, 32], got %d, %d, %d" % orders)
     if cfg.leaf_size < 1:
         raise ConfigError("leaf size must be at least 1")
-    if min(cfg.q_reg, cfg.q_sing) < 1:
-        raise ConfigError("quadrature orders must be at least 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be non-negative, got %d" % cfg.seed)
     if cfg.disc == "collocation" and cfg.basis != "linear":
         raise ConfigError("collocation pairs with the linear basis only")
     return cfg

@@ -371,6 +371,9 @@ def test_collocation_block_subset_consistency(geometry):
 _VARIANTS = [(g, b, k) for g in ("plane", "curved")
              for b in ("constant", "linear") for k in ("slp", "dlp", "adlp")]
 
+# the table kinds of a collocation evaluator: point rows, linear columns
+_POINT_ROWS = ("collocation", "linear")
+
 
 def _mesh(geometry, level):
     mesh = build_sphere_mesh(level)
@@ -430,7 +433,7 @@ def test_pair_values_independent_of_chunking(monkeypatch, geometry, basis,
     the tests and of the benchmark."""
     mesh = _mesh(geometry, 2)
     for q_sing in (3, 4):
-        ev = assembly.galerkin_pair_evaluator(kind, mesh, basis, 2, q_sing)
+        ev = assembly.pair_evaluator(kind, mesh, (basis, basis), 2, q_sing)
         for case, (t, s, _, _) in _pairs_by_case(mesh, 40).items():
             ref = ev(case, t, s)
             rev = slice(None, None, -1)
@@ -455,8 +458,8 @@ def test_singular_rule_distinct_point_tables(kind):
             rule = (quad.sauter_rule(kind, q) if curved
                     else quad.radial_rule(kind, q))
             for basis in ("constant", "linear"):
-                tab = assembly._singular_rule(quad.KIND_CODES[kind], q, basis,
-                                              curved)
+                tab = assembly._singular_rule(quad.KIND_CODES[kind], q,
+                                              (basis, basis), curved)
                 for pts, n6, index in ((rule.x, tab.n6x, tab.ix),
                                        (rule.y, tab.n6y, tab.iy)):
                     distinct = np.unique(pts, axis=0)
@@ -482,8 +485,8 @@ def test_plane_singular_weights_sum_the_radial_variable(kind):
     for q in range(2, 6):
         full = quad.sauter_rule(kind, q)
         xi = quad.radial_rule(kind, q).xi
-        tab = assembly._singular_rule(quad.KIND_CODES[kind], q, "constant",
-                                      False)
+        tab = assembly._singular_rule(quad.KIND_CODES[kind], q,
+                                      ("constant", "constant"), False)
         for k, p in (("slp", 1), ("dlp", 2)):
             w = tab.w[k]
             for at in range(len(w)):
@@ -535,7 +538,7 @@ def test_pair_values_match_chart_reference(geometry, basis, kind):
     the kernel's magnitude."""
     mesh = _mesh(geometry, 2)
     q_reg, q_sing = 2, 2
-    ev = assembly.galerkin_pair_evaluator(kind, mesh, basis, q_reg, q_sing)
+    ev = assembly.pair_evaluator(kind, mesh, (basis, basis), q_reg, q_sing)
     for case, (t, s, px, py) in _pairs_by_case(mesh, 2).items():
         rule = quad.sauter_rule(quad.KIND_NAMES[case],
                                 q_reg if case == quad.DISJOINT else q_sing)
@@ -591,13 +594,13 @@ def test_plane_singular_pairs_match_full_rule(level, basis):
             rule = quad.sauter_rule(quad.KIND_NAMES[c], q_sing)
             mag = _plane_magnitudes(plane, basis, rule, t[sel], s[sel],
                                     px[sel], py[sel])
-            ref = np.concatenate([assembly.galerkin_pair_evaluator(
-                k, straight, basis, 2, q_sing)(*args) for k in ("slp", "dlp")],
-                axis=1)
+            ref = np.concatenate([assembly.pair_evaluator(
+                k, straight, (basis, basis), 2, q_sing)(*args)
+                for k in ("slp", "dlp")], axis=1)
             for kinds, at in (("slp", [0]), ("dlp", [1]),
                               (("slp", "dlp"), [0, 1])):
-                got = assembly.galerkin_pair_evaluator(
-                    kinds, plane, basis, 2, q_sing)(*args)
+                got = assembly.pair_evaluator(
+                    kinds, plane, (basis, basis), 2, q_sing)(*args)
                 err = np.abs(got - ref[:, at]).max(axis=(2, 3))
                 assert np.all(err <= 1e-13 * mag[at].T)
 
@@ -623,7 +626,7 @@ def _all_pair_values(mesh, kind, basis, upper):
     if upper:
         t, s = t[t < s], s[t < s]
     case, px, py = quad.classify_pairs(mesh.triangles[t], mesh.triangles[s])
-    ev = assembly.galerkin_pair_evaluator(kind, mesh, basis, 2, 4)
+    ev = assembly.pair_evaluator(kind, mesh, (basis, basis), 2, 4)
     out = []
     for c in range(4):
         sel = case == c
@@ -644,7 +647,7 @@ def test_lower_pairs_read_their_mirror(monkeypatch, kind, mirror):
     bitwise the mirror kernel's value of (s, t); the others the kernel's
     own. The single layer's mirror is itself, the double layer's the
     adjoint double layer."""
-    real = assembly.galerkin_pair_evaluator
+    real = assembly.pair_evaluator
     asked = []
 
     def spy(*args):
@@ -657,14 +660,14 @@ def test_lower_pairs_read_their_mirror(monkeypatch, kind, mirror):
         return spied
 
     for mesh in (_mesh("plane", 2), _mesh("curved", 2)):
-        monkeypatch.setattr(assembly, "galerkin_pair_evaluator", spy)
+        monkeypatch.setattr(assembly, "pair_evaluator", spy)
         dofs = np.arange(mesh.nt)
         got = assembly.assemble_galerkin_block(kind, mesh, "constant", dofs,
                                                dofs, (2, 4)).values
         monkeypatch.undo()
         assert np.concatenate(asked).all()
         kinds = tuple(dict.fromkeys((kind, mirror)))
-        ev = real(kinds, mesh, "constant", 2, 4)
+        ev = real(kinds, mesh, ("constant", "constant"), 2, 4)
         t, s = np.divmod(np.arange(mesh.nt ** 2), mesh.nt)
         up = t <= s
         lo, hi = np.where(up, t, s), np.where(up, s, t)
@@ -687,8 +690,8 @@ def test_mirror_kernels_agree_with_direct_values(geometry, basis):
     mesh = _mesh(geometry, 2)
     t, s = np.divmod(np.arange(mesh.nt ** 2), mesh.nt)
     case = quad.classify_pairs(mesh.triangles[t], mesh.triangles[s])[0]
-    ev = assembly.galerkin_pair_evaluator(("slp", "dlp", "adlp"), mesh, basis,
-                                          2, 4)
+    ev = assembly.pair_evaluator(("slp", "dlp", "adlp"), mesh,
+                                 (basis, basis), 2, 4)
     for c in range(4):
         sel = np.flatnonzero(case == c)
         direct = ev(c, t[sel], s[sel])
@@ -704,13 +707,31 @@ def test_linear_slp_singular_pairs_transpose(geometry):
     singular slp pair (t, s), read by its rule in another vertex order
     than (s, t), is the transpose of (s, t) to rounding."""
     mesh = _mesh(geometry, 2)
-    ev = assembly.galerkin_pair_evaluator("slp", mesh, "linear", 2, 4)
+    ev = assembly.pair_evaluator("slp", mesh, ("linear", "linear"), 2, 4)
     for case, (t, s, _, _) in _pairs_by_case(mesh, 60).items():
         if case == quad.DISJOINT:
             continue
         got = ev(case, t, s)
         mirror = ev(case, s, t).transpose(0, 1, 3, 2)
         assert np.abs(got - mirror).max() <= 1e-13 * np.abs(got).max()
+
+
+def _reference_point(mesh, kind, x, s, pts, wts):
+    """Collocation value of the point x against triangle s, in s's own
+    slots, summed point by point from chart_eval over the rule (pts, wts)
+    on s's chart, plus the rounding scale: the same sum with the dlp
+    kernel replaced by the bound |n| / (4 pi r^2)."""
+    ref, mag = np.zeros(3), np.zeros(3)
+    for yh, w in zip(pts, wts):
+        cy = chart_eval(mesh, s, yh)
+        d = x - cy.point
+        r = np.linalg.norm(d)
+        bound = cy.gramian / (FOUR_PI * r ** (1 if kind == "slp" else 2))
+        f = bound if kind == "slp" else d @ cy.normal / (FOUR_PI * r ** 3)
+        lam = np.array([1.0 - yh[0] - yh[1], yh[0], yh[1]])
+        ref += w * f * lam
+        mag += w * bound * lam
+    return ref, mag
 
 
 @pytest.mark.parametrize("geometry", ["plane", "curved"])
@@ -722,22 +743,36 @@ def test_collocation_vertex_values_match_duffy_reference(geometry, kind):
     kernel's magnitude."""
     mesh = _mesh(geometry, 2)
     q = 4
-    ev = assembly.collocation_evaluator(kind, mesh, 2, q)
+    ev = assembly.pair_evaluator(kind, mesh, _POINT_ROWS, 2, q)
     s = np.random.default_rng(4).choice(mesh.nt, size=12, replace=False)
     v = np.arange(len(s)) % 3
     x = mesh.triangles[s, v]
     got = ev(quad.VERTEX, x, s)[:, 0, 0]
     for i in range(len(s)):
-        ref, mag = np.zeros(3), np.zeros(3)
-        for yh, w in zip(*quad.duffy_rule(int(v[i]), q)):
-            cy = chart_eval(mesh, s[i], yh)
-            d = mesh.vertices[x[i]] - cy.point
-            r = np.linalg.norm(d)
-            bound = cy.gramian / (FOUR_PI * r ** (1 if kind == "slp" else 2))
-            f = bound if kind == "slp" else d @ cy.normal / (FOUR_PI * r ** 3)
-            lam = np.array([1.0 - yh[0] - yh[1], yh[0], yh[1]])
-            ref += w * f * lam
-            mag += w * bound * lam
+        ref, mag = _reference_point(mesh, kind, mesh.vertices[x[i]], s[i],
+                                    *quad.duffy_rule(int(v[i]), q))
+        assert np.abs(got[i] - ref).max() <= 1e-13 * mag.max()
+
+
+@pytest.mark.parametrize("geometry", ["plane", "curved"])
+@pytest.mark.parametrize("kind", ["slp", "dlp"])
+def test_collocation_disjoint_values_match_chart_reference(geometry, kind):
+    """A disjoint collocation value of a vertex x and a triangle s not
+    touching it, in s's own slots, is the integral of the regular rule
+    triangle_gauss(q_reg) on s's chart, summed point by point from
+    chart_eval, to 1e-13 of the integral of the kernel's magnitude; 200
+    sampled pairs of an L2 mesh."""
+    mesh = _mesh(geometry, 2)
+    q_reg = 3
+    ev = assembly.pair_evaluator(kind, mesh, _POINT_ROWS, q_reg, 4)
+    x, s = np.divmod(np.arange(mesh.nv * mesh.nt), mesh.nt)
+    far = np.flatnonzero(assembly.collocation_classify(mesh)(x, s) == 0)
+    pick = np.random.default_rng(6).choice(far, size=200, replace=False)
+    x, s = x[pick], s[pick]
+    got = ev(quad.DISJOINT, x, s)[:, 0, 0]
+    for i in range(len(s)):
+        ref, mag = _reference_point(mesh, kind, mesh.vertices[x[i]], s[i],
+                                    *quad.triangle_gauss(q_reg))
         assert np.abs(got[i] - ref).max() <= 1e-13 * mag.max()
 
 
@@ -782,13 +817,11 @@ def test_fused_kernels_keep_single_kernel_bits(geometry, basis):
     mesh = _mesh(geometry, 2)
     t, s = np.divmod(np.arange(mesh.nt ** 2), mesh.nt)
     case = quad.classify_pairs(mesh.triangles[t], mesh.triangles[s])[0]
-    single = {k: assembly.galerkin_pair_evaluator(k, mesh, basis, 2, 4)
+    single = {k: assembly.pair_evaluator(k, mesh, (basis, basis), 2, 4)
               for k in ("slp", "dlp", "adlp")}
-    both = assembly.galerkin_pair_evaluator(("slp", "dlp"), mesh, basis, 2, 4)
-    swapped = assembly.galerkin_pair_evaluator(("dlp", "slp"), mesh, basis,
-                                               2, 4)
-    three = assembly.galerkin_pair_evaluator(("adlp", "slp", "dlp"), mesh,
-                                             basis, 2, 4)
+    both, swapped, three = (
+        assembly.pair_evaluator(kinds, mesh, (basis, basis), 2, 4)
+        for kinds in (("slp", "dlp"), ("dlp", "slp"), ("adlp", "slp", "dlp")))
     for c in range(4):
         sel = np.flatnonzero(case == c)
         args = (c, t[sel], s[sel])
@@ -815,9 +848,9 @@ def test_fused_collocation_kernels_keep_single_kernel_bits(geometry):
     mesh = _mesh(geometry, 2)
     x, s = np.divmod(np.arange(mesh.nv * mesh.nt), mesh.nt)
     case = assembly.collocation_classify(mesh)(x, s)
-    single = {k: assembly.collocation_evaluator(k, mesh, 2, 4)
+    single = {k: assembly.pair_evaluator(k, mesh, _POINT_ROWS, 2, 4)
               for k in ("slp", "dlp")}
-    both = assembly.collocation_evaluator(("slp", "dlp"), mesh, 2, 4)
+    both = assembly.pair_evaluator(("slp", "dlp"), mesh, _POINT_ROWS, 2, 4)
     for c in (0, 1):
         sel = np.flatnonzero(case == c)
         args = (c, x[sel], s[sel])
@@ -829,13 +862,19 @@ def test_fused_collocation_kernels_keep_single_kernel_bits(geometry):
 
 def test_unknown_kernel_kinds_rejected(sphere2):
     for kinds in ("hyp", (), ("slp", "slp"), ("slp", "hyp"), ("adlp", "adlp")):
-        with pytest.raises(ConfigError):
-            assembly.galerkin_pair_evaluator(kinds, sphere2, "constant", 2, 4)
-        with pytest.raises(ConfigError):
-            assembly.collocation_evaluator(kinds, sphere2, 2, 4)
-    # the adjoint double layer is a Galerkin kernel only
+        for tables in (("constant", "constant"), _POINT_ROWS):
+            with pytest.raises(ConfigError):
+                assembly.pair_evaluator(kinds, sphere2, tables, 2, 4)
+    # the adjoint double layer is a Galerkin kernel only: a point row has
+    # no normal
     with pytest.raises(ConfigError):
-        assembly.collocation_evaluator("adlp", sphere2, 2, 4)
+        assembly.pair_evaluator("adlp", sphere2, _POINT_ROWS, 2, 4)
+    # a point row pairs with the linear basis, and a triangle pair with
+    # its own basis on both sides
+    for tables in (("collocation", "constant"), ("constant", "linear"),
+                   ("linear", "collocation"), ("quadratic", "quadratic")):
+        with pytest.raises(ConfigError):
+            assembly.pair_evaluator("slp", sphere2, tables, 2, 4)
 
 
 @pytest.mark.parametrize("geometry", ["plane", "curved"])

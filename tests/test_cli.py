@@ -142,7 +142,7 @@ def test_compressed_build_refused_over_its_byte_budget(mesh2_file, tmp_path,
     def refuse(*args, **kwargs):
         raise AssertionError("pair evaluator built")
 
-    monkeypatch.setattr(assembly, "galerkin_pair_evaluator", refuse)
+    monkeypatch.setattr(assembly, "pair_evaluator", refuse)
     monkeypatch.setattr(gca, "PACK_BYTES", 1024)
     out = str(tmp_path / "refused.csv")
     assert cli.main([command[0], "--mesh", mesh2_file, "--out", out]
@@ -221,11 +221,21 @@ def test_solve_has_no_dense_step(mesh2_file, tmp_path, monkeypatch, basis,
     ["--source", "nan,0,0"],
     ["--source", "inf,0,0"],
     ["--source", "2,-inf,nan"],
+    ["--q-sing", "33"],               # Gauss orders above 32
+    ["--q-reg", "33"],
+    ["--green-order", "33"],
+    ["--seed", "-1"],                 # negative seed
 ])
 def test_config_errors_exit_2(mesh2_file, tmp_path, extra):
+    """A bad flag exits 2; one that compress shares with solve does so
+    on compress too, before any build."""
     out = str(tmp_path / "bad.csv")
-    rc = cli.main(["solve", "--mesh", mesh2_file, "--out", out] + extra)
-    assert rc == 2
+    commands = [["solve"]]
+    if not extra[0].startswith("--cg-"):
+        commands.append(["compress", "--no-dense"])
+    for command in commands:
+        assert cli.main(command[:1] + ["--mesh", mesh2_file, "--out", out]
+                        + command[1:] + extra) == 2
 
 
 def test_stats_report(mesh2_file, tmp_path):

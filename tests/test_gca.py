@@ -526,7 +526,7 @@ def test_linear_build_evaluates_each_pair_once(monkeypatch):
     mesh = to_curved(build_sphere_mesh(3), project_to_unit_sphere=True)
     seen = []
     classified = []
-    real = assembly.galerkin_pair_evaluator
+    real = assembly.pair_evaluator
     real_classify = quad.classify_pairs
 
     def classify_spy(row_tris, col_tris):
@@ -542,7 +542,7 @@ def test_linear_build_evaluates_each_pair_once(monkeypatch):
 
         return spied
 
-    monkeypatch.setattr(assembly, "galerkin_pair_evaluator", spy)
+    monkeypatch.setattr(assembly, "pair_evaluator", spy)
     monkeypatch.setattr(quad, "classify_pairs", classify_spy)
     tree = build_cluster_tree(mesh, "linear", leaf_size=16)
     btree = build_block_tree(tree, eta=1.0)
@@ -794,14 +794,18 @@ def test_solve_build_integrates_each_unordered_pair_once():
 def test_fused_collocation_build_keeps_seed_bits():
     """Collocation has no lower half: V and K of the curved L3 collocation
     solve keep their pinned bits (sha256 prefixes, numpy 2.4.6, x86_64),
-    at the default capacity and at capacity 7 on one thread."""
+    at the default capacity and at capacity 7 on one thread. Re-pinned
+    when a point row became the one-point case of the pair evaluator, a
+    matmul over the slots in place of per-slot sums: V and K moved by at
+    most 2.2e-16 of their largest entries (see test_assembly.py's
+    test_collocation_*_values_match_*_reference)."""
     cfg = _solve_config(3, "curved", "linear", disc="collocation")
     for capacity, threads in ((4096, None), (7, 1)):
         hm = cli.build_h2_operator(_curved(3), cfg, capacity=capacity,
                                    threads=threads, dlp=True)[0]
         assert [hashlib.sha256(op.packed.blocks.data.tobytes())
                 .hexdigest()[:16] for op in (hm, hm.dlp)] \
-            == ["048557d49085ba74", "daebac2cad5a4cae"]
+            == ["5cf3ab959d316db3", "2effe471f0ad49b8"]
 
 
 @pytest.fixture(scope="module")
@@ -860,7 +864,7 @@ def test_fused_build_asks_slp_on_v_alone_pairs(sphere3, monkeypatch):
     """A fused plane L3 constant build asks the evaluator for the single
     layer on exactly the pairs a V-alone build asks for: of a diagonal
     leaf, its upper triangle; K's other pairs are dlp only."""
-    real = assembly.galerkin_pair_evaluator
+    real = assembly.pair_evaluator
 
     def asked(dlp):
         seen = []
@@ -876,7 +880,7 @@ def test_fused_build_asks_slp_on_v_alone_pairs(sphere3, monkeypatch):
 
             return spied
 
-        monkeypatch.setattr(assembly, "galerkin_pair_evaluator", spy)
+        monkeypatch.setattr(assembly, "pair_evaluator", spy)
         cli.build_h2_operator(sphere3, _solve_config(3, "plane", "constant"),
                               dlp=dlp)
         return np.sort(np.concatenate(seen))
