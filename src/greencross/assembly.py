@@ -382,7 +382,7 @@ def pair_evaluator(kinds, mesh, tables, q_reg, q_sing):
                 _disjoint_chunk(out[sl], rows[sl], cols[sl], todo)
             return out
         if points:
-            # the rotation putting the point's vertex first on both sides
+            # the point reads the column chart, rotated to start at it
             px = py = np.argmax(tris[cols] == rows[:, None], axis=1)
             rows = cols
         else:
