@@ -44,27 +44,29 @@ order, window by window:
    from window to window;
 5. while the workers evaluate, the main thread maps every used (row slot,
    column slot) of every task and kernel of its half to its flat target
-   in that kernel's buffer and to its pair's value, in the order below; an
-   unused slot takes no entry. One ``np.add.at`` per buffer then scatters
-   the window.
+   in that kernel's buffer and to its pair's value, in task order: the
+   used (task, column slot) segments, then each one's used row slots, so
+   no (task, row slot, column slot) array is built and an unused slot
+   takes no entry. One ``np.add.at`` per buffer then scatters the window.
 
 The executor knows no geometry: an evaluator returns its values in the
 slots of the element tables (see :class:`BatchExecutor`), and any local
 order it integrates in (the vertex order a singular rule needs) is its
 own to undo.
 
-Order contract: a block entry sums its contributions by ascending row
-element of the half, then half, in the order the blocks were recorded,
-all upper halves first, then column slot b (the column element's own slot
-in its table), then position in the column table (ascending element, in
-a Galerkin executor), then row slot a. Recording blocks in one call or one
-call each gives the same sums. Windows split only between row elements,
-so every entry is bitwise independent of the capacity, the number of
-workers and the window size, and of which other blocks (of any kernel)
-the build holds; a block equals the same rows and columns of any larger
-block. The evaluator must likewise produce per-pair values independent
-of how pairs are batched and of the other kernels asked for; the ones in
-the assembly module cut each batch into chunks of a fixed number of
+Order contract: a block entry sums its contributions in task order, the
+order the window expands its tasks: by ascending row element of the half,
+then half, in the order the blocks were recorded, all upper halves first,
+then position in the column table (ascending element, in a Galerkin
+executor), then column slot b (the column element's own slot in its
+table), then row slot a. Recording blocks in one call or one call each
+gives the same sums. Windows split only between row elements, so every
+entry is bitwise independent of the capacity, the number of workers and
+the window size, and of which other blocks (of any kernel) the build
+holds; a block equals the same rows and columns of any larger block.
+The evaluator must likewise produce per-pair values independent of how
+pairs are batched and of the other kernels asked for; the ones in the
+assembly module cut each batch into chunks of a fixed number of
 quadrature points, a function of the rule alone, and compute each pair's
 value from its own data only.
 
@@ -426,22 +428,14 @@ class BatchExecutor:
             pool, case, need, rows, cols,
             buf("values", len(rows) * ne * rw * cw, np.float64))
 
-        # scatter map, built while the workers evaluate: per task its
-        # target columns (-1 unused), and per kernel its target rows in
-        # that kernel's buffer (an unused slot, or a kernel the half does
-        # not take, far below zero)
-        colt = np.take(lay.cs, col, axis=0)
-        # segments seg = task * cw + b in scatter order: row entry, then
-        # column slot b, then position; run (row entry, b) lists the row
-        # entry's tasks in order
-        rl = np.repeat(length, cw)
-        rstart = ((cw * first)[:, None] + np.arange(cw)).reshape(-1)
-        seg = np.arange(0, cw * cw * n, cw) + np.repeat(
-            rstart - cw * (np.cumsum(rl) - rl), rl)
-        # the used segments, each with its used row slots a
-        c = colt.reshape(-1)[seg]
-        used = c >= 0
-        seg, c = np.compress(used, seg), np.compress(used, c)
+        # scatter map, built while the workers evaluate: the used segments
+        # seg = task * cw + b in task order, with their target columns c,
+        # and per kernel the target rows of each one's row slots a in that
+        # kernel's buffer (an unused slot, or a kernel the half does not
+        # take, far below zero)
+        c = np.take(lay.cs, col, axis=0).reshape(-1)
+        seg = np.flatnonzero(c >= 0)
+        c = c[seg]
         task = seg // cw
         entry = run[task]
         rs = np.take(lay.rs, ent, axis=0)

@@ -25,6 +25,7 @@ packed blocks exceed ``gca.PACK_BYTES``).
 
 import argparse
 import csv
+import os
 import sys
 import time
 from collections import namedtuple
@@ -102,7 +103,7 @@ def config_from_args(args):
 
 def load_mesh(path, cfg):
     mesh = geometry.read_mesh(path)
-    curved = isinstance(mesh, geometry.CurvedTriangleMesh)
+    curved = mesh.midpoints is not None
     if cfg.geometry == "curved" and not curved:
         raise ConfigError("config wants curved geometry but %s has no "
                           "midpoints; regenerate with mesh --geometry "
@@ -519,6 +520,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        folder = os.path.dirname(os.path.abspath(args.out))
+        if not os.path.isdir(folder):
+            raise ConfigError("--out directory %s does not exist" % folder)
         return args.func(args)
     except SizeLimitError as exc:
         print("refused: %s" % exc, file=sys.stderr)

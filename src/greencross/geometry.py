@@ -7,6 +7,9 @@ midpoint per edge: the topology (triangles, edges, vertex stars) is the
 plane mesh's, and only :func:`chart_pack` reads the midpoints.
 """
 
+import copy
+import math
+
 import numpy as np
 
 from .errors import MeshFormatError, SizeLimitError
@@ -21,13 +24,16 @@ CHART_NODES_REF = np.array(
 
 
 class TriangleMesh:
-    """Closed oriented surface mesh, plane triangles unless curved (see
-    :class:`CurvedTriangleMesh`).
+    """Closed oriented surface mesh of plane or quadratic curved triangles.
 
     vertices : (nv, 3) float array
     triangles : (nt, 3) int array, counterclockwise seen from outside
     edges : (ne, 2) int array, derived, each row (a, b) with a < b
     tri_edges : (nt, 3) int array, edge index of (v0,v1), (v1,v2), (v2,v0)
+    midpoints : (ne, 3) float array, one curved point per edge of
+        ``edges``, or None on a plane mesh (see :func:`to_curved`); with
+        the straight edge midpoints the quadratic chart degenerates to the
+        plane chart exactly
     """
 
     def __init__(self, vertices, triangles):
@@ -40,6 +46,7 @@ class TriangleMesh:
         _check_indices(self.triangles, len(self.vertices))
         _check_degenerate(self.vertices, self.triangles)
         self.edges, self.tri_edges = _derive_edges(self.triangles)
+        self.midpoints = None
         self._stars = None
         self._pack = None
 
@@ -67,31 +74,6 @@ class TriangleMesh:
 
     def centroids(self):
         return self.vertices[self.triangles].mean(axis=1)
-
-
-class CurvedTriangleMesh(TriangleMesh):
-    """Mesh whose triangles carry one curved midpoint per edge.
-
-    base : the TriangleMesh of the vertices and triangles; its validated
-        arrays (vertices, triangles, edges, tri_edges) are shared, not
-        derived again
-    midpoints : (ne, 3) float array, one point per edge of ``edges``
-
-    With midpoints equal to the straight edge midpoints the quadratic chart
-    degenerates to the plane chart exactly.
-    """
-
-    def __init__(self, base, midpoints):
-        midpoints = np.ascontiguousarray(midpoints, dtype=np.float64)
-        if midpoints.shape != (base.ne, 3):
-            raise MeshFormatError(
-                "expected %d midpoints, got %d" % (base.ne, len(midpoints))
-            )
-        self.vertices, self.triangles = base.vertices, base.triangles
-        self.edges, self.tri_edges = base.edges, base.tri_edges
-        self.midpoints = midpoints
-        self._stars = None
-        self._pack = None
 
 
 def _check_indices(triangles, nv):
@@ -176,7 +158,15 @@ def to_curved(mesh, project_to_unit_sphere=False):
     mid = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
     if project_to_unit_sphere:
         mid = mid / np.linalg.norm(mid, axis=1, keepdims=True)
-    return CurvedTriangleMesh(mesh, mid)
+    return _with_midpoints(mesh, mid)
+
+
+def _with_midpoints(mesh, midpoints):
+    """``mesh`` with one midpoint per edge, (ne, 3) float64; its validated
+    topology arrays are shared, not derived again."""
+    curved = copy.copy(mesh)
+    curved.midpoints, curved._pack = midpoints, None
+    return curved
 
 
 def shape_functions(xhat):
@@ -240,7 +230,7 @@ def chart_pack(mesh):
     verts = mesh.vertices
     nodes = np.empty((len(tris), 6, 3))
     nodes[:, :3] = verts[tris]
-    curved = isinstance(mesh, CurvedTriangleMesh)
+    curved = mesh.midpoints is not None
     if curved:
         nodes[:, 3:] = mesh.midpoints[mesh.tri_edges]
     else:
@@ -281,7 +271,6 @@ def control_points(mesh):
 
 def write_mesh(mesh, path):
     """Write the text format; curved meshes append one midpoint per edge."""
-    curved = isinstance(mesh, CurvedTriangleMesh)
     lines = ["%d %d %d" % (mesh.nv, mesh.nt, mesh.ne)]
     for v in mesh.vertices:
         lines.append("%.17g %.17g %.17g" % (v[0], v[1], v[2]))
@@ -289,7 +278,7 @@ def write_mesh(mesh, path):
         lines.append("%d %d %d" % (t[0], t[1], t[2]))
     for e in mesh.edges:
         lines.append("%d %d" % (e[0], e[1]))
-    if curved:
+    if mesh.midpoints is not None:
         for m in mesh.midpoints:
             lines.append("%.17g %.17g %.17g" % (m[0], m[1], m[2]))
     with open(path, "w") as fh:
@@ -297,9 +286,15 @@ def write_mesh(mesh, path):
 
 
 def read_mesh(path):
-    """Read the text format; returns TriangleMesh or CurvedTriangleMesh."""
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    """Read the text format into a TriangleMesh, curved if the file has
+    midpoints. An unreadable file, and a value that is not a finite
+    number, are MeshFormatErrors."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read().splitlines()
+    except (OSError, UnicodeError) as exc:
+        raise MeshFormatError("cannot read mesh file %s: %s"
+                              % (path, exc)) from None
     rows = [(i + 1, line.split()) for i, line in enumerate(raw) if line.strip()]
     if not rows:
         raise MeshFormatError("empty mesh file", line=1)
@@ -332,7 +327,7 @@ def read_mesh(path):
         raise MeshFormatError("header must be 'nv nt ne'", line=lineno) from None
     if min(nv, nt, ne) < 0:
         raise MeshFormatError("negative count in header", line=lineno)
-    verts = take(nv, "vertex", float, 3)
+    verts = take(nv, "vertex", _finite, 3)
     tris = take(nt, "triangle", int, 3)
     first_tri_line = rows[1 + nv][0] if nt else lineno
     for k, t in enumerate(tris):
@@ -344,10 +339,9 @@ def read_mesh(path):
         if e[0] >= e[1] or e[0] < 0 or e[1] >= nv:
             raise MeshFormatError("edge endpoints must satisfy 0 <= a < b < nv",
                                   line=rows[1 + nv + nt + k][0])
-    curved = cursor < len(rows)
     mids = None
-    if curved:
-        mids = take(ne, "midpoint", float, 3)
+    if cursor < len(rows):
+        mids = take(ne, "midpoint", _finite, 3)
         if cursor < len(rows):
             raise MeshFormatError("trailing content after midpoint section",
                                   line=rows[cursor][0])
@@ -363,8 +357,15 @@ def read_mesh(path):
     order = _match_edges(mesh.edges, file_edges, lineno)
     if mids is None:
         return mesh
-    midpoints = np.array(mids).reshape(ne, 3)[order]
-    return CurvedTriangleMesh(mesh, midpoints)
+    return _with_midpoints(mesh, np.array(mids).reshape(ne, 3)[order])
+
+
+def _finite(text):
+    """A coordinate of the text format: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("coordinate %r is not finite" % text)
+    return value
 
 
 def _match_edges(canonical, from_file, header_line):

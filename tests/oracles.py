@@ -6,6 +6,7 @@ classification, a cluster basis built node by node, one nested basis
 expanded to its dense matrix, an operator applied block by block. The
 program itself works on batches.
 """
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -63,6 +64,47 @@ def classify_pair(t, s):
     return SingularityCase(quad.KIND_NAMES[kind[0]],
                            tuple(quad.PERMS3[rp[0]].tolist()),
                            tuple(quad.PERMS3[cp[0]].tolist()))
+
+
+def fsum_block(kind, mesh, basis, disc, rows, cols, orders=(3, 5)):
+    """Dense rows x cols block of ``disc`` (as assembly's
+    assemble_galerkin_block and assemble_collocation_block give it), each
+    entry the exactly rounded sum (``math.fsum``) of its contributions:
+    the pair evaluator's values of every (row element, column element)
+    pair of the block's tables. A Galerkin pair (t, s) with t > s reads,
+    as the executor does, the mirror kernel's value of (s, t),
+    transposed."""
+    galerkin = disc == "galerkin"
+    tables = (basis, basis) if galerkin else ("collocation", basis)
+    (te, ts, _), (se, ss, _) = (assembly.element_tables(mesh, k, [ix])
+                                for k, ix in zip(tables, (rows, cols)))
+    i, j = np.divmod(np.arange(len(te) * len(se)), len(se))
+    t, s = te[i], se[j]
+    mirror = {"slp": "slp", "dlp": "adlp"}[kind] if galerkin else kind
+    kinds = tuple(dict.fromkeys((kind, mirror)))
+    ev = assembly.pair_evaluator(kinds, mesh, tables, *orders)
+    up = (t <= s) | (not galerkin)
+    lo, hi = np.where(up, t, s), np.where(up, s, t)
+    case = (assembly.galerkin_classify if galerkin
+            else assembly.collocation_classify)(mesh)(lo, hi)
+    values = np.empty((len(t), ts.shape[1], ss.shape[1]))
+    for c in np.unique(case):
+        sel = np.flatnonzero(case == c)
+        v = ev(int(c), lo[sel], hi[sel])
+        values[sel] = v[:, 0]
+        if galerkin:
+            down = ~up[sel]
+            values[sel[down]] = v[down, -1].transpose(0, 2, 1)
+    rs, cs = ts[i][:, :, None], ss[j][:, None, :]
+    used = np.broadcast_to((rs >= 0) & (cs >= 0), values.shape)
+    target = (rs * len(cols) + cs)[used]
+    order = np.argsort(target, kind="stable")
+    target, parts = target[order], values[used][order]
+    out = np.zeros(len(rows) * len(cols))
+    bounds = np.flatnonzero(np.diff(target)) + 1
+    for k, part in zip(target[np.r_[0, bounds]], np.split(parts, bounds)):
+        out[k] = math.fsum(part)
+    return out.reshape(len(rows), len(cols))
 
 
 def aca_reference(a, eps, max_rank=None):

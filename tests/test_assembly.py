@@ -12,7 +12,7 @@ from greencross.errors import ConfigError
 from greencross.geometry import (build_sphere_mesh, chart_pack,
                                  shape_functions, to_curved)
 from greencross.quadrature import green_box_rule
-from oracles import chart_eval, one_box, surface_area
+from oracles import chart_eval, fsum_block, one_box, surface_area
 
 FOUR_PI = 4.0 * np.pi
 
@@ -366,6 +366,25 @@ def test_collocation_block_subset_consistency(geometry):
         blk = assembly.assemble_collocation_block(
             kind, mesh, "linear", rows, cols, capacity=7, threads=2).values
         assert np.array_equal(blk, dense[np.ix_(rows, cols)])
+
+
+@pytest.mark.parametrize("disc,kind", [("galerkin", "slp"),
+                                       ("galerkin", "dlp"),
+                                       ("collocation", "slp"),
+                                       ("collocation", "dlp")])
+def test_dense_blocks_agree_with_exactly_rounded_sums(disc, kind):
+    """Dense curved L2 linear blocks agree with the exactly rounded sums
+    of their pair values (oracles.fsum_block) within 1e-14 of the block's
+    largest entry: the executor's summation order moves an entry at
+    rounding level only."""
+    mesh = _mesh("curved", 2)
+    dofs = np.arange(mesh.nv)
+    assemble = (assembly.assemble_galerkin_block if disc == "galerkin"
+                else assembly.assemble_collocation_block)
+    got = assemble(kind, mesh, "linear", dofs, dofs, (2, 4), capacity=7,
+                   threads=2).values
+    want = fsum_block(kind, mesh, "linear", disc, dofs, dofs, (2, 4))
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 _VARIANTS = [(g, b, k) for g in ("plane", "curved")

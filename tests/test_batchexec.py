@@ -188,6 +188,24 @@ def test_slot_permutation_routing():
                           10.0 * a[:, None] + a)
 
 
+def test_entry_sums_in_task_order():
+    """An entry sums its contributions in task order, column position
+    before column slot: 1, 1e16 and -1e16 from the column elements at
+    positions 0-2, through column slots 2, 1 and 0, sum to 0.0 (slot
+    first, they would sum to 1.0)."""
+    def evaluator(case, rows, cols, kernels=None):
+        v = np.array([1.0, 1e16, -1e16])[cols]
+        return np.broadcast_to(v[:, None, None, None], (len(rows), 1, 1, 3))
+
+    out = np.zeros((1, 1))
+    ex = BatchExecutor(_classify_all_zero, evaluator, out, capacity=2,
+                       threads=2)
+    ex.enqueue_many([0], [0, 1, 2], out, [[0]],
+                    [[-1, -1, 0], [-1, 0, -1], [0, -1, -1]])
+    ex.finalize()
+    assert out[0, 0] == 0.0
+
+
 def _eval_raises(case, rows, cols, kernels=None):
     raise RuntimeError("evaluator failure")
 

@@ -5,7 +5,7 @@ import pytest
 
 from greencross import assembly, cli, gca
 from greencross import quadrature as quad
-from greencross.geometry import CurvedTriangleMesh, read_mesh
+from greencross.geometry import read_mesh
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ def test_mesh_writes_readable_file(mesh2_file):
 
 def test_mesh_curved_has_midpoints(mesh2_curved_file):
     mesh = read_mesh(mesh2_curved_file)
-    assert isinstance(mesh, CurvedTriangleMesh)
+    assert mesh.midpoints is not None
     assert len(mesh.midpoints) == mesh.ne
     assert np.allclose(np.linalg.norm(mesh.midpoints, axis=1), 1.0)
 
@@ -249,9 +249,46 @@ def test_stats_report(mesh2_file, tmp_path):
     assert all(float(r["wall_s"]) >= 0.0 for r in rows)
 
 
-def test_malformed_mesh_file_exit_2(tmp_path):
+def test_malformed_mesh_file_exit_2(mesh2_file, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 1 0\n0 0 1\n")
     out = str(tmp_path / "lv.csv")
     rc = cli.main(["solve", "--mesh", str(bad), "--out", out])
     assert rc == 2
+    # a vertex coordinate that is not finite, on the level 2 sphere
+    with open(mesh2_file) as fh:
+        lines = fh.read().splitlines()
+    for command, value in (("solve", "nan"), ("compress", "inf")):
+        x, y, _ = lines[5].split()
+        bad.write_text("\n".join(lines[:5] + ["%s %s %s" % (x, y, value)]
+                                 + lines[6:]) + "\n")
+        assert cli.main([command, "--mesh", str(bad), "--out", out]) == 2
+
+
+@pytest.mark.parametrize("command", ["compress", "solve", "stats"])
+def test_unreadable_mesh_file_exit_2(tmp_path, command):
+    """A mesh path that is missing, a directory or not UTF-8 text exits 2."""
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"6 8 12\n\xff\xfe 0 0\n")
+    out = str(tmp_path / "r.csv")
+    for mesh in (tmp_path / "missing.txt", tmp_path, binary):
+        assert cli.main([command, "--mesh", str(mesh), "--out", out]) == 2
+
+
+@pytest.mark.parametrize("command", ["mesh", "compress", "solve", "stats"])
+def test_out_in_missing_directory_exit_2_before_any_work(
+        mesh2_file, tmp_path, monkeypatch, command):
+    """An --out whose directory does not exist exits 2 before the mesh is
+    read or built and before any operator is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for owner, name in ((cli.geometry, "read_mesh"),
+                        (cli.geometry, "build_sphere_mesh"),
+                        (cli, "assemble_dense"), (cli, "build_trees"),
+                        (cli, "build_h2_operator")):
+        monkeypatch.setattr(owner, name, refuse)
+    out = str(tmp_path / "missing" / "r.csv")
+    args = ["--level", "2"] if command == "mesh" else ["--mesh", mesh2_file]
+    assert cli.main([command, "--out", out] + args) == 2
+    assert not (tmp_path / "missing").exists()

@@ -771,12 +771,14 @@ def test_fused_build_keeps_seed_v_bits():
     pinned bits (sha256 prefix, numpy 2.4.6, x86_64; re-pinned when the
     executor read lower pairs through their mirror, a rounding-level
     change, see test_assembly.py's
-    test_mirror_kernels_agree_with_direct_values)."""
+    test_mirror_kernels_agree_with_direct_values, and again when entries
+    summed in task order: V moved by at most 1.9e-16 of its largest
+    entry, see test_dense_blocks_agree_with_exactly_rounded_sums)."""
     hm = cli.build_h2_operator(_curved(3), _solve_config(3, "curved",
                                                          "linear"),
                                dlp=True)[0]
     digest = hashlib.sha256(hm.packed.blocks.data.tobytes()).hexdigest()
-    assert digest[:16] == "7c52368c4253c299"
+    assert digest[:16] == "756c3d75b312b95d"
 
 
 def test_solve_build_integrates_each_unordered_pair_once():
@@ -798,14 +800,16 @@ def test_fused_collocation_build_keeps_seed_bits():
     when a point row became the one-point case of the pair evaluator, a
     matmul over the slots in place of per-slot sums: V and K moved by at
     most 2.2e-16 of their largest entries (see test_assembly.py's
-    test_collocation_*_values_match_*_reference)."""
+    test_collocation_*_values_match_*_reference); again when entries
+    summed in task order, by at most 2.2e-16 (see
+    test_dense_blocks_agree_with_exactly_rounded_sums)."""
     cfg = _solve_config(3, "curved", "linear", disc="collocation")
     for capacity, threads in ((4096, None), (7, 1)):
         hm = cli.build_h2_operator(_curved(3), cfg, capacity=capacity,
                                    threads=threads, dlp=True)[0]
         assert [hashlib.sha256(op.packed.blocks.data.tobytes())
                 .hexdigest()[:16] for op in (hm, hm.dlp)] \
-            == ["5cf3ab959d316db3", "2effe471f0ad49b8"]
+            == ["f3099bfbbf34435a", "7e387ca78ef072d4"]
 
 
 @pytest.fixture(scope="module")

@@ -122,12 +122,16 @@ def test_curved_area_error_drops_per_level():
 
 def test_curved_mesh_shares_its_base_arrays(tmp_path, monkeypatch):
     """A curved mesh is a TriangleMesh holding its base's own topology
-    arrays, from to_curved and from read_mesh: edges are derived once."""
+    arrays, from to_curved and from read_mesh: edges are derived once.
+    The base stays a plane mesh with its own chart pack."""
     base = build_sphere_mesh(1)
+    assert not chart_pack(base).curved
     curved = to_curved(base, project_to_unit_sphere=True)
     assert isinstance(curved, geometry.TriangleMesh)
     for name in ("vertices", "triangles", "edges", "tri_edges"):
         assert getattr(curved, name) is getattr(base, name)
+    assert base.midpoints is None and not chart_pack(base).curved
+    assert chart_pack(curved).curved
     path = tmp_path / "m.txt"
     write_mesh(curved, path)
     derived, plain = [], geometry._derive_edges
@@ -150,7 +154,7 @@ def test_mesh_roundtrip_plane(tmp_path):
     path = tmp_path / "m.txt"
     write_mesh(mesh, path)
     back = read_mesh(path)
-    assert not isinstance(back, geometry.CurvedTriangleMesh)
+    assert mesh.midpoints is None and back.midpoints is None
     assert np.array_equal(back.vertices, mesh.vertices)
     assert np.array_equal(back.triangles, mesh.triangles)
 
@@ -160,7 +164,7 @@ def test_mesh_roundtrip_curved(tmp_path):
     path = tmp_path / "m.txt"
     write_mesh(mesh, path)
     back = read_mesh(path)
-    assert isinstance(back, geometry.CurvedTriangleMesh)
+    assert back.midpoints is not None
     assert np.array_equal(back.vertices, mesh.vertices)
     assert np.array_equal(back.midpoints, mesh.midpoints)
 
@@ -190,6 +194,37 @@ def test_read_mesh_rejects_out_of_range_index(tmp_path):
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(MeshFormatError):
         read_mesh(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section", ["vertex", "midpoint"])
+def test_read_mesh_refuses_non_finite_coordinates(tmp_path, section, value):
+    """A vertex or midpoint coordinate that is not finite is refused at
+    its line."""
+    mesh = to_curved(build_sphere_mesh(1), project_to_unit_sphere=True)
+    path = tmp_path / "m.txt"
+    write_mesh(mesh, path)
+    text = path.read_text().splitlines()
+    # 1-based line: the fourth vertex, or the fifth midpoint
+    line = 1 + 4 if section == "vertex" else 1 + mesh.nv + mesh.nt \
+        + mesh.ne + 5
+    fields = text[line - 1].split()
+    fields[1] = value
+    text[line - 1] = " ".join(fields)
+    path.write_text("\n".join(text) + "\n")
+    with pytest.raises(MeshFormatError, match="bad %s value" % section) as exc:
+        read_mesh(path)
+    assert exc.value.line == line
+
+
+def test_read_mesh_refuses_unreadable_files(tmp_path):
+    """A missing file, a directory and a file that is not UTF-8 text are
+    MeshFormatErrors."""
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"6 8 12\n\xff\xfe 0 0\n")
+    for path in (tmp_path / "missing.txt", tmp_path, binary):
+        with pytest.raises(MeshFormatError, match="cannot read mesh file"):
+            read_mesh(path)
 
 
 def test_chart_pack_matches_chart_eval():
