@@ -11,16 +11,15 @@ all in one call per side, and shares each among all blocks that list it;
 the table kinds of its rows and columns.
 Blocks record these products with the batch executor, which integrates a
 triangle pair shared by several blocks, or by (t, s) and (s, t), once and
-scatters it to all of them (a constant single-layer pair is one entry of
-one block, so that path skips the dedupe). Pairs of unknown case are
-classified by :func:`galerkin_classify`, which looks each pair up among
-the mesh's vertex-sharing pairs (a sorted key array from the vertex
-stars) and counts the shared vertices of only those; every other pair is
-disjoint. Each entry sums in the executor's fixed order, by ascending
-smaller triangle of the pair first. So assembly is bitwise reproducible
-for any capacity and thread count, and a block equals the same rows and
-columns of any larger block. A collocation block is the product of its
-row points and its column triangle table, classified by
+scatters it to all of them. Pairs of unknown case are classified by
+:func:`galerkin_classify`, which looks each pair up among the mesh's
+vertex-sharing pairs (a sorted key array from the vertex stars) and
+counts the shared vertices of only those; every other pair is disjoint.
+Each entry sums in the executor's fixed order, by ascending smaller
+triangle of the pair first. So assembly is bitwise reproducible for any
+capacity and thread count, and a block equals the same rows and columns
+of any larger block. A collocation block is the product of its row
+points and its column triangle table, classified by
 :func:`collocation_classify`.
 
 One evaluator, :func:`pair_evaluator`, serves both: a collocation row is

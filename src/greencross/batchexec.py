@@ -27,11 +27,10 @@ order, window by window:
    bounded, independent of the build's size, the capacity and the number
    of workers; the window's tasks are expanded from its row entries and
    their halves' column tables, and nothing larger is ever expanded;
-2. the window's tasks are reduced to distinct pairs, so a pair shared by
-   several blocks, or by (t, s) and (s, t), is classified and evaluated
-   once, for every evaluator kernel its halves read (skipped for one
-   kernel of widths 1, the constant single layer, where a pair is one
-   entry of one block, or of two evaluated apart);
+2. the window's tasks are reduced to distinct pairs, sorted by (row
+   element, column element), so a pair shared by several blocks, or by
+   (t, s) and (s, t), is classified and evaluated once, for every
+   evaluator kernel its halves read;
 3. the pairs of unknown singularity case are classified in one call (a
    block may carry the known case of all its pairs instead: an admissible
    block holds only disjoint pairs; a pair known in one block takes that
@@ -400,21 +399,16 @@ class BatchExecutor:
         n = int(first[-1] + length[-1])
         run = np.repeat(np.arange(stop - start), length)  # task -> row entry
         col = lay.coff[start:stop][run] + (np.arange(n) - first[run])
-        # the pairs' arrays, read by the workers through the window
-        rows = np.take(lay.rows[ent], run, out=buf("rows", n))
-        cols = np.take(lay.cols, col, out=buf("cols", n))
-        case = np.take(lay.case[half], run, out=buf("case", n))
-        if ne * rw * cw > 1:  # else a pair is one entry of a block
-            _, pick, pair = np.unique(rows * lay.span + cols,
-                                      return_index=True, return_inverse=True)
-            known = np.flatnonzero(case >= 0)
-            task_case = case
-            case = np.take(task_case, pick, out=buf("pair_case", len(pick)))
-            case[pair[known]] = task_case[known]
-            rows = np.take(rows, pick, out=buf("pair_rows", len(pick)))
-            cols = np.take(cols, pick, out=buf("pair_cols", len(pick)))
-        else:
-            pair = np.arange(n)
+        # the window's distinct pairs, sorted by key, split back into the
+        # arrays the workers read; a case known in any task holds
+        key, pair = np.unique(lay.rows[ent][run] * lay.span + lay.cols[col],
+                              return_inverse=True)
+        rows, cols = np.divmod(key, lay.span, out=(buf("rows", len(key)),
+                                                   buf("cols", len(key))))
+        case = buf("case", len(key))
+        case.fill(-1)
+        known = np.flatnonzero((lay.case[half] >= 0)[run])
+        case[pair[known]] = lay.case[half][run[known]]
         # the evaluator kernels each pair is needed for, as a bit mask
         need = 1
         if ne > 1:

@@ -41,6 +41,10 @@ from .quadrature import KIND_NAMES
 # memory budget of compress's dense oracle matrix (n = 8192)
 DENSE_BYTES = 1 << 29
 
+# most worker threads a command takes: the executor submits one work item
+# per worker and window, and its pool starts one OS thread per submit
+MAX_THREADS = 256
+
 REPORT_COLUMNS = ["method", "basis", "geometry", "disc", "level", "n",
                   "eta", "m", "eps", "storage_bytes", "setup_s", "solve_s",
                   "rel_spec_err", "l2_err", "cg_iters"]
@@ -462,7 +466,8 @@ def _add_config_flags(p):
                    help="tasks per evaluation batch (default %d)"
                         % DEFAULT_CAPACITY)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: hardware count)")
+                   help="worker threads, at most %d (default: hardware "
+                        "count)" % MAX_THREADS)
 
 
 def build_parser():
@@ -523,6 +528,14 @@ def main(argv=None):
         folder = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(folder):
             raise ConfigError("--out directory %s does not exist" % folder)
+        if os.path.isdir(args.out):
+            raise ConfigError("--out %s is a directory" % args.out)
+        if getattr(args, "capacity", 1) < 1:
+            raise ConfigError("--capacity %d is below 1" % args.capacity)
+        threads = getattr(args, "threads", None)
+        if threads is not None and not 1 <= threads <= MAX_THREADS:
+            raise ConfigError("--threads must lie in [1, %d], got %d"
+                              % (MAX_THREADS, threads))
         return args.func(args)
     except SizeLimitError as exc:
         print("refused: %s" % exc, file=sys.stderr)

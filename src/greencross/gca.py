@@ -423,24 +423,6 @@ def _mirrored(leaves):
             [(k, partner[k]) for k in np.flatnonzero(lower)])
 
 
-def _upper_triangles(clusters, places):
-    """``enqueue_blocks`` arguments for the upper triangles of diagonal
-    constant-basis leaves at their places: per row element i of a leaf,
-    one 1 x (n - i) product with the suffix of its column list, as joined
-    tables of one row element and one suffix each."""
-    sizes = np.array([c.size for c in clusters])
-    elems = np.concatenate([c.indices for c in clusters])
-    pos = np.arange(len(elems)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    count = np.repeat(sizes, sizes) - pos
-    first = np.cumsum(count) - count
-    cols = np.arange(count.sum()) - np.repeat(first - np.arange(len(elems)),
-                                              count)
-    ids = np.arange(len(elems))
-    return ((elems, pos[:, None], np.arange(len(elems) + 1)),
-            (elems[cols], pos[cols, None], np.r_[first, len(cols)]),
-            ids, ids, np.repeat(places, sizes, axis=0), np.full(len(ids), -1))
-
-
 def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
              disc="galerkin", orders=(3, 5), capacity=DEFAULT_CAPACITY,
              threads=None, dlp_basis=None):
@@ -456,10 +438,9 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     A constant-basis slp Galerkin build with one basis is symmetric,
     bitwise so under the executor's mirror.  It evaluates only the leaves
     with row cluster <= column cluster and writes every other leaf as its
-    partner's transpose.  Of a diagonal leaf it evaluates the upper
-    triangle only, as one product per row element (see
-    :func:`_upper_triangles`), and writes its strict lower triangle as the
-    transpose.  Other builds evaluate every leaf whole.
+    partner's transpose.  A diagonal leaf goes whole to the executor,
+    whose mirror evaluates each of its unordered pairs once and writes
+    both triangles.  Other builds evaluate every leaf whole.
 
     Given ``dlp_basis``, a dlp column basis, an slp build also assembles
     the dlp operator K, returned as the matrix's ``dlp``, in the same
@@ -470,8 +451,7 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     the pairs it alone would.
 
     The tables of all blocks come joined (see ``assembly.element_tables``),
-    one call per side, and all blocks go to the executor in one call, the
-    diagonal upper triangles in a second.
+    one call per side, and all blocks go to the executor in one call.
 
     The bases may be flat (see :func:`build_flat_gca`).  A row node
     without pivots (a Green factor, see :func:`build_green`) has no exact
@@ -481,12 +461,10 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
         raise ConfigError("a dlp column basis goes with an slp build")
     far, near = btree.admissible_leaves(), btree.inadmissible_leaves()
     leaves = far + near
-    evaluate, mirrored, diagonal = np.arange(len(leaves)), [], []
+    evaluate, mirrored = np.arange(len(leaves)), []
     if ((kind, basis, disc) == ("slp", "constant", "galerkin")
             and row_basis is col_basis):
         evaluate, mirrored = _mirrored(leaves)
-        diagonal = [k for k in evaluate if leaves[k].row is leaves[k].col]
-        evaluate = np.setdiff1d(evaluate, diagonal)
     evaluate = [k for k in evaluate if k >= len(far)
                 or row_basis.node(far[k].row).pivots is not None]
     shape = (btree.row.size, btree.col.size)
@@ -499,8 +477,8 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
         raise SizeLimitError(
             "compressed build refused: its blocks take %d MiB, over the %d "
             "MiB budget" % (nbytes >> 20, PACK_BYTES >> 20))
-    # every leaf's place in each operator, offset -1 where it is not
-    # evaluated whole (V's mirrored and diagonal leaves)
+    # every leaf's place in each operator, offset -1 where V does not
+    # evaluate it (its mirrored leaves, couplings without pivots)
     place = np.full((len(leaves), len(layouts), 4), -1)
     place[evaluate, 0] = layouts[0][3][evaluate]
     for j, (*_, places) in enumerate(layouts[1:], 1):
@@ -534,19 +512,10 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
                             [side(col_bases[j], k, leaves[k].col)
                              for k, j in zip(blocks, owner)])
     ex.enqueue_blocks(rows, cols, row_ids, col_ids, places, cases[blocks])
-    if diagonal:
-        # V's place only: K, if built, takes these leaves whole above
-        upper = np.full((len(diagonal), len(layouts), 4), -1)
-        upper[:, 0] = layouts[0][3][diagonal]
-        ex.enqueue_blocks(*_upper_triangles(
-            [leaves[k].row for k in diagonal], upper))
     ex.finalize()
     views = layouts[0][1] + layouts[0][2]
     for k, p in mirrored:
         views[k][...] = views[p].T
-    for k in diagonal:
-        lower = np.tril_indices(len(views[k]), -1)
-        views[k][lower] = views[k].T[lower]
     ops = [H2Matrix(btree.row, btree.col, row_basis, cb,
                     [CouplingBlock(leaf.row, leaf.col, view)
                      for leaf, view in zip(far, far_views)],

@@ -275,20 +275,44 @@ def test_unreadable_mesh_file_exit_2(tmp_path, command):
         assert cli.main([command, "--mesh", str(mesh), "--out", out]) == 2
 
 
-@pytest.mark.parametrize("command", ["mesh", "compress", "solve", "stats"])
-def test_out_in_missing_directory_exit_2_before_any_work(
-        mesh2_file, tmp_path, monkeypatch, command):
-    """An --out whose directory does not exist exits 2 before the mesh is
-    read or built and before any operator is built."""
+@pytest.fixture
+def no_work(monkeypatch):
+    """The mesh readers and builders of the command line, spied to raise:
+    a command that gets past its argument checks fails the test."""
     def refuse(*args, **kwargs):
-        raise AssertionError("work started before --out was checked")
+        raise AssertionError("work started before the arguments were "
+                             "checked")
 
     for owner, name in ((cli.geometry, "read_mesh"),
                         (cli.geometry, "build_sphere_mesh"),
                         (cli, "assemble_dense"), (cli, "build_trees"),
                         (cli, "build_h2_operator")):
         monkeypatch.setattr(owner, name, refuse)
-    out = str(tmp_path / "missing" / "r.csv")
+
+
+@pytest.mark.parametrize("command", ["mesh", "compress", "solve", "stats"])
+def test_out_in_missing_directory_exit_2_before_any_work(
+        mesh2_file, tmp_path, no_work, command):
+    """An --out whose directory does not exist, or that names a
+    directory, exits 2 before the mesh is read or built and before any
+    operator is built."""
     args = ["--level", "2"] if command == "mesh" else ["--mesh", mesh2_file]
-    assert cli.main([command, "--out", out] + args) == 2
+    for out in (tmp_path / "missing" / "r.csv", tmp_path):
+        assert cli.main([command, "--out", str(out)] + args) == 2
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command", ["compress", "solve", "stats"])
+def test_threads_and_capacity_out_of_range_exit_2_before_any_work(
+        mesh2_file, tmp_path, no_work, command):
+    """--threads outside [1, MAX_THREADS] and --capacity below 1 exit 2
+    before any work; the bounds themselves pass the check (and reach the
+    spied mesh reader, so no worker pool starts)."""
+    args = [command, "--mesh", mesh2_file, "--out", str(tmp_path / "r.csv")]
+    for flags in (["--threads", "0"], ["--capacity", "0"],
+                  ["--threads", str(cli.MAX_THREADS + 1)]):
+        assert cli.main(args + flags) == 2
+    for flags in (["--threads", "1", "--capacity", "1"],
+                  ["--threads", str(cli.MAX_THREADS)]):
+        with pytest.raises(AssertionError, match="work started"):
+            cli.main(args + flags)

@@ -276,10 +276,12 @@ def test_h2_exec_stats(sphere3, l3_setup):
     assert [s["case"] for s in stats] == [0, 1, 2, 3]
     assert all(s["tasks"] > 0 for s in stats)
     assert all(s["batches"] >= 1 for s in stats)
-    # constant basis: one task per dense entry, nearfield and couplings
-    entries = sum(blk.values.size for blk in hm.nearfield) \
-        + sum(blk.values.size for blk in hm.coupling)
-    assert sum(s["tasks"] for s in stats) == entries
+    # constant basis: one task per distinct unordered pair of the entries
+    # of the nearfield and the couplings, (t, s) and (s, t) together
+    pairs = np.unique(np.concatenate([
+        _unordered(rows, cols, sphere3.nt)
+        for rows, cols, _ in _leaf_blocks(hm).values()]))
+    assert sum(s["tasks"] for s in stats) == len(pairs) == 102592
 
 
 def test_green_and_flat_gca(sphere3, l3_setup, dense_op3):
@@ -642,8 +644,9 @@ def test_mirrored_leaves_are_transposes_and_dense_blocks(sphere3, mirror_l3):
 
 
 def test_mirror_build_evaluates_upper_leaves_only(mirror_l3):
-    """Leaves above the diagonal whole, diagonal leaves their upper
-    triangle: each unordered triangle pair once."""
+    """Leaves above the diagonal whole, diagonal leaves whole with their
+    (t, s) and (s, t) deduped by the executor: each unordered triangle
+    pair once."""
     _, hm = mirror_l3
     blocks = _leaf_blocks(hm)
     upper = sum(v.size for (r, c), (_, _, v) in blocks.items() if r < c)
@@ -656,10 +659,11 @@ def test_mirror_build_evaluates_upper_leaves_only(mirror_l3):
                     reason="the fingerprint was taken with numpy 2.4.6")
 def test_diagonal_leaves_evaluated_once_keep_blocks():
     """Plane L4 constant V alone (orders (2,4), m 3, eps 1e-4, leaf 16):
-    diagonal leaves evaluate each unordered pair once, which cuts the
-    singular pairs to these counts, and every block keeps its pinned bits
-    (sha256 prefix, numpy 2.4.6, x86_64; re-pinned when the plane singular
-    rules took the radial sum, a rounding-level change)."""
+    the executor evaluates each unordered pair of a diagonal leaf once,
+    which cuts the singular pairs to these counts, and every block keeps
+    its pinned bits (sha256 prefix, numpy 2.4.6, x86_64; re-pinned when
+    the plane singular rules took the radial sum, a rounding-level
+    change)."""
     cfg = _solve_config(4, "plane", "constant")
     hm = cli.build_h2_operator(build_sphere_mesh(4), cfg)[0]
     tasks = {st["case"]: st["tasks"] for st in hm.exec_stats}
@@ -683,22 +687,21 @@ def test_mirror_blocks_independent_of_capacity_and_threads(mirror_l3):
 
 
 def test_other_builds_evaluate_every_entry(sphere3, l3_setup, mirror_l3):
-    """Two bases: one evaluated pair per entry of every leaf, as before the
-    leaf mirror (a constant single-layer pair, one kernel of width 1,
-    skips the executor's dedupe). The dlp kernel: each unordered triangle
-    pair of the leaves' entries once, (t, s) and (s, t) together."""
+    """Two bases, and the dlp kernel with one: every leaf evaluated whole,
+    each unordered triangle pair of the leaves' entries once, (t, s) and
+    (s, t) together."""
     build, _ = mirror_l3
     tree, btree = l3_setup
     two = _build_h2(sphere3, tree, btree, 2, 1e-4, (2, 4))
     dlp = build(kind="dlp")
     assert two.row_basis is not two.col_basis
     assert dlp.row_basis is dlp.col_basis
-    assert _tasks(two) == sum(v.size for _, _, v in _leaf_blocks(two).values())
-    pairs = np.unique(np.concatenate([
-        _unordered(rows, cols, sphere3.nt)
-        for rows, cols, _ in _leaf_blocks(dlp).values()]))
-    assert _tasks(dlp) == len(pairs) < sum(
-        v.size for _, _, v in _leaf_blocks(dlp).values())
+    for hm in (two, dlp):
+        blocks = _leaf_blocks(hm).values()
+        pairs = np.unique(np.concatenate([
+            _unordered(rows, cols, sphere3.nt) for rows, cols, _ in blocks]))
+        assert _tasks(hm) == len(pairs) < sum(v.size for _, _, v in blocks)
+    assert _tasks(two) == 125760
 
 
 def test_linear_one_basis_build_evaluates_every_pair(sphere3):
@@ -713,6 +716,56 @@ def test_linear_one_basis_build_evaluates_every_pair(sphere3):
         s = assembly.triangle_table(cols, sphere3).rows[:, 0]
         needed.append(_unordered(t, s, sphere3.nt))
     assert _tasks(hm) == len(np.unique(np.concatenate(needed)))
+
+
+@pytest.mark.skipif(np.__version__ != "2.4.6",
+                    reason="the fingerprints were taken with numpy 2.4.6")
+def test_dense_and_baselines_ask_each_pair_once(sphere3, l3_setup,
+                                                monkeypatch):
+    """Plane L3 constant, orders (2,4): the dense oracle, the Green
+    baseline and flat GCA ask the evaluator for each unordered triangle
+    pair of their entries once, and keep their bits (sha256 prefixes,
+    numpy 2.4.6, x86_64, taken when they still asked each pair once per
+    orientation); the dense block is bitwise symmetric."""
+    nt, dofs = sphere3.nt, np.arange(sphere3.nt)
+    real = assembly.pair_evaluator
+    seen = []
+
+    def spy(kinds, *args):
+        evaluate = real(kinds, *args)
+
+        def spied(case, rows, cols, kernels=None):
+            seen.append(rows * nt + cols)
+            return evaluate(case, rows, cols, kernels)
+
+        return spied
+
+    def asked(build):
+        seen.clear()
+        return build(), np.sort(np.concatenate(seen))
+
+    def pairs(blocks):
+        return np.unique(np.concatenate(
+            [_unordered(rows, cols, nt) for rows, cols in blocks]))
+
+    monkeypatch.setattr(assembly, "pair_evaluator", spy)
+    _, btree = l3_setup
+    dense, keys = asked(lambda: assembly.assemble_galerkin_block(
+        "slp", sphere3, "constant", dofs, dofs, (2, 4)).values)
+    assert len(keys) == nt * (nt + 1) // 2 == 131328
+    assert np.array_equal(keys, pairs([(dofs, dofs)]))
+    assert np.array_equal(dense, dense.T)
+    green, keys = asked(lambda: build_green(btree, sphere3, m=2,
+                                            orders=(2, 4)))
+    assert np.array_equal(keys, pairs([(b.row.indices, b.col.indices)
+                                       for b in green.nearfield]))
+    flat, keys = asked(lambda: build_flat_gca(btree, sphere3, m=2, eps=1e-4,
+                                              orders=(2, 4)))
+    assert np.array_equal(keys, pairs([(rows, cols) for rows, cols, _
+                                       in _leaf_blocks(flat).values()]))
+    assert [hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (
+        dense, green.packed.blocks.data, flat.packed.blocks.data)] == [
+        "1e142e15f18cc3e7", "b96d4cf5a4fa2906", "6b617ee52587ce4c"]
 
 
 def test_asymmetric_one_tree_block_tree_refused(sphere2):
@@ -866,8 +919,9 @@ def test_fused_blocks_independent_of_capacity_and_threads(sphere3):
 
 def test_fused_build_asks_slp_on_v_alone_pairs(sphere3, monkeypatch):
     """A fused plane L3 constant build asks the evaluator for the single
-    layer on exactly the pairs a V-alone build asks for: of a diagonal
-    leaf, its upper triangle; K's other pairs are dlp only."""
+    layer on exactly the pairs a V-alone build asks for, each unordered
+    pair of V's upper and diagonal leaves once; K's other pairs are dlp
+    only."""
     real = assembly.pair_evaluator
 
     def asked(dlp):
