@@ -30,11 +30,13 @@ layer, the double layer or both, so one executor pass assembles V and
 K; for triangle rows also the adjoint double layer, which K's lower
 pairs read.
 
-Every regular surface integral reads one rule, :func:`surface_rule`: the
+Every regular surface integral reads one rule, :func:`surface_rule`: an
 order-q triangle rule's points, unnormalized normals and Gramians on any
-listed charts, coordinate-major. The evaluator's disjoint-pair tables,
-the Green factors, the mass matrices, the curved surface areas and the
-solution error of the command line are built from it.
+listed charts, coordinate-major. The evaluator's disjoint-pair tables
+take the symmetric rule (``quadrature.symmetric_rule``: 1, 3 or 7 points
+for q_reg 1, 2, 3); the Green factors, the mass matrices, the curved
+surface areas and the solution error of the command line keep the
+collapsed rule (``quadrature.triangle_gauss``, q^2 points).
 
 The pair evaluator takes a whole case-homogeneous batch at a time, in chunks
 of a fixed number of quadrature points. Disjoint pairs, the bulk of the
@@ -233,9 +235,13 @@ def _singular_rule(case, q_sing, tables, curved):
 SurfaceRule = namedtuple("SurfaceRule", "x n gram pts wts")
 
 
-def surface_rule(mesh, q, tris=None):
-    """The order-q triangle rule (``quadrature.triangle_gauss``) on the
-    listed charts (default: all), gathering only those.
+def surface_rule(mesh, q, tris=None, rule=quad.triangle_gauss):
+    """The order-q triangle rule ``rule(q)`` on the listed charts (default:
+    all), gathering only those. The evaluator's disjoint-pair tables take
+    ``quadrature.symmetric_rule`` (1, 3 or 7 points for q 1, 2, 3; the
+    collapsed rule for q >= 4); the Green factors, the mass matrices, the
+    areas and the solution error keep the collapsed rule
+    ``quadrature.triangle_gauss``, q*q points.
 
     x and n are the T charts' M points and unnormalized normals,
     coordinate-major (3, T, M); gram (T, M) the Gramians, |n| on curved
@@ -244,7 +250,7 @@ def surface_rule(mesh, q, tris=None):
     einsum reduction over the six nodes of a contiguous (3 T, 6) gather,
     so a chart's values do not depend on which other charts are listed.
     """
-    pts, wts = quad.triangle_gauss(q)
+    pts, wts = rule(q)
     pack = chart_pack(mesh)
     tris = np.arange(mesh.nt) if tris is None else np.asarray(tris)
     n6t = shape_functions(pts).T.copy()
@@ -269,7 +275,11 @@ def _kinds(kinds, known=("slp", "dlp")):
 
 def _far_tables(mesh, q_reg, kind):
     """One side's regular-rule data for disjoint pairs, per element of a
-    table of ``kind``, built once from :func:`surface_rule`.
+    table of ``kind``, built once from :func:`surface_rule` with the
+    symmetric rule ``quadrature.symmetric_rule(q_reg)``: 1, 3 or 7 points
+    for q_reg 1, 2, 3, the collapsed rule's q_reg^2 for q_reg >= 4. The
+    Green factors, the mass matrices and the solution error keep the
+    collapsed rule.
 
     x holds the M rule points of every triangle, coordinate-major (3, nt,
     M), n their unnormalized normals; gram and plain are the Gram-weighted

@@ -1,7 +1,7 @@
 """Quadrature rules.
 
-1D Gauss-Legendre, collapsed-tensor triangle rules, Duffy rules for vertex
-singularities, the box-boundary rule feeding the separable kernel expansion,
+1D Gauss-Legendre, collapsed-tensor triangle rules, the symmetric triangle
+rules of the disjoint pair integrals, Duffy rules for vertex singularities, the box-boundary rule feeding the separable kernel expansion,
 and the four regularized tensor rules for singular triangle pairs
 (identical / shared edge / shared vertex / disjoint).
 """
@@ -80,6 +80,40 @@ def triangle_gauss(q):
     ww = np.outer(ws, wt)
     pts = np.column_stack([(ss * (1.0 - tt)).ravel(), (ss * tt).ravel()])
     return _read_only((pts, (ww * ss).ravel()))
+
+
+_R15 = np.sqrt(15.0)
+# orbits (a, weight) of the symmetric rules: a = 1/3 is the centroid, any
+# other a the three rotations of the barycentric point (1 - 2a, a, a)
+_SYMMETRIC_ORBITS = {
+    1: ((1.0 / 3.0, 0.5),),
+    2: ((1.0 / 6.0, 1.0 / 6.0),),
+    3: ((1.0 / 3.0, 9.0 / 80.0),
+        ((6.0 - _R15) / 21.0, (155.0 - _R15) / 2400.0),
+        ((6.0 + _R15) / 21.0, (155.0 + _R15) / 2400.0)),
+}
+
+
+@lru_cache(maxsize=None)
+def symmetric_rule(q):
+    """Symmetric rule on t-hat of the disjoint pair integrals, read-only.
+
+    q 1 is the centroid (degree 1), q 2 the 3-point rule (degree 2, Strang
+    & Fix 1973), q 3 Radon's 7-point rule (degree 5, Radon 1948): 1, 3 and
+    7 points of positive weight inside t-hat, weights summing to 1/2. For
+    q >= 4 it is :func:`triangle_gauss`, q*q points."""
+    if q not in _SYMMETRIC_ORBITS:
+        return triangle_gauss(q)
+    pts, wts = [], []
+    for a, w in _SYMMETRIC_ORBITS[q]:
+        if a == 1.0 / 3.0:
+            orbit = [(a, a)]
+        else:
+            b = 1.0 - 2.0 * a
+            orbit = [(a, a), (b, a), (a, b)]
+        pts += orbit
+        wts += [w] * len(orbit)
+    return _read_only((np.array(pts), np.array(wts)))
 
 
 # barycentric rotations sending the clustered vertex (0,0) of the base rule
@@ -265,10 +299,15 @@ def sauter_rule(kind, q):
     """Regularized tensor rule on t-hat x t-hat for one singularity case.
 
     kind is a KIND_NAMES entry or its code. Node counts are 6 q^4 / 10 q^4 /
-    2 q^4 / q^4 for identical / edge / vertex / disjoint (the edge rule is
-    symmetrized, see below). Points are given in simplex coordinates; the
-    construction works in the 'relative' coordinates 0 <= r2 <= r1 <= 1 and
-    shears the result, which leaves the weights untouched.
+    2 q^4 for identical / edge / vertex (the edge rule is symmetrized, see
+    below). The disjoint rule is the tensor product of
+    :func:`symmetric_rule` with itself, the rule of the evaluator's
+    disjoint pairs: 1, 9 or 49 point pairs for q 1, 2, 3, q^4 for q >= 4
+    (the collapsed rule's); the Green factors, the mass matrices and the
+    solution error keep the collapsed rule :func:`triangle_gauss`. Points
+    are given in simplex coordinates; the construction works in the
+    'relative' coordinates 0 <= r2 <= r1 <= 1 and shears the result, which
+    leaves the weights untouched.
 
     A singular rule is S subdomains (6 / 10 / 2) of q^4 points each, in
     order; a subdomain's points run radial-major: q^3 points eta for each

@@ -415,6 +415,73 @@ def _pairs_by_case(mesh, per_case, seed=3):
     return out
 
 
+def _banded_disjoint_pairs(mesh, per_band, seed):
+    """per_band sampled disjoint pairs (t, s) in each band b <= d/h < b + 1,
+    b = 1 ... 7, and their bands; d is the centroid distance, h the larger
+    triangle diameter (longest edge)."""
+    corners = mesh.vertices[mesh.triangles]
+    centroid = corners.mean(axis=1)
+    h = np.linalg.norm(corners - np.roll(corners, 1, axis=1), axis=2).max(1)
+    t, s = np.divmod(np.arange(mesh.nt ** 2), mesh.nt)
+    case = quad.classify_pairs(mesh.triangles[t], mesh.triangles[s])[0]
+    band = np.floor(np.linalg.norm(centroid[t] - centroid[s], axis=1)
+                    / np.maximum(h[t], h[s])).astype(np.int64)
+    rng = np.random.default_rng(seed)
+    pick = np.concatenate([
+        rng.choice(np.flatnonzero((case == quad.DISJOINT) & (band == b)),
+                   size=per_band, replace=False) for b in range(1, 8)])
+    return t[pick], s[pick], band[pick]
+
+
+def _rule_pair_values(mesh, basis, kind, rule, q, t, s):
+    """slp or dlp values (pairs, width, width) of the disjoint pairs (t, s),
+    each side under the triangle rule ``rule(q)`` on its chart, summed over
+    all point pairs."""
+    surf = assembly.surface_rule(mesh, q, rule=rule)
+    slots = (np.column_stack([1.0 - surf.pts.sum(axis=1), surf.pts])
+             if basis == "linear" else np.ones((len(surf.wts), 1)))
+    gram = (surf.gram * surf.wts)[:, :, None] * slots
+    plain = surf.wts[:, None] * slots
+    out = []
+    for a in range(0, len(t), 200):
+        tt, ss = t[a:a + 200], s[a:a + 200]
+        d = surf.x[:, tt, :, None] - surf.x[:, ss, None, :]
+        r = np.sqrt(np.sum(d * d, axis=0))
+        if kind == "slp":
+            kern, wc = 1.0 / (FOUR_PI * r), gram[ss]
+        else:
+            kern = (np.sum(d * surf.n[:, ss, None, :], axis=0)
+                    / (FOUR_PI * r ** 3))
+            wc = np.broadcast_to(plain, gram[ss].shape)
+        out.append(np.einsum("bma,bmn,bnc->bac", gram[tt], kern, wc))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("geometry", ["plane", "curved"])
+@pytest.mark.parametrize("basis", ["constant", "linear"])
+def test_symmetric_rules_no_less_accurate_per_distance_band(geometry, basis):
+    """On fixed sampled disjoint pairs of an L3 mesh, 150 per d/h band
+    1-2 ... 7-8, the symmetric rule's p99 relative error against the q = 8
+    collapsed rule is no larger than the collapsed rule's at the same
+    order, q 2 and 3, in every band, for slp and dlp. A pair's error is
+    its largest slot error over its largest reference value."""
+    mesh = _mesh(geometry, 3)
+    t, s, band = _banded_disjoint_pairs(mesh, 150, seed=7)
+    for kind in ("slp", "dlp"):
+        ref = _rule_pair_values(mesh, basis, kind, quad.triangle_gauss, 8,
+                                t, s)
+        scale = np.abs(ref).max(axis=(1, 2))
+        for q in (2, 3):
+            p99 = {}
+            for rule in (quad.triangle_gauss, quad.symmetric_rule):
+                err = np.abs(_rule_pair_values(mesh, basis, kind, rule, q, t, s)
+                             - ref).max(axis=(1, 2)) / scale
+                p99[rule] = [np.percentile(err[band == b], 99)
+                             for b in range(1, 8)]
+            assert np.all(np.array(p99[quad.symmetric_rule])
+                          <= np.array(p99[quad.triangle_gauss])), (kind, q)
+
+
 @pytest.mark.parametrize("geometry", ["plane", "curved"])
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_surface_rule_matches_chart_reference(geometry, q):
@@ -777,10 +844,10 @@ def test_collocation_vertex_values_match_duffy_reference(geometry, kind):
 @pytest.mark.parametrize("kind", ["slp", "dlp"])
 def test_collocation_disjoint_values_match_chart_reference(geometry, kind):
     """A disjoint collocation value of a vertex x and a triangle s not
-    touching it, in s's own slots, is the integral of the regular rule
-    triangle_gauss(q_reg) on s's chart, summed point by point from
-    chart_eval, to 1e-13 of the integral of the kernel's magnitude; 200
-    sampled pairs of an L2 mesh."""
+    touching it, in s's own slots, is the integral of the evaluator's
+    disjoint rule symmetric_rule(q_reg) on s's chart, summed point by
+    point from chart_eval, to 1e-13 of the integral of the kernel's
+    magnitude; 200 sampled pairs of an L2 mesh."""
     mesh = _mesh(geometry, 2)
     q_reg = 3
     ev = assembly.pair_evaluator(kind, mesh, _POINT_ROWS, q_reg, 4)

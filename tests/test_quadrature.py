@@ -40,6 +40,45 @@ def test_triangle_gauss_polynomial_exactness():
             assert abs(got - exact) < 1e-14
 
 
+@pytest.mark.parametrize("q,degree", [(1, 1), (2, 2), (3, 5)])
+def test_symmetric_rule_polynomial_exactness(q, degree):
+    """The 1-, 3- and 7-point rules integrate every monomial x^a y^b of
+    degree at most 1, 2 and 5 over t-hat, a! b! / (a+b+2)!, to 1e-15
+    relative."""
+    from math import factorial
+    pts, wts = quad.symmetric_rule(q)
+    assert len(wts) == {1: 1, 2: 3, 3: 7}[q]
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            exact = (factorial(a) * factorial(b)) / factorial(a + b + 2)
+            got = wts @ (pts[:, 0] ** a * pts[:, 1] ** b)
+            assert abs(got - exact) <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_symmetric_rule_weights_points_and_cache(q):
+    """Positive weights summing to 1/2 at points inside t-hat, in cached
+    read-only arrays."""
+    pts, wts = quad.symmetric_rule(q)
+    assert pts.shape == (len(wts), 2)
+    assert np.all(wts > 0.0)
+    assert abs(wts.sum() - 0.5) <= 1e-15
+    assert np.all(pts > 0.0) and np.all(pts.sum(axis=1) < 1.0)
+    assert all(a is b for a, b in zip((pts, wts), quad.symmetric_rule(q)))
+    for a in (pts, wts):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+
+
+def test_symmetric_rule_is_the_collapsed_rule_from_order_4():
+    for q in (4, 5, 8, 9):
+        assert all(a is b for a, b in zip(quad.symmetric_rule(q),
+                                          quad.triangle_gauss(q)))
+    for q in (0, 33):
+        with pytest.raises(ValueError):
+            quad.symmetric_rule(q)
+
+
 @pytest.mark.parametrize("vertex,target", [
     (1, LN_SILVER),
     (2, LN_SILVER),
