@@ -290,7 +290,7 @@ def _far_tables(mesh, q_reg, kind):
     if kind == "collocation":
         one = np.ones((mesh.nv, 1, 1))
         return _FarTables(mesh.vertices.T[:, :, None], None, one, one)
-    rule = surface_rule(mesh, q_reg)
+    rule = surface_rule(mesh, q_reg, rule=quad.symmetric_rule)
     gw = rule.gram * rule.wts
     slots = (_bary(rule.pts).T if kind == "linear"
              else np.ones((1, len(rule.wts))))

@@ -14,13 +14,23 @@ stats     batch-executor statistics for one compressed build, per
           orientations, is evaluated and counted once) and evaluator
           wall time
 
+Quadrature orders: ``--q-reg`` q picks the rule of the disjoint triangle
+pairs, the bulk of every build's integrals, on each triangle of a pair:
+the centroid (1 point) for q 1, the symmetric 3-point rule for q 2,
+Radon's 7-point rule for q 3 and the collapsed q^2-point rule for q >= 4
+(``quadrature.symmetric_rule``). The Green factors take the collapsed
+q^2-point rule at every q; the mass matrices, the areas and the solution
+error keep their own fixed collapsed rules. ``--q-sing`` is the order of
+the regularized rules of the singular pairs.
+
 All reports are RFC 4180 CSV with one fixed column set, so rows from
 different runs concatenate cleanly.  Every row echoes the full experiment
 configuration; re-running with the same config and seed reproduces all
 non-timing columns.  Exit codes: 0 success, 2 invalid configuration,
 3 size guard refusal (a mesh level out of range, a dense oracle whose
 matrix would not fit its memory budget, or a compressed build whose
-packed blocks exceed ``gca.PACK_BYTES``).
+packed blocks exceed ``gca.PACK_BYTES``; one whose dense nearfield
+leaves alone exceed it is refused before its cluster bases).
 """
 
 import argparse
@@ -192,11 +202,19 @@ def build_h2_operator(mesh, cfg, kind="slp", capacity=DEFAULT_CAPACITY,
     tree built before (by :func:`build_trees`) is reused.  A Galerkin
     build has one basis for both sides (see ``gca.build_cluster_basis``).
     With ``dlp``, it also builds the double-layer operator as ``dlp``.
+
+    A build whose nearfield alone exceeds ``gca.PACK_BYTES`` is refused
+    before any basis: the dense leaves' bytes, sum |tau| |sigma| 8 per
+    operator, follow from the block tree and bound the packed bytes from
+    below, so this never refuses a build that fits.
     """
     if btree is None:
         tree, btree = build_trees(mesh, cfg)
     else:
         tree = btree.row
+    gca.check_pack_bytes((1 + dlp) * 8 * sum(
+        b.row.size * b.col.size for b in btree.inadmissible_leaves()),
+        "its nearfield blocks alone")
     orders = (cfg.q_reg, cfg.q_sing)
     rmarks, cmarks = gca.coupling_marks(btree)
 
@@ -452,7 +470,9 @@ def _add_config_flags(p):
     p.add_argument("--leaf-size", type=int, default=16,
                    help="cluster tree leaf size (default 16)")
     p.add_argument("--q-reg", type=int, default=3,
-                   help="regular quadrature order (default 3)")
+                   help="regular quadrature order: disjoint pairs take 1, "
+                        "3 or 7 points per triangle for q 1, 2, 3, q^2 "
+                        "for q >= 4; the Green factors q^2 (default 3)")
     p.add_argument("--q-sing", type=int, default=5,
                    help="singular quadrature order (default 5)")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5,

@@ -53,6 +53,15 @@ _FACTOR_BLOCKS = 64
 PACK_BYTES = 1 << 30
 
 
+def check_pack_bytes(nbytes, what="its blocks"):
+    """Refuse a compressed build whose ``what`` take ``nbytes`` over
+    PACK_BYTES (exit 3)."""
+    if nbytes > PACK_BYTES:
+        raise SizeLimitError(
+            "compressed build refused: %s take %d MiB, over the %d MiB "
+            "budget" % (what, nbytes >> 20, PACK_BYTES >> 20))
+
+
 def aca_interpolation(a, eps, max_rank=None):
     """Cross approximation of a thin matrix with full pivoting.
 
@@ -472,11 +481,7 @@ def build_h2(btree, row_basis, col_basis, mesh, kind="slp", basis="constant",
     layouts = [h2.pack(row_basis, col_bases[0], far, near, shape)]
     layouts += [h2.pack(row_basis, cb, far, near, shape, layouts[0][0].row)
                 for cb in col_bases[1:]]
-    nbytes = sum(p.blocks.data.nbytes for p, *_ in layouts)
-    if nbytes > PACK_BYTES:
-        raise SizeLimitError(
-            "compressed build refused: its blocks take %d MiB, over the %d "
-            "MiB budget" % (nbytes >> 20, PACK_BYTES >> 20))
+    check_pack_bytes(sum(p.blocks.data.nbytes for p, *_ in layouts))
     # every leaf's place in each operator, offset -1 where V does not
     # evaluate it (its mirrored leaves, couplings without pivots)
     place = np.full((len(leaves), len(layouts), 4), -1)

@@ -1,9 +1,10 @@
 """Quadrature rules.
 
 1D Gauss-Legendre, collapsed-tensor triangle rules, the symmetric triangle
-rules of the disjoint pair integrals, Duffy rules for vertex singularities, the box-boundary rule feeding the separable kernel expansion,
-and the four regularized tensor rules for singular triangle pairs
-(identical / shared edge / shared vertex / disjoint).
+rules of the disjoint pair integrals, Duffy rules for vertex singularities,
+the box-boundary rule feeding the separable kernel expansion, and the four
+regularized tensor rules for singular triangle pairs (identical / shared
+edge / shared vertex / disjoint).
 """
 
 from collections import namedtuple
@@ -321,12 +322,10 @@ def sauter_rule(kind, q):
         raise ValueError("quadrature order must be positive")
     code = KIND_CODES[kind] if isinstance(kind, str) else int(kind)
     if code == DISJOINT:
-        px, wx = triangle_gauss(q)
-        py, wy = triangle_gauss(q)
-        nx = len(px)
-        x = np.repeat(px, nx, axis=0)
-        y = np.tile(py, (nx, 1))
-        return _read_only(PairRule(x, y, np.outer(wx, wy).ravel()))
+        pts, wts = symmetric_rule(q)
+        return _read_only(PairRule(np.repeat(pts, len(pts), axis=0),
+                                   np.tile(pts, (len(pts), 1)),
+                                   np.outer(wts, wts).ravel()))
     return _read_only(PairRule(*_regularized(code, *_grid4(q))))
 
 

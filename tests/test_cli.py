@@ -5,6 +5,7 @@ import pytest
 
 from greencross import assembly, cli, gca
 from greencross import quadrature as quad
+from greencross.errors import SizeLimitError
 from greencross.geometry import read_mesh
 
 
@@ -148,6 +149,26 @@ def test_compressed_build_refused_over_its_byte_budget(mesh2_file, tmp_path,
     assert cli.main([command[0], "--mesh", mesh2_file, "--out", out]
                     + command[1:]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dlp", [False, True])
+def test_oversized_build_refused_before_its_bases(mesh2_file, tmp_path,
+                                                  monkeypatch, capsys, dlp):
+    """A build whose nearfield leaves alone exceed gca.PACK_BYTES is
+    refused (SizeLimitError; exit 3 from solve) from the block tree, before
+    any cluster basis is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("cluster basis built")
+
+    monkeypatch.setattr(gca, "build_cluster_basis", refuse)
+    monkeypatch.setattr(gca, "PACK_BYTES", 1024)
+    cfg = cli.config_from_args(cli.build_parser().parse_args(
+        ["solve", "--mesh", mesh2_file, "--out", "unused.csv"]))
+    with pytest.raises(SizeLimitError, match="nearfield"):
+        cli.build_h2_operator(read_mesh(mesh2_file), cfg, dlp=dlp)
+    out = str(tmp_path / "refused.csv")
+    assert cli.main(["solve", "--mesh", mesh2_file, "--out", out]) == 3
+    assert "nearfield blocks alone" in capsys.readouterr().err
 
 
 def test_solve_galerkin_constant(mesh2_file, tmp_path):

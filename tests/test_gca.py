@@ -9,7 +9,7 @@ from greencross import quadrature as quad
 from greencross.clustering import (ADMISSIBLE, INADMISSIBLE, SUBDIVIDED,
                                    BlockTree, build_block_tree,
                                    build_cluster_tree)
-from greencross.errors import ConfigError, StateError
+from greencross.errors import ConfigError, SizeLimitError, StateError
 from greencross.gca import (aca_interpolation, build_cluster_basis,
                             build_flat_gca, build_green, build_h2,
                             coupling_marks)
@@ -663,14 +663,16 @@ def test_diagonal_leaves_evaluated_once_keep_blocks():
     which cuts the singular pairs to these counts, and every block keeps
     its pinned bits (sha256 prefix, numpy 2.4.6, x86_64; re-pinned when
     the plane singular rules took the radial sum, a rounding-level
-    change)."""
+    change, and when disjoint pairs took the symmetric 3-point rule, a
+    quadrature-level one: entries moved by at most 2.6e-4 of the
+    largest)."""
     cfg = _solve_config(4, "plane", "constant")
     hm = cli.build_h2_operator(build_sphere_mesh(4), cfg)[0]
     tasks = {st["case"]: st["tasks"] for st in hm.exec_stats}
     assert [tasks[c] for c in (quad.VERTEX, quad.EDGE, quad.IDENTICAL)] \
         == [9192, 3072, 2048]
     digest = hashlib.sha256(hm.packed.blocks.data.tobytes()).hexdigest()
-    assert digest[:16] == "71835cdad5f6d4d0"
+    assert digest[:16] == "0ab68b234a48d1ed"
     for blk in hm.nearfield:
         if blk.row.index == blk.col.index:
             assert np.array_equal(blk.values, blk.values.T)
@@ -725,8 +727,9 @@ def test_dense_and_baselines_ask_each_pair_once(sphere3, l3_setup,
     """Plane L3 constant, orders (2,4): the dense oracle, the Green
     baseline and flat GCA ask the evaluator for each unordered triangle
     pair of their entries once, and keep their bits (sha256 prefixes,
-    numpy 2.4.6, x86_64, taken when they still asked each pair once per
-    orientation); the dense block is bitwise symmetric."""
+    numpy 2.4.6, x86_64, re-pinned when disjoint pairs took the symmetric
+    3-point rule: they moved by at most 2.4e-4, 5.1e-6 and 2.4e-4 of their
+    largest entries); the dense block is bitwise symmetric."""
     nt, dofs = sphere3.nt, np.arange(sphere3.nt)
     real = assembly.pair_evaluator
     seen = []
@@ -765,7 +768,7 @@ def test_dense_and_baselines_ask_each_pair_once(sphere3, l3_setup,
                                        in _leaf_blocks(flat).values()]))
     assert [hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (
         dense, green.packed.blocks.data, flat.packed.blocks.data)] == [
-        "1e142e15f18cc3e7", "b96d4cf5a4fa2906", "6b617ee52587ce4c"]
+        "b885928944177b4a", "f49ce7f399ec2a17", "1a21b6fa168a1a5d"]
 
 
 def test_asymmetric_one_tree_block_tree_refused(sphere2):
@@ -826,12 +829,38 @@ def test_fused_build_keeps_seed_v_bits():
     change, see test_assembly.py's
     test_mirror_kernels_agree_with_direct_values, and again when entries
     summed in task order: V moved by at most 1.9e-16 of its largest
-    entry, see test_dense_blocks_agree_with_exactly_rounded_sums)."""
+    entry, see test_dense_blocks_agree_with_exactly_rounded_sums; and when
+    disjoint pairs took the symmetric 3-point rule, at quadrature level:
+    V moved by at most 7.2e-4 of its largest entry)."""
     hm = cli.build_h2_operator(_curved(3), _solve_config(3, "curved",
                                                          "linear"),
                                dlp=True)[0]
     digest = hashlib.sha256(hm.packed.blocks.data.tobytes()).hexdigest()
-    assert digest[:16] == "756c3d75b312b95d"
+    assert digest[:16] == "9b423cc64dd675fd"
+
+
+def test_build_with_nearfield_in_budget_refused_once_laid_out(sphere3,
+                                                               monkeypatch):
+    """A budget that the nearfield leaves fit but the packed blocks do not
+    passes the check before the bases; the build is refused once its
+    blocks are laid out, before any pair integral is evaluated."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair evaluator built")
+
+    cfg = _solve_config(3, "plane", "constant")
+    tree, btree = cli.build_trees(sphere3, cfg)
+    near = 8 * sum(b.row.size * b.col.size
+                   for b in btree.inadmissible_leaves())
+    assert btree.admissible_leaves()
+    real, bases = gca.build_cluster_basis, []
+    monkeypatch.setattr(gca, "build_cluster_basis",
+                        lambda *a, **k: bases.append(real(*a, **k))
+                        or bases[-1])
+    monkeypatch.setattr(assembly, "pair_evaluator", refuse)
+    monkeypatch.setattr(gca, "PACK_BYTES", near)
+    with pytest.raises(SizeLimitError, match="its blocks take"):
+        cli.build_h2_operator(sphere3, cfg, btree=btree)
+    assert len(bases) == 1
 
 
 def test_solve_build_integrates_each_unordered_pair_once():
@@ -855,14 +884,17 @@ def test_fused_collocation_build_keeps_seed_bits():
     most 2.2e-16 of their largest entries (see test_assembly.py's
     test_collocation_*_values_match_*_reference); again when entries
     summed in task order, by at most 2.2e-16 (see
-    test_dense_blocks_agree_with_exactly_rounded_sums)."""
+    test_dense_blocks_agree_with_exactly_rounded_sums); and when disjoint
+    pairs took the symmetric 3-point rule, at quadrature level, by at
+    most 2.5e-3 and 2.7e-3 (see test_assembly.py's
+    test_collocation_disjoint_values_match_chart_reference)."""
     cfg = _solve_config(3, "curved", "linear", disc="collocation")
     for capacity, threads in ((4096, None), (7, 1)):
         hm = cli.build_h2_operator(_curved(3), cfg, capacity=capacity,
                                    threads=threads, dlp=True)[0]
         assert [hashlib.sha256(op.packed.blocks.data.tobytes())
                 .hexdigest()[:16] for op in (hm, hm.dlp)] \
-            == ["f3099bfbbf34435a", "7e387ca78ef072d4"]
+            == ["d8b1861536997f1e", "2d0adcd9065c7d3b"]
 
 
 @pytest.fixture(scope="module")

@@ -116,9 +116,13 @@ def test_duffy_nodes_inside_reference_triangle():
     ("identical", 6), ("edge", 10), ("vertex", 2), ("disjoint", 1),
 ])
 def test_sauter_rule_sizes(kind, subdomains):
+    """q^4 points per subdomain of a singular rule; the disjoint rule is
+    the symmetric rule's tensor square, 9 and 49 points at q 2 and 3."""
     for q in (2, 3):
         rule = quad.sauter_rule(kind, q)
-        assert len(rule.w) == subdomains * q ** 4
+        points = (len(quad.symmetric_rule(q)[1]) ** 2 if kind == "disjoint"
+                  else q ** 4)
+        assert len(rule.w) == subdomains * points
         assert rule.x.shape == (len(rule.w), 2)
         assert rule.y.shape == (len(rule.w), 2)
         # measure of t-hat x t-hat
