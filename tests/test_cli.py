@@ -139,7 +139,9 @@ def test_compressed_build_refused_over_its_byte_budget(mesh2_file, tmp_path,
                                                        monkeypatch, capsys,
                                                        command):
     """A build whose packed blocks exceed gca.PACK_BYTES is refused with
-    exit 3 once laid out, before any pair integral is evaluated."""
+    exit 3 before any pair integral is evaluated (at this budget already
+    by its nearfield bytes, see
+    test_oversized_build_refused_before_its_bases)."""
     def refuse(*args, **kwargs):
         raise AssertionError("pair evaluator built")
 

@@ -844,18 +844,21 @@ def test_build_with_nearfield_in_budget_refused_once_laid_out(sphere3,
     """A budget that the nearfield leaves fit but the packed blocks do not
     passes the check before the bases; the build is refused once its
     blocks are laid out, before any pair integral is evaluated."""
+    real, bases = gca.build_cluster_basis, []
+
+    def basis(*args, **kwargs):
+        bases.append(real(*args, **kwargs))
+        return bases[-1]
+
     def refuse(*args, **kwargs):
         raise AssertionError("pair evaluator built")
 
     cfg = _solve_config(3, "plane", "constant")
-    tree, btree = cli.build_trees(sphere3, cfg)
+    _, btree = cli.build_trees(sphere3, cfg)
     near = 8 * sum(b.row.size * b.col.size
                    for b in btree.inadmissible_leaves())
     assert btree.admissible_leaves()
-    real, bases = gca.build_cluster_basis, []
-    monkeypatch.setattr(gca, "build_cluster_basis",
-                        lambda *a, **k: bases.append(real(*a, **k))
-                        or bases[-1])
+    monkeypatch.setattr(gca, "build_cluster_basis", basis)
     monkeypatch.setattr(assembly, "pair_evaluator", refuse)
     monkeypatch.setattr(gca, "PACK_BYTES", near)
     with pytest.raises(SizeLimitError, match="its blocks take"):
