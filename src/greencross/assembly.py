@@ -200,13 +200,13 @@ def _singular_rule(case, q_sing, tables, curved):
     Each side's M points repeat heavily, so a side keeps the shape
     functions (6, U) at its U distinct points, n6x or n6y, and the index
     (M,) of every rule point among them, ix or iy. At q_sing 4, U of M
-    per side is 56 of 512 for the curved vertex rule, about 1,000 of 2,560
-    for the edge rule and 800 of 1,536 for the identical rule; 20 of 128,
-    212 of 640 and 204 of 384 for the plane rules. The weights w map each
-    kernel ("slp", "dlp") to (M,) for the constant basis; for the linear
-    basis they carry the barycentric factors, (M, 9) with column 3 a + c
-    for the slots (a, c), and (M, 3) for a point row. Every array is
-    read-only: the cache shares them among threads.
+    per side is 56 of 512 for the curved vertex rule, 501 and 513 of
+    1,280 for the edge rule and 800 of 1,536 for the identical rule; 20
+    of 128, 114 and 98 of 320 and 204 of 384 for the plane rules. The
+    weights w map each kernel ("slp", "dlp") to (M,) for the constant
+    basis; for the linear basis they carry the barycentric factors, (M, 9)
+    with column 3 a + c for the slots (a, c), and (M, 3) for a point row.
+    Every array is read-only: the cache shares them among threads.
     """
     if tables[0] == "collocation":
         y, wy = quad.duffy_rule(0, q_sing)
@@ -342,7 +342,9 @@ def pair_evaluator(kinds, mesh, tables, q_reg, q_sing):
     order. Kernels share each pair's points, differences, distances and
     Gramians; every value is bitwise the one-kernel value. "adlp", the
     adjoint double layer -(x - y).n_x / (4 pi r^3), at (s, t), transposed,
-    is the dlp value at (t, s).
+    is the dlp value at (t, s): to rounding for disjoint, vertex and
+    identical pairs, to quadrature accuracy for edge pairs, whose rule is
+    not swap-symmetric.
 
     Disjoint pairs read each side's tables of :func:`_far_tables`, so
     no chart is interpolated per pair: the value is the sum over the
@@ -508,7 +510,11 @@ def make_executor(kind, mesh, basis, disc, out, orders=(3, 5),
     and column kinds of its element tables (see :func:`element_tables`).
     A Galerkin executor's evaluator also computes each kernel's mirror,
     which its lower halves read (see ``batchexec``); collocation has no
-    lower halves."""
+    lower halves. A mirror value equals the kernel's own to rounding for
+    disjoint, vertex and identical pairs, whose rules are swap-symmetric,
+    and to quadrature accuracy for edge pairs. No result depends on that:
+    the executor evaluates each unordered pair once, as (smaller element,
+    larger element)."""
     kinds = own = _kinds(kind)
     mirror = None
     if disc == "galerkin":

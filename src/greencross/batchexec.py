@@ -16,7 +16,10 @@ first buffer. A Galerkin executor (made with ``mirror``) splits every
 block into its upper half, the pairs whose column element is >= the row
 element, and its strict lower half, recorded transposed (tables and
 place transposed, each kernel read through its mirror, the kernel whose
-value at (s, t), transposed, is its own at (t, s)). Nothing is evaluated
+value at (s, t), transposed, is its own at (t, s): to rounding for
+disjoint, vertex and identical pairs, to quadrature accuracy for edge
+pairs). Results never depend on that, since every unordered pair is
+evaluated once, as (smaller element, larger element). Nothing is evaluated
 before ``finalize``, which sorts the row entries of all halves (the
 entries of their row tables) by element and walks them in ascending
 order, window by window:

@@ -62,13 +62,13 @@ def check_pack_bytes(nbytes, what="its blocks"):
             "budget" % (what, nbytes >> 20, PACK_BYTES >> 20))
 
 
-def aca_interpolation(a, eps, max_rank=None):
+def aca_interpolation(a, eps):
     """Cross approximation of a thin matrix with full pivoting.
 
     Repeatedly removes the rank-one cross through the largest residual entry
     and records its row.  Stops once the residual Frobenius norm drops below
-    ``eps`` times the input norm or ``max_rank`` crosses are taken (default:
-    the column count).
+    ``eps`` times the input norm or as many crosses are taken as the matrix
+    has rows or columns.
 
     Returns an :class:`Interpolation` whose matrix ``v`` satisfies
     ``v[pivots] == identity`` exactly and ``v @ a[pivots]`` reproduces the
@@ -81,7 +81,7 @@ def aca_interpolation(a, eps, max_rank=None):
     test within rounding.
     """
     if isinstance(a, np.ndarray) and a.ndim == 2:
-        return aca_interpolation([a], eps, max_rank)[0]
+        return aca_interpolation([a], eps)[0]
     if not len(a):
         return []
 
@@ -94,7 +94,7 @@ def aca_interpolation(a, eps, max_rank=None):
     for x, rx in zip(a, r):
         rx[:len(x)] = x
     n, rows, w = r.shape
-    limit = min(rows, w if max_rank is None else int(max_rank))
+    limit = min(rows, w)
     stop = eps * norms(r)
     crosses = np.zeros((n, limit, rows))
     pivots = np.zeros((n, limit), dtype=np.intp)
@@ -222,24 +222,21 @@ def _interpolations(clusters, rows, mesh, basis, m, delta_factor, eps,
 
 def _interpolate(cluster, interp, eyes):
     """Childless basis node of ``cluster`` from the interpolation of its
-    factor at its indices; also its pivots in the order the cross
-    approximation chose them, and for an identity node the permutation
-    from that order to its pivots.  A cluster leaf whose interpolation
-    takes every row is full rank, an identity node: ``pivots =
-    cluster.indices`` in tree order, ``v`` the read-only identity of its
-    size in ``eyes``, one per basis.  An internal cluster's factor (a flat
-    basis node) keeps its matrix even at full rank, since its tree range
-    also holds its descendants' nearfield rows.
+    factor at its indices, its pivots in the order the cross approximation
+    chose them.  A cluster leaf whose interpolation takes every row is
+    full rank, an identity node: ``pivots = cluster.indices`` in tree
+    order, ``v`` the read-only identity of its size in ``eyes``, one per
+    basis.  An internal cluster's factor (a flat basis node) keeps its
+    matrix even at full rank, since its tree range also holds its
+    descendants' nearfield rows.
     """
     rows = np.asarray(cluster.indices)
-    chosen = rows[interp.pivots]
-    if len(chosen) < len(rows) or not cluster.is_leaf():
-        return BasisNode(cluster, chosen, interp.v, ()), chosen, None
+    if len(interp.pivots) < len(rows) or not cluster.is_leaf():
+        return BasisNode(cluster, rows[interp.pivots], interp.v, ())
     if len(rows) not in eyes:
         eyes[len(rows)] = np.eye(len(rows))
         eyes[len(rows)].flags.writeable = False
-    bn = BasisNode(cluster, rows.copy(), eyes[len(rows)], (), identity=True)
-    return bn, chosen, np.argsort(interp.pivots)
+    return BasisNode(cluster, rows.copy(), eyes[len(rows)], (), identity=True)
 
 
 def _identity_columns(btree):
@@ -282,10 +279,11 @@ def build_cluster_basis(tree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
     another order, changes within rounding.
 
     A full-rank leaf is an identity node (see :func:`_interpolate`), which
-    ``h2.pack`` applies as I.  Its parent's factor still takes the leaf's
-    rows in the order the cross approximation chose them, so every node's
-    pivots are those of that selection and the leaf's transfer is only
-    reordered to match.
+    ``h2.pack`` applies as I.  A parent's factor takes each child's rows
+    in the order of the child's pivots, tree order for an identity leaf
+    and the cross approximation's order otherwise, so each child's
+    transfer is its rows of the parent's interpolation matrix as they
+    come.
 
     ``side`` picks the row or column role of the factorization.  A
     Galerkin B is A with its halves swapped and scaled by -1/d_tau and
@@ -312,9 +310,8 @@ def build_cluster_basis(tree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
         if ((marks is None or c.index in marks)
                 and (not roots or c.start >= roots[-1].stop)):
             roots.append(c)
-    # cluster index -> its node, its pivots in the order the cross
-    # approximation chose them (the rows of its parent's factor) and, for
-    # an identity node, the permutation from that order to its pivots
+    # cluster index -> its node, whose pivots are its rows of its parent's
+    # factor
     built, eyes = {}, {}
     todo = [c for r in roots for c in r.nodes()]
     while todo:  # the clusters of one height: all children built
@@ -322,7 +319,7 @@ def build_cluster_basis(tree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
         level = [c for c, go in zip(todo, ready) if go]
         todo = [c for c, go in zip(todo, ready) if not go]
         rows = [np.asarray(c.indices) if c.is_leaf() else
-                np.concatenate([built[k.index][1] for k in c.children])
+                np.concatenate([built[k.index].pivots for k in c.children])
                 for c in level]
         for c, r, interp in zip(level, rows, _interpolations(
                 level, rows, mesh, basis, m, delta_factor, eps, orders,
@@ -330,16 +327,12 @@ def build_cluster_basis(tree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
             if c.is_leaf():
                 built[c.index] = _interpolate(c, interp, eyes)
                 continue
-            kids = [built[k.index] for k in c.children]
-            split = np.cumsum([len(chosen) for _, chosen, _ in kids])[:-1]
-            for (k, _, order), e in zip(kids,
-                                        np.split(interp.v, split, axis=0)):
-                k.transfer = e if order is None else e[order]
-            chosen = r[interp.pivots]
-            built[c.index] = (BasisNode(c, chosen, None,
-                                        tuple(k for k, _, _ in kids)),
-                              chosen, None)
-    return ClusterBasis([built[c.index][0] for c in roots])
+            kids = tuple(built[k.index] for k in c.children)
+            split = np.cumsum([len(k.pivots) for k in kids])[:-1]
+            for k, e in zip(kids, np.split(interp.v, split, axis=0)):
+                k.transfer = e
+            built[c.index] = BasisNode(c, r[interp.pivots], None, kids)
+    return ClusterBasis([built[c.index] for c in roots])
 
 
 CouplingBlock = namedtuple("CouplingBlock", "row col values")
@@ -587,7 +580,7 @@ def build_flat_gca(btree, mesh, kind="slp", basis="constant",
         rows = [np.asarray(c.indices) for c in level]
         for c, interp in zip(level, _interpolations(
                 level, rows, mesh, row_kind, m, delta_factor, eps, orders)):
-            nodes[c.index] = _interpolate(c, interp, eyes)[0]
+            nodes[c.index] = _interpolate(c, interp, eyes)
     rows = ClusterBasis([nodes[c.index] for c in taus])
     return build_h2(btree, rows, _identity_columns(btree), mesh, kind, basis,
                     disc, orders, capacity, threads)

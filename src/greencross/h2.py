@@ -51,8 +51,8 @@ import numpy as np
 from .errors import ConfigError, StateError
 
 __all__ = ["mvm", "mvm_t", "as_operator", "pack", "Packed",
-           "storage_report", "spectral_error_estimate", "cg_solve",
-           "cgnr_solve", "CGResult"]
+           "storage_report", "operator_norm", "spectral_error_estimate",
+           "cg_solve", "cgnr_solve", "CGResult"]
 
 
 def _grouped(items, key):
@@ -328,44 +328,49 @@ def storage_report(h):
             "index_bytes": index_bytes, "dense": 8 * nr * nc}
 
 
+def operator_norm(apply, n, iters=100, seed=0):
+    """Power iteration estimate of ||A||_2 for a closure ``apply(x,
+    trans=False)`` of A and its transpose on vectors of length n: z <-
+    A^T (A z), ``iters`` steps from a normal start vector drawn with
+    ``seed``, so the estimate is deterministic."""
+    if iters < 1:
+        raise ConfigError("iters must be positive")
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(n)
+    nz = np.linalg.norm(z)
+    if nz == 0.0:
+        z = np.random.default_rng(seed + 1).standard_normal(n)
+        nz = np.linalg.norm(z)
+        if nz == 0.0:
+            raise ConfigError("degenerate start vector")
+    z = z / nz
+    est = 0.0
+    for _ in range(iters):
+        w = apply(z)
+        est = np.linalg.norm(w)
+        if est == 0.0:
+            return 0.0
+        z = apply(w, True)
+        nz = np.linalg.norm(z)
+        if nz == 0.0:
+            return est
+        z = z / nz
+    return est
+
+
 def spectral_error_estimate(apply_ref, apply_approx, n, iters=100, seed=0):
     """Power iteration estimate of ||ref - approx||_2 and its ratio to
     ||ref||_2.
 
     Both closures take (x, trans=False) and must implement the transpose;
     the iteration runs z <- E^T (E z) on the difference.  The reference norm
-    is estimated by the same iteration with the same seed, which makes the
-    returned ratio deterministic.
+    is estimated by the same iteration with the same seed (see
+    :func:`operator_norm`), which makes the returned ratio deterministic.
     """
-    if iters < 1:
-        raise ConfigError("iters must be positive")
-
-    def op_norm(fwd, bwd):
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal(n)
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            z = np.random.default_rng(seed + 1).standard_normal(n)
-            nz = np.linalg.norm(z)
-            if nz == 0.0:
-                raise ConfigError("degenerate start vector")
-        z = z / nz
-        est = 0.0
-        for _ in range(iters):
-            w = fwd(z)
-            est = np.linalg.norm(w)
-            if est == 0.0:
-                return 0.0
-            z = bwd(w)
-            nz = np.linalg.norm(z)
-            if nz == 0.0:
-                return est
-            z = z / nz
-        return est
-
-    abs_err = op_norm(lambda u: apply_ref(u) - apply_approx(u),
-                      lambda u: apply_ref(u, True) - apply_approx(u, True))
-    ref = op_norm(lambda u: apply_ref(u), lambda u: apply_ref(u, True))
+    abs_err = operator_norm(
+        lambda u, trans=False: apply_ref(u, trans) - apply_approx(u, trans),
+        n, iters, seed)
+    ref = operator_norm(apply_ref, n, iters, seed)
     if ref == 0.0:
         return abs_err, 0.0 if abs_err == 0.0 else np.inf
     return abs_err, abs_err / ref

@@ -277,46 +277,30 @@ def _regularized(code, xi, e1, e2, e3, w4):
             add(w0, w3, w0 + w1, w2, jac)
     else:
         raise ValueError("unknown singularity kind %r" % (code,))
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    w = np.concatenate(ws)
-    if code == EDGE:
-        # On a consistently oriented surface the shared edge runs through
-        # the two triangles in opposite directions, so exchanging the roles
-        # of t and s maps the rule through (x, y) -> (Sy, Sx) with S the
-        # 0<->1 vertex exchange. The raw subdomains lack that symmetry;
-        # averaging with the mirrored copy makes swapped pair integrals
-        # agree to rounding instead of to quadrature error.
-        sx = np.stack([1.0 - x[:, 0] - x[:, 1], x[:, 1]], axis=1)
-        sy = np.stack([1.0 - y[:, 0] - y[:, 1], y[:, 1]], axis=1)
-        x = np.concatenate([x, sy])
-        y = np.concatenate([y, sx])
-        w = np.concatenate([0.5 * w, 0.5 * w])
-    return x, y, w
+    return np.concatenate(xs), np.concatenate(ys), np.concatenate(ws)
 
 
 @lru_cache(maxsize=None)
 def sauter_rule(kind, q):
     """Regularized tensor rule on t-hat x t-hat for one singularity case.
 
-    kind is a KIND_NAMES entry or its code. Node counts are 6 q^4 / 10 q^4 /
-    2 q^4 for identical / edge / vertex (the edge rule is symmetrized, see
-    below). The disjoint rule is the tensor product of
-    :func:`symmetric_rule` with itself, the rule of the evaluator's
-    disjoint pairs: 1, 9 or 49 point pairs for q 1, 2, 3, q^4 for q >= 4
-    (the collapsed rule's); the Green factors, the mass matrices and the
-    solution error keep the collapsed rule :func:`triangle_gauss`. Points
+    kind is a KIND_NAMES entry or its code. Node counts are 6 q^4 / 5 q^4 /
+    2 q^4 for identical / edge / vertex. The disjoint rule is the tensor
+    product of :func:`symmetric_rule` with itself, the rule of the
+    evaluator's disjoint pairs: 1, 9 or 49 point pairs for q 1, 2, 3, q^4
+    for q >= 4 (the collapsed rule's); the Green factors, the mass
+    matrices and the solution error keep the collapsed rule
+    :func:`triangle_gauss`. Points
     are given in simplex coordinates; the construction works in the
     'relative' coordinates 0 <= r2 <= r1 <= 1 and shears the result, which
     leaves the weights untouched.
 
-    A singular rule is S subdomains (6 / 10 / 2) of q^4 points each, in
+    A singular rule is S subdomains (6 / 5 / 2) of q^4 points each, in
     order; a subdomain's points run radial-major: q^3 points eta for each
-    Gauss node xi in turn. Both sides' points are c + xi f(eta), with
-    f(eta) the point at xi = 1 (see :func:`radial_rule`) and the centre
-    c = (0, 0), a shared vertex, except in the mirrored half of the edge
-    rule, where c = (1, 0), the other shared vertex. A weight is the Gauss
-    weight of xi times xi^3 times a factor of eta.
+    Gauss node xi in turn. Both sides' points are xi f(eta), with f(eta)
+    the point at xi = 1 (see :func:`radial_rule`): every subdomain is
+    centred at the shared vertex (0, 0). A weight is the Gauss weight of
+    xi times xi^3 times a factor of eta.
     """
     if q < 1:
         raise ValueError("quadrature order must be positive")
@@ -337,8 +321,8 @@ def radial_rule(kind, q):
     """The points of the singular rule ``sauter_rule(kind, q)`` at xi = 1,
     from the rule's own formulas: x and y (S q^3, 2), subdomain-major, and
     the radial Gauss nodes xi (q,). Point (s q + i) q^3 + m of the full
-    rule is c + xi[i] (x[s q^3 + m] - c) (see :func:`sauter_rule`), and
-    the same of y. The arrays are read-only: the cache shares them.
+    rule is xi[i] x[s q^3 + m] (see :func:`sauter_rule`), and the same of
+    y. The arrays are read-only: the cache shares them.
     """
     code = KIND_CODES[kind] if isinstance(kind, str) else int(kind)
     if code == DISJOINT or q < 1:

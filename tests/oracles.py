@@ -107,11 +107,11 @@ def fsum_block(kind, mesh, basis, disc, rows, cols, orders=(3, 5)):
     return out.reshape(len(rows), len(cols))
 
 
-def aca_reference(a, eps, max_rank=None):
+def aca_reference(a, eps):
     """gca.aca_interpolation of one matrix, one pivot at a time."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     n, w = a.shape
-    limit = min(n, w if max_rank is None else int(max_rank))
+    limit = min(n, w)
     norm = np.linalg.norm(a)
     r = a.copy()
     pivots = []
@@ -165,22 +165,19 @@ def cluster_basis(tree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
             a = _node_factor(node, np.asarray(node.indices), mesh, basis, m,
                              delta_factor, orders, side, kind)
             return gca._interpolate(node, aca_reference(a, eps), eyes)
-        built = [build(c) for c in node.children]
-        rows = np.concatenate([chosen for _, chosen, _ in built])
+        kids = tuple(build(c) for c in node.children)
+        rows = np.concatenate([k.pivots for k in kids])
         interp = aca_reference(_node_factor(node, rows, mesh, basis, m,
                                             delta_factor, orders, side, kind),
                                eps)
-        split = np.cumsum([len(chosen) for _, chosen, _ in built])[:-1]
-        for (k, _, order), e in zip(built,
-                                    np.split(interp.v, split, axis=0)):
-            k.transfer = e if order is None else e[order]
-        chosen = rows[interp.pivots]
-        kids = tuple(k for k, _, _ in built)
-        return gca.BasisNode(node, chosen, None, kids), chosen, None
+        split = np.cumsum([len(k.pivots) for k in kids])[:-1]
+        for k, e in zip(kids, np.split(interp.v, split, axis=0)):
+            k.transfer = e
+        return gca.BasisNode(node, rows[interp.pivots], None, kids)
 
     def walk(node):
         if marks is None or node.index in marks:
-            return [build(node)[0]]
+            return [build(node)]
         return [bn for c in node.children for bn in walk(c)]
 
     return gca.ClusterBasis(walk(tree))
@@ -196,7 +193,7 @@ def flat_basis(btree, mesh, basis, m, delta_factor=0.5, eps=1e-4,
             a = _node_factor(tau, np.asarray(tau.indices), mesh, basis, m,
                              delta_factor, orders, "row", "slp")
             nodes[tau.index] = gca._interpolate(tau, aca_reference(a, eps),
-                                                eyes)[0]
+                                                eyes)
     return gca.ClusterBasis(list(nodes.values()))
 
 

@@ -71,33 +71,25 @@ def test_aca_truncates_decaying_spectrum():
         <= 1e-3 * np.linalg.norm(a)
 
 
-def test_aca_max_rank_cap():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((50, 10))
-    interp = aca_interpolation(a, 1e-14, max_rank=4)
-    assert len(interp.pivots) == 4
-
-
 def test_aca_of_several_matrices_matches_each_alone():
     """Interpolations made together, over a zero-padded stack, take each
     matrix's pivots one at a time would take, with V|pivots = I exactly
-    and V equal to rounding: row counts that differ, a zero matrix, a
-    full-rank one and a rank cap."""
+    and V equal to rounding: row counts that differ, a zero matrix and a
+    full-rank one."""
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.standard_normal((40, 12)))
     mats = [rng.standard_normal((n, 12)) for n in (5, 30, 12)]
     mats += [np.zeros((9, 12)), q * 10.0 ** -np.arange(12.0),
              np.outer(np.arange(1.0, 8.0), rng.standard_normal(12))]
-    for max_rank in (None, 4):
-        got = aca_interpolation(mats, 1e-6, max_rank)
-        assert len(got) == len(mats)
-        for a, interp in zip(mats, got):
-            ref = aca_reference(a, 1e-6, max_rank)
-            assert np.array_equal(interp.pivots, ref.pivots)
-            assert interp.v.shape == ref.v.shape == (len(a), len(ref.pivots))
-            assert np.array_equal(interp.v[interp.pivots],
-                                  np.eye(len(ref.pivots)))
-            assert np.allclose(interp.v, ref.v, rtol=0, atol=1e-12)
+    got = aca_interpolation(mats, 1e-6)
+    assert len(got) == len(mats)
+    for a, interp in zip(mats, got):
+        ref = aca_reference(a, 1e-6)
+        assert np.array_equal(interp.pivots, ref.pivots)
+        assert interp.v.shape == ref.v.shape == (len(a), len(ref.pivots))
+        assert np.array_equal(interp.v[interp.pivots],
+                              np.eye(len(ref.pivots)))
+        assert np.allclose(interp.v, ref.v, rtol=0, atol=1e-12)
     assert aca_interpolation([], 1e-6) == []
 
 
@@ -665,14 +657,15 @@ def test_diagonal_leaves_evaluated_once_keep_blocks():
     the plane singular rules took the radial sum, a rounding-level
     change, and when disjoint pairs took the symmetric 3-point rule, a
     quadrature-level one: entries moved by at most 2.6e-4 of the
-    largest)."""
+    largest; and when the edge rule lost its mirrored copy: by at most
+    4.0e-7)."""
     cfg = _solve_config(4, "plane", "constant")
     hm = cli.build_h2_operator(build_sphere_mesh(4), cfg)[0]
     tasks = {st["case"]: st["tasks"] for st in hm.exec_stats}
     assert [tasks[c] for c in (quad.VERTEX, quad.EDGE, quad.IDENTICAL)] \
         == [9192, 3072, 2048]
     digest = hashlib.sha256(hm.packed.blocks.data.tobytes()).hexdigest()
-    assert digest[:16] == "0ab68b234a48d1ed"
+    assert digest[:16] == "155205bb705c0df5"
     for blk in hm.nearfield:
         if blk.row.index == blk.col.index:
             assert np.array_equal(blk.values, blk.values.T)
@@ -729,7 +722,9 @@ def test_dense_and_baselines_ask_each_pair_once(sphere3, l3_setup,
     pair of their entries once, and keep their bits (sha256 prefixes,
     numpy 2.4.6, x86_64, re-pinned when disjoint pairs took the symmetric
     3-point rule: they moved by at most 2.4e-4, 5.1e-6 and 2.4e-4 of their
-    largest entries); the dense block is bitwise symmetric."""
+    largest entries, and when the edge rule lost its mirrored copy: by at
+    most 4.1e-7, 8.5e-9 and 4.1e-7); the dense block is bitwise
+    symmetric."""
     nt, dofs = sphere3.nt, np.arange(sphere3.nt)
     real = assembly.pair_evaluator
     seen = []
@@ -768,7 +763,7 @@ def test_dense_and_baselines_ask_each_pair_once(sphere3, l3_setup,
                                        in _leaf_blocks(flat).values()]))
     assert [hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (
         dense, green.packed.blocks.data, flat.packed.blocks.data)] == [
-        "b885928944177b4a", "f49ce7f399ec2a17", "1a21b6fa168a1a5d"]
+        "fcb6db04f276af69", "e75ad502e62d5bc6", "688e44fa318b36ed"]
 
 
 def test_asymmetric_one_tree_block_tree_refused(sphere2):
@@ -831,12 +826,13 @@ def test_fused_build_keeps_seed_v_bits():
     summed in task order: V moved by at most 1.9e-16 of its largest
     entry, see test_dense_blocks_agree_with_exactly_rounded_sums; and when
     disjoint pairs took the symmetric 3-point rule, at quadrature level:
-    V moved by at most 7.2e-4 of its largest entry)."""
+    V moved by at most 7.2e-4 of its largest entry; and when the edge rule
+    lost its mirrored copy: by at most 3.2e-7)."""
     hm = cli.build_h2_operator(_curved(3), _solve_config(3, "curved",
                                                          "linear"),
                                dlp=True)[0]
     digest = hashlib.sha256(hm.packed.blocks.data.tobytes()).hexdigest()
-    assert digest[:16] == "9b423cc64dd675fd"
+    assert digest[:16] == "1f1523701af248ca"
 
 
 def test_build_with_nearfield_in_budget_refused_once_laid_out(sphere3,

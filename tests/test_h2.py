@@ -333,6 +333,23 @@ def test_spectral_error_estimate_random():
         h2.spectral_error_estimate(fa, fb, 100, iters=0)
 
 
+def test_operator_norm_is_the_estimate_reference():
+    """operator_norm is the reference norm of spectral_error_estimate: the
+    ratio is the error estimate over it, bitwise, as ``compress`` divides
+    each method's error by the one reference norm it estimates."""
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((60, 60))
+    b = a + 1e-3 * rng.standard_normal((60, 60))
+    fa = lambda x, trans=False: a.T @ x if trans else a @ x
+    fb = lambda x, trans=False: b.T @ x if trans else b @ x
+    abs_err, rel = h2.spectral_error_estimate(fa, fb, 60, seed=5)
+    ref = h2.operator_norm(fa, 60, seed=5)
+    assert rel == abs_err / ref
+    assert abs(ref - np.linalg.norm(a, 2)) <= 0.05 * ref
+    with pytest.raises(ConfigError):
+        h2.operator_norm(fa, 60, iters=0)
+
+
 def test_cg_solve_spd():
     rng = np.random.default_rng(9)
     c = rng.standard_normal((50, 50))
